@@ -1,16 +1,15 @@
-// Ablation — physical operator selection and execution mode.
+// Ablation — physical operator selection and key/table representation.
 //
 // The paper's closing point in Section 5: unlike the GDL's memory-resident
 // setting, a relational engine has several algorithms for the product join
-// and the marginalization, and plan choice must be cost-based. Two layers of
-// measurement here:
+// and the marginalization, and plan choice must be cost-based. Three layers
+// of measurement here:
 //
-//  1. A hand-rolled execution-mode ablation: the hash-join + hash-marginalize
-//     pipeline (and each operator alone) driven row-at-a-time, batch-at-a-time
-//     (vectorized), and batch with packed 64-bit keys — the packed mode both
-//     on the legacy std::unordered_map build and on the Swiss tables. This
-//     quantifies the vectorized engine's speedup and backs the cost model's
-//     CPU charges, with raw hash_table/* and mph_probe/* sections isolating
+//  1. A hand-rolled representation ablation: the hash-join +
+//     hash-marginalize pipeline (and each operator alone) driven through the
+//     batch engine with vector keys (no catalog), and with packed 64-bit
+//     keys — the packed mode both on the legacy std::unordered_map build and
+//     on the Swiss tables. Raw hash_table/* and mph_probe/* sections isolate
 //     the table structures themselves.
 //  2. A physical-planner demo: a three-relation chain where the cost-based
 //     planner mixes join algorithms within one query (hash inner join,
@@ -102,30 +101,19 @@ void Check(const Status& status) {
   }
 }
 
-// Drains `op` to completion in the given mode without materializing its
-// output, so the measurement isolates operator throughput. Returns the
-// number of rows the operator emitted.
-size_t Drain(PhysicalOperator& op, bool batch_mode) {
+// Drains `op` to completion without materializing its output, so the
+// measurement isolates operator throughput. Returns the number of rows the
+// operator emitted.
+size_t Drain(PhysicalOperator& op) {
   Check(op.Open());
   size_t rows = 0;
-  if (batch_mode) {
-    RowBatch batch;
-    while (true) {
-      auto has = op.NextBatch(&batch);
-      Check(has.status());
-      if (!*has) break;
-      rows += batch.num_rows();
-      benchmark::DoNotOptimize(batch.measures()[0]);
-    }
-  } else {
-    Row row;
-    while (true) {
-      auto has = op.Next(&row);
-      Check(has.status());
-      if (!*has) break;
-      ++rows;
-      benchmark::DoNotOptimize(row.measure);
-    }
+  RowBatch batch;
+  while (true) {
+    auto has = op.NextBatch(&batch);
+    Check(has.status());
+    if (!*has) break;
+    rows += batch.num_rows();
+    benchmark::DoNotOptimize(batch.measures()[0]);
   }
   op.Close();
   return rows;
@@ -133,7 +121,6 @@ size_t Drain(PhysicalOperator& op, bool batch_mode) {
 
 struct Mode {
   const char* name;
-  bool batch;
   bool packed;
   HashImpl hash;
   bool mph;
@@ -144,10 +131,9 @@ struct Mode {
 // `batch_packed_swiss` runs the same pipeline on the Swiss tables with
 // dense perfect-index join heads and carries the headline speedup.
 constexpr Mode kModes[] = {
-    {"row", false, false, HashImpl::kSwiss, false},
-    {"batch", true, false, HashImpl::kSwiss, false},
-    {"batch_packed", true, true, HashImpl::kStd, false},
-    {"batch_packed_swiss", true, true, HashImpl::kSwiss, true},
+    {"batch", false, HashImpl::kSwiss, false},
+    {"batch_packed", true, HashImpl::kStd, false},
+    {"batch_packed_swiss", true, HashImpl::kSwiss, true},
 };
 
 struct ModeResult {
@@ -169,33 +155,29 @@ ModeResult Measure(const MakeTree& make_tree, const Catalog* catalog,
     QueryContext ctx;
     if (governed) root->BindContext(&ctx);
     auto start = bench::Clock::now();
-    size_t rows = Drain(*root, mode.batch);
+    size_t rows = Drain(*root);
     double secs = bench::MsSince(start) / 1e3;
     if (rep == 0 || secs < best.seconds) best = {secs, rows};
   }
   return best;
 }
 
-// Measures one tree shape under all four modes, prints the comparison, and
+// Measures one tree shape under every mode, prints the comparison, and
 // records input-rows/sec per mode in the json writer.
 template <typename MakeTree>
 void AblateModes(const std::string& label, int64_t input_rows,
                  const MakeTree& make_tree, const Catalog& catalog,
                  bench::BenchJsonWriter* json) {
-  double row_secs = 0;
   std::printf("%s (input %lld rows)\n", label.c_str(),
               static_cast<long long>(input_rows));
   for (const Mode& mode : kModes) {
     ModeResult r = Measure(make_tree, &catalog, mode);
     double ops = static_cast<double>(input_rows) / r.seconds;
-    if (!mode.batch) row_secs = r.seconds;
-    double speedup = row_secs / r.seconds;
-    std::printf("  %-18s %8.1f ms   %12.3e rows/s   %5.2fx  (%zu out)\n",
-                mode.name, r.seconds * 1e3, ops, speedup, r.out_rows);
+    std::printf("  %-18s %8.1f ms   %12.3e rows/s  (%zu out)\n", mode.name,
+                r.seconds * 1e3, ops, r.out_rows);
     json->Add(label + "/" + mode.name, {{"input_rows", double(input_rows)},
                                         {"seconds", r.seconds},
                                         {"ops_per_sec", ops},
-                                        {"speedup_vs_row", speedup},
                                         {"output_rows", double(r.out_rows)}});
   }
 }
@@ -518,7 +500,7 @@ int RunModeAblation(const std::string& json_path,
         QueryContext ctx;
         ctx.set_thread_pool(&pool);
         root->BindContext(&ctx);
-        auto result = RunBatch(*root, "out", &ctx);
+        auto result = Run(*root, "out", &ctx);
         Check(result.status());
         std::vector<size_t> all((*result)->schema().arity());
         std::iota(all.begin(), all.end(), 0);
@@ -540,7 +522,7 @@ int RunModeAblation(const std::string& json_path,
         ctx.set_thread_pool(&pool);
         root->BindContext(&ctx);
         auto start = bench::Clock::now();
-        size_t out = Drain(*root, /*batch_mode=*/true);
+        size_t out = Drain(*root);
         double secs = bench::MsSince(start) / 1e3;
         if (rep == 0 || secs < best.seconds) best = {secs, out};
       }
@@ -715,7 +697,7 @@ int RunModeAblation(const std::string& json_path,
                             std::vector<std::string>{"g"}, semiring,
                             presorted);
         auto start = bench::Clock::now();
-        Drain(agg, /*batch_mode=*/true);
+        Drain(agg);
         double secs = bench::MsSince(start) / 1e3;
         if (rep == 0 || secs < best) best = secs;
       }
@@ -894,9 +876,7 @@ int RunModeAblation(const std::string& json_path,
     exec::Executor hash_exec(
         catalog, schema->view.semiring,
         exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
-                          .agg = exec::AggAlgorithm::kHash,
-                          .vectorized = true,
-                          .packed_keys = true});
+                          .agg = exec::AggAlgorithm::kHash});
     auto time_plan = [&](const exec::Executor& executor, const PlanNode& plan) {
       double best = 0;
       TablePtr out;

@@ -74,11 +74,10 @@ class CostModel {
 // and computing an aggregate on R costs |R| log |R|. Scans and selections
 // are charged linearly so plans with useless nodes are never free.
 //
-// Per-tuple CPU constants are implicitly calibrated against the row-at-a-time
-// engine. The vectorized engine (ExecOptions::vectorized) lowers the join and
-// aggregation constants by several x — see bench/ablate_exec_operators'
-// mode ablation — but uniformly enough that relative plan comparisons, which
-// are all the optimizers consume, are unaffected.
+// The per-tuple CPU constants are unit weights, not fitted to measured
+// operator throughput (bench/ablate_exec_operators records that): the
+// optimizers only consume relative plan comparisons, which a uniform
+// rescaling of the constants does not change.
 class SimpleCostModel : public CostModel {
  public:
   std::string name() const override { return "simple"; }

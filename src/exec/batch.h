@@ -15,11 +15,11 @@ namespace mpfdb::exec {
 // inside L2 for typical arities while amortizing the per-batch virtual call.
 inline constexpr size_t kBatchSize = 1024;
 
-// Fixed-capacity columnar batch of rows flowing between operators in
-// vectorized mode: one flat VarValue buffer holding `arity` columns of
-// kBatchSize values each (column stride kBatchSize) plus a contiguous
-// measure vector. Producers overwrite the batch in place, so its contents
-// are only valid until the producer's next NextBatch call.
+// Fixed-capacity columnar batch of rows flowing between operators: one flat
+// VarValue buffer holding `arity` columns of kBatchSize values each (column
+// stride kBatchSize) plus a contiguous measure vector. Producers overwrite
+// the batch in place, so its contents are only valid until the producer's
+// next NextBatch call.
 class RowBatch {
  public:
   // Sets the batch to `arity` columns and zero rows. Buffers are reused when
@@ -46,7 +46,7 @@ class RowBatch {
   double* measures() { return measures_.data(); }
   const double* measures() const { return measures_.data(); }
 
-  // Appends one row given in row-major order (the Next(Row*) adapter path).
+  // Appends one row given in row-major order (spill-file readback).
   void AppendRow(const VarValue* vars, double measure) {
     for (size_t c = 0; c < arity_; ++c) col(c)[num_rows_] = vars[c];
     measures_[num_rows_] = measure;
@@ -192,7 +192,7 @@ struct PackedKeyHash {
 };
 
 // Open-addressing hash table from packed uint64 keys to a small payload,
-// used by the vectorized hash join and hash marginalize. Linear probing over
+// used by the hash join and hash marginalize. Linear probing over
 // a power-of-two slot array, growing at ~70% load; keys are never erased.
 // Returned payload pointers are invalidated by the next FindOrInsert.
 template <typename V>

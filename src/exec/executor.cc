@@ -20,7 +20,7 @@ constexpr double kPlannerBytesPerRow = 16.0;
 constexpr double kPlannerRowsPerPage = 100.0;
 
 // Transparent decorator measuring the rows/batches its child emits and the
-// wall time spent inside the child's Open/Next/NextBatch (inclusive of the
+// wall time spent inside the child's Open/NextBatch (inclusive of the
 // child's whole subtree). The wrapped operator additionally routes its
 // MemoryGuard peaks and spill partition counts into the same record via
 // set_stats. Deliberately does not forward SupportsMorselStreams: analyzed
@@ -36,12 +36,6 @@ class StatsOperator : public PhysicalOperator {
   Status Open() override {
     Timer t(record_);
     return child_->Open();
-  }
-  StatusOr<bool> Next(Row* row) override {
-    Timer t(record_);
-    MPFDB_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-    if (has) ++record_->output_rows;
-    return has;
   }
   StatusOr<bool> NextBatch(RowBatch* batch) override {
     Timer t(record_);
@@ -158,8 +152,8 @@ StatusOr<OperatorPtr> Executor::BuildNode(
         case AggAlgorithm::kAuto:
         case AggAlgorithm::kHash:
           op = std::make_unique<HashMarginalize>(
-              std::move(child), plan.group_vars, semiring_,
-              options_.packed_keys ? &catalog_ : nullptr, options_.hash_impl);
+              std::move(child), plan.group_vars, semiring_, &catalog_,
+              options_.hash_impl);
           break;
       }
       break;
@@ -181,9 +175,8 @@ StatusOr<OperatorPtr> Executor::BuildNode(
         case JoinAlgorithm::kHash:
         case JoinAlgorithm::kLeapfrog:
           op = std::make_unique<HashProductJoin>(
-              std::move(left), std::move(right), semiring_,
-              options_.packed_keys ? &catalog_ : nullptr, options_.hash_impl,
-              options_.mph_indexes);
+              std::move(left), std::move(right), semiring_, &catalog_,
+              options_.hash_impl, options_.mph_indexes);
           break;
       }
       break;
@@ -235,10 +228,7 @@ StatusOr<TablePtr> Executor::ExecutePhysical(const PhysicalPlanNode& plan,
                                              QueryContext* ctx) const {
   MPFDB_ASSIGN_OR_RETURN(OperatorPtr root, BuildNode(plan, nullptr));
   if (ctx != nullptr) root->BindContext(ctx);
-  MPFDB_ASSIGN_OR_RETURN(TablePtr result,
-                         options_.vectorized
-                             ? RunBatch(*root, result_name, ctx)
-                             : Run(*root, result_name, ctx));
+  MPFDB_ASSIGN_OR_RETURN(TablePtr result, Run(*root, result_name, ctx));
   std::vector<size_t> all(result->schema().arity());
   std::iota(all.begin(), all.end(), 0);
   result->SortByVariables(all);
@@ -258,10 +248,7 @@ StatusOr<Executor::AnalyzedResult> Executor::ExecuteAnalyze(
   // budget or deadline, so execution semantics are unchanged.
   QueryContext local_ctx;
   root->BindContext(ctx != nullptr ? ctx : &local_ctx);
-  MPFDB_ASSIGN_OR_RETURN(analyzed.table,
-                         options_.vectorized
-                             ? RunBatch(*root, result_name, ctx)
-                             : Run(*root, result_name, ctx));
+  MPFDB_ASSIGN_OR_RETURN(analyzed.table, Run(*root, result_name, ctx));
   std::vector<size_t> all(analyzed.table->schema().arity());
   std::iota(all.begin(), all.end(), 0);
   analyzed.table->SortByVariables(all);

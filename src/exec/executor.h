@@ -31,13 +31,6 @@ struct ExecOptions {
   //      it makes is bit-identical to the forced-hash baseline.
   JoinAlgorithm join = JoinAlgorithm::kAuto;
   AggAlgorithm agg = AggAlgorithm::kAuto;
-  // Drive the operator tree batch-at-a-time (NextBatch) instead of one row
-  // at a time. Results are bit-identical either way.
-  bool vectorized = true;
-  // Let hash join/aggregation pack composite keys into 64-bit integers when
-  // the catalog's domain statistics fit (batch path only; falls back to
-  // vector keys per operator when they don't).
-  bool packed_keys = true;
   // Hash-table implementation for the hash join/aggregation operators.
   // kSwiss (the default) is the SIMD open-addressing table; kStd keeps the
   // chaining tables as a differential baseline. Results are bit-identical.
@@ -47,7 +40,7 @@ struct ExecOptions {
   // a build over the live key set succeeds. Pure lookup accelerator; results
   // are bit-identical with it off.
   bool mph_indexes = true;
-  // Worker threads for intra-query morsel parallelism (batch path only).
+  // Worker threads for intra-query morsel parallelism.
   // 0 resolves to std::thread::hardware_concurrency(); 1 reproduces the
   // serial engine exactly. The Executor itself only reads the pool off the
   // QueryContext — Database owns the pool and wires it up from this knob.

@@ -452,8 +452,10 @@ class SwissBytesTable {
 
   bool KeyEquals(const Slot& s, const void* key, size_t len,
                  uint64_t hash) const {
+    // Zero-length keys (group-by-nothing) may come with null pointers,
+    // which memcmp must not see even for a zero length.
     return s.hash == hash && s.len == len &&
-           std::memcmp(arena_.data() + s.off, key, len) == 0;
+           (len == 0 || std::memcmp(arena_.data() + s.off, key, len) == 0);
   }
 
   size_t FindSlot(const void* key, size_t len, uint64_t hash) const {

@@ -26,10 +26,6 @@ size_t RowFootprint(size_t arity) {
   return arity * sizeof(VarValue) + sizeof(double);
 }
 
-size_t MaterializedRowFootprint(const Row& row) {
-  return sizeof(Row) + row.vars.size() * sizeof(VarValue);
-}
-
 struct KeyHash {
   size_t operator()(const std::vector<VarValue>& key) const {
     uint64_t h = 1469598103934665603ull;
@@ -142,7 +138,7 @@ class VecKeyMap {
       std::vector<VarValue> key;
       swiss_->ForEach([&](const char* bytes, size_t len, const V& val) {
         key.resize(len / sizeof(VarValue));
-        std::memcpy(key.data(), bytes, len);
+        if (len > 0) std::memcpy(key.data(), bytes, len);
         fn(key, val);
       });
     } else {
@@ -155,7 +151,7 @@ class VecKeyMap {
       std::vector<VarValue> key;
       swiss_->ForEachMutable([&](const char* bytes, size_t len, V& val) {
         key.resize(len / sizeof(VarValue));
-        std::memcpy(key.data(), bytes, len);
+        if (len > 0) std::memcpy(key.data(), bytes, len);
         fn(key, val);
       });
     } else {
@@ -206,44 +202,10 @@ JoinLayout MakeJoinLayout(const Schema& left, const Schema& right) {
   return layout;
 }
 
-// Drains `child` into `out`, charging every materialized row against
-// `memory` (a guard bound to a null context charges nothing). `who` names
-// the draining operator for budget errors and error-context annotation.
-Status DrainChild(PhysicalOperator& child, std::vector<Row>* out,
-                  MemoryGuard* memory, const char* who) {
-  Row row;
-  while (true) {
-    auto has = child.Next(&row);
-    if (!has.ok()) return Annotate(has.status(), who);
-    if (!*has) break;
-    MPFDB_RETURN_IF_ERROR(memory->Charge(MaterializedRowFootprint(row), who));
-    out->push_back(row);
-  }
-  return Status::Ok();
-}
-
-// Drains `child` into a flat row-major arena, avoiding the per-tuple vector
-// allocation that materializing std::vector<Row> incurs.
-Status DrainToArena(PhysicalOperator& child, std::vector<VarValue>* vars,
-                    std::vector<double>* measures, MemoryGuard* memory,
-                    const char* who) {
-  Row row;
-  while (true) {
-    auto has = child.Next(&row);
-    if (!has.ok()) return Annotate(has.status(), who);
-    if (!*has) break;
-    MPFDB_RETURN_IF_ERROR(memory->Charge(RowFootprint(row.vars.size()), who));
-    vars->insert(vars->end(), row.vars.begin(), row.vars.end());
-    measures->push_back(row.measure);
-  }
-  return Status::Ok();
-}
-
-// Drains `child` through NextBatch into a flat row-major arena — the
-// vectorized counterpart of DrainToArena, used by the sort operators' native
-// batch paths so a sort node doesn't force its subtree back to row-at-a-time
-// pulls. Row order is the child's batch emission order, which equals its row
-// emission order by the NextBatch contract.
+// Drains `child` through NextBatch into a flat row-major arena, charging
+// every materialized row against `memory` (a guard bound to a null context
+// charges nothing). `who` names the draining operator for budget errors and
+// error-context annotation. Row order is the child's emission order.
 Status DrainToArenaBatches(PhysicalOperator& child, std::vector<VarValue>* vars,
                            std::vector<double>* measures, MemoryGuard* memory,
                            const char* who) {
@@ -352,7 +314,7 @@ Status PackedDomainViolation(const char* op) {
 // The shape of the semiring's Multiply, resolved once per pipeline so the
 // batch emit loops can inline the arithmetic. The fast paths perform exactly
 // the IEEE operation Semiring::Multiply performs, so results stay
-// bit-identical to the row-at-a-time engine.
+// bit-identical to Semiring::Multiply (and to the fr reference algebra).
 enum class MulOp { kTimes, kPlus, kGeneric };
 
 MulOp MulOpFor(const Semiring& semiring) {
@@ -462,9 +424,6 @@ class SeqScanRangeStream : public PhysicalOperator {
     next_row_ = begin_;
     return Status::Ok();
   }
-  StatusOr<bool> Next(Row*) override {
-    return Status::Internal("morsel streams are batch-only");
-  }
   StatusOr<bool> NextBatch(RowBatch* batch) override {
     batch->Prepare(table_->schema().arity());
     if (next_row_ >= end_) return false;
@@ -499,9 +458,6 @@ class DiskScanRangeStream : public PhysicalOperator {
   Status Open() override {
     next_row_ = begin_;
     return Status::Ok();
-  }
-  StatusOr<bool> Next(Row*) override {
-    return Status::Internal("morsel streams are batch-only");
   }
   StatusOr<bool> NextBatch(RowBatch* batch) override {
     const size_t arity = schema_.arity();
@@ -557,9 +513,6 @@ class MaterializedRangeStream : public PhysicalOperator {
     next_row_ = begin_;
     return Status::Ok();
   }
-  StatusOr<bool> Next(Row*) override {
-    return Status::Internal("morsel streams are batch-only");
-  }
   StatusOr<bool> NextBatch(RowBatch* batch) override {
     const size_t arity = schema_.arity();
     batch->Prepare(arity);
@@ -603,69 +556,12 @@ StatusOr<std::vector<OperatorPtr>> WrapChildStreams(PhysicalOperator& child,
   return wrapped;
 }
 
-}  // namespace
-
-StatusOr<bool> PhysicalOperator::NextBatch(RowBatch* batch) {
-  // Adapter: any operator without a native batch implementation is driven
-  // one row at a time into the caller's batch. An error from Next surfaces
-  // with this operator's name attached so batch-mode failures are
-  // attributable even through the adapter; a partially filled batch is
-  // discarded, never returned as if it were a clean result.
-  batch->Prepare(output_schema().arity());
-  Row row;
-  while (!batch->full()) {
-    auto has = Next(&row);
-    if (!has.ok()) return Annotate(has.status(), name());
-    if (!*has) break;
-    batch->AppendRow(row.vars.data(), row.measure);
-  }
-  return !batch->empty();
-}
-
-StatusOr<TablePtr> Run(PhysicalOperator& op, const std::string& result_name,
-                       QueryContext* ctx) {
-  Status opened = op.Open();
-  if (!opened.ok()) {
-    // Blocking operators may have drained (and charged for) part of their
-    // input before failing; Close releases it.
-    op.Close();
-    return opened;
-  }
-  auto table = std::make_shared<Table>(result_name, op.output_schema());
-  // One scratch row reused across the whole drain, so the steady state does
-  // not allocate per tuple.
-  Row row;
-  row.vars.reserve(op.output_schema().arity());
-  while (true) {
-    auto has = op.Next(&row);
-    if (!has.ok()) {
-      // Tear the tree down before surfacing the error so blocking operators
-      // drop their build state and spill files immediately.
-      op.Close();
-      return has.status();
-    }
-    if (!*has) break;
-    if (ctx != nullptr) {
-      Status live = ctx->Poll(1);
-      if (!live.ok()) {
-        op.Close();
-        return live;
-      }
-    }
-    table->AppendRowRaw(row.vars.data(), row.measure);
-  }
-  op.Close();
-  return table;
-}
-
-namespace {
-
 // Drains `op` through morsel streams, one pool task per stream, buffering
 // each stream's rows separately and appending the buffers to `table` in
 // stream-index order — exactly the serial row order. Returns false when the
 // operator cannot split (no pool, unsupported shape, spill mode); the
 // caller then drains serially.
-StatusOr<bool> TryRunBatchParallel(PhysicalOperator& op, Table* table,
+StatusOr<bool> TryRunParallel(PhysicalOperator& op, Table* table,
                                    QueryContext* ctx) {
   ThreadPool* pool = PoolOf(ctx);
   if (pool == nullptr || !op.SupportsMorselStreams()) return false;
@@ -729,16 +625,15 @@ StatusOr<bool> TryRunBatchParallel(PhysicalOperator& op, Table* table,
 
 }  // namespace
 
-StatusOr<TablePtr> RunBatch(PhysicalOperator& op,
-                            const std::string& result_name,
-                            QueryContext* ctx) {
+StatusOr<TablePtr> Run(PhysicalOperator& op, const std::string& result_name,
+                       QueryContext* ctx) {
   Status opened = op.Open();
   if (!opened.ok()) {
     op.Close();
     return opened;
   }
   auto table = std::make_shared<Table>(result_name, op.output_schema());
-  auto parallel = TryRunBatchParallel(op, table.get(), ctx);
+  auto parallel = TryRunParallel(op, table.get(), ctx);
   if (!parallel.ok()) {
     op.Close();
     return parallel.status();
@@ -782,15 +677,6 @@ Status SeqScan::Open() {
   return Status::Ok();
 }
 
-StatusOr<bool> SeqScan::Next(Row* row) {
-  MPFDB_RETURN_IF_ERROR(PollContext());
-  if (next_row_ >= table_->NumRows()) return false;
-  RowView view = table_->Row(next_row_++);
-  row->vars.assign(view.vars, view.vars + view.arity);
-  row->measure = view.measure;
-  return true;
-}
-
 StatusOr<bool> SeqScan::NextBatch(RowBatch* batch) {
   batch->Prepare(table_->schema().arity());
   const size_t total = table_->NumRows();
@@ -816,13 +702,6 @@ StatusOr<std::vector<OperatorPtr>> SeqScan::MakeMorselStreams(size_t n) {
 }
 
 // --- DiskScan ----------------------------------------------------------------
-
-StatusOr<bool> DiskScan::Next(Row* row) {
-  MPFDB_RETURN_IF_ERROR(PollContext());
-  if (next_row_ >= table_->NumRows()) return false;
-  MPFDB_RETURN_IF_ERROR(table_->ReadRow(next_row_++, &row->vars, &row->measure));
-  return true;
-}
 
 StatusOr<bool> DiskScan::NextBatch(RowBatch* batch) {
   const size_t arity = schema_.arity();
@@ -874,12 +753,19 @@ Status IndexScan::Open() {
   return Status::Ok();
 }
 
-StatusOr<bool> IndexScan::Next(Row* row) {
-  MPFDB_RETURN_IF_ERROR(PollContext());
+StatusOr<bool> IndexScan::NextBatch(RowBatch* batch) {
+  const size_t arity = table_->schema().arity();
+  batch->Prepare(arity);
   if (matches_ == nullptr || cursor_ >= matches_->size()) return false;
-  RowView view = table_->Row((*matches_)[cursor_++]);
-  row->vars.assign(view.vars, view.vars + view.arity);
-  row->measure = view.measure;
+  const size_t n = std::min(kBatchSize, matches_->size() - cursor_);
+  MPFDB_RETURN_IF_ERROR(PollContext(n));
+  for (size_t r = 0; r < n; ++r) {
+    RowView view = table_->Row((*matches_)[cursor_ + r]);
+    for (size_t c = 0; c < arity; ++c) batch->col(c)[r] = view.vars[c];
+    batch->measures()[r] = view.measure;
+  }
+  batch->set_num_rows(n);
+  cursor_ += n;
   return true;
 }
 
@@ -896,14 +782,6 @@ Status Filter::Open() {
   }
   var_index_ = *idx;
   return child_->Open();
-}
-
-StatusOr<bool> Filter::Next(Row* row) {
-  while (true) {
-    MPFDB_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-    if (!has) return false;
-    if (row->vars[var_index_] == value_) return true;
-  }
 }
 
 StatusOr<bool> Filter::NextBatch(RowBatch* batch) {
@@ -934,14 +812,6 @@ StatusOr<std::vector<OperatorPtr>> Filter::MakeMorselStreams(size_t n) {
 }
 
 // --- MeasureFilter -----------------------------------------------------------
-
-StatusOr<bool> MeasureFilter::Next(Row* row) {
-  while (true) {
-    MPFDB_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-    if (!has) return false;
-    if (EvalCompare(having_.op, row->measure, having_.threshold)) return true;
-  }
-}
 
 StatusOr<bool> MeasureFilter::NextBatch(RowBatch* batch) {
   while (true) {
@@ -986,17 +856,6 @@ Status StreamProject::Open() {
   }
   keep_indices_ = IndicesOf(child_->output_schema(), keep_vars_);
   return child_->Open();
-}
-
-StatusOr<bool> StreamProject::Next(Row* row) {
-  MPFDB_ASSIGN_OR_RETURN(bool has, child_->Next(&scratch_));
-  if (!has) return false;
-  row->vars.resize(keep_indices_.size());
-  for (size_t k = 0; k < keep_indices_.size(); ++k) {
-    row->vars[k] = scratch_.vars[keep_indices_[k]];
-  }
-  row->measure = scratch_.measure;
-  return true;
 }
 
 StatusOr<bool> StreamProject::NextBatch(RowBatch* batch) {
@@ -1044,76 +903,12 @@ Status HashMarginalize::Open() {
   }
   key_indices_ = IndicesOf(child_->output_schema(), group_vars_);
   drained_ = false;
-  groups_.clear();
   out_vars_.clear();
   out_measures_.clear();
   next_group_ = 0;
   memory_.Bind(ctx_);
   memory_.set_stats(stats_);
   return child_->Open();
-}
-
-Status HashMarginalize::DrainRows() {
-  const size_t nkeys = key_indices_.size();
-  const size_t entry_bytes = kHashEntryOverhead + RowFootprint(nkeys);
-  VecKeyMap<double> table(hash_impl_);
-  MemoryGuard table_memory(ctx_);
-  std::vector<std::unique_ptr<SpillFile>> parts;
-  Row row;
-  std::vector<VarValue> key(nkeys);
-  while (true) {
-    auto has = child_->Next(&row);
-    if (!has.ok()) return Annotate(has.status(), "HashMarginalize: input");
-    if (!*has) break;
-    for (size_t k = 0; k < nkeys; ++k) key[k] = row.vars[key_indices_[k]];
-    if (!parts.empty()) {
-      MPFDB_RETURN_IF_ERROR(
-          parts[SpillPartOf(KeyHash()(key))]->Append(key.data(), row.measure));
-      continue;
-    }
-    auto [slot, inserted] = table.FindOrInsert(key, row.measure);
-    if (!inserted) {
-      *slot = semiring_.Add(*slot, row.measure);
-      continue;
-    }
-    Status charge = table_memory.Charge(entry_bytes, "HashMarginalize");
-    if (charge.ok()) continue;
-    if (ctx_ == nullptr || !ctx_->spill_enabled()) return charge;
-    // Budget hit: flush every key's partial aggregate (one record per key),
-    // then route the remaining input straight to the partitions.
-    MPFDB_ASSIGN_OR_RETURN(parts, MakeSpillPartitions(ctx_, nkeys));
-    if (stats_ != nullptr) stats_->spill_partitions = parts.size();
-    Status flush = Status::Ok();
-    table.ForEach([&](const std::vector<VarValue>& k, const double& m) {
-      if (!flush.ok()) return;
-      flush = parts[SpillPartOf(KeyHash()(k))]->Append(k.data(), m);
-    });
-    MPFDB_RETURN_IF_ERROR(flush);
-    table.clear();
-    table_memory.ReleaseAll();
-  }
-
-  std::vector<std::pair<std::vector<VarValue>, double>> entries;
-  if (!parts.empty()) {
-    MPFDB_RETURN_IF_ERROR(
-        DrainAggSpill(parts, semiring_, nkeys, ctx_, hash_impl_, &entries));
-  } else {
-    entries.reserve(table.size());
-    table.ForEach([&](const std::vector<VarValue>& k, const double& m) {
-      entries.emplace_back(k, m);
-    });
-  }
-  // Deterministic output order.
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  // The sorted groups are the operator's minimal output; their footprint is
-  // recorded but not failed (no representation can be smaller).
-  memory_.ChargeUnchecked(entries.size() * (sizeof(Row) + nkeys * sizeof(VarValue)));
-  groups_.reserve(entries.size());
-  for (auto& [k, m] : entries) {
-    groups_.push_back(Row{std::move(k), m});
-  }
-  return Status::Ok();
 }
 
 Status HashMarginalize::DrainBatches() {
@@ -1179,8 +974,8 @@ Status HashMarginalize::DrainBatches() {
       }
       // The accumulate loop is specialized on the semiring's Add; each fast
       // path performs exactly the operation Semiring::Add performs, keeping
-      // results bit-identical to the row path (and to the parallel drain,
-      // which folds through the same dispatch).
+      // results bit-identical to the vector-key path (and to the parallel
+      // drain, which folds through the same dispatch).
       DispatchAdd(semiring_, [&](auto add) {
         for (size_t r = 0; r < n; ++r) {
           auto [slot, inserted] = agg.FindOrInsert(keys[r], measures[r]);
@@ -1217,8 +1012,8 @@ Status HashMarginalize::DrainBatches() {
     if (parts.empty()) {
       if (codec_is_lexicographic) {
         // Packed keys sort exactly as their decoded tuples (MSB-first
-        // layout), so integer-sorting reproduces the row path's
-        // lexicographic order.
+        // layout), so integer-sorting reproduces the tuples' lexicographic
+        // order.
         std::vector<std::pair<uint64_t, double>> entries;
         entries.reserve(agg.size());
         agg.ForEach([&](uint64_t key, const double& measure) {
@@ -1235,7 +1030,7 @@ Status HashMarginalize::DrainBatches() {
         }
       } else {
         // Catalog-free 32-bit packing: flipping each lane's sign bit makes
-        // unsigned integer order match the row path's signed lexicographic
+        // unsigned integer order match the tuples' signed lexicographic
         // order, so the sort runs on raw uint64s (no per-entry decode, no
         // tuple materialization).
         const uint64_t flip = codec->SignFlipMask();
@@ -1598,19 +1393,6 @@ StatusOr<std::vector<OperatorPtr>> HashMarginalize::MakeMorselStreams(
   return streams;
 }
 
-StatusOr<bool> HashMarginalize::Next(Row* row) {
-  if (!drained_) {
-    Status drained = DrainRows();
-    child_->Close();
-    MPFDB_RETURN_IF_ERROR(drained);
-    drained_ = true;
-  }
-  MPFDB_RETURN_IF_ERROR(PollContext());
-  if (next_group_ >= groups_.size()) return false;
-  *row = groups_[next_group_++];
-  return true;
-}
-
 StatusOr<bool> HashMarginalize::NextBatch(RowBatch* batch) {
   if (!drained_) {
     Status drained = DrainBatches();
@@ -1638,7 +1420,6 @@ StatusOr<bool> HashMarginalize::NextBatch(RowBatch* batch) {
 }
 
 void HashMarginalize::Close() {
-  groups_.clear();
   out_vars_.clear();
   out_measures_.clear();
   memory_.ReleaseAll();
@@ -1666,42 +1447,20 @@ Status SortMarginalize::Open() {
   memory_.Bind(ctx_);
   memory_.set_stats(stats_);
   drained_ = false;
-  cursor_ = 0;
   next_group_ = 0;
-  // The input is drained on the first pull (Next or NextBatch), not here, so
-  // the sort's materialization is charged where the drive loop can observe a
-  // budget breach and the batch path can drain the child vectorized.
+  // The input is drained on the first pull, not here, so the sort's
+  // materialization is charged where the drive loop can observe a budget
+  // breach.
   return child_->Open();
 }
 
-// Row-mode drain: materialize, then stable-sort on the group key. Stability
-// keeps equal-key rows in child arrival order, which makes the per-run folds
-// in Next bit-identical to HashMarginalize's arrival-order folds. When the
-// physical planner proved the input already arrives sorted by the group
-// variables the sort is skipped (a stable sort of sorted input is the
+// Drain: pull the child into a row-major arena, stable-sort row indices on
+// the group key, and fold each run into the output layout HashMarginalize
+// uses. Stability keeps equal-key rows in child arrival order, which makes
+// the per-run folds bit-identical to HashMarginalize's arrival-order folds.
+// When the physical planner proved the input already arrives sorted by the
+// group variables the sort is skipped (a stable sort of sorted input is the
 // identity permutation).
-Status SortMarginalize::DrainRows() {
-  sorted_input_.clear();
-  MPFDB_RETURN_IF_ERROR(
-      DrainChild(*child_, &sorted_input_, &memory_, "SortMarginalize: input"));
-  if (!input_presorted_) {
-    std::stable_sort(sorted_input_.begin(), sorted_input_.end(),
-                     [this](const Row& a, const Row& b) {
-                       for (size_t k : key_indices_) {
-                         if (a.vars[k] != b.vars[k]) return a.vars[k] < b.vars[k];
-                       }
-                       return false;
-                     });
-  }
-  cursor_ = 0;
-  return Status::Ok();
-}
-
-// Batch-mode drain: pull the child through NextBatch into a row-major arena,
-// stable-sort row indices on the group key, and fold each run into the
-// output layout HashMarginalize uses. The index sort applies the same
-// comparator and stability as the row path's sort of Row objects, so both
-// paths visit rows in the same order and produce identical bits.
 Status SortMarginalize::DrainBatches() {
   const size_t in_arity = child_->output_schema().arity();
   const size_t nkeys = key_indices_.size();
@@ -1756,39 +1515,6 @@ Status SortMarginalize::DrainBatches() {
                           out_measures_.size() * sizeof(double));
   next_group_ = 0;
   return Status::Ok();
-}
-
-StatusOr<bool> SortMarginalize::Next(Row* row) {
-  if (!drained_) {
-    Status drained = DrainRows();
-    child_->Close();
-    MPFDB_RETURN_IF_ERROR(drained);
-    drained_ = true;
-  }
-  MPFDB_RETURN_IF_ERROR(PollContext());
-  if (cursor_ >= sorted_input_.size()) return false;
-  // Aggregate the current key run.
-  const Row& first = sorted_input_[cursor_];
-  row->vars.resize(key_indices_.size());
-  for (size_t k = 0; k < key_indices_.size(); ++k) {
-    row->vars[k] = first.vars[key_indices_[k]];
-  }
-  row->measure = first.measure;
-  ++cursor_;
-  while (cursor_ < sorted_input_.size()) {
-    const Row& next = sorted_input_[cursor_];
-    bool same = true;
-    for (size_t k = 0; k < key_indices_.size(); ++k) {
-      if (next.vars[key_indices_[k]] != row->vars[k]) {
-        same = false;
-        break;
-      }
-    }
-    if (!same) break;
-    row->measure = semiring_.Add(row->measure, next.measure);
-    ++cursor_;
-  }
-  return true;
 }
 
 StatusOr<bool> SortMarginalize::NextBatch(RowBatch* batch) {
@@ -1887,7 +1613,6 @@ StatusOr<bool> SortMarginalize::NextBatch(RowBatch* batch) {
 }
 
 void SortMarginalize::Close() {
-  sorted_input_.clear();
   out_vars_.clear();
   out_measures_.clear();
   drained_ = false;
@@ -2051,9 +1776,6 @@ class HashJoinProbeStream : public PhysicalOperator {
     left_->BindContext(ctx);
   }
   Status Open() override { return left_->Open(); }
-  StatusOr<bool> Next(Row*) override {
-    return Status::Internal("morsel streams are batch-only");
-  }
   StatusOr<bool> NextBatch(RowBatch* out) override {
     return JoinProbeNextBatch(st_, probe_, *left_, semiring_, ctx_, out);
   }
@@ -2077,15 +1799,8 @@ struct HashProductJoin::Impl {
   bool left_open = false;
   bool right_open = false;
 
-  // Row mode (legacy): per-key vectors of materialized right rows.
-  VecKeyMap<std::vector<Row>> build;
-  Row left_row;
-  const std::vector<Row>* matches = nullptr;
-  size_t match_index = 0;
-  std::vector<VarValue> probe_key;
-
-  // Batch mode. The build side is drained into a row-major arena chained per
-  // key in insertion order, then compacted into a column-major arena where
+  // The build side is drained into a row-major arena chained per key in
+  // insertion order, then compacted into a column-major arena where
   // every key's matches are contiguous: the head maps then hold
   // (start, count) ranges, so probe emission is constant fills, contiguous
   // column copies, and one vectorizable multiply over the measure run.
@@ -2144,108 +1859,11 @@ Status HashProductJoin::Open() {
   impl_->layout = MakeJoinLayout(left_->output_schema(), right_->output_schema());
   impl_->hash_impl = hash_impl_;
   impl_->mph_indexes = mph_indexes_;
-  impl_->build = VecKeyMap<std::vector<Row>>(hash_impl_);
   impl_->packed_heads = PackedMap<std::pair<uint32_t, uint32_t>>(hash_impl_, 16);
   impl_->vec_heads = VecKeyMap<std::pair<uint32_t, uint32_t>>(hash_impl_);
   impl_->memory.Bind(ctx_);
   impl_->memory.set_stats(stats_);
   impl_->part_memory.Bind(ctx_);
-  return Status::Ok();
-}
-
-Status HashProductJoin::BuildRows() {
-  Impl& st = *impl_;
-  const size_t nkeys = st.layout.shared.size();
-  const size_t right_arity = right_->output_schema().arity();
-  MPFDB_RETURN_IF_ERROR(right_->Open());
-  st.right_open = true;
-  Row row;
-  std::vector<VarValue> key(nkeys);
-  // Accounting is chunked: footprints accumulate locally and hit the
-  // governor every kChargeChunkBytes, so the common path costs one add per
-  // row instead of a Charge call. The budget can transiently be overshot by
-  // at most one chunk before the spill kicks in.
-  constexpr size_t kChargeChunkBytes = 32 * 1024;
-  size_t uncharged_bytes = 0;
-  while (true) {
-    MPFDB_RETURN_IF_ERROR(PollContext());
-    auto has = right_->Next(&row);
-    if (!has.ok()) return Annotate(has.status(), "HashProductJoin: build side");
-    if (!*has) break;
-    for (size_t k = 0; k < nkeys; ++k) {
-      key[k] = row.vars[st.layout.shared_right[k]];
-    }
-    if (st.spilling) {
-      MPFDB_RETURN_IF_ERROR(st.right_parts[SpillPartOf(KeyHash()(key))]->Append(
-          row.vars.data(), row.measure));
-      continue;
-    }
-    uncharged_bytes += MaterializedRowFootprint(row) + kHashEntryOverhead;
-    Status charge = Status::Ok();
-    if (uncharged_bytes >= kChargeChunkBytes) {
-      charge = st.memory.Charge(uncharged_bytes, "HashProductJoin: build side");
-      uncharged_bytes = 0;
-    }
-    if (charge.ok()) {
-      st.build.FindOrInsert(key, {}).first->push_back(row);
-      continue;
-    }
-    if (ctx_ == nullptr || !ctx_->spill_enabled()) return charge;
-    // Budget hit: flush the build table to key-hash partitions and keep
-    // routing the rest of the build side straight to disk.
-    MPFDB_ASSIGN_OR_RETURN(st.right_parts,
-                           MakeSpillPartitions(ctx_, right_arity));
-    if (stats_ != nullptr) stats_->spill_partitions = st.right_parts.size();
-    Status flush = Status::Ok();
-    st.build.ForEach([&](const std::vector<VarValue>& k,
-                         const std::vector<Row>& rows) {
-      if (!flush.ok()) return;
-      SpillFile& part = *st.right_parts[SpillPartOf(KeyHash()(k))];
-      for (const Row& r : rows) {
-        flush = part.Append(r.vars.data(), r.measure);
-        if (!flush.ok()) return;
-      }
-    });
-    MPFDB_RETURN_IF_ERROR(flush);
-    st.build.clear();
-    st.memory.ReleaseAll();
-    st.spilling = true;
-    MPFDB_RETURN_IF_ERROR(st.right_parts[SpillPartOf(KeyHash()(key))]->Append(
-        row.vars.data(), row.measure));
-  }
-  right_->Close();
-  st.right_open = false;
-  // Record the sub-chunk tail so stats stay honest; it is at most one chunk,
-  // matching the documented transient overshoot, so it is not worth a spill.
-  if (!st.spilling && uncharged_bytes > 0) {
-    st.memory.ChargeUnchecked(uncharged_bytes);
-  }
-
-  MPFDB_RETURN_IF_ERROR(left_->Open());
-  st.left_open = true;
-  st.probe_key.resize(nkeys);
-  if (!st.spilling) return Status::Ok();
-
-  // Partition the probe side by the same key hash so each partition pair can
-  // be joined independently in NextSpill.
-  st.left_arity = left_->output_schema().arity();
-  MPFDB_ASSIGN_OR_RETURN(st.left_parts, MakeSpillPartitions(ctx_, st.left_arity));
-  if (stats_ != nullptr) stats_->spill_partitions = st.left_parts.size();
-  Row lrow;
-  while (true) {
-    MPFDB_RETURN_IF_ERROR(PollContext());
-    auto has = left_->Next(&lrow);
-    if (!has.ok()) return Annotate(has.status(), "HashProductJoin: probe side");
-    if (!*has) break;
-    for (size_t k = 0; k < nkeys; ++k) {
-      st.probe_key[k] = lrow.vars[st.layout.shared_left[k]];
-    }
-    MPFDB_RETURN_IF_ERROR(
-        st.left_parts[SpillPartOf(KeyHash()(st.probe_key))]->Append(
-            lrow.vars.data(), lrow.measure));
-  }
-  left_->Close();
-  st.left_open = false;
   return Status::Ok();
 }
 
@@ -2650,106 +2268,6 @@ Status HashProductJoin::BuildBatches() {
   return Status::Ok();
 }
 
-StatusOr<bool> HashProductJoin::Next(Row* row) {
-  Impl& st = *impl_;
-  if (!st.built) {
-    MPFDB_RETURN_IF_ERROR(BuildRows());
-    st.built = true;
-  }
-  if (st.spilling) return NextSpill(row);
-  while (true) {
-    MPFDB_RETURN_IF_ERROR(PollContext());
-    if (st.matches != nullptr && st.match_index < st.matches->size()) {
-      const Row& right_row = (*st.matches)[st.match_index++];
-      const JoinLayout& layout = st.layout;
-      row->vars.resize(layout.schema.arity());
-      for (size_t c = 0; c < row->vars.size(); ++c) {
-        row->vars[c] = layout.out_from_left[c] != kNpos
-                           ? st.left_row.vars[layout.out_from_left[c]]
-                           : right_row.vars[layout.out_from_right[c]];
-      }
-      row->measure = semiring_.Multiply(st.left_row.measure, right_row.measure);
-      return true;
-    }
-    // Advance to the next probing left row.
-    auto has = left_->Next(&st.left_row);
-    if (!has.ok()) return Annotate(has.status(), "HashProductJoin: probe side");
-    if (!*has) return false;
-    for (size_t k = 0; k < st.probe_key.size(); ++k) {
-      st.probe_key[k] = st.left_row.vars[st.layout.shared_left[k]];
-    }
-    st.matches = st.build.Find(st.probe_key);
-    st.match_index = 0;
-  }
-}
-
-StatusOr<bool> HashProductJoin::NextSpill(Row* row) {
-  Impl& st = *impl_;
-  const JoinLayout& layout = st.layout;
-  while (true) {
-    MPFDB_RETURN_IF_ERROR(PollContext());
-    if (st.matches != nullptr && st.match_index < st.matches->size()) {
-      const Row& right_row = (*st.matches)[st.match_index++];
-      row->vars.resize(layout.schema.arity());
-      for (size_t c = 0; c < row->vars.size(); ++c) {
-        row->vars[c] = layout.out_from_left[c] != kNpos
-                           ? st.left_row.vars[layout.out_from_left[c]]
-                           : right_row.vars[layout.out_from_right[c]];
-      }
-      row->measure = semiring_.Multiply(st.left_row.measure, right_row.measure);
-      return true;
-    }
-    if (st.cur_part >= kSpillPartitions) return false;
-    if (!st.part_loaded) {
-      // Rebuild the hash table from this partition's build rows.
-      st.build.clear();
-      st.part_memory.ReleaseAll();
-      SpillFile& rp = *st.right_parts[st.cur_part];
-      MPFDB_RETURN_IF_ERROR(rp.Rewind());
-      if (ctx_ != nullptr) ctx_->RecordSpill(rp.num_rows(), rp.bytes_written());
-      Row rec;
-      rec.vars.resize(right_->output_schema().arity());
-      std::vector<VarValue> key(layout.shared.size());
-      while (true) {
-        MPFDB_RETURN_IF_ERROR(PollContext());
-        MPFDB_ASSIGN_OR_RETURN(bool has,
-                               rp.Next(rec.vars.data(), &rec.measure));
-        if (!has) break;
-        for (size_t k = 0; k < key.size(); ++k) {
-          key[k] = rec.vars[layout.shared_right[k]];
-        }
-        st.part_memory.ChargeUnchecked(MaterializedRowFootprint(rec) +
-                                       kHashEntryOverhead);
-        st.build.FindOrInsert(key, {}).first->push_back(rec);
-      }
-      MPFDB_RETURN_IF_ERROR(st.left_parts[st.cur_part]->Rewind());
-      if (ctx_ != nullptr) {
-        ctx_->RecordSpill(st.left_parts[st.cur_part]->num_rows(),
-                          st.left_parts[st.cur_part]->bytes_written());
-      }
-      st.part_loaded = true;
-    }
-    // Pull the next probe row of this partition.
-    st.left_row.vars.resize(st.left_arity);
-    MPFDB_ASSIGN_OR_RETURN(
-        bool has, st.left_parts[st.cur_part]->Next(st.left_row.vars.data(),
-                                                   &st.left_row.measure));
-    if (!has) {
-      st.right_parts[st.cur_part].reset();
-      st.left_parts[st.cur_part].reset();
-      ++st.cur_part;
-      st.part_loaded = false;
-      st.matches = nullptr;
-      continue;
-    }
-    for (size_t k = 0; k < st.probe_key.size(); ++k) {
-      st.probe_key[k] = st.left_row.vars[layout.shared_left[k]];
-    }
-    st.matches = st.build.Find(st.probe_key);
-    st.match_index = 0;
-  }
-}
-
 StatusOr<bool> HashProductJoin::NextBatch(RowBatch* out) {
   Impl& st = *impl_;
   if (!st.built) {
@@ -2913,12 +2431,8 @@ struct SortMergeProductJoin::Impl {
   JoinLayout layout;
   MemoryGuard memory;
   bool drained = false;
-  // Row mode: materialized, stable-sorted inputs.
-  std::vector<Row> left_rows;
-  std::vector<Row> right_rows;
-  // Batch mode: flat row-major arenas plus stable-sorted row index orders
-  // (the cursors below then index into l_order/r_order instead of the row
-  // vectors — same comparator, same stability, same merge sequence).
+  // Flat row-major arenas plus stable-sorted row index orders; the cursors
+  // below index into l_order/r_order.
   size_t l_arity = 0, r_arity = 0;
   std::vector<VarValue> l_vars, r_vars;
   std::vector<double> l_measures, r_measures;
@@ -2949,50 +2463,17 @@ Status SortMergeProductJoin::Open() {
   impl_->layout = MakeJoinLayout(left_->output_schema(), right_->output_schema());
   impl_->memory.Bind(ctx_);
   impl_->memory.set_stats(stats_);
-  // Inputs are drained on the first pull (Next or NextBatch), not here, so
-  // the batch path can drain both children vectorized.
+  // Inputs are drained on the first pull, not here, so the sort's
+  // materialization is charged where the drive loop observes it.
   MPFDB_RETURN_IF_ERROR(left_->Open());
   return right_->Open();
 }
 
-// Row-mode drain: materialize both inputs and stable-sort them on the shared
-// variables. Stability keeps equal-key rows in arrival order, which makes
-// the run emission a key-restricted subsequence of hash join's output (see
-// the class comment). A presorted side (interesting-order reuse) skips its
-// sort — a stable sort of sorted input is the identity permutation.
-Status SortMergeProductJoin::DrainRows() {
-  Impl& st = *impl_;
-  Status drained = DrainChild(*left_, &st.left_rows, &st.memory,
-                              "SortMergeProductJoin: left input");
-  left_->Close();
-  MPFDB_RETURN_IF_ERROR(drained);
-  drained = DrainChild(*right_, &st.right_rows, &st.memory,
-                       "SortMergeProductJoin: right input");
-  right_->Close();
-  MPFDB_RETURN_IF_ERROR(drained);
-
-  auto sorter = [](const std::vector<size_t>& keys) {
-    return [&keys](const Row& a, const Row& b) {
-      for (size_t k : keys) {
-        if (a.vars[k] != b.vars[k]) return a.vars[k] < b.vars[k];
-      }
-      return false;
-    };
-  };
-  if (!left_presorted_) {
-    std::stable_sort(st.left_rows.begin(), st.left_rows.end(),
-                     sorter(st.layout.shared_left));
-  }
-  if (!right_presorted_) {
-    std::stable_sort(st.right_rows.begin(), st.right_rows.end(),
-                     sorter(st.layout.shared_right));
-  }
-  return Status::Ok();
-}
-
-// Batch-mode drain: pull both children through NextBatch into arenas and
-// stable-sort row indices with the same comparator as the row path, so both
-// drive modes merge rows in the same order and produce identical bits.
+// Drain: pull both children into arenas and stable-sort row indices on the
+// shared variables. Stability keeps equal-key rows in arrival order, which
+// makes the run emission a key-restricted subsequence of hash join's output
+// (see the class comment). A presorted side (interesting-order reuse) skips
+// its sort — a stable sort of sorted input is the identity permutation.
 Status SortMergeProductJoin::DrainBatches() {
   Impl& st = *impl_;
   st.l_arity = left_->output_schema().arity();
@@ -3030,74 +2511,6 @@ Status SortMergeProductJoin::DrainBatches() {
   return Status::Ok();
 }
 
-StatusOr<bool> SortMergeProductJoin::Next(Row* row) {
-  Impl& st = *impl_;
-  if (!st.drained) {
-    MPFDB_RETURN_IF_ERROR(DrainRows());
-    st.drained = true;
-  }
-  const JoinLayout& layout = st.layout;
-  auto compare_keys = [&](const Row& l, const Row& r) {
-    for (size_t k = 0; k < layout.shared.size(); ++k) {
-      VarValue lv = l.vars[layout.shared_left[k]];
-      VarValue rv = r.vars[layout.shared_right[k]];
-      if (lv != rv) return lv < rv ? -1 : 1;
-    }
-    return 0;
-  };
-
-  while (true) {
-    MPFDB_RETURN_IF_ERROR(PollContext());
-    if (st.in_run) {
-      if (st.r_cursor < st.r_end) {
-        const Row& l = st.left_rows[st.l_cursor];
-        const Row& r = st.right_rows[st.r_cursor++];
-        row->vars.resize(layout.schema.arity());
-        for (size_t c = 0; c < row->vars.size(); ++c) {
-          row->vars[c] = layout.out_from_left[c] != kNpos
-                             ? l.vars[layout.out_from_left[c]]
-                             : r.vars[layout.out_from_right[c]];
-        }
-        row->measure = semiring_.Multiply(l.measure, r.measure);
-        return true;
-      }
-      // Advance to next left row in the run.
-      ++st.l_cursor;
-      st.r_cursor = st.ri;
-      if (st.l_cursor >= st.l_end) {
-        st.in_run = false;
-        st.li = st.l_end;
-        st.ri = st.r_end;
-      }
-      continue;
-    }
-    if (st.li >= st.left_rows.size() || st.ri >= st.right_rows.size()) {
-      return false;
-    }
-    int cmp = compare_keys(st.left_rows[st.li], st.right_rows[st.ri]);
-    if (cmp < 0) {
-      ++st.li;
-    } else if (cmp > 0) {
-      ++st.ri;
-    } else {
-      // Find the extent of the equal-key run on both sides.
-      st.l_end = st.li + 1;
-      while (st.l_end < st.left_rows.size() &&
-             compare_keys(st.left_rows[st.l_end], st.right_rows[st.ri]) == 0) {
-        ++st.l_end;
-      }
-      st.r_end = st.ri + 1;
-      while (st.r_end < st.right_rows.size() &&
-             compare_keys(st.left_rows[st.li], st.right_rows[st.r_end]) == 0) {
-        ++st.r_end;
-      }
-      st.l_cursor = st.li;
-      st.r_cursor = st.ri;
-      st.in_run = true;
-    }
-  }
-}
-
 StatusOr<bool> SortMergeProductJoin::NextBatch(RowBatch* out) {
   Impl& st = *impl_;
   if (!st.drained) {
@@ -3127,9 +2540,8 @@ StatusOr<bool> SortMergeProductJoin::NextBatch(RowBatch* out) {
   for (size_t c = 0; c < arity; ++c) cols[c] = out->col(c);
   double* measures = out->measures();
   size_t emitted = 0;
-  // Same merge automaton as the row path, over sorted index arrays: the
-  // (l_cursor, r_cursor) visit sequence is identical, so the batch engine
-  // emits exactly the row engine's output.
+  // Merge automaton over the sorted index arrays; (l_cursor, r_cursor)
+  // persists across calls, so a run may straddle output batches.
   while (emitted < kBatchSize) {
     if (st.in_run) {
       if (st.r_cursor < st.r_end) {
@@ -3208,13 +2620,14 @@ Status NestedLoopProductJoin::Open() {
   memory_.Bind(ctx_);
   memory_.set_stats(stats_);
   MPFDB_RETURN_IF_ERROR(left_->Open());
-  Status drained = DrainToArena(*left_, &left_vars_, &left_measures_, &memory_,
-                                "NestedLoopProductJoin: left input");
+  Status drained =
+      DrainToArenaBatches(*left_, &left_vars_, &left_measures_, &memory_,
+                          "NestedLoopProductJoin: left input");
   left_->Close();
   MPFDB_RETURN_IF_ERROR(drained);
   MPFDB_RETURN_IF_ERROR(right_->Open());
-  drained = DrainToArena(*right_, &right_vars_, &right_measures_, &memory_,
-                         "NestedLoopProductJoin: right input");
+  drained = DrainToArenaBatches(*right_, &right_vars_, &right_measures_,
+                                &memory_, "NestedLoopProductJoin: right input");
   right_->Close();
   MPFDB_RETURN_IF_ERROR(drained);
   i_ = 0;
@@ -3222,20 +2635,21 @@ Status NestedLoopProductJoin::Open() {
   return Status::Ok();
 }
 
-StatusOr<bool> NestedLoopProductJoin::Next(Row* row) {
+StatusOr<bool> NestedLoopProductJoin::NextBatch(RowBatch* batch) {
+  const size_t arity = schema_.arity();
+  batch->Prepare(arity);
   const size_t num_left = left_measures_.size();
   const size_t num_right = right_measures_.size();
-  while (i_ < num_left) {
+  size_t emitted = 0;
+  while (i_ < num_left && emitted < kBatchSize) {
     // One poll per outer row, weighted by the inner-side cardinality so the
     // deadline check keeps up with the quadratic work.
     if (j_ == 0) {
       MPFDB_RETURN_IF_ERROR(PollContext(num_right == 0 ? 1 : num_right));
     }
     const VarValue* l = left_vars_.data() + i_ * left_arity_;
-    while (j_ < num_right) {
+    for (; j_ < num_right && emitted < kBatchSize; ++j_) {
       const VarValue* r = right_vars_.data() + j_ * right_arity_;
-      const double right_measure = right_measures_[j_];
-      ++j_;
       bool match = true;
       for (size_t k = 0; k < shared_left_.size(); ++k) {
         if (l[shared_left_[k]] != r[shared_right_[k]]) {
@@ -3244,18 +2658,22 @@ StatusOr<bool> NestedLoopProductJoin::Next(Row* row) {
         }
       }
       if (!match) continue;
-      row->vars.resize(schema_.arity());
-      for (size_t c = 0; c < row->vars.size(); ++c) {
-        row->vars[c] = out_from_left_[c] != kNpos ? l[out_from_left_[c]]
-                                                  : r[out_from_right_[c]];
+      for (size_t c = 0; c < arity; ++c) {
+        batch->col(c)[emitted] = out_from_left_[c] != kNpos
+                                     ? l[out_from_left_[c]]
+                                     : r[out_from_right_[c]];
       }
-      row->measure = semiring_.Multiply(left_measures_[i_], right_measure);
-      return true;
+      batch->measures()[emitted] =
+          semiring_.Multiply(left_measures_[i_], right_measures_[j_]);
+      ++emitted;
     }
-    j_ = 0;
-    ++i_;
+    if (j_ == num_right) {
+      j_ = 0;
+      ++i_;
+    }
   }
-  return false;
+  batch->set_num_rows(emitted);
+  return emitted > 0;
 }
 
 void NestedLoopProductJoin::Close() {

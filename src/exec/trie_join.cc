@@ -115,14 +115,16 @@ class SpillScan : public PhysicalOperator {
     return file_->Rewind();
   }
 
-  StatusOr<bool> Next(Row* row) override {
+  StatusOr<bool> NextBatch(RowBatch* batch) override {
+    batch->Prepare(schema_.arity());
     double measure = 0;
-    MPFDB_ASSIGN_OR_RETURN(bool has, file_->Next(scratch_.data(), &measure));
-    if (!has) return false;
-    MPFDB_RETURN_IF_ERROR(PollContext(1));
-    row->vars.assign(scratch_.begin(), scratch_.end());
-    row->measure = measure;
-    return true;
+    while (!batch->full()) {
+      MPFDB_ASSIGN_OR_RETURN(bool has, file_->Next(scratch_.data(), &measure));
+      if (!has) break;
+      batch->AppendRow(scratch_.data(), measure);
+    }
+    MPFDB_RETURN_IF_ERROR(PollContext(batch->num_rows()));
+    return !batch->empty();
   }
 
   void Close() override {}
@@ -430,7 +432,6 @@ Status TrieJoin::InitMachine() {
   started_ = false;
   done_ = false;
   have_match_ = false;
-  row_pos_ = 0;
   return Status::Ok();
 }
 
@@ -561,20 +562,6 @@ StatusOr<bool> TrieJoin::NextBatch(RowBatch* batch) {
   return !batch->empty();
 }
 
-StatusOr<bool> TrieJoin::Next(Row* row) {
-  if (row_pos_ >= row_buf_.num_rows()) {
-    MPFDB_ASSIGN_OR_RETURN(bool has, NextBatch(&row_buf_));
-    if (!has) return false;
-    row_pos_ = 0;
-  }
-  const size_t arity = var_order_.size();
-  row->vars.resize(arity);
-  for (size_t k = 0; k < arity; ++k) row->vars[k] = row_buf_.col(k)[row_pos_];
-  row->measure = row_buf_.measures()[row_pos_];
-  ++row_pos_;
-  return true;
-}
-
 void TrieJoin::CollectIteratorStats() {
   if (stats_ == nullptr || iters_.empty()) return;
   const std::vector<ChildStage>& stages = *stage_view_;
@@ -608,7 +595,6 @@ void TrieJoin::TearDownMachine() {
   started_ = false;
   done_ = false;
   have_match_ = false;
-  row_pos_ = 0;
 }
 
 void TrieJoin::Close() {

@@ -125,7 +125,6 @@ class TrieJoin : public PhysicalOperator {
   ~TrieJoin() override;
 
   Status Open() override;
-  StatusOr<bool> Next(Row* row) override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   void BindContext(QueryContext* ctx) override;
@@ -201,10 +200,6 @@ class TrieJoin : public PhysicalOperator {
   // Cross-product odometer over the match runs (valid while have_match_).
   bool have_match_ = false;
   std::vector<size_t> odo_;
-
-  // Row-at-a-time adapter over the native batch path.
-  RowBatch row_buf_;
-  size_t row_pos_ = 0;
 };
 
 }  // namespace mpfdb::exec

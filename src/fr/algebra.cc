@@ -153,7 +153,7 @@ StatusOr<TablePtr> Marginalize(const Table& t,
   }
   groups.ForEach([&](const char* k, size_t len, const double& measure) {
     key.resize(len / sizeof(VarValue));
-    std::memcpy(key.data(), k, len);
+    if (len > 0) std::memcpy(key.data(), k, len);
     result->AppendRow(key, measure);
   });
   SortCanonical(*result);

@@ -39,7 +39,7 @@ class DiskTable {
   Status ReadRow(uint64_t index, std::vector<VarValue>* vars,
                  double* measure);
 
-  // Batch readout for the vectorized executor: reads rows [start, start + n)
+  // Batch readout for the executor's scans: reads rows [start, start + n)
   // page by page through the buffer pool into row-major `vars_out` (n *
   // arity values) and `measures_out` (n values), touching each data page
   // once instead of once per row.

@@ -1,8 +1,9 @@
-// Operator-level tests of the Volcano execution engine, including edge cases
+// Operator-level tests of the batch execution engine, including edge cases
 // (empty inputs, no shared variables, duplicate keys) and cross-checks
 // between the three join algorithms and two aggregation algorithms.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -15,6 +16,8 @@
 #include "exec/operator.h"
 #include "exec/thread_pool.h"
 #include "fr/algebra.h"
+#include "storage/index.h"
+#include "util/query_context.h"
 #include "util/rng.h"
 
 namespace mpfdb::exec {
@@ -46,17 +49,18 @@ TEST(SeqScanTest, StreamsAllRows) {
   TablePtr t = MakeTable("t", {"x"}, {{{0}, 1.0}, {{1}, 2.0}});
   SeqScan scan(t);
   ASSERT_TRUE(scan.Open().ok());
-  Row row;
-  ASSERT_TRUE(*scan.Next(&row));
-  EXPECT_EQ(row.vars[0], 0);
-  ASSERT_TRUE(*scan.Next(&row));
-  EXPECT_EQ(row.vars[0], 1);
-  EXPECT_FALSE(*scan.Next(&row));
+  RowBatch batch;
+  ASSERT_TRUE(*scan.NextBatch(&batch));
+  ASSERT_EQ(batch.num_rows(), 2u);
+  EXPECT_EQ(batch.col(0)[0], 0);
+  EXPECT_EQ(batch.col(0)[1], 1);
+  EXPECT_EQ(batch.measures()[1], 2.0);
+  EXPECT_FALSE(*scan.NextBatch(&batch));
   scan.Close();
   // Re-open rewinds.
   ASSERT_TRUE(scan.Open().ok());
-  ASSERT_TRUE(*scan.Next(&row));
-  EXPECT_EQ(row.vars[0], 0);
+  ASSERT_TRUE(*scan.NextBatch(&batch));
+  EXPECT_EQ(batch.col(0)[0], 0);
 }
 
 TEST(FilterTest, PassesMatchingRows) {
@@ -278,15 +282,16 @@ class FailingOperator : public PhysicalOperator {
     emitted_ = 0;
     return Status::Ok();
   }
-  StatusOr<bool> Next(Row* row) override {
+  // Emits one row per batch, so kNextAfterOne fails on the second pull.
+  StatusOr<bool> NextBatch(RowBatch* batch) override {
     if (fail_at_ == FailAt::kNextImmediately ||
         (fail_at_ == FailAt::kNextAfterOne && emitted_ >= 1)) {
       return Status::Internal("injected next failure");
     }
+    batch->Prepare(table_->schema().arity());
     if (emitted_ >= table_->NumRows()) return false;
     RowView view = table_->Row(emitted_++);
-    row->vars.assign(view.vars, view.vars + view.arity);
-    row->measure = view.measure;
+    batch->AppendRow(view.vars, view.measure);
     return true;
   }
   void Close() override {}
@@ -479,7 +484,17 @@ TEST(PackedKeyCodecTest, ColumnarMatchesScalarEncode) {
   }
 }
 
-// --- Vectorized execution ----------------------------------------------------
+// --- Batch execution against the fr oracle ---------------------------------
+
+// Overwrites every measure with a power of two in [1/4, 4]. Products and sums
+// of such values stay exact in double precision at these sizes, so any fold
+// order — the engine's or the fr oracle's — yields the same bits.
+void MakeDyadic(const TablePtr& t, Rng& rng) {
+  for (size_t r = 0; r < t->NumRows(); ++r) {
+    t->set_measure(r,
+                   std::ldexp(1.0, static_cast<int>(rng.UniformInt(-2, 2))));
+  }
+}
 
 class BatchExecutionTest : public ::testing::Test {
  protected:
@@ -491,16 +506,23 @@ class BatchExecutionTest : public ::testing::Test {
     return *result;
   }
 
-  // Builds the tree twice (an operator instance must not mix Next and
-  // NextBatch) and demands bit-identical materialized output.
-  template <typename MakeTree>
-  static void ExpectParity(const MakeTree& make_tree) {
-    OperatorPtr row_tree = make_tree();
-    OperatorPtr batch_tree = make_tree();
-    TablePtr by_row = Canon(::mpfdb::exec::Run(*row_tree, "out"));
-    TablePtr by_batch = Canon(::mpfdb::exec::RunBatch(*batch_tree, "out"));
-    ASSERT_EQ(by_row->NumRows(), by_batch->NumRows());
-    EXPECT_TRUE(fr::TablesEqual(*by_row, *by_batch, 0.0));
+  // Runs `tree` and demands its canonically sorted output equal the fr
+  // oracle's `expected` (canonical already) bit for bit.
+  static void ExpectMatchesOracle(PhysicalOperator& tree,
+                                  StatusOr<TablePtr> expected) {
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    TablePtr actual = Canon(::mpfdb::exec::Run(tree, "out"));
+    ASSERT_EQ(actual->NumRows(), (*expected)->NumRows());
+    EXPECT_TRUE(fr::TablesEqual(**expected, *actual, 0.0));
+  }
+
+  // Opens `op` and pulls one batch, which must be full.
+  static void ExpectFullFirstBatch(PhysicalOperator& op, RowBatch* batch) {
+    ASSERT_TRUE(op.Open().ok());
+    auto has = op.NextBatch(batch);
+    ASSERT_TRUE(has.ok()) << has.status();
+    ASSERT_TRUE(*has);
+    EXPECT_EQ(batch->num_rows(), kBatchSize);
   }
 };
 
@@ -511,21 +533,25 @@ TEST_F(BatchExecutionTest, JoinAggPipelineBitIdentical) {
   Rng rng(31);
   TablePtr a = RandomTable("a", {"x", "y"}, {4096, 64}, 3000, rng);
   TablePtr b = RandomTable("b", {"y", "z"}, {64, 4096}, 3000, rng);
+  MakeDyadic(a, rng);
+  MakeDyadic(b, rng);
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterVariable("x", 4096).ok());
   ASSERT_TRUE(catalog.RegisterVariable("y", 64).ok());
   ASSERT_TRUE(catalog.RegisterVariable("z", 4096).ok());
   for (const Semiring semiring :
        {Semiring::SumProduct(), Semiring::MinSum(), Semiring::MaxProduct()}) {
+    auto joined = fr::ProductJoin(*a, *b, semiring, "ref");
+    ASSERT_TRUE(joined.ok());
     for (const Catalog* cat :
          {static_cast<const Catalog*>(&catalog), (const Catalog*)nullptr}) {
-      ExpectParity([&]() -> OperatorPtr {
-        auto join = std::make_unique<HashProductJoin>(
-            std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b),
-            semiring, cat);
-        return std::make_unique<HashMarginalize>(
-            std::move(join), std::vector<std::string>{"x", "y"}, semiring, cat);
-      });
+      HashMarginalize tree(
+          std::make_unique<HashProductJoin>(std::make_unique<SeqScan>(a),
+                                            std::make_unique<SeqScan>(b),
+                                            semiring, cat),
+          std::vector<std::string>{"x", "y"}, semiring, cat);
+      ExpectMatchesOracle(
+          tree, fr::Marginalize(**joined, {"x", "y"}, semiring, "ref"));
     }
   }
 }
@@ -547,47 +573,119 @@ TEST_F(BatchExecutionTest, PackedAndVectorKeysAgree) {
   };
   OperatorPtr packed_tree = make_tree(&catalog);
   OperatorPtr vector_tree = make_tree(nullptr);
-  TablePtr packed = Canon(::mpfdb::exec::RunBatch(*packed_tree, "out"));
-  TablePtr vec = Canon(::mpfdb::exec::RunBatch(*vector_tree, "out"));
+  TablePtr packed = Canon(::mpfdb::exec::Run(*packed_tree, "out"));
+  TablePtr vec = Canon(::mpfdb::exec::Run(*vector_tree, "out"));
   EXPECT_TRUE(fr::TablesEqual(*packed, *vec, 0.0));
 }
 
 TEST_F(BatchExecutionTest, StreamingOperatorsBitIdentical) {
+  // Unique (x, y, z) tuples with y fixed by the filter make the (z, x)
+  // projection a bijection, so the oracle's marginalization is a pure
+  // projection and every measure passes through untouched.
   Rng rng(32);
   TablePtr t = RandomTable("t", {"x", "y", "z"}, {64, 8, 64}, 2500, rng);
-  ExpectParity([&]() -> OperatorPtr {
-    auto filter =
-        std::make_unique<Filter>(std::make_unique<SeqScan>(t), "y", 3);
-    auto having = std::make_unique<MeasureFilter>(
-        std::move(filter), HavingClause{CompareOp::kGt, 1.0});
-    return std::make_unique<StreamProject>(std::move(having),
-                                           std::vector<std::string>{"z", "x"});
-  });
+  const HavingClause having{CompareOp::kGt, 1.0};
+  auto filter = std::make_unique<Filter>(std::make_unique<SeqScan>(t), "y", 3);
+  auto measure_filter =
+      std::make_unique<MeasureFilter>(std::move(filter), having);
+  StreamProject tree(std::move(measure_filter),
+                     std::vector<std::string>{"z", "x"});
+  auto selected = fr::Select(*t, "y", 3, "ref");
+  ASSERT_TRUE(selected.ok());
+  auto kept = fr::FilterMeasure(**selected, having, "ref");
+  ASSERT_TRUE(kept.ok());
+  ExpectMatchesOracle(
+      tree, fr::Marginalize(**kept, {"z", "x"}, Semiring::SumProduct(), "ref"));
 }
 
 TEST_F(BatchExecutionTest, GroupByNothingBitIdentical) {
-  // Exercises the zero-arity packed codec (every row keys to 0).
+  // Exercises the zero-arity packed codec (every row keys to 0). Both the
+  // operator and the oracle fold in input order, so random measures compare
+  // exactly.
   Rng rng(34);
   TablePtr t = RandomTable("t", {"x"}, {4096}, 2000, rng);
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterVariable("x", 4096).ok());
-  ExpectParity([&]() -> OperatorPtr {
-    return std::make_unique<HashMarginalize>(std::make_unique<SeqScan>(t),
-                                             std::vector<std::string>{},
-                                             Semiring::SumProduct(), &catalog);
-  });
+  HashMarginalize tree(std::make_unique<SeqScan>(t), std::vector<std::string>{},
+                       Semiring::SumProduct(), &catalog);
+  ExpectMatchesOracle(tree,
+                      fr::Marginalize(*t, {}, Semiring::SumProduct(), "ref"));
 }
 
-TEST_F(BatchExecutionTest, DefaultAdapterCoversRowOnlyOperators) {
-  // SortMarginalize now has a native NextBatch, but this test still pins the
-  // batch-vs-row parity contract for it (RunBatch vs Run, bit for bit).
-  Rng rng(33);
-  TablePtr t = RandomTable("t", {"x", "y"}, {512, 8}, 2000, rng);
-  ExpectParity([&]() -> OperatorPtr {
-    return std::make_unique<SortMarginalize>(std::make_unique<SeqScan>(t),
-                                             std::vector<std::string>{"y"},
-                                             Semiring::SumProduct());
-  });
+// IndexScan's native batch path: 1500 matches span two batches, the output
+// equals fr's selection, and a cancel between pulls stops the scan.
+TEST_F(BatchExecutionTest, IndexScanBatchesMatchOracleAndCancel) {
+  auto t = std::make_shared<Table>("t", Schema({"x", "y"}, "f"));
+  for (VarValue y = 0; y < 3000; ++y) t->AppendRow({y % 2, y}, 1.0);
+  auto index = HashIndex::Build(*t, "x");
+  ASSERT_TRUE(index.ok()) << index.status();
+  {
+    IndexScan scan(t, index->get(), 1);
+    ExpectMatchesOracle(scan, fr::Select(*t, "x", 1, "ref"));
+  }
+  {
+    IndexScan scan(t, index->get(), 1);
+    RowBatch batch;
+    ExpectFullFirstBatch(scan, &batch);
+    auto has = scan.NextBatch(&batch);
+    ASSERT_TRUE(has.ok() && *has);
+    EXPECT_EQ(batch.num_rows(), 1500 - kBatchSize);
+    EXPECT_FALSE(*scan.NextBatch(&batch));
+    scan.Close();
+  }
+  {
+    QueryContext ctx;
+    IndexScan scan(t, index->get(), 1);
+    scan.BindContext(&ctx);
+    RowBatch batch;
+    ExpectFullFirstBatch(scan, &batch);
+    ctx.RequestCancel();
+    auto has = scan.NextBatch(&batch);
+    ASSERT_FALSE(has.ok());
+    EXPECT_EQ(has.status().code(), StatusCode::kCancelled);
+    scan.Close();
+  }
+}
+
+// NestedLoopProductJoin's native batch path: 60 x 90 rows with 30 matches
+// per left row give 1800 outputs, so a left row's match run straddles the
+// first batch boundary; a cancel between pulls stops the join.
+TEST_F(BatchExecutionTest, NestedLoopBatchesMatchOracleAndCancel) {
+  auto left = std::make_shared<Table>("l", Schema({"x", "y"}, "f"));
+  for (VarValue x = 0; x < 60; ++x) left->AppendRow({x, x % 3}, 1.0);
+  auto right = std::make_shared<Table>("r", Schema({"y", "z"}, "f"));
+  for (VarValue z = 0; z < 90; ++z) right->AppendRow({z % 3, z}, 1.0);
+  const Semiring sr = Semiring::SumProduct();
+  auto make_join = [&] {
+    return std::make_unique<NestedLoopProductJoin>(
+        std::make_unique<SeqScan>(left), std::make_unique<SeqScan>(right), sr);
+  };
+  {
+    auto join = make_join();
+    ExpectMatchesOracle(*join, fr::ProductJoin(*left, *right, sr, "ref"));
+  }
+  {
+    auto join = make_join();
+    RowBatch batch;
+    ExpectFullFirstBatch(*join, &batch);
+    auto has = join->NextBatch(&batch);
+    ASSERT_TRUE(has.ok() && *has);
+    EXPECT_EQ(batch.num_rows(), 1800 - kBatchSize);
+    EXPECT_FALSE(*join->NextBatch(&batch));
+    join->Close();
+  }
+  {
+    QueryContext ctx;
+    auto join = make_join();
+    join->BindContext(&ctx);
+    RowBatch batch;
+    ExpectFullFirstBatch(*join, &batch);
+    ctx.RequestCancel();
+    auto has = join->NextBatch(&batch);
+    ASSERT_FALSE(has.ok());
+    EXPECT_EQ(has.status().code(), StatusCode::kCancelled);
+    join->Close();
+  }
 }
 
 TEST_F(BatchExecutionTest, EmptyInputs) {
@@ -597,55 +695,30 @@ TEST_F(BatchExecutionTest, EmptyInputs) {
   {
     HashProductJoin join(std::make_unique<SeqScan>(empty),
                          std::make_unique<SeqScan>(other), sr);
-    auto result = ::mpfdb::exec::RunBatch(join, "out");
+    auto result = ::mpfdb::exec::Run(join, "out");
     ASSERT_TRUE(result.ok());
     EXPECT_EQ((*result)->NumRows(), 0u);
   }
   {
     HashProductJoin join(std::make_unique<SeqScan>(other),
                          std::make_unique<SeqScan>(empty), sr);
-    auto result = ::mpfdb::exec::RunBatch(join, "out");
+    auto result = ::mpfdb::exec::Run(join, "out");
     ASSERT_TRUE(result.ok());
     EXPECT_EQ((*result)->NumRows(), 0u);
   }
   {
     HashMarginalize agg(std::make_unique<SeqScan>(empty),
                         std::vector<std::string>{"x"}, sr);
-    auto result = ::mpfdb::exec::RunBatch(agg, "out");
+    auto result = ::mpfdb::exec::Run(agg, "out");
     ASSERT_TRUE(result.ok());
     EXPECT_EQ((*result)->NumRows(), 0u);
   }
 }
 
-TEST_F(BatchExecutionTest, ErrorsPropagateThroughRunBatch) {
-  TablePtr t = MakeTable("t", {"x", "y"}, {{{0, 0}, 1.0}, {{1, 0}, 2.0}});
-  TablePtr other = MakeTable("o", {"y", "z"}, {{{0, 0}, 1.0}});
-  Semiring sr = Semiring::SumProduct();
-  for (auto fail_at : {FailingOperator::FailAt::kOpen,
-                       FailingOperator::FailAt::kNextImmediately,
-                       FailingOperator::FailAt::kNextAfterOne}) {
-    {
-      HashMarginalize op(std::make_unique<FailingOperator>(t, fail_at), {"x"},
-                         sr);
-      EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
-    }
-    {
-      HashProductJoin op(std::make_unique<FailingOperator>(t, fail_at),
-                         std::make_unique<SeqScan>(other), sr);
-      EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
-    }
-    {
-      HashProductJoin op(std::make_unique<SeqScan>(other),
-                         std::make_unique<FailingOperator>(t, fail_at), sr);
-      EXPECT_FALSE(::mpfdb::exec::RunBatch(op, "out").ok());
-    }
-  }
-}
-
 TEST_F(BatchExecutionTest, OutOfDomainValueFailsUnderPackedKeys) {
   // The catalog declares dom(x) = 2 but the data contains x = 5: the packed
-  // batch path must fail loudly rather than silently corrupt keys. The row
-  // path ignores domain statistics and still succeeds.
+  // path must fail loudly rather than silently corrupt keys. Without a
+  // catalog no domain is assumed and the same input succeeds.
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterVariable("x", 2).ok());
   ASSERT_TRUE(catalog.RegisterVariable("y", 2).ok());
@@ -654,7 +727,7 @@ TEST_F(BatchExecutionTest, OutOfDomainValueFailsUnderPackedKeys) {
   {
     HashMarginalize agg(std::make_unique<SeqScan>(t),
                         std::vector<std::string>{"x"}, sr, &catalog);
-    auto result = ::mpfdb::exec::RunBatch(agg, "out");
+    auto result = ::mpfdb::exec::Run(agg, "out");
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
@@ -662,44 +735,12 @@ TEST_F(BatchExecutionTest, OutOfDomainValueFailsUnderPackedKeys) {
     TablePtr u = MakeTable("u", {"y"}, {{{5}, 1.0}});
     HashProductJoin join(std::make_unique<SeqScan>(u),
                          std::make_unique<SeqScan>(t), sr, &catalog);
-    EXPECT_FALSE(::mpfdb::exec::RunBatch(join, "out").ok());
+    EXPECT_FALSE(::mpfdb::exec::Run(join, "out").ok());
   }
   {
     HashMarginalize agg(std::make_unique<SeqScan>(t),
-                        std::vector<std::string>{"x"}, sr, &catalog);
+                        std::vector<std::string>{"x"}, sr);
     EXPECT_TRUE(::mpfdb::exec::Run(agg, "out").ok());
-  }
-}
-
-TEST_F(BatchExecutionTest, ExecutorRespectsVectorizedOption) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.RegisterVariable("x", 64).ok());
-  ASSERT_TRUE(catalog.RegisterVariable("y", 8).ok());
-  Rng rng(35);
-  TablePtr t = RandomTable("t", {"x", "y"}, {64, 8}, 300, rng);
-  ASSERT_TRUE(catalog.RegisterTable(t).ok());
-  SimpleCostModel cost_model;
-  PlanBuilder builder(catalog, cost_model);
-  auto scan = builder.Scan("t");
-  ASSERT_TRUE(scan.ok());
-  auto grouped = builder.GroupBy(*scan, {"y"});
-  ASSERT_TRUE(grouped.ok());
-
-  TablePtr results[4];
-  int i = 0;
-  for (bool vectorized : {false, true}) {
-    for (bool packed : {false, true}) {
-      ExecOptions options;
-      options.vectorized = vectorized;
-      options.packed_keys = packed;
-      Executor executor(catalog, Semiring::SumProduct(), options);
-      auto result = executor.Execute(**grouped, "out");
-      ASSERT_TRUE(result.ok()) << result.status();
-      results[i++] = *result;
-    }
-  }
-  for (int j = 1; j < 4; ++j) {
-    EXPECT_TRUE(fr::TablesEqual(*results[0], *results[j], 0.0)) << j;
   }
 }
 

@@ -121,7 +121,9 @@ TEST(FaultInjectorTest, InactiveInjectorNeverFails) {
 // exact same seed reproduces the exact same failure.
 TEST(FaultInjectorTest, DiskScanFaultIsDeterministicallyReproducible) {
   Rng rng(1);
-  TablePtr t = RandomUnitTable("t", {"x", "y"}, {20, 20}, 300, rng);
+  // The scan fetches each data page once, so the table spans well over five
+  // pages for the fifth IO to land mid-scan.
+  TablePtr t = RandomUnitTable("t", {"x", "y"}, {120, 120}, 6000, rng);
   std::string path = TempPath("mpfdb_fault_scan.tbl");
   ASSERT_TRUE(DiskTable::Write(*t, path).ok());
 
@@ -189,8 +191,7 @@ struct RandomPlan {
   }
 };
 
-RunOutcome RunGoverned(const RandomPlan& plan, const GovernorConfig& config,
-                       bool vectorized) {
+RunOutcome RunGoverned(const RandomPlan& plan, const GovernorConfig& config) {
   QueryContext ctx;
   if (config.memory_limit > 0) ctx.set_memory_limit(config.memory_limit);
   ctx.set_spill_enabled(config.spill_enabled);
@@ -200,19 +201,18 @@ RunOutcome RunGoverned(const RandomPlan& plan, const GovernorConfig& config,
   auto root = plan.Build();
   root->BindContext(&ctx);
   RunOutcome outcome;
-  auto result =
-      vectorized ? ::mpfdb::exec::RunBatch(*root, "out", &ctx) : ::mpfdb::exec::Run(*root, "out", &ctx);
+  auto result = ::mpfdb::exec::Run(*root, "out", &ctx);
   outcome.status = result.status();
   if (result.ok()) outcome.table = *result;
   // Whatever happened, every charge must have been unwound.
-  EXPECT_EQ(ctx.stats().bytes_in_use, 0u)
-      << config.label << (vectorized ? " batch" : " row");
+  EXPECT_EQ(ctx.stats().bytes_in_use, 0u) << config.label;
   return outcome;
 }
 
-// Every (seed × governor × drive-mode × fault) combination either completes
-// with the fault-free unconstrained answer, or fails with a clean expected
-// Status. Eight base seeds; MPFDB_FAULT_SEED shifts the whole sweep.
+// Every (seed × governor × fault) combination either completes with the fr
+// oracle's answer (exact: unit measures keep every sum an integer), or fails
+// with a clean expected Status. Eight base seeds; MPFDB_FAULT_SEED shifts the
+// whole sweep.
 TEST(FaultInjectionPropertyTest, RandomPlansDegradeCleanlyUnderFaults) {
   const uint64_t env_seed = EnvSeed();
   const std::set<StatusCode> allowed = {
@@ -230,36 +230,32 @@ TEST(FaultInjectionPropertyTest, RandomPlansDegradeCleanlyUnderFaults) {
     Rng rng(seed * 7919 + env_seed * 104729);
     RandomPlan plan = RandomPlan::Make(rng);
 
-    // Golden: no governor, no faults.
-    auto golden_root = plan.Build();
-    auto golden = ::mpfdb::exec::RunBatch(*golden_root, "golden");
+    auto golden = fr::EvaluateNaiveMpf({plan.a, plan.b, plan.c},
+                                       plan.group_vars, {},
+                                       Semiring::SumProduct(), "golden");
     ASSERT_TRUE(golden.ok()) << golden.status();
-    SortCanonically(**golden);
 
     for (const GovernorConfig& governor : governors) {
-      for (bool vectorized : {false, true}) {
-        for (double probability : {0.0, 0.02}) {
-          FaultInjector::Config fault;
-          fault.seed = seed ^ (env_seed * 0x9e3779b97f4a7c15ULL);
-          fault.probability = probability;
-          ScopedFaultInjection scoped(fault);
+      for (double probability : {0.0, 0.02}) {
+        FaultInjector::Config fault;
+        fault.seed = seed ^ (env_seed * 0x9e3779b97f4a7c15ULL);
+        fault.probability = probability;
+        ScopedFaultInjection scoped(fault);
 
-          RunOutcome outcome = RunGoverned(plan, governor, vectorized);
-          std::string where = std::string(governor.label) +
-                              (vectorized ? "/batch" : "/row") + "/p=" +
-                              std::to_string(probability) + "/seed=" +
-                              std::to_string(seed);
-          if (outcome.status.ok()) {
-            ++completed;
-            SortCanonically(*outcome.table);
-            EXPECT_TRUE(fr::TablesEqual(**golden, *outcome.table, 0.0))
-                << where;
-          } else {
-            ++failed;
-            EXPECT_TRUE(allowed.count(outcome.status.code()))
-                << where << ": " << outcome.status;
-            EXPECT_FALSE(outcome.status.message().empty()) << where;
-          }
+        RunOutcome outcome = RunGoverned(plan, governor);
+        std::string where = std::string(governor.label) + "/p=" +
+                            std::to_string(probability) + "/seed=" +
+                            std::to_string(seed);
+        if (outcome.status.ok()) {
+          ++completed;
+          SortCanonically(*outcome.table);
+          EXPECT_TRUE(fr::TablesEqual(**golden, *outcome.table, 0.0))
+              << where;
+        } else {
+          ++failed;
+          EXPECT_TRUE(allowed.count(outcome.status.code()))
+              << where << ": " << outcome.status;
+          EXPECT_FALSE(outcome.status.message().empty()) << where;
         }
       }
     }
@@ -287,7 +283,7 @@ TEST(FaultInjectionPropertyTest, SpillIoFaultsUnwindCleanly) {
     {
       FaultInjector::Config observe;  // never fails, only counts
       ScopedFaultInjection scoped(observe);
-      RunOutcome outcome = RunGoverned(plan, governor, /*vectorized=*/true);
+      RunOutcome outcome = RunGoverned(plan, governor);
       ASSERT_TRUE(outcome.status.ok()) << outcome.status;
       spill_ios = FaultInjector::op_count();
     }
@@ -297,7 +293,7 @@ TEST(FaultInjectionPropertyTest, SpillIoFaultsUnwindCleanly) {
     FaultInjector::Config fault;
     fault.fail_nth = spill_ios / 2 + 1;
     ScopedFaultInjection scoped(fault);
-    RunOutcome outcome = RunGoverned(plan, governor, /*vectorized=*/true);
+    RunOutcome outcome = RunGoverned(plan, governor);
     ASSERT_FALSE(outcome.status.ok());
     EXPECT_EQ(outcome.status.code(), StatusCode::kInternal);
     EXPECT_NE(outcome.status.message().find("injected fault"),
@@ -349,7 +345,7 @@ TEST(ParallelStressTest, MidQueryCancellationFromAnotherThread) {
   Rng rng(42);
   RandomPlan plan = RandomPlan::Make(rng);
   auto golden_root = plan.Build();
-  auto golden = ::mpfdb::exec::RunBatch(*golden_root, "golden");
+  auto golden = ::mpfdb::exec::Run(*golden_root, "golden");
   ASSERT_TRUE(golden.ok()) << golden.status();
   SortCanonically(**golden);
 
@@ -375,7 +371,7 @@ TEST(ParallelStressTest, MidQueryCancellationFromAnotherThread) {
         std::this_thread::sleep_for(delay);
         ctx.RequestCancel();
       });
-      auto result = ::mpfdb::exec::RunBatch(*root, "out", &ctx);
+      auto result = ::mpfdb::exec::Run(*root, "out", &ctx);
       canceller.join();
 
       if (result.ok()) {
@@ -412,7 +408,7 @@ TEST(ParallelStressTest, DeadlineObservedByParallelWorkers) {
     ctx.set_deadline_after(std::chrono::nanoseconds(0));
     auto root = plan.Build();
     root->BindContext(&ctx);
-    auto result = ::mpfdb::exec::RunBatch(*root, "out", &ctx);
+    auto result = ::mpfdb::exec::Run(*root, "out", &ctx);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
         << result.status();
@@ -434,7 +430,7 @@ TEST(ParallelStressTest, DeadlineObservedByParallelWorkers) {
     ctx.set_deadline_after(budget);
     auto root = plan.Build();
     root->BindContext(&ctx);
-    auto result = ::mpfdb::exec::RunBatch(*root, "out", &ctx);
+    auto result = ::mpfdb::exec::Run(*root, "out", &ctx);
     if (!result.ok()) {
       EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
           << result.status();
@@ -461,7 +457,7 @@ TEST(ParallelStressTest, FaultSeedsUnderParallelSpillLeaveNoSpillFiles) {
     RandomPlan plan = RandomPlan::Make(rng);
 
     auto golden_root = plan.Build();
-    auto golden = ::mpfdb::exec::RunBatch(*golden_root, "golden");
+    auto golden = ::mpfdb::exec::Run(*golden_root, "golden");
     ASSERT_TRUE(golden.ok()) << golden.status();
     SortCanonically(**golden);
 
@@ -479,7 +475,7 @@ TEST(ParallelStressTest, FaultSeedsUnderParallelSpillLeaveNoSpillFiles) {
       ctx.set_spill_dir(spill_dir.path());
       auto root = plan.Build();
       root->BindContext(&ctx);
-      auto result = ::mpfdb::exec::RunBatch(*root, "out", &ctx);
+      auto result = ::mpfdb::exec::Run(*root, "out", &ctx);
       std::string where =
           "seed=" + std::to_string(seed) + "/p=" + std::to_string(probability);
       if (result.ok()) {

@@ -108,38 +108,29 @@ TEST(QueryContextTest, MemoryGuardReleasesOnDestruction) {
 
 // --- spill-based degradation ------------------------------------------------
 
-// Aggregation under a tiny budget spills and still returns a bit-identical
-// result, in both drive modes and both key representations.
+// Aggregation under a tiny budget spills and still returns the fr oracle's
+// answer bit for bit: both fold every group in input order.
 TEST(GovernedExecTest, HashMarginalizeSpillIsBitIdentical) {
   Rng rng(42);
-  // Domain 40 > PackedKeyCodec threshold per var? Keep small so packed keys
-  // engage; duplicates across z force real aggregation.
+  // Small domains so the catalog-free 32-bit packing engages; duplicates
+  // across z force real aggregation.
   TablePtr t = RandomTable("t", {"x", "y", "z"}, {8, 8, 24}, 600, rng);
-  for (bool vectorized : {false, true}) {
-    // Golden: unconstrained.
-    HashMarginalize golden_op(std::make_unique<SeqScan>(t), {"x", "y"},
-                              Semiring::SumProduct());
-    auto golden = vectorized ? ::mpfdb::exec::RunBatch(golden_op, "golden")
-                             : ::mpfdb::exec::Run(golden_op, "golden");
-    ASSERT_TRUE(golden.ok()) << golden.status();
+  auto golden = fr::Marginalize(*t, {"x", "y"}, Semiring::SumProduct(), "ref");
+  ASSERT_TRUE(golden.ok()) << golden.status();
 
-    QueryContext ctx;
-    // Below even the packed-key footprint (the catalog-free 32-bit packing
-    // keeps the batch path at ~24 bytes per group), so both drive modes
-    // degrade to partitioned aggregation.
-    ctx.set_memory_limit(512);
-    HashMarginalize gov_op(std::make_unique<SeqScan>(t), {"x", "y"},
-                           Semiring::SumProduct());
-    gov_op.BindContext(&ctx);
-    auto governed =
-        vectorized ? ::mpfdb::exec::RunBatch(gov_op, "governed", &ctx) : ::mpfdb::exec::Run(gov_op, "governed", &ctx);
-    ASSERT_TRUE(governed.ok()) << governed.status();
-    EXPECT_GT(ctx.stats().spill_files, 0u) << "budget never triggered a spill";
-    // Bit-identical: zero tolerance.
-    EXPECT_TRUE(fr::TablesEqual(**golden, **governed, 0.0))
-        << (vectorized ? "batch" : "row");
-    EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
-  }
+  QueryContext ctx;
+  // Below even the packed-key footprint (~24 bytes per group), so the
+  // operator degrades to partitioned aggregation.
+  ctx.set_memory_limit(512);
+  HashMarginalize gov_op(std::make_unique<SeqScan>(t), {"x", "y"},
+                         Semiring::SumProduct());
+  gov_op.BindContext(&ctx);
+  auto governed = ::mpfdb::exec::Run(gov_op, "governed", &ctx);
+  ASSERT_TRUE(governed.ok()) << governed.status();
+  EXPECT_GT(ctx.stats().spill_files, 0u) << "budget never triggered a spill";
+  // Bit-identical: zero tolerance.
+  EXPECT_TRUE(fr::TablesEqual(**golden, **governed, 0.0));
+  EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
 }
 
 // Catalog-less aggregation with three group keys (3 * 32 bits overflows the
@@ -149,7 +140,7 @@ TEST(GovernedExecTest, VectorKeyAggregationSpillIsBitIdentical) {
   TablePtr t = RandomTable("t", {"a", "b", "c", "d"}, {25, 5, 4, 6}, 800, rng);
   HashMarginalize golden_op(std::make_unique<SeqScan>(t), {"a", "b", "c"},
                             Semiring::MinSum());
-  auto golden = ::mpfdb::exec::RunBatch(golden_op, "golden");
+  auto golden = ::mpfdb::exec::Run(golden_op, "golden");
   ASSERT_TRUE(golden.ok()) << golden.status();
 
   QueryContext ctx;
@@ -157,42 +148,33 @@ TEST(GovernedExecTest, VectorKeyAggregationSpillIsBitIdentical) {
   HashMarginalize gov_op(std::make_unique<SeqScan>(t), {"a", "b", "c"},
                          Semiring::MinSum());
   gov_op.BindContext(&ctx);
-  auto governed = ::mpfdb::exec::RunBatch(gov_op, "governed", &ctx);
+  auto governed = ::mpfdb::exec::Run(gov_op, "governed", &ctx);
   ASSERT_TRUE(governed.ok()) << governed.status();
   EXPECT_GT(ctx.stats().spill_files, 0u);
   EXPECT_TRUE(fr::TablesEqual(**golden, **governed, 0.0));
 }
 
 // Join under a tiny budget Grace-partitions both sides; after the canonical
-// sort the result set is bit-identical (each output row's measure is one
-// multiply in both modes).
+// sort the result set equals the fr oracle's bit for bit (each output row's
+// measure is one multiply on both sides).
 TEST(GovernedExecTest, HashProductJoinSpillMatchesUnconstrained) {
   Rng rng(11);
   TablePtr left = RandomTable("l", {"x", "y"}, {60, 16}, 500, rng);
   TablePtr right = RandomTable("r", {"y", "z"}, {16, 60}, 500, rng);
-  for (bool vectorized : {false, true}) {
-    HashProductJoin golden_op(std::make_unique<SeqScan>(left),
-                              std::make_unique<SeqScan>(right),
-                              Semiring::SumProduct());
-    auto golden = vectorized ? ::mpfdb::exec::RunBatch(golden_op, "golden")
-                             : ::mpfdb::exec::Run(golden_op, "golden");
-    ASSERT_TRUE(golden.ok()) << golden.status();
-    SortCanonically(**golden);
+  auto golden = fr::ProductJoin(*left, *right, Semiring::SumProduct(), "ref");
+  ASSERT_TRUE(golden.ok()) << golden.status();
 
-    QueryContext ctx;
-    ctx.set_memory_limit(4096);
-    HashProductJoin gov_op(std::make_unique<SeqScan>(left),
-                           std::make_unique<SeqScan>(right),
-                           Semiring::SumProduct());
-    gov_op.BindContext(&ctx);
-    auto governed = vectorized ? ::mpfdb::exec::RunBatch(gov_op, "governed", &ctx)
-                               : ::mpfdb::exec::Run(gov_op, "governed", &ctx);
-    ASSERT_TRUE(governed.ok()) << governed.status();
-    EXPECT_GT(ctx.stats().spill_files, 0u) << "budget never triggered a spill";
-    SortCanonically(**governed);
-    EXPECT_TRUE(fr::TablesEqual(**golden, **governed, 0.0))
-        << (vectorized ? "batch" : "row");
-  }
+  QueryContext ctx;
+  ctx.set_memory_limit(4096);
+  HashProductJoin gov_op(std::make_unique<SeqScan>(left),
+                         std::make_unique<SeqScan>(right),
+                         Semiring::SumProduct());
+  gov_op.BindContext(&ctx);
+  auto governed = ::mpfdb::exec::Run(gov_op, "governed", &ctx);
+  ASSERT_TRUE(governed.ok()) << governed.status();
+  EXPECT_GT(ctx.stats().spill_files, 0u) << "budget never triggered a spill";
+  SortCanonically(**governed);
+  EXPECT_TRUE(fr::TablesEqual(**golden, **governed, 0.0));
 }
 
 // A join feeding an aggregation, all under budget: both operators degrade
@@ -211,14 +193,14 @@ TEST(GovernedExecTest, SpilledJoinIntoSpilledAggregationStaysExact) {
         std::vector<std::string>{"x", "z"}, Semiring::SumProduct());
   };
   auto golden_op = make_tree();
-  auto golden = ::mpfdb::exec::RunBatch(*golden_op, "golden");
+  auto golden = ::mpfdb::exec::Run(*golden_op, "golden");
   ASSERT_TRUE(golden.ok()) << golden.status();
 
   QueryContext ctx;
   ctx.set_memory_limit(4096);
   auto gov_op = make_tree();
   gov_op->BindContext(&ctx);
-  auto governed = ::mpfdb::exec::RunBatch(*gov_op, "governed", &ctx);
+  auto governed = ::mpfdb::exec::Run(*gov_op, "governed", &ctx);
   ASSERT_TRUE(governed.ok()) << governed.status();
   EXPECT_GT(ctx.stats().spill_files, 0u);
   EXPECT_TRUE(fr::TablesEqual(**golden, **governed, 0.0));
@@ -235,7 +217,7 @@ TEST(GovernedExecTest, SpillDisabledFailsWithResourceExhausted) {
   HashMarginalize op(std::make_unique<SeqScan>(t), {"x"},
                      Semiring::SumProduct());
   op.BindContext(&ctx);
-  auto result = ::mpfdb::exec::RunBatch(op, "out", &ctx);
+  auto result = ::mpfdb::exec::Run(op, "out", &ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(result.status().message().find("HashMarginalize"),
@@ -274,11 +256,6 @@ class CancelAfterN : public PhysicalOperator {
       : child_(std::move(child)), target_(target), n_(n) {}
 
   Status Open() override { return child_->Open(); }
-  StatusOr<bool> Next(Row* row) override {
-    MPFDB_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-    if (has && ++pulled_ >= n_) target_->RequestCancel();
-    return has;
-  }
   StatusOr<bool> NextBatch(RowBatch* batch) override {
     MPFDB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
     if (has) {
@@ -310,43 +287,36 @@ class CancelAfterN : public PhysicalOperator {
 TEST(GovernedExecTest, CancellationStopsWithinOneBatchAndFreesMemory) {
   Rng rng(3);
   TablePtr t = RandomTable("t", {"x", "y"}, {200, 100}, 8000, rng);
-  for (bool vectorized : {false, true}) {
-    QueryContext ctx;
-    constexpr size_t kCancelAt = 2000;
-    auto wrapper = std::make_unique<CancelAfterN>(std::make_unique<SeqScan>(t),
-                                                  &ctx, kCancelAt);
-    CancelAfterN* counter = wrapper.get();
-    HashMarginalize op(std::move(wrapper), {"x"}, Semiring::SumProduct());
-    op.BindContext(&ctx);
-    auto result =
-        vectorized ? ::mpfdb::exec::RunBatch(op, "out", &ctx) : ::mpfdb::exec::Run(op, "out", &ctx);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
-        << result.status();
-    // The scan polls the context every row (batch: every batch), so at most
-    // one more batch of rows is pulled after the cancel fires.
-    EXPECT_LE(counter->pulled(), kCancelAt + kBatchSize);
-    EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
-  }
+  QueryContext ctx;
+  constexpr size_t kCancelAt = 2000;
+  auto wrapper = std::make_unique<CancelAfterN>(std::make_unique<SeqScan>(t),
+                                                &ctx, kCancelAt);
+  CancelAfterN* counter = wrapper.get();
+  HashMarginalize op(std::move(wrapper), {"x"}, Semiring::SumProduct());
+  op.BindContext(&ctx);
+  auto result = ::mpfdb::exec::Run(op, "out", &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << result.status();
+  // The scan polls the context every batch, so at most one more batch of
+  // rows is pulled after the cancel fires.
+  EXPECT_LE(counter->pulled(), kCancelAt + kBatchSize);
+  EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
 }
 
 // An already-expired deadline surfaces as kDeadlineExceeded, also mid-drain.
 TEST(GovernedExecTest, ExpiredDeadlineCancelsExecution) {
   Rng rng(13);
   TablePtr t = RandomTable("t", {"x", "y"}, {200, 100}, 6000, rng);
-  for (bool vectorized : {false, true}) {
-    QueryContext ctx;
-    ctx.set_deadline_after(std::chrono::nanoseconds(0));
-    HashMarginalize op(std::make_unique<SeqScan>(t), {"x"},
-                       Semiring::SumProduct());
-    op.BindContext(&ctx);
-    auto result =
-        vectorized ? ::mpfdb::exec::RunBatch(op, "out", &ctx) : ::mpfdb::exec::Run(op, "out", &ctx);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
-        << result.status();
-    EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
-  }
+  QueryContext ctx;
+  ctx.set_deadline_after(std::chrono::nanoseconds(0));
+  HashMarginalize op(std::make_unique<SeqScan>(t), {"x"},
+                     Semiring::SumProduct());
+  op.BindContext(&ctx);
+  auto result = ::mpfdb::exec::Run(op, "out", &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status();
+  EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
 }
 
 // --- end-to-end through Database / VeCache ----------------------------------

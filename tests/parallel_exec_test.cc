@@ -3,15 +3,16 @@
 // random schemas and random optimizer plans, every combination of
 //
 //   num_threads in {1, 2, 4, 8}
-//     x drive mode in {row-at-a-time, batch, batch + packed keys, and
-//       batch with kAuto physical planning (cost-chosen operators)}
+//     x mode in {forced hash with vector keys (a 2^62-domain catalog),
+//       forced hash with packed keys, kAuto physical planning
+//       (cost-chosen operators)}, each hash mode on both table families
 //     x spill {off, on (tiny budget forcing Grace spills)}
 //
 // must reproduce the forced-hash serial golden answer bit for bit
 // (tolerance 0.0) — including the auto mode, which is the physical
-// planner's central bit-identity promise. The
-// same MPFDB_TEST_SEED env knob as property_test shifts every seed, and each
-// case prints its effective seed on failure.
+// planner's central bit-identity promise. The golden itself is checked
+// against the fr oracle. The same MPFDB_TEST_SEED env knob as property_test
+// shifts every seed, and each case prints its effective seed on failure.
 
 #include <chrono>
 #include <cstdint>
@@ -70,61 +71,42 @@ class ScopedSpillDir {
   std::string dir_;
 };
 
-struct DriveMode {
+struct ExecMode {
   const char* label;
   exec::ExecOptions options;
+  // Execute against WideDomainCatalog(rv): no multi-variable key fits in 64
+  // bits, so the hash operators take their vector-key paths.
+  bool wide_domains = false;
 };
 
-const DriveMode kDriveModes[] = {
-    {"row",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .vectorized = false}},
-    {"batch",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .vectorized = true,
-      .packed_keys = false}},
-    {"batch+packed",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .vectorized = true,
-      .packed_keys = true}},
+const ExecMode kExecModes[] = {
+    {"vector_keys",
+     {.join = exec::JoinAlgorithm::kHash, .agg = exec::AggAlgorithm::kHash},
+     /*wide_domains=*/true},
+    {"packed",
+     {.join = exec::JoinAlgorithm::kHash, .agg = exec::AggAlgorithm::kHash}},
     // kAuto: the physical planner picks per-node algorithms (sort-merge
     // joins / sort marginalize where admissible and cheaper). Must still
     // match the forced-hash golden at tolerance 0.0.
     {"auto",
-     {.join = exec::JoinAlgorithm::kAuto,
-      .agg = exec::AggAlgorithm::kAuto,
-      .vectorized = true,
-      .packed_keys = true}},
-    // hash_impl = kStd re-runs the three hash drive modes on the legacy
-    // chaining tables: the Swiss-table golden and the std runs must agree
-    // bit for bit across the whole (threads, spill) matrix.
-    {"row/std",
+     {.join = exec::JoinAlgorithm::kAuto, .agg = exec::AggAlgorithm::kAuto}},
+    // hash_impl = kStd re-runs the two hash modes on the legacy chaining
+    // tables: the Swiss-table golden and the std runs must agree bit for bit
+    // across the whole (threads, spill) matrix.
+    {"vector_keys/std",
      {.join = exec::JoinAlgorithm::kHash,
       .agg = exec::AggAlgorithm::kHash,
-      .vectorized = false,
-      .hash_impl = exec::HashImpl::kStd}},
-    {"batch/std",
+      .hash_impl = exec::HashImpl::kStd},
+     /*wide_domains=*/true},
+    {"packed/std",
      {.join = exec::JoinAlgorithm::kHash,
       .agg = exec::AggAlgorithm::kHash,
-      .vectorized = true,
-      .packed_keys = false,
-      .hash_impl = exec::HashImpl::kStd}},
-    {"batch+packed/std",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .vectorized = true,
-      .packed_keys = true,
       .hash_impl = exec::HashImpl::kStd}},
     // MPH costing off: the planner prices every index generically, which may
     // legally change access-path choices — never result bits.
     {"auto/nomph",
      {.join = exec::JoinAlgorithm::kAuto,
       .agg = exec::AggAlgorithm::kAuto,
-      .vectorized = true,
-      .packed_keys = true,
       .mph_indexes = false}},
 };
 
@@ -144,6 +126,7 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
        {Semiring::SumProduct(), Semiring::MaxProduct()}) {
     RandomView rv = MakeRandomView(seed + 4000, 6, 5, /*force_acyclic=*/false);
     rv.view.semiring = semiring;
+    const Catalog wide = WideDomainCatalog(rv);
 
     MpfQuerySpec query;
     query.group_vars = {Pick(rv.present_vars, rng)};
@@ -156,6 +139,14 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
       }
     }
 
+    std::vector<fr::Selection> selections;
+    for (const auto& s : query.selections) {
+      selections.push_back({s.var, s.value});
+    }
+    auto oracle = fr::EvaluateNaiveMpf(rv.tables, query.group_vars, selections,
+                                       rv.view.semiring, "oracle");
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+
     for (const std::string spec : {"cs+", "ve(width)"}) {
       auto optimizer = MakeOptimizer(spec, seed);
       ASSERT_TRUE(optimizer.ok());
@@ -163,21 +154,20 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
           (*optimizer)->Optimize(rv.view, query, rv.catalog, cost_model);
       ASSERT_TRUE(plan.ok()) << spec << ": " << plan.status();
 
-      // Serial golden: forced-hash, batch + packed keys, no context, no
-      // pool. Forcing hash pins the baseline the auto drive mode must
-      // reproduce bit for bit.
+      // Serial golden: forced-hash, packed keys, no context, no pool.
+      // Forcing hash pins the baseline the auto mode must reproduce bit for
+      // bit; the oracle folds in another order, so it agrees to 1e-9.
       exec::Executor golden_exec(
           rv.catalog, rv.view.semiring,
           exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
-                            .agg = exec::AggAlgorithm::kHash,
-                            .vectorized = true,
-                            .packed_keys = true});
+                            .agg = exec::AggAlgorithm::kHash});
       auto golden = golden_exec.Execute(**plan, "golden");
       ASSERT_TRUE(golden.ok()) << spec << ": " << golden.status();
+      EXPECT_TRUE(fr::TablesEqual(**oracle, **golden, 1e-9)) << spec;
 
       for (size_t threads : {1u, 2u, 4u, 8u}) {
         exec::ThreadPool pool(threads);
-        for (const DriveMode& mode : kDriveModes) {
+        for (const ExecMode& mode : kExecModes) {
           for (bool spill : {false, true}) {
             ScopedSpillDir spill_dir("diff");
             QueryContext ctx;
@@ -189,8 +179,8 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
               ctx.set_spill_enabled(true);
               ctx.set_spill_dir(spill_dir.path());
             }
-            exec::Executor executor(rv.catalog, rv.view.semiring,
-                                    mode.options);
+            exec::Executor executor(mode.wide_domains ? wide : rv.catalog,
+                                    rv.view.semiring, mode.options);
             auto result = executor.Execute(**plan, "out", &ctx);
             std::string where = std::string(semiring.name()) + "/" + spec +
                                 "/threads=" + std::to_string(threads) + "/" +
@@ -261,7 +251,7 @@ TEST(ParallelChainTest, LargeChainBitIdenticalUnderThreadsAndSpill) {
   };
 
   auto golden_root = build();
-  auto golden = exec::RunBatch(*golden_root, "golden");
+  auto golden = exec::Run(*golden_root, "golden");
   ASSERT_TRUE(golden.ok()) << golden.status();
   SortCanonically(**golden);
 
@@ -278,7 +268,7 @@ TEST(ParallelChainTest, LargeChainBitIdenticalUnderThreadsAndSpill) {
       }
       auto root = build();
       root->BindContext(&ctx);
-      auto result = exec::RunBatch(*root, "out", &ctx);
+      auto result = exec::Run(*root, "out", &ctx);
       std::string where = "threads=" + std::to_string(threads) +
                           (spill ? "/spill" : "/mem");
       ASSERT_TRUE(result.ok()) << where << ": " << result.status();
@@ -360,8 +350,6 @@ TEST(DatabaseParallelTest, ThreadCountNeverChangesAnswers) {
     TablePtr reference;
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       exec::ExecOptions options;
-      options.vectorized = true;
-      options.packed_keys = true;
       options.num_threads = threads;
       db.set_exec_options(options);
       auto result = db.Query("invest", query);

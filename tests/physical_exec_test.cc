@@ -2,14 +2,15 @@
 // planner chooses must be bit-identical (tolerance 0.0) to the forced-hash
 // baseline — across random views and plans, FP-sensitive and idempotent
 // semirings, thread counts, and spill. Plus the operator-level guarantees
-// the planner relies on: the sort operators' native batch path replays
-// their row path exactly, and a presorted-skip (stable sort of already
+// the planner relies on: the sort operators match the fr oracle bit for
+// bit, and a presorted-skip (stable sort of already
 // sorted input is the identity) changes nothing. Seeds shift with
 // MPFDB_TEST_SEED like every property test.
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -74,9 +75,7 @@ TablePtr SortedRandomTable(const std::string& name,
 
 exec::ExecOptions ForcedHash() {
   return exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
-                           .agg = exec::AggAlgorithm::kHash,
-                           .vectorized = true,
-                           .packed_keys = true};
+                           .agg = exec::AggAlgorithm::kHash};
 }
 
 class PhysicalExecDifferentialTest : public ::testing::TestWithParam<uint64_t> {
@@ -270,9 +269,11 @@ TEST(PhysicalExecTest, MixedPlanBitIdenticalToForcedHash) {
   EXPECT_GT((*mixed)->NumRows(), 0u);
 }
 
-// Native batch drains of the sort operators replay the row path exactly,
-// including emission order (no canonical re-sort before comparing).
-TEST(PhysicalExecTest, SortOperatorBatchPathReplaysRowPath) {
+// The sort operators against the fr oracle, bit for bit: the sort-merge
+// join's rows each carry one multiply, and the sort marginalize folds every
+// group in arrival order (stable sort), exactly as fr::Marginalize does. The
+// marginalize emits its groups already in canonical order.
+TEST(PhysicalExecTest, SortOperatorsMatchOracle) {
   const uint64_t seed = CaseSeed(7);
   MPFDB_TRACE_SEED(seed);
   Rng rng(seed * 31);
@@ -280,36 +281,33 @@ TEST(PhysicalExecTest, SortOperatorBatchPathReplaysRowPath) {
   TablePtr r = RandomTable("r", {"y", "z"}, {20, 50}, 700, rng);
 
   {
-    exec::SortMergeProductJoin row_op(std::make_unique<exec::SeqScan>(l),
-                                      std::make_unique<exec::SeqScan>(r),
-                                      Semiring::SumProduct());
-    exec::SortMergeProductJoin batch_op(std::make_unique<exec::SeqScan>(l),
-                                        std::make_unique<exec::SeqScan>(r),
-                                        Semiring::SumProduct());
-    auto rows = exec::Run(row_op, "rows");
-    auto batches = exec::RunBatch(batch_op, "batches");
+    exec::SortMergeProductJoin op(std::make_unique<exec::SeqScan>(l),
+                                  std::make_unique<exec::SeqScan>(r),
+                                  Semiring::SumProduct());
+    auto rows = exec::Run(op, "rows");
     ASSERT_TRUE(rows.ok()) << rows.status();
-    ASSERT_TRUE(batches.ok()) << batches.status();
-    EXPECT_TRUE(fr::TablesEqual(**rows, **batches, /*tolerance=*/0.0));
+    std::vector<size_t> all((*rows)->schema().arity());
+    std::iota(all.begin(), all.end(), 0);
+    (*rows)->SortByVariables(all);
+    auto oracle = fr::ProductJoin(*l, *r, Semiring::SumProduct(), "oracle");
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    EXPECT_TRUE(fr::TablesEqual(**oracle, **rows, /*tolerance=*/0.0));
   }
   {
-    exec::SortMarginalize row_op(std::make_unique<exec::SeqScan>(l),
-                                 std::vector<std::string>{"y"},
-                                 Semiring::SumProduct());
-    exec::SortMarginalize batch_op(std::make_unique<exec::SeqScan>(l),
-                                   std::vector<std::string>{"y"},
-                                   Semiring::SumProduct());
-    auto rows = exec::Run(row_op, "rows");
-    auto batches = exec::RunBatch(batch_op, "batches");
+    exec::SortMarginalize op(std::make_unique<exec::SeqScan>(l),
+                             std::vector<std::string>{"y"},
+                             Semiring::SumProduct());
+    auto rows = exec::Run(op, "rows");
     ASSERT_TRUE(rows.ok()) << rows.status();
-    ASSERT_TRUE(batches.ok()) << batches.status();
-    EXPECT_TRUE(fr::TablesEqual(**rows, **batches, /*tolerance=*/0.0));
+    auto oracle = fr::Marginalize(*l, {"y"}, Semiring::SumProduct(), "oracle");
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    EXPECT_TRUE(fr::TablesEqual(**oracle, **rows, /*tolerance=*/0.0));
   }
 }
 
 // Interesting-order reuse at the operator level: on genuinely presorted
 // input, skipping the sort (a stable sort of sorted input is the identity)
-// is bit-identical to sorting again — in both row and batch modes.
+// is bit-identical to sorting again.
 TEST(PhysicalExecTest, PresortedSkipIsBitIdentical) {
   const uint64_t seed = CaseSeed(11);
   MPFDB_TRACE_SEED(seed);
@@ -318,40 +316,32 @@ TEST(PhysicalExecTest, PresortedSkipIsBitIdentical) {
   TablePtr l = SortedRandomTable("l", {"y", "x"}, {20, 50}, 800, 1, rng);
   TablePtr r = SortedRandomTable("r", {"y", "z"}, {20, 50}, 800, 1, rng);
 
-  for (bool batch_mode : {false, true}) {
-    exec::SortMergeProductJoin sorting(std::make_unique<exec::SeqScan>(l),
-                                       std::make_unique<exec::SeqScan>(r),
-                                       Semiring::SumProduct());
-    exec::SortMergeProductJoin skipping(std::make_unique<exec::SeqScan>(l),
-                                        std::make_unique<exec::SeqScan>(r),
-                                        Semiring::SumProduct(),
-                                        /*left_presorted=*/true,
-                                        /*right_presorted=*/true);
-    auto a = batch_mode ? exec::RunBatch(sorting, "a")
-                        : exec::Run(sorting, "a");
-    auto b = batch_mode ? exec::RunBatch(skipping, "b")
-                        : exec::Run(skipping, "b");
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_TRUE(fr::TablesEqual(**a, **b, /*tolerance=*/0.0))
-        << (batch_mode ? "batch" : "row");
+  exec::SortMergeProductJoin sorting(std::make_unique<exec::SeqScan>(l),
+                                     std::make_unique<exec::SeqScan>(r),
+                                     Semiring::SumProduct());
+  exec::SortMergeProductJoin skipping(std::make_unique<exec::SeqScan>(l),
+                                      std::make_unique<exec::SeqScan>(r),
+                                      Semiring::SumProduct(),
+                                      /*left_presorted=*/true,
+                                      /*right_presorted=*/true);
+  auto a = exec::Run(sorting, "a");
+  auto b = exec::Run(skipping, "b");
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_TRUE(fr::TablesEqual(**a, **b, /*tolerance=*/0.0));
 
-    exec::SortMarginalize agg_sorting(std::make_unique<exec::SeqScan>(l),
-                                      std::vector<std::string>{"y"},
-                                      Semiring::SumProduct());
-    exec::SortMarginalize agg_skipping(std::make_unique<exec::SeqScan>(l),
-                                       std::vector<std::string>{"y"},
-                                       Semiring::SumProduct(),
-                                       /*input_presorted=*/true);
-    auto c = batch_mode ? exec::RunBatch(agg_sorting, "c")
-                        : exec::Run(agg_sorting, "c");
-    auto d = batch_mode ? exec::RunBatch(agg_skipping, "d")
-                        : exec::Run(agg_skipping, "d");
-    ASSERT_TRUE(c.ok()) << c.status();
-    ASSERT_TRUE(d.ok()) << d.status();
-    EXPECT_TRUE(fr::TablesEqual(**c, **d, /*tolerance=*/0.0))
-        << (batch_mode ? "batch" : "row");
-  }
+  exec::SortMarginalize agg_sorting(std::make_unique<exec::SeqScan>(l),
+                                    std::vector<std::string>{"y"},
+                                    Semiring::SumProduct());
+  exec::SortMarginalize agg_skipping(std::make_unique<exec::SeqScan>(l),
+                                     std::vector<std::string>{"y"},
+                                     Semiring::SumProduct(),
+                                     /*input_presorted=*/true);
+  auto c = exec::Run(agg_sorting, "c");
+  auto d = exec::Run(agg_skipping, "d");
+  ASSERT_TRUE(c.ok()) << c.status();
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_TRUE(fr::TablesEqual(**c, **d, /*tolerance=*/0.0));
 }
 
 // The runtime stats spine: ExecuteAnalyze returns the same table as

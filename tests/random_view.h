@@ -97,6 +97,21 @@ inline RandomView MakeRandomView(uint64_t seed, int num_vars, int num_rels,
   return rv;
 }
 
+// A copy of rv's catalog whose variables all declare a 2^62 domain. The
+// tables, and so every query answer, are unchanged, but any hash key over
+// two or more variables no longer packs into 64 bits: executors bound to
+// this catalog run the hash operators' vector-key paths.
+inline Catalog WideDomainCatalog(const RandomView& rv) {
+  Catalog wide;
+  for (const std::string& var : rv.vars) {
+    EXPECT_TRUE(wide.RegisterVariable(var, int64_t{1} << 62).ok());
+  }
+  for (const TablePtr& table : rv.tables) {
+    EXPECT_TRUE(wide.RegisterTable(table).ok());
+  }
+  return wide;
+}
+
 // Uniform choice from a non-empty list.
 inline const std::string& Pick(const std::vector<std::string>& items,
                                Rng& rng) {

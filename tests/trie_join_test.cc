@@ -185,26 +185,15 @@ class TrieJoinTest : public ::testing::Test {
 
 TEST_F(TrieJoinTest, TriangleMatchesHashCascade) {
   auto golden_op = HashCascade({r_, s_, t_}, var_order_, Semiring::SumProduct());
-  auto golden = RunBatch(*golden_op, "golden");
+  auto golden = mpfdb::exec::Run(*golden_op, "golden");
   ASSERT_TRUE(golden.ok()) << golden.status();
 
   auto trie = MakeTriangle();
-  auto result = RunBatch(*trie, "out");
+  auto result = mpfdb::exec::Run(*trie, "out");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT((*result)->NumRows(), 0u);
   EXPECT_TRUE(
       fr::TablesEqual(*Canonical(**golden), *Canonical(**result), 0.0));
-}
-
-TEST_F(TrieJoinTest, RowPathMatchesBatchPath) {
-  auto batch_op = MakeTriangle();
-  auto batches = RunBatch(*batch_op, "batches");
-  ASSERT_TRUE(batches.ok()) << batches.status();
-  auto row_op = MakeTriangle();
-  auto rows = mpfdb::exec::Run(*row_op, "rows");
-  ASSERT_TRUE(rows.ok()) << rows.status();
-  // Same operator, both paths: emission order must match exactly.
-  EXPECT_TRUE(fr::TablesEqual(**batches, **rows, 0.0));
 }
 
 TEST_F(TrieJoinTest, DuplicateKeysEmitFullCrossProduct) {
@@ -221,7 +210,7 @@ TEST_F(TrieJoinTest, DuplicateKeysEmitFullCrossProduct) {
   children.push_back(std::make_unique<SeqScan>(l));
   children.push_back(std::make_unique<SeqScan>(r));
   TrieJoin join(std::move(children), {"x"}, Semiring::SumProduct());
-  auto result = RunBatch(join, "out");
+  auto result = mpfdb::exec::Run(join, "out");
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ((*result)->NumRows(), 6u);
   const std::vector<double> want = {2.0 * 0.5,  2.0 * 0.25, 3.0 * 0.5,
@@ -234,7 +223,7 @@ TEST_F(TrieJoinTest, DuplicateKeysEmitFullCrossProduct) {
 
 TEST_F(TrieJoinTest, MorselStreamsReproduceSerialOrder) {
   auto serial_op = MakeTriangle();
-  auto serial = RunBatch(*serial_op, "serial");
+  auto serial = mpfdb::exec::Run(*serial_op, "serial");
   ASSERT_TRUE(serial.ok()) << serial.status();
 
   ThreadPool pool(4);
@@ -242,7 +231,7 @@ TEST_F(TrieJoinTest, MorselStreamsReproduceSerialOrder) {
   ctx.set_thread_pool(&pool);
   auto parallel_op = MakeTriangle();
   parallel_op->BindContext(&ctx);
-  auto parallel = RunBatch(*parallel_op, "parallel", &ctx);
+  auto parallel = mpfdb::exec::Run(*parallel_op, "parallel", &ctx);
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   // Concatenated stream outputs must equal the serial emission bit for bit,
   // row order included.
@@ -252,7 +241,7 @@ TEST_F(TrieJoinTest, MorselStreamsReproduceSerialOrder) {
 
 TEST_F(TrieJoinTest, SpillDegradationKeepsTheSameMultiset) {
   auto golden_op = MakeTriangle();
-  auto golden = RunBatch(*golden_op, "golden");
+  auto golden = mpfdb::exec::Run(*golden_op, "golden");
   ASSERT_TRUE(golden.ok()) << golden.status();
 
   QueryContext ctx;
@@ -261,7 +250,7 @@ TEST_F(TrieJoinTest, SpillDegradationKeepsTheSameMultiset) {
   ctx.set_spill_dir(::testing::TempDir());
   auto degraded_op = MakeTriangle();
   degraded_op->BindContext(&ctx);
-  auto degraded = RunBatch(*degraded_op, "degraded", &ctx);
+  auto degraded = mpfdb::exec::Run(*degraded_op, "degraded", &ctx);
   ASSERT_TRUE(degraded.ok()) << degraded.status();
   // Degraded mode joins pairwise off disk: order may differ, the multiset —
   // including every measure bit — may not.
@@ -276,7 +265,7 @@ TEST_F(TrieJoinTest, CancellationPropagatesFromStaging) {
   ctx.RequestCancel();
   auto op = MakeTriangle();
   op->BindContext(&ctx);
-  auto result = RunBatch(*op, "out", &ctx);
+  auto result = mpfdb::exec::Run(*op, "out", &ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
