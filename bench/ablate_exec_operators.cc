@@ -8,9 +8,9 @@
 //  1. A hand-rolled representation ablation: the hash-join +
 //     hash-marginalize pipeline (and each operator alone) driven through the
 //     batch engine with vector keys (no catalog), and with packed 64-bit
-//     keys — the packed mode both on the legacy std::unordered_map build and
-//     on the Swiss tables. Raw hash_table/* and mph_probe/* sections isolate
-//     the table structures themselves.
+//     keys (whose small-universe join heads use a dense array). Both run on
+//     the Swiss tables; the raw hash_table/* section compares those against
+//     std::unordered_map with no operator around them.
 //  2. A physical-planner demo: a three-relation chain where the cost-based
 //     planner mixes join algorithms within one query (hash inner join,
 //     sort-merge top join) and the sort-merge output order lets the final
@@ -122,19 +122,25 @@ size_t Drain(PhysicalOperator& op) {
 struct Mode {
   const char* name;
   bool packed;
-  HashImpl hash;
-  bool mph;
 };
 
-// `batch_packed` pins the legacy std::unordered_map build (and no perfect
-// indexes) so the committed baseline stays comparable across commits;
-// `batch_packed_swiss` runs the same pipeline on the Swiss tables with
-// dense perfect-index join heads and carries the headline speedup.
+// `batch` builds its trees without a catalog (vector keys); the packed mode
+// keeps its historical `batch_packed_swiss` name so its committed baselines
+// stay comparable across commits.
 constexpr Mode kModes[] = {
-    {"batch", false, HashImpl::kSwiss, false},
-    {"batch_packed", true, HashImpl::kStd, false},
-    {"batch_packed_swiss", true, HashImpl::kSwiss, true},
+    {"batch", false},
+    {"batch_packed_swiss", true},
 };
+
+// The headline pipeline: a(x,y) join b(y,z), marginalized onto y.
+OperatorPtr MakePipeline(const TablePtr& a, const TablePtr& b,
+                         Semiring semiring, const Catalog* cat) {
+  auto join = std::make_unique<HashProductJoin>(
+      std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b), semiring,
+      cat);
+  return std::make_unique<HashMarginalize>(
+      std::move(join), std::vector<std::string>{"y"}, semiring, cat);
+}
 
 struct ModeResult {
   double seconds = 0;
@@ -150,8 +156,7 @@ ModeResult Measure(const MakeTree& make_tree, const Catalog* catalog,
                    const Mode& mode, int reps = 3, bool governed = false) {
   ModeResult best;
   for (int rep = 0; rep < reps; ++rep) {
-    OperatorPtr root =
-        make_tree(mode.packed ? catalog : nullptr, mode.hash, mode.mph);
+    OperatorPtr root = make_tree(mode.packed ? catalog : nullptr);
     QueryContext ctx;
     if (governed) root->BindContext(&ctx);
     auto start = bench::Clock::now();
@@ -197,14 +202,8 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, HashImpl hash,
-                         bool mph) -> OperatorPtr {
-      auto join = std::make_unique<HashProductJoin>(
-          std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b), semiring,
-          cat, hash, mph);
-      return std::make_unique<HashMarginalize>(std::move(join),
-                                               std::vector<std::string>{"y"},
-                                               semiring, cat, hash);
+    auto make_tree = [&](const Catalog* cat) {
+      return MakePipeline(a, b, semiring, cat);
     };
     AblateModes("pipeline_join_agg", 2 * rows, make_tree, catalog, &json);
   }
@@ -217,11 +216,10 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, HashImpl hash,
-                         bool mph) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat) -> OperatorPtr {
       return std::make_unique<HashProductJoin>(std::make_unique<SeqScan>(a),
                                                std::make_unique<SeqScan>(b),
-                                               semiring, cat, hash, mph);
+                                               semiring, cat);
     };
     AblateModes("hash_join", 2 * rows, make_tree, catalog, &json);
   }
@@ -233,11 +231,10 @@ int RunModeAblation(const std::string& json_path,
     Catalog catalog;
     Check(catalog.RegisterVariable("g", std::max<int64_t>(4, rows / 64)));
     Check(catalog.RegisterVariable("u", rows));
-    auto make_tree = [&](const Catalog* cat, HashImpl hash,
-                         bool /*mph*/) -> OperatorPtr {
+    auto make_tree = [&](const Catalog* cat) -> OperatorPtr {
       return std::make_unique<HashMarginalize>(std::make_unique<SeqScan>(t),
                                                std::vector<std::string>{"g"},
-                                               semiring, cat, hash);
+                                               semiring, cat);
     };
     AblateModes("hash_marginalize", rows, make_tree, catalog, &json);
   }
@@ -345,86 +342,6 @@ int RunModeAblation(const std::string& json_path,
     }
   }
 
-  // Minimal-perfect-hash probe: distinct keys built once (the epoch-commit
-  // pattern behind the VE-cache base-row index), then probed repeatedly.
-  // Build throughput is recorded alongside probe speed against both generic
-  // tables; every probe hits, matching the maintenance-path access mix.
-  {
-    const size_t n = 1 << 18;
-    std::vector<uint64_t> keys(n);
-    for (size_t i = 0; i < n; ++i) {
-      keys[i] = static_cast<uint64_t>(i) * 0x9e3779b97f4a7c15ull + 7;
-    }
-
-    PerfectHashIndex mph;
-    auto start = bench::Clock::now();
-    if (!PerfectHashIndex::Build(keys, /*epoch=*/1, &mph)) {
-      std::fprintf(stderr, "mph_probe: perfect-hash build failed\n");
-      std::abort();
-    }
-    double build_secs = bench::MsSince(start) / 1e3;
-
-    std::unordered_map<uint64_t, size_t> std_map;
-    std_map.reserve(n);
-    SwissTable<size_t> swiss_map;
-    swiss_map.Reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      std_map.emplace(keys[i], i);
-      swiss_map.FindOrInsert(keys[i], i);
-    }
-
-    auto best_of = [&](auto&& fn) {
-      double best = 0;
-      for (int rep = 0; rep < 5; ++rep) {
-        auto t0 = bench::Clock::now();
-        fn();
-        double secs = bench::MsSince(t0) / 1e3;
-        if (rep == 0 || secs < best) best = secs;
-      }
-      return best;
-    };
-    double probe_std = best_of([&] {
-      size_t sum = 0;
-      for (uint64_t k : keys) sum += std_map.find(k)->second;
-      benchmark::DoNotOptimize(sum);
-    });
-    double probe_swiss = best_of([&] {
-      size_t sum = 0;
-      for (uint64_t k : keys) sum += *swiss_map.Find(k);
-      benchmark::DoNotOptimize(sum);
-    });
-    double probe_mph = best_of([&] {
-      size_t sum = 0;
-      for (uint64_t k : keys) sum += mph.Lookup(k, /*epoch=*/1);
-      benchmark::DoNotOptimize(sum);
-    });
-
-    std::printf(
-        "mph_probe (%zu keys): build %8.1f ms (%.1f B/key)   std %12.3e "
-        "ops/s   swiss %12.3e ops/s   mph %12.3e ops/s\n",
-        n, build_secs * 1e3, mph.BytesPerKey(),
-        static_cast<double>(n) / probe_std, static_cast<double>(n) / probe_swiss,
-        static_cast<double>(n) / probe_mph);
-    json.Add("mph_probe/build", {{"keys", double(n)},
-                                 {"seconds", build_secs},
-                                 {"keys_per_sec", double(n) / build_secs},
-                                 {"bytes_per_key", mph.BytesPerKey()}});
-    json.Add("mph_probe/probe_std",
-             {{"keys", double(n)},
-              {"seconds", probe_std},
-              {"ops_per_sec", double(n) / probe_std}});
-    json.Add("mph_probe/probe_swiss",
-             {{"keys", double(n)},
-              {"seconds", probe_swiss},
-              {"ops_per_sec", double(n) / probe_swiss},
-              {"speedup_vs_std", probe_std / probe_swiss}});
-    json.Add("mph_probe/probe_mph",
-             {{"keys", double(n)},
-              {"seconds", probe_mph},
-              {"ops_per_sec", double(n) / probe_mph},
-              {"speedup_vs_std", probe_std / probe_mph}});
-  }
-
   // Resource-governor overhead: the headline pipeline re-run with a bound
   // QueryContext (memory accounting + cancellation/deadline polling, no
   // limits). The acceptance bar is <= 5% over the ungoverned run per mode.
@@ -435,14 +352,8 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, HashImpl hash,
-                         bool mph) -> OperatorPtr {
-      auto join = std::make_unique<HashProductJoin>(
-          std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b), semiring,
-          cat, hash, mph);
-      return std::make_unique<HashMarginalize>(std::move(join),
-                                               std::vector<std::string>{"y"},
-                                               semiring, cat, hash);
+    auto make_tree = [&](const Catalog* cat) {
+      return MakePipeline(a, b, semiring, cat);
     };
     std::printf("governed_overhead (input %lld rows)\n",
                 static_cast<long long>(2 * rows));
@@ -479,16 +390,7 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterVariable("x", rows));
     Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
     Check(catalog.RegisterVariable("z", rows));
-    auto make_tree = [&](const Catalog* cat, HashImpl hash,
-                         bool mph) -> OperatorPtr {
-      auto join = std::make_unique<HashProductJoin>(
-          std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b), semiring,
-          cat, hash, mph);
-      return std::make_unique<HashMarginalize>(std::move(join),
-                                               std::vector<std::string>{"y"},
-                                               semiring, cat, hash);
-    };
-    std::printf("pipeline_scaling (input %lld rows, batch_packed)\n",
+    std::printf("pipeline_scaling (input %lld rows, batch_packed_swiss)\n",
                 static_cast<long long>(2 * rows));
     double one_thread_secs = 0;
     TablePtr golden;
@@ -496,7 +398,7 @@ int RunModeAblation(const std::string& json_path,
       ThreadPool pool(threads);
       // Parity check for this worker count.
       {
-        OperatorPtr root = make_tree(&catalog, HashImpl::kSwiss, true);
+        OperatorPtr root = MakePipeline(a, b, semiring, &catalog);
         QueryContext ctx;
         ctx.set_thread_pool(&pool);
         root->BindContext(&ctx);
@@ -517,7 +419,7 @@ int RunModeAblation(const std::string& json_path,
       }
       ModeResult best;
       for (int rep = 0; rep < 3; ++rep) {
-        OperatorPtr root = make_tree(&catalog, HashImpl::kSwiss, true);
+        OperatorPtr root = MakePipeline(a, b, semiring, &catalog);
         QueryContext ctx;
         ctx.set_thread_pool(&pool);
         root->BindContext(&ctx);

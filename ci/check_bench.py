@@ -27,13 +27,11 @@ import sys
 # regression; "lower" means a rise is.
 GATED = [
     ("pipeline_join_agg/batch", "ops_per_sec", "higher"),
-    ("pipeline_join_agg/batch_packed", "ops_per_sec", "higher"),
     ("pipeline_join_agg/batch_packed_swiss", "ops_per_sec", "higher"),
     ("hash_join/batch_packed_swiss", "ops_per_sec", "higher"),
     ("hash_marginalize/batch", "ops_per_sec", "higher"),
     ("hash_table/probe_swiss", "ops_per_sec", "higher"),
     ("hash_table/fold_swiss", "ops_per_sec", "higher"),
-    ("mph_probe/probe_mph", "ops_per_sec", "higher"),
     ("physical_planner/mixed_plan", "speedup_vs_forced_hash", "higher"),
     ("physical_planner/order_reuse", "speedup_from_skip", "higher"),
     ("faq_planner/triangle", "speedup_vs_pairwise", "higher"),
@@ -92,7 +90,7 @@ INFORMATIONAL = [
     ("serving/plan_cache", "hit_rate"),
     ("serving/concurrent_throughput", "queries_per_sec"),
     ("serving/concurrent_throughput", "plan_cache_hit_rate"),
-    ("governed_overhead/batch_packed", "overhead_frac"),
+    ("governed_overhead/batch_packed_swiss", "overhead_frac"),
     ("net_serving/open_loop", "achieved_qps"),
     ("net_serving/open_loop", "errors"),
     ("net_serving/closed_loop", "errors"),

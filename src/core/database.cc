@@ -848,7 +848,7 @@ void Database::CommitBatch(std::vector<std::shared_ptr<PendingCommit>>& batch) {
       for (const auto& [name, entry] : caches_) cache_ptrs[name] = entry.cache;
     }
 
-    // A published cache can locate a base row with one MPH probe; fall back
+    // A published cache can locate a base row with one hash probe; fall back
     // to a table scan when no cache covers the table.
     std::map<std::string, std::pair<const workload::VeCache*, size_t>>
         locators;
@@ -979,11 +979,8 @@ void Database::CommitBatch(std::vector<std::shared_ptr<PendingCommit>>& batch) {
             return;
           }
         }
-        workload::VeCacheOptions cache_options;
-        cache_options.mph_indexes = exec_options_.mph_indexes;
-        cache_options.epoch = epoch_.load(std::memory_order_relaxed) + 1;
         StatusOr<workload::VeCache> rebuilt =
-            workload::VeCache::Build(view_it->second, staged, cache_options);
+            workload::VeCache::Build(view_it->second, staged);
         if (!rebuilt.ok()) {
           fail_batch(rebuilt.status());
           return;
@@ -1153,8 +1150,6 @@ Status Database::BuildCache(const std::string& view_name, QueryContext* ctx) {
     }
     workload::VeCacheOptions cache_options;
     cache_options.context = ctx;
-    cache_options.mph_indexes = exec_options_.mph_indexes;
-    cache_options.epoch = snap->epoch;
     MPFDB_ASSIGN_OR_RETURN(workload::VeCache cache,
                            workload::VeCache::Build(view_it->second,
                                                     snap->catalog,

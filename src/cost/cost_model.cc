@@ -88,13 +88,6 @@ double PageCostModel::IndexScanCost(double output_card) const {
   return 1.0 + Pages(output_card);
 }
 
-double PageCostModel::PerfectIndexScanCost(double output_card) const {
-  // The MPH probe touches exactly one slot — half the generic lookup page,
-  // which keeps the perfect-hash access path strictly cheaper than the
-  // generic one at equal output cardinality.
-  return 0.5 + Pages(output_card);
-}
-
 double PageCostModel::GracePenalty(double pages) const {
   // Overflow partitions are written once and read back once.
   if (pages <= memory_pages_) return 0.0;

@@ -27,12 +27,6 @@ class CostModel {
   // Cost of an index lookup producing `output_card` rows (vs scanning and
   // filtering the whole relation).
   virtual double IndexScanCost(double output_card) const = 0;
-  // Cost of the same lookup through a minimal-perfect-hash-backed index:
-  // exactly one slot touch, no bucket chain or displacement scan. Defaults
-  // to the generic index cost for models that don't distinguish.
-  virtual double PerfectIndexScanCost(double output_card) const {
-    return IndexScanCost(output_card);
-  }
 
   // --- Per-algorithm costs for the physical planner ------------------------
   //
@@ -109,7 +103,6 @@ class PageCostModel : public CostModel {
   double GroupByCost(double input_card) const override;
   double SelectCost(double input_card) const override;
   double IndexScanCost(double output_card) const override;
-  double PerfectIndexScanCost(double output_card) const override;
 
   double HashJoinCost(double left_card, double right_card) const override;
   double SortMergeJoinCost(double left_card, double right_card,

@@ -178,106 +178,6 @@ class PackedKeyCodec {
   std::vector<uint8_t> shifts_;
 };
 
-// Finalizer-style mixer (splitmix64). Packed keys are near-dense integers,
-// so they need real mixing before masking to a power-of-two table.
-struct PackedKeyHash {
-  size_t operator()(uint64_t x) const {
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<size_t>(x);
-  }
-};
-
-// Open-addressing hash table from packed uint64 keys to a small payload,
-// used by the hash join and hash marginalize. Linear probing over
-// a power-of-two slot array, growing at ~70% load; keys are never erased.
-// Returned payload pointers are invalidated by the next FindOrInsert.
-template <typename V>
-class PackedHashMap {
- public:
-  explicit PackedHashMap(size_t expected = 64) { Rehash(SlotCountFor(expected)); }
-
-  // Payload slot for `key`, inserting `init` if absent; second is true iff
-  // the key was newly inserted.
-  std::pair<V*, bool> FindOrInsert(uint64_t key, const V& init) {
-    if ((size_ + 1) * 10 > slots_.size() * 7) Rehash(slots_.size() * 2);
-    size_t i = Probe(key);
-    bool inserted = !used_[i];
-    if (inserted) {
-      used_[i] = 1;
-      slots_[i].first = key;
-      slots_[i].second = init;
-      ++size_;
-    }
-    return {&slots_[i].second, inserted};
-  }
-
-  // Payload for `key`, or nullptr if absent.
-  V* Find(uint64_t key) {
-    size_t i = Probe(key);
-    return used_[i] ? &slots_[i].second : nullptr;
-  }
-
-  size_t size() const { return size_; }
-
-  void Reserve(size_t expected) {
-    size_t want = SlotCountFor(expected);
-    if (want > slots_.size()) Rehash(want);
-  }
-
-  // Invokes fn(key, payload) for every entry, in unspecified order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (used_[i]) fn(slots_[i].first, slots_[i].second);
-    }
-  }
-
-  // ForEach with a mutable payload reference.
-  template <typename Fn>
-  void ForEachMutable(Fn&& fn) {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (used_[i]) fn(slots_[i].first, slots_[i].second);
-    }
-  }
-
- private:
-  static size_t SlotCountFor(size_t expected) {
-    size_t slots = 16;
-    while (slots * 7 < expected * 10) slots <<= 1;
-    return slots;
-  }
-
-  size_t Probe(uint64_t key) const {
-    size_t mask = slots_.size() - 1;
-    size_t i = PackedKeyHash()(key) & mask;
-    while (used_[i] && slots_[i].first != key) i = (i + 1) & mask;
-    return i;
-  }
-
-  void Rehash(size_t new_slots) {
-    std::vector<std::pair<uint64_t, V>> old = std::move(slots_);
-    std::vector<uint8_t> old_used = std::move(used_);
-    slots_.assign(new_slots, {});
-    used_.assign(new_slots, 0);
-    size_t mask = new_slots - 1;
-    for (size_t i = 0; i < old.size(); ++i) {
-      if (!old_used[i]) continue;
-      size_t j = PackedKeyHash()(old[i].first) & mask;
-      while (used_[j]) j = (j + 1) & mask;
-      used_[j] = 1;
-      slots_[j] = old[i];
-    }
-  }
-
-  std::vector<std::pair<uint64_t, V>> slots_;
-  std::vector<uint8_t> used_;
-  size_t size_ = 0;
-};
-
 }  // namespace mpfdb::exec
 
 #endif  // MPFDB_EXEC_BATCH_H_

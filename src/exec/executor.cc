@@ -85,7 +85,6 @@ StatusOr<std::unique_ptr<PhysicalPlanNode>> Executor::PlanPhysical(
   PhysicalPlannerOptions popts;
   popts.force_join = options_.join;
   popts.force_agg = options_.agg;
-  popts.mph_indexes = options_.mph_indexes;
   popts.memory_limit = ctx != nullptr ? ctx->memory_limit() : 0;
   double memory_pages =
       popts.memory_limit == 0
@@ -152,8 +151,7 @@ StatusOr<OperatorPtr> Executor::BuildNode(
         case AggAlgorithm::kAuto:
         case AggAlgorithm::kHash:
           op = std::make_unique<HashMarginalize>(
-              std::move(child), plan.group_vars, semiring_, &catalog_,
-              options_.hash_impl);
+              std::move(child), plan.group_vars, semiring_, &catalog_);
           break;
       }
       break;
@@ -175,8 +173,7 @@ StatusOr<OperatorPtr> Executor::BuildNode(
         case JoinAlgorithm::kHash:
         case JoinAlgorithm::kLeapfrog:
           op = std::make_unique<HashProductJoin>(
-              std::move(left), std::move(right), semiring_, &catalog_,
-              options_.hash_impl, options_.mph_indexes);
+              std::move(left), std::move(right), semiring_, &catalog_);
           break;
       }
       break;

@@ -31,15 +31,6 @@ struct ExecOptions {
   //      it makes is bit-identical to the forced-hash baseline.
   JoinAlgorithm join = JoinAlgorithm::kAuto;
   AggAlgorithm agg = AggAlgorithm::kAuto;
-  // Hash-table implementation for the hash join/aggregation operators.
-  // kSwiss (the default) is the SIMD open-addressing table; kStd keeps the
-  // chaining tables as a differential baseline. Results are bit-identical.
-  HashImpl hash_impl = HashImpl::kSwiss;
-  // Let epoch-built minimal-perfect-hash indexes back repeated-probe
-  // structures (storage hash indexes, workload-cache base-row lookups) when
-  // a build over the live key set succeeds. Pure lookup accelerator; results
-  // are bit-identical with it off.
-  bool mph_indexes = true;
   // Worker threads for intra-query morsel parallelism.
   // 0 resolves to std::thread::hardware_concurrency(); 1 reproduces the
   // serial engine exactly. The Executor itself only reads the pool off the

@@ -1,9 +1,7 @@
 #include "exec/hash_table.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 
 namespace mpfdb::exec {
 
@@ -22,129 +20,6 @@ bool ScalarHashProbesForced() {
 
 void SetForceScalarHashProbes(bool force) {
   g_force_scalar.store(force, std::memory_order_relaxed);
-}
-
-// CHD construction: hash every key into one of r = ~n/4 buckets, then
-// assign buckets in decreasing-size order, searching each bucket for a
-// displacement seed d under which all of its keys land on distinct free
-// slots of the n-slot output array. Large buckets place first while the
-// array is still mostly free, so the expected search per bucket stays
-// small. Singleton buckets skip the search entirely: they are assigned
-// leftover free slots directly (seed kDirectBase + slot), because at load
-// factor 1.0 the tail singleton would otherwise need to hit one specific
-// free slot among n — an expected n seeds, far past any sane budget. If a
-// multi-key bucket exhausts the seed budget the whole build restarts with
-// a rotated bucket hash, and after a few rounds it reports failure so the
-// caller keeps its generic-hash fallback.
-bool PerfectHashIndex::Build(const std::vector<uint64_t>& keys, uint64_t epoch,
-                             PerfectHashIndex* out) {
-  const size_t n = keys.size();
-  *out = PerfectHashIndex();
-  out->epoch_ = epoch;
-  if (n == 0) return true;
-
-  size_t r = 1;
-  while (r * 4 < n) r <<= 1;
-
-  constexpr int kMaxRounds = 4;
-  for (int round = 0; round < kMaxRounds; ++round) {
-    // Rotating the pre-mix re-deals keys into different buckets per round.
-    const uint64_t round_salt = 0x6a09e667f3bcc909ull * (round + 1);
-    std::vector<std::vector<uint32_t>> buckets(r);
-    bool duplicate = false;
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t h = swiss::MixU64(keys[i] ^ round_salt);
-      buckets[h & (r - 1)].push_back(static_cast<uint32_t>(i));
-    }
-    std::vector<uint32_t> order(r);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      if (buckets[a].size() != buckets[b].size())
-        return buckets[a].size() > buckets[b].size();
-      return a < b;
-    });
-
-    std::vector<uint32_t> seeds(r, 0);
-    std::vector<uint64_t> keys_by_slot(n, 0);
-    std::vector<uint32_t> ids_by_slot(n, 0);
-    std::vector<uint8_t> used(n, 0);
-    bool failed = false;
-    std::vector<uint32_t> singletons;
-    for (uint32_t b : order) {
-      const auto& bucket = buckets[b];
-      if (bucket.empty()) continue;
-      if (bucket.size() == 1) {
-        // Direct-placed after every multi-key bucket has claimed its slots.
-        singletons.push_back(b);
-        continue;
-      }
-      // Duplicate keys can never occupy distinct slots; detect them once
-      // here instead of burning the whole seed budget.
-      for (size_t x = 1; x < bucket.size() && !duplicate; ++x) {
-        for (size_t y = 0; y < x; ++y) {
-          if (keys[bucket[x]] == keys[bucket[y]]) {
-            duplicate = true;
-            break;
-          }
-        }
-      }
-      if (duplicate) break;
-      bool placed = false;
-      std::vector<size_t> positions(bucket.size());
-      for (uint32_t d = 1; d <= kMaxSeed; ++d) {
-        bool ok = true;
-        for (size_t k = 0; k < bucket.size() && ok; ++k) {
-          uint64_t h = swiss::MixU64(keys[bucket[k]] ^ round_salt);
-          size_t pos = PositionFor(h, d, n);
-          if (used[pos]) {
-            ok = false;
-            break;
-          }
-          for (size_t j = 0; j < k; ++j) {
-            if (positions[j] == pos) {
-              ok = false;
-              break;
-            }
-          }
-          positions[k] = pos;
-        }
-        if (ok) {
-          for (size_t k = 0; k < bucket.size(); ++k) {
-            used[positions[k]] = 1;
-            keys_by_slot[positions[k]] = keys[bucket[k]];
-            ids_by_slot[positions[k]] = bucket[k];
-          }
-          seeds[b] = d;
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        failed = true;
-        break;
-      }
-    }
-    if (duplicate) return false;
-    if (!failed) {
-      // Hand each singleton bucket the next free slot. Exactly as many free
-      // slots remain as there are singletons, so this cannot fail.
-      size_t next_free = 0;
-      for (uint32_t b : singletons) {
-        while (used[next_free]) ++next_free;
-        used[next_free] = 1;
-        keys_by_slot[next_free] = keys[buckets[b][0]];
-        ids_by_slot[next_free] = buckets[b][0];
-        seeds[b] = kDirectBase + static_cast<uint32_t>(next_free);
-        ++next_free;
-      }
-      out->round_salt_ = round_salt;
-      out->seeds_ = std::move(seeds);
-      out->keys_by_slot_ = std::move(keys_by_slot);
-      out->ids_by_slot_ = std::move(ids_by_slot);
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace mpfdb::exec

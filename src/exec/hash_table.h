@@ -1,16 +1,12 @@
 #ifndef MPFDB_EXEC_HASH_TABLE_H_
 #define MPFDB_EXEC_HASH_TABLE_H_
 
-// Purpose-built execution hash layer (ROADMAP open item 2).
+// The one hash-table family of the engine. Two structures share one design:
 //
-// Three structures share one design:
-//
-//  * SwissTable<V>       — packed 64-bit keys -> V (the hot join/agg path).
+//  * SwissTable<V>       — packed 64-bit keys -> V (join heads, marginalize
+//                          folds, storage hash indexes, VE-cache row locator).
 //  * SwissBytesTable<V>  — arbitrary byte-string keys -> V (vector-key
 //                          fallback, fr-algebra clique maps, plan cache).
-//  * PerfectHashIndex    — CHD-style minimal perfect hash over a key set
-//                          frozen at epoch-commit time (VE-cache base rows,
-//                          dimension-side index probes).
 //
 // The Swiss tables are open-addressing with one control byte per slot:
 // 0x80 marks an empty slot, otherwise the byte holds the low 7 bits of the
@@ -29,7 +25,7 @@
 // are contiguous (a lookup can stop at the first empty control byte), and
 // load factor can run to 7/8 without degenerate chains. Iteration order is
 // unspecified — every caller either sorts its output afterwards or is
-// insensitive to order, which is what keeps hash_impl swaps bit-identical.
+// insensitive to order.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,12 +39,6 @@
 #endif
 
 namespace mpfdb::exec {
-
-// Which hash-table implementation the hash operators use. kStd keeps the
-// pre-existing std::unordered_map / linear-probe PackedHashMap structures;
-// kSwiss routes every build/probe/fold through the tables in this header.
-// Both produce bit-identical results (differentially tested, tol 0.0).
-enum class HashImpl { kStd, kSwiss };
 
 // Runtime kill switch for the SSE2 probe loop (scalar fallback is always
 // compiled). Reads MPFDB_SCALAR_HASH=1 from the environment once at startup;
@@ -123,10 +113,9 @@ inline int CountTrailingZeros(uint32_t x) { return __builtin_ctz(x); }
 
 }  // namespace swiss
 
-// Swiss table from packed uint64 keys to a small payload. API-compatible
-// with PackedHashMap (FindOrInsert/Find/Reserve/ForEach/ForEachMutable)
-// so the operators can switch per ExecOptions::hash_impl, plus Erase and
-// the DIB invariant check the unit tests assert.
+// Swiss table from packed uint64 keys to a small payload: FindOrInsert,
+// Find, Erase, Reserve, ForEach/ForEachMutable, plus the DIB invariant
+// check the unit tests assert.
 template <typename V>
 class SwissTable {
  public:
@@ -539,74 +528,6 @@ class SwissBytesTable {
   std::vector<Slot> slots_;
   std::vector<V> vals_;
   std::vector<char> arena_;
-};
-
-// CHD-style minimal perfect hash over a fixed set of distinct uint64 keys,
-// built once when the key set freezes (epoch commit / BuildCache) and
-// probed collision-free afterwards. Lookup returns the key's position in
-// the vector passed to Build (so callers index side arrays built in that
-// order), kNotFound for absent keys, and rejects probes tagged with a
-// different epoch than the build — a structure that outlives its key set
-// fails loudly instead of returning stale positions.
-class PerfectHashIndex {
- public:
-  static constexpr size_t kNotFound = static_cast<size_t>(-1);
-
-  // Builds over `keys` (which must be distinct; duplicate keys fail the
-  // build). Returns false on failure — duplicates, or displacement search
-  // exhaustion — in which case callers keep their generic-hash fallback.
-  static bool Build(const std::vector<uint64_t>& keys, uint64_t epoch,
-                    PerfectHashIndex* out);
-
-  // Position of `key` in the build vector, or kNotFound if absent or if
-  // `epoch` differs from the build epoch.
-  size_t Lookup(uint64_t key, uint64_t epoch) const {
-    if (epoch != epoch_ || keys_by_slot_.empty()) return kNotFound;
-    uint64_t h = swiss::MixU64(key ^ round_salt_);
-    uint32_t d = seeds_[h & (seeds_.size() - 1)];
-    if (d == 0) return kNotFound;
-    // Seeds above the search budget encode a direct slot index — singleton
-    // buckets are placed straight into leftover free slots at build time,
-    // which is what lets the table stay minimal (load factor 1.0) without
-    // the displacement search having to hit one specific slot among n.
-    size_t slot = d >= kDirectBase
-                      ? static_cast<size_t>(d - kDirectBase)
-                      : PositionFor(h, d, keys_by_slot_.size());
-    if (keys_by_slot_[slot] != key) return kNotFound;
-    return ids_by_slot_[slot];
-  }
-
-  uint64_t epoch() const { return epoch_; }
-  size_t size() const { return keys_by_slot_.size(); }
-  // Bytes of auxiliary state per key, for the cost model: seeds plus the
-  // verification keys and id permutation.
-  double BytesPerKey() const {
-    if (keys_by_slot_.empty()) return 0.0;
-    return static_cast<double>(seeds_.size() * sizeof(uint32_t) +
-                               keys_by_slot_.size() * (sizeof(uint64_t) +
-                                                       sizeof(uint32_t))) /
-           static_cast<double>(keys_by_slot_.size());
-  }
-
- private:
-  // Displacement seeds 1..kMaxSeed are search results; kDirectBase + slot
-  // encodes a directly assigned slot for a singleton bucket.
-  static constexpr uint32_t kMaxSeed = 100000;
-  static constexpr uint32_t kDirectBase = kMaxSeed + 1;
-
-  static size_t PositionFor(uint64_t key_hash, uint32_t d, size_t n) {
-    return static_cast<size_t>(
-        swiss::MixU64(key_hash ^ (0x9e3779b97f4a7c15ull * d)) % n);
-  }
-
-  uint64_t epoch_ = 0;
-  // Salt of the build round that succeeded (bucket assignment hash input).
-  uint64_t round_salt_ = 0;
-  // Per-bucket displacement seeds (power-of-two count); 0 = empty bucket.
-  std::vector<uint32_t> seeds_;
-  // Slot -> key (membership verification) and slot -> original position.
-  std::vector<uint64_t> keys_by_slot_;
-  std::vector<uint32_t> ids_by_slot_;
 };
 
 }  // namespace mpfdb::exec

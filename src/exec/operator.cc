@@ -4,7 +4,6 @@
 #include <array>
 #include <cstring>
 #include <deque>
-#include <unordered_map>
 
 #include "exec/spill.h"
 #include "exec/thread_pool.h"
@@ -40,128 +39,47 @@ struct KeyHash {
   }
 };
 
-// Runtime-dispatch wrappers selecting between the legacy tables and the
-// Swiss tables per ExecOptions::hash_impl. One instance is constructed per
-// operator open, so the `swiss_` test is a single predictable branch in
-// front of a 10-30 cycle probe — cheap enough that the big drain loops stay
-// un-templated. APIs mirror PackedHashMap.
-template <typename V>
-class PackedMap {
- public:
-  explicit PackedMap(HashImpl impl = HashImpl::kSwiss, size_t expected = 64) {
-    if (impl == HashImpl::kSwiss) {
-      swiss_.emplace(expected);
-    } else {
-      probe_.emplace(expected);
-    }
-  }
-  std::pair<V*, bool> FindOrInsert(uint64_t key, const V& init) {
-    if (swiss_) return swiss_->FindOrInsert(key, init);
-    return probe_->FindOrInsert(key, init);
-  }
-  V* Find(uint64_t key) {
-    if (swiss_) return swiss_->Find(key);
-    return probe_->Find(key);
-  }
-  size_t size() const { return swiss_ ? swiss_->size() : probe_->size(); }
-  void Reserve(size_t expected) {
-    if (swiss_) {
-      swiss_->Reserve(expected);
-    } else {
-      probe_->Reserve(expected);
-    }
-  }
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    if (swiss_) {
-      swiss_->ForEach(fn);
-    } else {
-      probe_->ForEach(fn);
-    }
-  }
-  template <typename Fn>
-  void ForEachMutable(Fn&& fn) {
-    if (swiss_) {
-      swiss_->ForEachMutable(fn);
-    } else {
-      probe_->ForEachMutable(fn);
-    }
-  }
-
- private:
-  std::optional<SwissTable<V>> swiss_;
-  std::optional<PackedHashMap<V>> probe_;
-};
-
-// Same dispatch for std::vector<VarValue> keys: the Swiss variant hashes and
-// interns the raw key bytes (no per-row vector allocation, memcmp compare),
-// the legacy variant keeps the node-based std::unordered_map. ForEach hands
-// the key back as a vector either way; the Swiss path decodes into one
-// scratch vector reused across entries.
+// std::vector<VarValue> keys over a SwissBytesTable: the raw key bytes are
+// hashed and interned (no per-row vector allocation, memcmp compare).
+// ForEach hands each key back as a vector decoded into one scratch vector
+// reused across entries.
 template <typename V>
 class VecKeyMap {
  public:
-  explicit VecKeyMap(HashImpl impl = HashImpl::kSwiss, size_t expected = 16) {
-    if (impl == HashImpl::kSwiss) {
-      swiss_.emplace(expected);
-    } else {
-      std_.emplace();
-    }
-  }
   std::pair<V*, bool> FindOrInsert(const std::vector<VarValue>& key,
                                    const V& init) {
-    if (swiss_) {
-      return swiss_->FindOrInsert(key.data(), key.size() * sizeof(VarValue),
-                                  init);
-    }
-    auto [it, inserted] = std_->try_emplace(key, init);
-    return {&it->second, inserted};
+    return table_.FindOrInsert(key.data(), key.size() * sizeof(VarValue),
+                               init);
   }
   V* Find(const std::vector<VarValue>& key) {
-    if (swiss_) {
-      return swiss_->Find(key.data(), key.size() * sizeof(VarValue));
-    }
-    auto it = std_->find(key);
-    return it == std_->end() ? nullptr : &it->second;
+    return table_.Find(key.data(), key.size() * sizeof(VarValue));
   }
-  size_t size() const { return swiss_ ? swiss_->size() : std_->size(); }
-  void clear() {
-    if (swiss_) {
-      *swiss_ = SwissBytesTable<V>();
-    } else {
-      std_->clear();
-    }
-  }
+  size_t size() const { return table_.size(); }
+  void clear() { table_ = SwissBytesTable<V>(); }
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    if (swiss_) {
-      std::vector<VarValue> key;
-      swiss_->ForEach([&](const char* bytes, size_t len, const V& val) {
-        key.resize(len / sizeof(VarValue));
-        if (len > 0) std::memcpy(key.data(), bytes, len);
-        fn(key, val);
-      });
-    } else {
-      for (const auto& [key, val] : *std_) fn(key, val);
-    }
+    std::vector<VarValue> key;
+    table_.ForEach([&](const char* bytes, size_t len, const V& val) {
+      fn(DecodeKey(bytes, len, &key), val);
+    });
   }
   template <typename Fn>
   void ForEachMutable(Fn&& fn) {
-    if (swiss_) {
-      std::vector<VarValue> key;
-      swiss_->ForEachMutable([&](const char* bytes, size_t len, V& val) {
-        key.resize(len / sizeof(VarValue));
-        if (len > 0) std::memcpy(key.data(), bytes, len);
-        fn(key, val);
-      });
-    } else {
-      for (auto& [key, val] : *std_) fn(key, val);
-    }
+    std::vector<VarValue> key;
+    table_.ForEachMutable([&](const char* bytes, size_t len, V& val) {
+      fn(DecodeKey(bytes, len, &key), val);
+    });
   }
 
  private:
-  std::optional<SwissBytesTable<V>> swiss_;
-  std::optional<std::unordered_map<std::vector<VarValue>, V, KeyHash>> std_;
+  static const std::vector<VarValue>& DecodeKey(const char* bytes, size_t len,
+                                                std::vector<VarValue>* key) {
+    key->resize(len / sizeof(VarValue));
+    if (len > 0) std::memcpy(key->data(), bytes, len);
+    return *key;
+  }
+
+  SwissBytesTable<V> table_;
 };
 
 std::vector<size_t> IndicesOf(const Schema& schema,
@@ -257,7 +175,6 @@ StatusOr<std::vector<std::unique_ptr<SpillFile>>> MakeSpillPartitions(
 // in-memory table would have applied them — results stay bit-identical.
 Status DrainAggSpill(std::vector<std::unique_ptr<SpillFile>>& parts,
                      const Semiring& semiring, size_t nkeys, QueryContext* ctx,
-                     HashImpl hash_impl,
                      std::vector<std::pair<std::vector<VarValue>, double>>* entries) {
   std::vector<VarValue> key(nkeys);
   double measure = 0;
@@ -268,7 +185,7 @@ Status DrainAggSpill(std::vector<std::unique_ptr<SpillFile>>& parts,
     // transient footprint is tracked but not failed (a single partition is
     // the smallest unit this strategy can degrade to).
     MemoryGuard part_memory(ctx);
-    VecKeyMap<double> table(hash_impl);
+    VecKeyMap<double> table;
     while (true) {
       MPFDB_ASSIGN_OR_RETURN(bool has, part->Next(key.data(), &measure));
       if (!has) break;
@@ -381,7 +298,7 @@ std::vector<std::pair<size_t, size_t>> SplitRanges(size_t total, size_t n) {
 }
 
 // Key-hash partitions for parallel aggregation. Uses bits 56..59 so the
-// choice is independent of both the low bits PackedHashMap masks on and the
+// choice is independent of both the low bits the Swiss tables mask on and the
 // top-4 bits SpillPartOf uses — a spill triggered mid-parallel run must not
 // see all of a partition's keys collide into one spill file.
 constexpr size_t kAggPartitions = 16;
@@ -885,13 +802,11 @@ StatusOr<std::vector<OperatorPtr>> StreamProject::MakeMorselStreams(size_t n) {
 
 HashMarginalize::HashMarginalize(OperatorPtr child,
                                  std::vector<std::string> group_vars,
-                                 Semiring semiring, const Catalog* catalog,
-                                 HashImpl hash_impl)
+                                 Semiring semiring, const Catalog* catalog)
     : child_(std::move(child)),
       group_vars_(std::move(group_vars)),
       semiring_(semiring),
       catalog_(catalog),
-      hash_impl_(hash_impl),
       schema_(group_vars_, child_->output_schema().measure_name()) {}
 
 Status HashMarginalize::Open() {
@@ -955,7 +870,7 @@ Status HashMarginalize::DrainBatches() {
   };
 
   if (codec) {
-    PackedMap<double> agg(hash_impl_, 1024);
+    SwissTable<double> agg(1024);
     std::vector<uint64_t> keys(kBatchSize);
     size_t charged_entries = 0;
     while (true) {
@@ -1004,7 +919,7 @@ Status HashMarginalize::DrainBatches() {
               decoded.data(), measure);
         });
         MPFDB_RETURN_IF_ERROR(flush);
-        agg = PackedMap<double>(hash_impl_, 1024);
+        agg = SwissTable<double>(1024);
         charged_entries = 0;
         table_memory.ReleaseAll();
       }
@@ -1060,7 +975,7 @@ Status HashMarginalize::DrainBatches() {
     // the key bytes in place (no per-row vector materialization in the map,
     // no node allocation, no modulo), which is what closed the historical
     // hash_marginalize/batch gap against the packed path.
-    VecKeyMap<double> table(hash_impl_);
+    VecKeyMap<double> table;
     while (true) {
       auto has = child_->NextBatch(&batch);
       if (!has.ok()) return Annotate(has.status(), "HashMarginalize: input");
@@ -1126,7 +1041,7 @@ Status HashMarginalize::DrainBatches() {
   // bit-identical to an unconstrained run.
   std::vector<std::pair<std::vector<VarValue>, double>> entries;
   MPFDB_RETURN_IF_ERROR(
-      DrainAggSpill(parts, semiring_, nkeys, ctx_, hash_impl_, &entries));
+      DrainAggSpill(parts, semiring_, nkeys, ctx_, &entries));
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   out_vars_.resize(entries.size() * nkeys);
@@ -1208,7 +1123,7 @@ StatusOr<bool> HashMarginalize::TryDrainBatchesParallel() {
         if (!result.ok()) break;
         const double* measures = batch.measures();
         for (size_t r = 0; r < n; ++r) {
-          Buf& buf = bufs[i][AggPartOf(PackedKeyHash()(keys[r]))];
+          Buf& buf = bufs[i][AggPartOf(swiss::MixU64(keys[r]))];
           buf.keys.push_back(keys[r]);
           buf.measures.push_back(measures[r]);
         }
@@ -1223,7 +1138,7 @@ StatusOr<bool> HashMarginalize::TryDrainBatchesParallel() {
     std::array<std::vector<std::pair<uint64_t, double>>, kAggPartitions>
         part_entries;
     Status phase2 = pool->ParallelFor(kAggPartitions, [&](size_t p) -> Status {
-      PackedMap<double> agg(hash_impl_, 1024);
+      SwissTable<double> agg(1024);
       size_t charged_entries = 0;
       Status fold = Status::Ok();
       DispatchAdd(semiring_, [&](auto add) {
@@ -1322,7 +1237,7 @@ StatusOr<bool> HashMarginalize::TryDrainBatchesParallel() {
                kAggPartitions>
         part_entries;
     Status phase2 = pool->ParallelFor(kAggPartitions, [&](size_t p) -> Status {
-      VecKeyMap<double> table(hash_impl_);
+      VecKeyMap<double> table;
       std::vector<VarValue> key_vals(nkeys);
       for (size_t i = 0; i < num_morsels; ++i) {
         const Buf& buf = bufs[i][p];
@@ -1794,7 +1709,6 @@ class HashJoinProbeStream : public PhysicalOperator {
 
 struct HashProductJoin::Impl {
   JoinLayout layout;
-  HashImpl hash_impl = HashImpl::kSwiss;
   bool built = false;
   bool left_open = false;
   bool right_open = false;
@@ -1810,13 +1724,12 @@ struct HashProductJoin::Impl {
   size_t arena_rows = 0;
   std::vector<VarValue> arena_cols;     // column-major, stride arena_rows
   std::vector<double> arena_measures;   // aligned with arena_cols rows
-  PackedMap<std::pair<uint32_t, uint32_t>> packed_heads;
+  SwissTable<std::pair<uint32_t, uint32_t>> packed_heads{16};
   VecKeyMap<std::pair<uint32_t, uint32_t>> vec_heads;
   // Perfect-index head "map": when the packed-key universe is small enough
   // (catalog domains are fixed per epoch), (start, count) ranges live in a
   // dense array indexed by the packed key itself — collision-free probes
   // with no hashing at all.
-  bool mph_indexes = true;
   bool dense = false;
   std::vector<std::pair<uint32_t, uint32_t>> dense_heads;
   std::vector<std::pair<size_t, size_t>> out_left_cols;   // (out col, left col)
@@ -1843,24 +1756,17 @@ struct HashProductJoin::Impl {
 HashProductJoin::~HashProductJoin() = default;
 
 HashProductJoin::HashProductJoin(OperatorPtr left, OperatorPtr right,
-                                 Semiring semiring, const Catalog* catalog,
-                                 HashImpl hash_impl, bool mph_indexes)
+                                 Semiring semiring, const Catalog* catalog)
     : left_(std::move(left)),
       right_(std::move(right)),
       semiring_(semiring),
-      catalog_(catalog),
-      hash_impl_(hash_impl),
-      mph_indexes_(mph_indexes) {
+      catalog_(catalog) {
   schema_ = MakeJoinLayout(left_->output_schema(), right_->output_schema()).schema;
 }
 
 Status HashProductJoin::Open() {
   impl_ = std::make_unique<Impl>();
   impl_->layout = MakeJoinLayout(left_->output_schema(), right_->output_schema());
-  impl_->hash_impl = hash_impl_;
-  impl_->mph_indexes = mph_indexes_;
-  impl_->packed_heads = PackedMap<std::pair<uint32_t, uint32_t>>(hash_impl_, 16);
-  impl_->vec_heads = VecKeyMap<std::pair<uint32_t, uint32_t>>(hash_impl_);
   impl_->memory.Bind(ctx_);
   impl_->memory.set_stats(stats_);
   impl_->part_memory.Bind(ctx_);
@@ -1905,7 +1811,7 @@ Status HashProductJoin::BuildBatches() {
   // dense perfect index is committed before the drain and counts piggyback
   // on each batch's just-encoded (cache-hot) keys. Larger universes are
   // decided after the drain, when the staged row count is known.
-  if (st.codec && st.mph_indexes && st.codec->total_bits() <= 16) {
+  if (st.codec && st.codec->total_bits() <= 16) {
     const size_t universe = size_t{1} << st.codec->total_bits();
     if (st.memory
             .Charge(universe * sizeof(std::pair<uint32_t, uint32_t>),
@@ -1942,7 +1848,7 @@ Status HashProductJoin::BuildBatches() {
     std::vector<double>().swap(staging_measures);
     std::vector<uint64_t>().swap(staged_keys);
     std::vector<uint32_t>().swap(next_row);
-    st.packed_heads = PackedMap<std::pair<uint32_t, uint32_t>>(st.hash_impl, 16);
+    st.packed_heads = SwissTable<std::pair<uint32_t, uint32_t>>(16);
     st.vec_heads.clear();
     st.dense = false;
     std::vector<std::pair<uint32_t, uint32_t>>().swap(st.dense_heads);
@@ -2118,7 +2024,7 @@ Status HashProductJoin::BuildBatches() {
     // Universes above the pre-drain 2^16 threshold are worth a dense index
     // only when the staged row count amortizes them (counts then need a
     // second pass over the staged keys).
-    if (!st.dense && st.mph_indexes && bits > 16 && bits <= 24 &&
+    if (!st.dense && bits > 16 && bits <= 24 &&
         (size_t{1} << bits) <= total * 8) {
       const size_t universe = size_t{1} << bits;
       Status charge =

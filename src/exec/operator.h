@@ -297,15 +297,13 @@ class StreamProject : public PhysicalOperator {
 // variables pack into 64 bits, the drain hashes one uint64 per row instead
 // of a std::vector<VarValue>; otherwise it falls back to vector keys (or,
 // without a catalog, to a 32-bit-per-component packing when the key is
-// short enough). `hash_impl` selects the table family every path folds into
-// (ExecOptions::hash_impl): the SIMD Swiss tables by default, or the legacy
-// std::unordered_map / linear-probe structures — results are bit-identical
-// either way because every drain sorts its groups before emitting.
+// short enough). Every path folds into the Swiss tables of hash_table.h, and
+// every drain sorts its groups before emitting, so table iteration order
+// never reaches the output.
 class HashMarginalize : public PhysicalOperator {
  public:
   HashMarginalize(OperatorPtr child, std::vector<std::string> group_vars,
-                  Semiring semiring, const Catalog* catalog = nullptr,
-                  HashImpl hash_impl = HashImpl::kSwiss);
+                  Semiring semiring, const Catalog* catalog = nullptr);
 
   Status Open() override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
@@ -338,7 +336,6 @@ class HashMarginalize : public PhysicalOperator {
   std::vector<std::string> group_vars_;
   Semiring semiring_;
   const Catalog* catalog_;
-  HashImpl hash_impl_;
   Schema schema_;
   std::vector<size_t> key_indices_;
   bool drained_ = false;
@@ -412,20 +409,16 @@ class SortMarginalize : public PhysicalOperator {
 //
 // The build side is materialized into a flat arena with packed 64-bit keys
 // when `catalog` domain statistics allow (vector-key fallback otherwise).
-// Every head map runs on the table family `hash_impl` selects (Swiss by
-// default); the arena compaction order may differ between families, but each
-// key's match run stays contiguous and insertion-ordered, so emission is
-// bit-identical.
+// The key heads live in a Swiss table, except when the packed-key universe
+// is small (at most 2^16 keys, or up to 2^24 when the build side is large
+// enough to amortize it): then they live in a dense array indexed by the
+// packed key itself, collision-free because the catalog fixes the domains.
+// Each key's match run stays contiguous and insertion-ordered either way,
+// so emission is bit-identical.
 class HashProductJoin : public PhysicalOperator {
  public:
-  // `mph_indexes` lets the build replace its head hash map with a
-  // dense perfect-index array when the packed-key universe is small — the
-  // catalog fixes domains per epoch, so the array is collision-free by
-  // construction. Pure lookup accelerator; results are bit-identical.
   HashProductJoin(OperatorPtr left, OperatorPtr right, Semiring semiring,
-                  const Catalog* catalog = nullptr,
-                  HashImpl hash_impl = HashImpl::kSwiss,
-                  bool mph_indexes = true);
+                  const Catalog* catalog = nullptr);
   ~HashProductJoin() override;
 
   Status Open() override;
@@ -460,8 +453,6 @@ class HashProductJoin : public PhysicalOperator {
   OperatorPtr right_;
   Semiring semiring_;
   const Catalog* catalog_;
-  HashImpl hash_impl_;
-  bool mph_indexes_;
   Schema schema_;
   std::unique_ptr<Impl> impl_;
 };

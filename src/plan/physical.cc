@@ -150,17 +150,6 @@ PhysicalPlanner::PhysicalPlanner(const Catalog& catalog,
       semiring_(semiring),
       options_(options) {}
 
-double PhysicalPlanner::IndexLookupCost(const std::string& table,
-                                        const std::string& var,
-                                        double output_card) const {
-  const HashIndex* index = catalog_.GetIndex(table, var);
-  if (options_.mph_indexes && index != nullptr &&
-      index->perfect() != nullptr) {
-    return cost_model_.PerfectIndexScanCost(output_card);
-  }
-  return cost_model_.IndexScanCost(output_card);
-}
-
 StatusOr<std::unique_ptr<PhysicalPlanNode>> PhysicalPlanner::PlanTree(
     const PlanNode& root) const {
   MPFDB_ASSIGN_OR_RETURN(std::vector<Candidate> candidates,
@@ -191,8 +180,7 @@ StatusOr<std::vector<PhysicalPlanner::Candidate>> PhysicalPlanner::Enumerate(
 
     case PlanNodeKind::kIndexScan: {
       auto phys = MakeNode(PlanNodeKind::kIndexScan, &node);
-      phys->node_cost =
-          IndexLookupCost(node.table_name, node.select_var, node.est_card);
+      phys->node_cost = cost_model_.IndexScanCost(node.est_card);
       phys->total_cost = phys->node_cost;
       out.push_back(Candidate{std::move(phys)});
       break;
@@ -209,8 +197,7 @@ StatusOr<std::vector<PhysicalPlanner::Candidate>> PhysicalPlanner::Enumerate(
               nullptr) {
         auto fused = MakeNode(PlanNodeKind::kIndexScan, &node);
         fused->index_fused = true;
-        fused->node_cost = IndexLookupCost(node.left->table_name,
-                                           node.select_var, node.est_card);
+        fused->node_cost = cost_model_.IndexScanCost(node.est_card);
         fused->total_cost = fused->node_cost;
         out.push_back(Candidate{std::move(fused)});
       }

@@ -136,10 +136,6 @@ struct PhysicalPlannerOptions {
   size_t memory_limit = 0;
   // Allow Select(Scan) -> IndexScan fusion when the catalog has an index.
   bool allow_index_fusion = true;
-  // Cost MPH-backed catalog indexes with CostModel::PerfectIndexScanCost
-  // (cheaper than the generic index lookup). Off = every index is costed
-  // generically; the access paths themselves are unchanged.
-  bool mph_indexes = true;
 };
 
 // Bottom-up cost-based physical planner. Stateless apart from the borrowed
@@ -160,11 +156,6 @@ class PhysicalPlanner {
   StatusOr<std::vector<Candidate>> Enumerate(
       const PlanNode& node, const std::vector<std::string>* fold_vars) const;
   static void Prune(std::vector<Candidate>* candidates);
-  // Index-lookup cost for `var` on `table`: the perfect-hash rate when the
-  // registered index is MPH-backed (and the knob is on), else the generic
-  // index rate.
-  double IndexLookupCost(const std::string& table, const std::string& var,
-                         double output_card) const;
 
   const Catalog& catalog_;
   const CostModel& cost_model_;

@@ -31,7 +31,7 @@ struct CachedPlan {
 std::string CanonicalQueryKey(const MpfQuerySpec& spec);
 
 // Fingerprint of everything besides view + query + optimizer that changes
-// which physical plan gets built: the ExecOptions algorithm/hash knobs and
+// which physical plan gets built: the ExecOptions join/agg overrides and
 // the planner-visible memory budget (a finite budget restricts auto mode to
 // spill-capable hash operators, so plans are not interchangeable across
 // budgets).

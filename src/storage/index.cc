@@ -5,48 +5,23 @@
 namespace mpfdb {
 
 StatusOr<std::unique_ptr<HashIndex>> HashIndex::Build(const Table& table,
-                                                      const std::string& var,
-                                                      bool build_mph,
-                                                      uint64_t epoch) {
+                                                      const std::string& var) {
   auto idx = table.schema().IndexOf(var);
   if (!idx) {
     return Status::InvalidArgument("index variable '" + var +
                                    "' not in table " + table.name());
   }
   std::unique_ptr<HashIndex> index(new HashIndex(var, table.NumRows()));
-  index->epoch_ = epoch;
   index->buckets_.Reserve(table.NumRows());
   for (size_t i = 0; i < table.NumRows(); ++i) {
     index->buckets_.FindOrInsert(KeyOf(table.Row(i).var(*idx)), {})
         .first->push_back(i);
   }
-  if (!build_mph) return index;
-
-  // Freeze the distinct value set into a minimal perfect hash. The payload
-  // vectors move out of the Swiss table into slots aligned with the build
-  // key order (PerfectHashIndex::Lookup returns positions in that order).
-  std::vector<uint64_t> keys;
-  keys.reserve(index->buckets_.size());
-  index->buckets_.ForEach(
-      [&](uint64_t key, const std::vector<size_t>&) { keys.push_back(key); });
-  if (!exec::PerfectHashIndex::Build(keys, epoch, &index->perfect_)) {
-    return index;  // keep the Swiss table as the lookup path
-  }
-  index->dense_rows_.resize(keys.size());
-  for (size_t k = 0; k < keys.size(); ++k) {
-    index->dense_rows_[k] = std::move(*index->buckets_.Find(keys[k]));
-  }
-  index->buckets_ = exec::SwissTable<std::vector<size_t>>();
-  index->mph_built_ = true;
   return index;
 }
 
 const std::vector<size_t>& HashIndex::Lookup(VarValue value) const {
   static const std::vector<size_t>* empty = new std::vector<size_t>();
-  if (mph_built_) {
-    const size_t pos = perfect_.Lookup(KeyOf(value), epoch_);
-    return pos == exec::PerfectHashIndex::kNotFound ? *empty : dense_rows_[pos];
-  }
   const std::vector<size_t>* rows = buckets_.Find(KeyOf(value));
   return rows == nullptr ? *empty : *rows;
 }

@@ -16,33 +16,18 @@ namespace mpfdb {
 // Built eagerly from a snapshot of the table; like any database index it
 // must be rebuilt (or the table re-indexed) after bulk modifications —
 // Catalog-registered base tables are immutable during query evaluation.
-//
-// Storage is two-tier. The build always goes through a Swiss table; when
-// `build_mph` is set the distinct values are then frozen into a CHD
-// minimal-perfect-hash function over dense payload arrays (one hash, one
-// probe, no displacement scan — the value set never changes between catalog
-// mutations, which is exactly when the index is rebuilt). If the MPH
-// construction fails the Swiss table is kept as the lookup path.
+// Values live in a Swiss table whose payloads list row ids in table order.
 class HashIndex {
  public:
-  // Builds an index on `var` of `table`. `epoch` stamps the MPH so stale
-  // handles are rejected if callers cache one across rebuilds.
+  // Builds an index on `var` of `table`.
   static StatusOr<std::unique_ptr<HashIndex>> Build(const Table& table,
-                                                    const std::string& var,
-                                                    bool build_mph = true,
-                                                    uint64_t epoch = 0);
+                                                    const std::string& var);
 
   const std::string& var() const { return var_; }
   size_t indexed_rows() const { return indexed_rows_; }
 
   // Row indices with var == value (empty vector if none).
   const std::vector<size_t>& Lookup(VarValue value) const;
-
-  // The minimal-perfect-hash function backing lookups, or nullptr when the
-  // index fell back to (or was asked to keep) the generic Swiss table.
-  const exec::PerfectHashIndex* perfect() const {
-    return mph_built_ ? &perfect_ : nullptr;
-  }
 
  private:
   HashIndex(std::string var, size_t indexed_rows)
@@ -54,13 +39,7 @@ class HashIndex {
 
   std::string var_;
   size_t indexed_rows_;
-  uint64_t epoch_ = 0;
-  // Generic path: live when the MPH was not built.
   exec::SwissTable<std::vector<size_t>> buckets_;
-  // MPH path: perfect_ maps a value to its position in dense_rows_.
-  bool mph_built_ = false;
-  exec::PerfectHashIndex perfect_;
-  std::vector<std::vector<size_t>> dense_rows_;
 };
 
 }  // namespace mpfdb

@@ -271,11 +271,7 @@ StatusOr<VeCache> VeCache::Build(const MpfViewDef& view, const Catalog& catalog,
   // From here on all tables are immutable; updates mint new versions.
   for (TablePtr& t : cache.caches_) t->SealChunked();
   MPFDB_RETURN_IF_ERROR(cache.BuildDeltaPlan(clique_slots));
-  if (options.mph_indexes) {
-    cache.mph_enabled_ = true;
-    cache.mph_epoch_ = options.epoch;
-    cache.BuildBaseRowIndexes();
-  }
+  cache.BuildBaseRowLocator();
   return cache;
 }
 
@@ -413,24 +409,20 @@ Status VeCache::BuildDeltaPlan(
   return Status::Ok();
 }
 
-void VeCache::BuildBaseRowIndexes() {
-  base_row_mph_.assign(base_tables_.size(), exec::PerfectHashIndex());
-  base_row_mph_built_.assign(base_tables_.size(), 0);
-  std::vector<uint64_t> hashes;
-  for (size_t b = 0; b < base_tables_.size(); ++b) {
-    const Table& base = *base_tables_[b];
-    hashes.resize(base.NumRows());
-    for (size_t i = 0; i < base.NumRows(); ++i) {
-      RowView row = base.Row(i);
-      hashes[i] = RowVarsHash(row.vars, row.arity);
+void VeCache::BuildBaseRowLocator() {
+  auto locator = std::make_shared<std::vector<exec::SwissTable<uint32_t>>>();
+  locator->reserve(base_tables_.size());
+  for (const TablePtr& base : base_tables_) {
+    exec::SwissTable<uint32_t>& rows = locator->emplace_back(base->NumRows());
+    for (size_t i = 0; i < base->NumRows(); ++i) {
+      RowView row = base->Row(i);
+      // On a hash tie the first row keeps the slot; LocateBaseRow's scan
+      // finds the others.
+      rows.FindOrInsert(RowVarsHash(row.vars, row.arity),
+                        static_cast<uint32_t>(i));
     }
-    // Colliding row hashes make the key set non-distinct and the build
-    // reports failure; the update path then keeps its linear scan.
-    base_row_mph_built_[b] =
-        exec::PerfectHashIndex::Build(hashes, mph_epoch_, &base_row_mph_[b])
-            ? 1
-            : 0;
   }
+  base_row_locator_ = std::move(locator);
 }
 
 Status VeCache::RefreshComponentTotals() {
@@ -628,10 +620,7 @@ StatusOr<VeCache> VeCache::WithSelection(const std::string& var,
   updated.order_ = order_;
   updated.base_tables_ = base_tables_;
   updated.base_to_cache_ = base_to_cache_;
-  updated.mph_enabled_ = mph_enabled_;
-  updated.mph_epoch_ = mph_epoch_;
-  updated.base_row_mph_ = base_row_mph_;
-  updated.base_row_mph_built_ = base_row_mph_built_;
+  updated.base_row_locator_ = base_row_locator_;
   // Cached tables are immutable (Select and the distribute pass below mint
   // new tables), so the restricted cache shares them rather than cloning.
   // The restriction changes cache structure, so it retains no delta plan:
@@ -686,24 +675,26 @@ StatusOr<size_t> VeCache::BaseIndexOf(const std::string& table_name) const {
 
 StatusOr<size_t> VeCache::LocateBaseRow(
     size_t base_index, const std::vector<VarValue>& row_vars) const {
+  if (base_index >= base_tables_.size()) {
+    return Status::InvalidArgument(
+        "base index " + std::to_string(base_index) + " out of range (" +
+        std::to_string(base_tables_.size()) + " base tables)");
+  }
   const Table& base = *base_tables_[base_index];
   if (row_vars.size() != base.schema().arity()) {
     return Status::InvalidArgument(
         "row must provide all " + std::to_string(base.schema().arity()) +
         " variable values of " + base.name());
   }
-  // Fast path: one MPH probe plus a verifying row compare. A miss (stale
-  // epoch, failed build, or absent row) falls through to the linear scan,
-  // which remains the semantic ground truth.
-  if (mph_enabled_ && base_index < base_row_mph_built_.size() &&
-      base_row_mph_built_[base_index] != 0) {
-    const uint64_t h = RowVarsHash(row_vars.data(), row_vars.size());
-    const size_t pos = base_row_mph_[base_index].Lookup(h, mph_epoch_);
-    if (pos != exec::PerfectHashIndex::kNotFound) {
-      RowView row = base.Row(pos);
-      if (std::equal(row.vars, row.vars + row.arity, row_vars.begin())) {
-        return pos;
-      }
+  // Fast path: one locator probe plus a verifying row compare. A miss (an
+  // absent row, or one that lost a hash tie) falls through to the linear
+  // scan, which remains the semantic ground truth.
+  const uint32_t* pos = (*base_row_locator_)[base_index].Find(
+      RowVarsHash(row_vars.data(), row_vars.size()));
+  if (pos != nullptr) {
+    RowView row = base.Row(*pos);
+    if (std::equal(row.vars, row.vars + row.arity, row_vars.begin())) {
+      return *pos;
     }
   }
   for (size_t i = 0; i < base.NumRows(); ++i) {

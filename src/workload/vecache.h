@@ -36,14 +36,6 @@ struct VeCacheOptions {
   // Build returns); the budget bounds the build's peak, not the lifetime of
   // the returned cache.
   QueryContext* context = nullptr;
-  // Build a minimal-perfect-hash row index per base table so incremental
-  // maintenance locates the updated row with one probe instead of a table
-  // scan. Pure accelerator: results are identical with it off, and a failed
-  // MPH construction (e.g. colliding row hashes) silently keeps the scan.
-  bool mph_indexes = true;
-  // Epoch stamped into the MPH indexes; Database passes its snapshot epoch
-  // so a cache serving a stale epoch can never satisfy a lookup.
-  uint64_t epoch = 0;
 };
 
 // --- Exact-replay delta plan -------------------------------------------
@@ -190,8 +182,10 @@ class VeCache {
 
   const std::vector<TablePtr>& base_tables() const { return base_tables_; }
   StatusOr<size_t> BaseIndexOf(const std::string& table_name) const;
-  // Row of base table `base_index` whose variable values equal `row_vars`
-  // (one MPH probe when the index built, else a scan). NotFound if absent.
+  // Row of base table `base_index` whose variable values equal `row_vars`:
+  // one locator probe plus a verifying row compare, falling back to a scan
+  // (the ground truth) when the probe misses. NotFound if absent;
+  // InvalidArgument for an out-of-range `base_index` or a wrong arity.
   StatusOr<size_t> LocateBaseRow(size_t base_index,
                                  const std::vector<VarValue>& row_vars) const;
 
@@ -210,8 +204,8 @@ class VeCache {
   // Re-propagates updates outward from cache `start` along the tree, then
   // refreshes the component totals.
   Status DistributeFrom(size_t start);
-  // Builds the per-base-table MPH row locators (mph_enabled_ must be set).
-  void BuildBaseRowIndexes();
+  // Builds base_row_locator_ over base_tables_.
+  void BuildBaseRowLocator();
   // Combines the calibrated caches of the minimal subtrees covering
   // `needed_vars` into one relation holding the joint's marginal over (at
   // least) those variables, including cross-component totals.
@@ -231,14 +225,12 @@ class VeCache {
   // Base tables of the view, in view order, and the cache that absorbed each.
   std::vector<TablePtr> base_tables_;
   std::vector<size_t> base_to_cache_;
-  // Per-base-table minimal-perfect-hash row locators (keyed on the FNV hash
-  // of the full row's variable values), built once at Build when
-  // VeCacheOptions::mph_indexes is set. Measure updates never change row
-  // variables, so the indexes stay valid across ApplyBaseMeasureUpdate.
-  bool mph_enabled_ = false;
-  uint64_t mph_epoch_ = 0;
-  std::vector<exec::PerfectHashIndex> base_row_mph_;
-  std::vector<uint8_t> base_row_mph_built_;
+  // Per-base-table row locators: the hash of a row's variable values ->
+  // the first row with that hash. Built once at Build and shared by every
+  // version derived from it — measure updates never change row variables,
+  // and a selection restricts the caches, not the base tables.
+  std::shared_ptr<const std::vector<exec::SwissTable<uint32_t>>>
+      base_row_locator_;
   // Component id per cache and scalar total per component id.
   std::vector<size_t> cache_component_;
   std::map<size_t, double> component_totals_;

@@ -2,6 +2,7 @@
 // (HAVING) queries, hypothetical what-if queries (alternate measure/domain),
 // incremental VE-cache maintenance, and database persistence.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -274,44 +275,59 @@ TEST_F(ExtensionsTest, VeCacheIncrementalMaintenance) {
   }
 }
 
-TEST_F(ExtensionsTest, VeCacheMaintenanceMphMatchesScanExactly) {
-  // The MPH row locator is a pure accelerator: a cache maintained through it
-  // must stay bit-identical (tolerance 0.0) to one maintained through the
-  // linear scan, across several updates on several base tables.
-  workload::VeCacheOptions with_mph;
-  with_mph.mph_indexes = true;
-  with_mph.epoch = 42;
-  workload::VeCacheOptions without_mph;
-  without_mph.mph_indexes = false;
-  auto fast = workload::VeCache::Build(view_, db_.catalog(), with_mph);
-  ASSERT_TRUE(fast.ok()) << fast.status();
-  auto slow = workload::VeCache::Build(view_, db_.catalog(), without_mph);
-  ASSERT_TRUE(slow.ok()) << slow.status();
-
-  // Clone both so updates don't race through the shared catalog tables.
-  workload::VeCache fast_copy = fast->CloneDeep();
-  workload::VeCache slow_copy = slow->CloneDeep();
-  for (const char* table_name : {"warehouses", "transporters", "warehouses"}) {
-    TablePtr table = *db_.catalog().GetTable(table_name);
-    RowView row = table->Row(1);
-    std::vector<VarValue> key(row.vars, row.vars + row.arity);
-    const double new_measure = row.measure * 1.5 + 0.25;
-    ASSERT_TRUE(
-        fast_copy.ApplyBaseMeasureUpdate(table_name, key, new_measure).ok());
-    ASSERT_TRUE(
-        slow_copy.ApplyBaseMeasureUpdate(table_name, key, new_measure).ok());
-    ASSERT_EQ(fast_copy.caches().size(), slow_copy.caches().size());
-    for (size_t i = 0; i < fast_copy.caches().size(); ++i) {
-      EXPECT_TRUE(fr::TablesEqual(*fast_copy.caches()[i],
-                                  *slow_copy.caches()[i],
-                                  /*tolerance=*/0.0))
-          << table_name << " cache " << i;
+TEST_F(ExtensionsTest, VeCacheBaseRowLocatorMatchesScan) {
+  // The base-row locator is a pure accelerator over the linear scan: every
+  // row it finds is the row the scan finds, and caches maintained through
+  // it equal a from-scratch build over the updated tables bit for bit.
+  auto built = workload::VeCache::Build(view_, db_.catalog());
+  ASSERT_TRUE(built.ok()) << built.status();
+  workload::VeCache cache = built->CloneDeep();
+  const std::vector<TablePtr>& bases = cache.base_tables();
+  for (size_t b = 0; b < bases.size(); ++b) {
+    const Table& base = *bases[b];
+    for (size_t i = 0; i < base.NumRows(); ++i) {
+      RowView row = base.Row(i);
+      std::vector<VarValue> key(row.vars, row.vars + row.arity);
+      size_t first = 0;
+      while (!std::equal(key.begin(), key.end(), base.Row(first).vars)) {
+        ++first;
+      }
+      auto located = cache.LocateBaseRow(b, key);
+      ASSERT_TRUE(located.ok()) << base.name() << " row " << i;
+      ASSERT_EQ(*located, first) << base.name() << " row " << i;
     }
   }
-  // Absent rows must keep reporting NotFound through the fast path.
-  EXPECT_EQ(
-      fast_copy.ApplyBaseMeasureUpdate("warehouses", {9999, 9999}, 1.0).code(),
-      StatusCode::kNotFound);
+  auto warehouses = cache.BaseIndexOf("warehouses");
+  ASSERT_TRUE(warehouses.ok());
+  EXPECT_EQ(cache.LocateBaseRow(*warehouses, {9999, 9999}).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(cache.LocateBaseRow(*warehouses, {0}).status().code(),
+            StatusCode::kInvalidArgument);  // wrong arity
+  EXPECT_EQ(cache.LocateBaseRow(bases.size(), {0, 0}).status().code(),
+            StatusCode::kInvalidArgument);  // no such base table
+
+  for (const char* table_name : {"warehouses", "transporters", "warehouses"}) {
+    auto b = cache.BaseIndexOf(table_name);
+    ASSERT_TRUE(b.ok());
+    RowView row = cache.base_tables()[*b]->Row(1);
+    std::vector<VarValue> key(row.vars, row.vars + row.arity);
+    ASSERT_TRUE(cache
+                    .ApplyBaseMeasureUpdate(table_name, key,
+                                            row.measure * 1.5 + 0.25)
+                    .ok());
+  }
+  Catalog updated = db_.catalog();
+  for (const TablePtr& base : cache.base_tables()) {
+    ASSERT_TRUE(updated.ReplaceTable(base).ok()) << base->name();
+  }
+  auto rebuilt = workload::VeCache::Build(view_, updated);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  ASSERT_EQ(cache.caches().size(), rebuilt->caches().size());
+  for (size_t i = 0; i < cache.caches().size(); ++i) {
+    EXPECT_TRUE(fr::TablesEqual(*cache.caches()[i], *rebuilt->caches()[i],
+                                /*tolerance=*/0.0))
+        << "cache " << i;
+  }
 }
 
 TEST_F(ExtensionsTest, VeCacheMaintenanceErrors) {

@@ -1,5 +1,5 @@
-// Unit + randomized differential tests for the Swiss-table hash layer and
-// the CHD minimal-perfect-hash index (src/exec/hash_table.h). Every
+// Unit + randomized differential tests for the Swiss-table hash layer
+// (src/exec/hash_table.h), checked against std::unordered_map. Every
 // randomized case derives its seed through CaseSeed so MPFDB_TEST_SEED
 // sweeps reach the DIB/backward-shift machinery, and the whole suite runs
 // twice — SIMD and forced-scalar — to keep both probe loops honest.
@@ -284,81 +284,6 @@ TEST(HashTableDispatchTest, ScalarAndSimdScanAgree) {
     ASSERT_EQ(scalar.match, dispatched.match);
     ASSERT_EQ(scalar.empty, dispatched.empty);
   }
-}
-
-TEST(PerfectHashIndexTest, ExhaustiveProbeOverBuiltKeySet) {
-  const uint64_t seed = CaseSeed(6);
-  MPFDB_TRACE_SEED(seed);
-  std::mt19937_64 rng(seed);
-  for (size_t n : {0u, 1u, 2u, 7u, 100u, 5000u}) {
-    std::unordered_map<uint64_t, size_t> ref;
-    std::vector<uint64_t> keys;
-    while (keys.size() < n) {
-      uint64_t k = rng();
-      if (ref.try_emplace(k, keys.size()).second) keys.push_back(k);
-    }
-    PerfectHashIndex index;
-    ASSERT_TRUE(PerfectHashIndex::Build(keys, /*epoch=*/3, &index)) << n;
-    EXPECT_EQ(index.size(), n);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(index.Lookup(keys[i], 3), i);
-    }
-    // Absent keys miss (slot occupied by some other key fails the stored
-    // key comparison).
-    for (int probe = 0; probe < 1000; ++probe) {
-      uint64_t k = rng();
-      size_t got = index.Lookup(k, 3);
-      auto it = ref.find(k);
-      ASSERT_EQ(got, it == ref.end() ? PerfectHashIndex::kNotFound
-                                     : it->second);
-    }
-  }
-}
-
-TEST(PerfectHashIndexTest, MinimalAndCollisionFree) {
-  // Minimality: n keys occupy exactly slots [0, n) — every slot id returned
-  // once. (Lookup returns build positions; the slot permutation underneath
-  // is what's minimal, so probe every key and check the id set.)
-  std::vector<uint64_t> keys;
-  for (uint64_t i = 0; i < 1000; ++i) keys.push_back(i * 1000003 + 17);
-  PerfectHashIndex index;
-  ASSERT_TRUE(PerfectHashIndex::Build(keys, 1, &index));
-  std::vector<bool> seen(keys.size(), false);
-  for (uint64_t k : keys) {
-    size_t id = index.Lookup(k, 1);
-    ASSERT_LT(id, keys.size());
-    ASSERT_FALSE(seen[id]);
-    seen[id] = true;
-  }
-}
-
-TEST(PerfectHashIndexTest, StaleEpochRejected) {
-  std::vector<uint64_t> keys = {10, 20, 30};
-  PerfectHashIndex index;
-  ASSERT_TRUE(PerfectHashIndex::Build(keys, /*epoch=*/7, &index));
-  EXPECT_EQ(index.Lookup(20, 7), 1u);
-  EXPECT_EQ(index.Lookup(20, 8), PerfectHashIndex::kNotFound);
-  EXPECT_EQ(index.Lookup(20, 6), PerfectHashIndex::kNotFound);
-  EXPECT_EQ(index.epoch(), 7u);
-}
-
-TEST(PerfectHashIndexTest, DuplicateKeysFailBuild) {
-  std::vector<uint64_t> keys = {1, 2, 3, 2};
-  PerfectHashIndex index;
-  EXPECT_FALSE(PerfectHashIndex::Build(keys, 0, &index));
-}
-
-TEST(PerfectHashIndexTest, DenseSequentialKeys) {
-  // Packed keys from the codec are near-dense integers — the exact regime
-  // the mixer must spread before bucketing.
-  std::vector<uint64_t> keys(20000);
-  for (size_t i = 0; i < keys.size(); ++i) keys[i] = i;
-  PerfectHashIndex index;
-  ASSERT_TRUE(PerfectHashIndex::Build(keys, 2, &index));
-  for (size_t i = 0; i < keys.size(); i += 97) {
-    ASSERT_EQ(index.Lookup(keys[i], 2), i);
-  }
-  EXPECT_EQ(index.Lookup(keys.size() + 5, 2), PerfectHashIndex::kNotFound);
 }
 
 }  // namespace

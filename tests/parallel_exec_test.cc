@@ -4,8 +4,10 @@
 //
 //   num_threads in {1, 2, 4, 8}
 //     x mode in {forced hash with vector keys (a 2^62-domain catalog),
-//       forced hash with packed keys, kAuto physical planning
-//       (cost-chosen operators)}, each hash mode on both table families
+//       forced hash with packed keys, forced hash with 25-64-bit packed
+//       keys (a 2^25-domain catalog, so join heads live in the Swiss table
+//       rather than a dense array), kAuto physical planning
+//       (cost-chosen operators)}
 //     x spill {off, on (tiny budget forcing Grace spills)}
 //
 // must reproduce the forced-hash serial golden answer bit for bit
@@ -71,43 +73,29 @@ class ScopedSpillDir {
   std::string dir_;
 };
 
+// Which catalog a mode executes against (see random_view.h).
+enum class Domains { kDeclared, kMid, kWide };
+
 struct ExecMode {
   const char* label;
   exec::ExecOptions options;
-  // Execute against WideDomainCatalog(rv): no multi-variable key fits in 64
-  // bits, so the hash operators take their vector-key paths.
-  bool wide_domains = false;
+  Domains domains = Domains::kDeclared;
 };
 
 const ExecMode kExecModes[] = {
     {"vector_keys",
      {.join = exec::JoinAlgorithm::kHash, .agg = exec::AggAlgorithm::kHash},
-     /*wide_domains=*/true},
+     Domains::kWide},
     {"packed",
      {.join = exec::JoinAlgorithm::kHash, .agg = exec::AggAlgorithm::kHash}},
+    {"packed/mid",
+     {.join = exec::JoinAlgorithm::kHash, .agg = exec::AggAlgorithm::kHash},
+     Domains::kMid},
     // kAuto: the physical planner picks per-node algorithms (sort-merge
     // joins / sort marginalize where admissible and cheaper). Must still
     // match the forced-hash golden at tolerance 0.0.
     {"auto",
      {.join = exec::JoinAlgorithm::kAuto, .agg = exec::AggAlgorithm::kAuto}},
-    // hash_impl = kStd re-runs the two hash modes on the legacy chaining
-    // tables: the Swiss-table golden and the std runs must agree bit for bit
-    // across the whole (threads, spill) matrix.
-    {"vector_keys/std",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .hash_impl = exec::HashImpl::kStd},
-     /*wide_domains=*/true},
-    {"packed/std",
-     {.join = exec::JoinAlgorithm::kHash,
-      .agg = exec::AggAlgorithm::kHash,
-      .hash_impl = exec::HashImpl::kStd}},
-    // MPH costing off: the planner prices every index generically, which may
-    // legally change access-path choices — never result bits.
-    {"auto/nomph",
-     {.join = exec::JoinAlgorithm::kAuto,
-      .agg = exec::AggAlgorithm::kAuto,
-      .mph_indexes = false}},
 };
 
 class ParallelDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -127,6 +115,7 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
     RandomView rv = MakeRandomView(seed + 4000, 6, 5, /*force_acyclic=*/false);
     rv.view.semiring = semiring;
     const Catalog wide = WideDomainCatalog(rv);
+    const Catalog mid = MidDomainCatalog(rv);
 
     MpfQuerySpec query;
     query.group_vars = {Pick(rv.present_vars, rng)};
@@ -179,8 +168,10 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
               ctx.set_spill_enabled(true);
               ctx.set_spill_dir(spill_dir.path());
             }
-            exec::Executor executor(mode.wide_domains ? wide : rv.catalog,
-                                    rv.view.semiring, mode.options);
+            const Catalog& catalog = mode.domains == Domains::kWide  ? wide
+                                     : mode.domains == Domains::kMid ? mid
+                                                                     : rv.catalog;
+            exec::Executor executor(catalog, rv.view.semiring, mode.options);
             auto result = executor.Execute(**plan, "out", &ctx);
             std::string where = std::string(semiring.name()) + "/" + spec +
                                 "/threads=" + std::to_string(threads) + "/" +

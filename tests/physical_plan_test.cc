@@ -306,20 +306,10 @@ TEST(PhysicalPlanGolden, IndexFusionCollapsesSelectOverScan) {
   EXPECT_TRUE(fused->index_fused);
   EXPECT_EQ(fused->left, nullptr);
   // The fused leaf keeps a pointer at the Select it absorbed, and renders
-  // with the scanned table plus the lookup key. The dense index on x gets an
-  // MPH backing, so the lookup is costed at the perfect-hash rate (0.5 + 1
-  // output page) rather than the generic 1 + 1.
+  // with the scanned table plus the lookup key. The lookup costs one index
+  // page plus one output page.
   EXPECT_EQ(fused->logical, root.get());
   EXPECT_EQ(ExplainPhysicalPlan(*fused),
-            "IndexScan(t, x=3)  [fused est=75 cost=1.5]\n");
-
-  // With the MPH costing knob off the same index is costed generically.
-  PhysicalPlannerOptions no_mph;
-  no_mph.mph_indexes = false;
-  auto generic = PlanOrDie(*root, Semiring::SumProduct(), model, no_mph,
-                           &catalog);
-  ASSERT_EQ(generic->kind, PlanNodeKind::kIndexScan);
-  EXPECT_EQ(ExplainPhysicalPlan(*generic),
             "IndexScan(t, x=3)  [fused est=75 cost=2]\n");
 
   // No index on y: the pair stays Select over Scan.

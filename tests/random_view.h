@@ -97,19 +97,33 @@ inline RandomView MakeRandomView(uint64_t seed, int num_vars, int num_rels,
   return rv;
 }
 
-// A copy of rv's catalog whose variables all declare a 2^62 domain. The
-// tables, and so every query answer, are unchanged, but any hash key over
-// two or more variables no longer packs into 64 bits: executors bound to
-// this catalog run the hash operators' vector-key paths.
-inline Catalog WideDomainCatalog(const RandomView& rv) {
-  Catalog wide;
+// A copy of rv's catalog whose variables all declare `domain`. The tables,
+// and so every query answer, are unchanged; only the packed-key widths the
+// hash operators derive from the catalog move.
+inline Catalog UniformDomainCatalog(const RandomView& rv, int64_t domain) {
+  Catalog copy;
   for (const std::string& var : rv.vars) {
-    EXPECT_TRUE(wide.RegisterVariable(var, int64_t{1} << 62).ok());
+    EXPECT_TRUE(copy.RegisterVariable(var, domain).ok());
   }
   for (const TablePtr& table : rv.tables) {
-    EXPECT_TRUE(wide.RegisterTable(table).ok());
+    EXPECT_TRUE(copy.RegisterTable(table).ok());
   }
-  return wide;
+  return copy;
+}
+
+// Every domain 2^62: any hash key over two or more variables no longer
+// packs into 64 bits, so executors bound to this catalog run the hash
+// operators' vector-key paths.
+inline Catalog WideDomainCatalog(const RandomView& rv) {
+  return UniformDomainCatalog(rv, int64_t{1} << 62);
+}
+
+// Every domain 2^25: one- and two-variable keys pack into 25 or 50 bits,
+// past the 24-bit ceiling of HashProductJoin's dense heads, so its joins
+// keep their heads in the Swiss table (keys of three or more variables
+// take the vector-key path).
+inline Catalog MidDomainCatalog(const RandomView& rv) {
+  return UniformDomainCatalog(rv, int64_t{1} << 25);
 }
 
 // Uniform choice from a non-empty list.
