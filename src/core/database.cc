@@ -4,17 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "exec/gibbs.h"
 #include "fr/algebra.h"
-#include "opt/cs.h"
 #include "opt/dissociate.h"
-#include "opt/faq.h"
-#include "opt/ve.h"
 #include "storage/mvcc.h"
 #include "util/strings.h"
 
@@ -26,59 +22,25 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-}  // namespace
-
-StatusOr<std::unique_ptr<opt::Optimizer>> MakeOptimizer(const std::string& spec,
-                                                        uint64_t random_seed) {
-  std::string s = ToLower(std::string(StripWhitespace(spec)));
-  if (s == "cs") return std::unique_ptr<opt::Optimizer>(new opt::CsOptimizer());
-  if (s == "cs+" || s == "cs+linear") {
-    return std::unique_ptr<opt::Optimizer>(new opt::CsPlusOptimizer(false));
+// Resolves a view name in a pinned snapshot.
+StatusOr<const MpfViewDef*> FindView(const Database::Snapshot& snap,
+                                     const std::string& view_name) {
+  auto it = snap.views.find(view_name);
+  if (it == snap.views.end()) {
+    return Status::NotFound("view '" + view_name + "' does not exist");
   }
-  if (s == "cs+nonlinear") {
-    return std::unique_ptr<opt::Optimizer>(new opt::CsPlusOptimizer(true));
-  }
-  if (s == "faq") {
-    return std::unique_ptr<opt::Optimizer>(new opt::FaqOptimizer());
-  }
-  if (s.rfind("ve(", 0) == 0) {
-    size_t close = s.find(')');
-    if (close == std::string::npos) {
-      return Status::InvalidArgument("unterminated VE heuristic in: " + spec);
-    }
-    std::string heuristic_name = s.substr(3, close - 3);
-    std::string suffix = std::string(StripWhitespace(s.substr(close + 1)));
-    opt::VeOptions options;
-    options.seed = random_seed;
-    if (heuristic_name == "deg" || heuristic_name == "degree") {
-      options.heuristic = opt::VeHeuristic::kDegree;
-    } else if (heuristic_name == "width") {
-      options.heuristic = opt::VeHeuristic::kWidth;
-    } else if (heuristic_name == "elim_cost") {
-      options.heuristic = opt::VeHeuristic::kElimCost;
-    } else if (heuristic_name == "deg&width") {
-      options.heuristic = opt::VeHeuristic::kDegreeWidth;
-    } else if (heuristic_name == "deg&elim_cost") {
-      options.heuristic = opt::VeHeuristic::kDegreeElimCost;
-    } else if (heuristic_name == "random") {
-      options.heuristic = opt::VeHeuristic::kRandom;
-    } else if (heuristic_name == "min_fill") {
-      options.heuristic = opt::VeHeuristic::kMinFill;
-    } else {
-      return Status::InvalidArgument("unknown VE heuristic: " + heuristic_name);
-    }
-    if (suffix == "ext." || suffix == "ext") {
-      options.extended = true;
-    } else if (suffix == "ext+fd" || suffix == "ext. fd") {
-      options.extended = true;
-      options.fd_pruning = true;
-    } else if (!suffix.empty()) {
-      return Status::InvalidArgument("unknown VE suffix: '" + suffix + "'");
-    }
-    return std::unique_ptr<opt::Optimizer>(new opt::VeOptimizer(options));
-  }
-  return Status::InvalidArgument("unknown optimizer spec: " + spec);
+  return &it->second;
 }
+
+// EXPLAIN's header lines: optimizer, query, variable order.
+std::string ExplainHeader(const server::CachedPlan& plan,
+                          const MpfQuerySpec& query, const MpfViewDef& view) {
+  return "-- optimizer: " + plan.optimizer_name + "\n-- query: " +
+         query.ToString(view) + "\n-- variable order: (" +
+         FormatVarList(plan.variable_order) + ")\n";
+}
+
+}  // namespace
 
 Database::Database(DatabaseOptions options)
     : options_(options),
@@ -259,119 +221,131 @@ std::vector<std::string> Database::ViewNames() const {
   return names;
 }
 
+StatusOr<std::shared_ptr<const server::CachedPlan>> Database::Plan(
+    const Snapshot& snap, const MpfViewDef& view, const Catalog& catalog,
+    const MpfQuerySpec& query, const std::string& optimizer_spec,
+    QueryContext* ctx, bool* cache_hit) {
+  // Plans are shareable only against the snapshot's own catalog; scratch
+  // catalogs hold tables no other query sees. The key is everything that
+  // picks the physical plan, including the planner-visible memory budget (a
+  // finite one restricts auto mode to spill-capable operators). Entries are
+  // keyed on the structural epoch: measure commits don't invalidate plans.
+  const bool cacheable = &catalog == &snap.catalog;
+  std::string cache_key;
+  if (cacheable) {
+    cache_key = view.name + "|" + server::CanonicalQueryKey(query) + "|o:" +
+                optimizer_spec + "|" +
+                server::ExecFingerprint(exec_options_,
+                                        ctx ? ctx->memory_limit() : 0);
+    auto cached = plan_cache_.Lookup(cache_key, snap.structural_epoch);
+    if (cache_hit != nullptr) *cache_hit = cached != nullptr;
+    if (cached != nullptr) return cached;
+  }
+  MPFDB_ASSIGN_OR_RETURN(std::unique_ptr<opt::Optimizer> optimizer,
+                         MakeOptimizer(optimizer_spec));
+  auto entry = std::make_shared<server::CachedPlan>();
+  MPFDB_ASSIGN_OR_RETURN(
+      entry->logical, optimizer->Optimize(view, query, catalog, *cost_model_));
+  exec::Executor planner(catalog, view.semiring, exec_options_);
+  MPFDB_ASSIGN_OR_RETURN(entry->physical,
+                         planner.PlanPhysical(*entry->logical, ctx));
+  entry->optimizer_name = optimizer->name();
+  entry->variable_order = optimizer->last_variable_order();
+  if (cacheable) plan_cache_.Insert(cache_key, snap.structural_epoch, entry);
+  return std::shared_ptr<const server::CachedPlan>(std::move(entry));
+}
+
+StatusOr<TablePtr> Database::Execute(
+    const server::CachedPlan& plan, const Catalog& catalog,
+    const Semiring& semiring, const std::string& result_name,
+    QueryContext* ctx, std::map<const PlanNode*, OperatorStats>* stats) {
+  // A caller-provided pool wins; a caller that passed no context at all gets
+  // a local one just to carry the pool.
+  QueryContext local_ctx;
+  QueryContext* qctx = ctx != nullptr ? ctx : &local_ctx;
+  exec::ThreadPool* pool = thread_pool();
+  const bool borrow_pool = pool != nullptr && qctx->thread_pool() == nullptr;
+  if (borrow_pool) qctx->set_thread_pool(pool);
+  exec::Executor executor(catalog, semiring, exec_options_);
+  auto table =
+      executor.ExecutePhysical(*plan.physical, result_name, qctx, stats);
+  if (borrow_pool) qctx->set_thread_pool(nullptr);
+  return table;
+}
+
+StatusOr<QueryResult> Database::PlanAndExecute(
+    const Snapshot& snap, const MpfViewDef& view, const Catalog& catalog,
+    const MpfQuerySpec& query, const std::string& optimizer_spec,
+    const std::string& result_name, QueryContext* ctx) {
+  QueryResult result;
+  result.snapshot_epoch = snap.epoch;
+  auto plan_start = std::chrono::steady_clock::now();
+  MPFDB_ASSIGN_OR_RETURN(std::shared_ptr<const server::CachedPlan> plan,
+                         Plan(snap, view, catalog, query, optimizer_spec, ctx,
+                              &result.plan_cache_hit));
+  result.plan = plan->logical;
+  result.planning_seconds = SecondsSince(plan_start);
+  auto exec_start = std::chrono::steady_clock::now();
+  MPFDB_ASSIGN_OR_RETURN(result.table, Execute(*plan, catalog, view.semiring,
+                                               result_name, ctx));
+  result.execution_seconds = SecondsSince(exec_start);
+  return result;
+}
+
 StatusOr<QueryResult> Database::Query(const std::string& view_name,
                                       const MpfQuerySpec& query,
                                       const std::string& optimizer_spec,
                                       QueryContext* ctx) {
   SnapshotPtr snap = snapshot();
-  auto view_it = snap->views.find(view_name);
-  if (view_it == snap->views.end()) {
-    return Status::NotFound("view '" + view_name + "' does not exist");
-  }
-  const MpfViewDef& view = view_it->second;
-
-  QueryResult result;
-  result.snapshot_epoch = snap->epoch;
-
-  // Plan-cache key: everything that determines which physical plan is built.
-  // The planner-visible memory budget is part of it — under a finite budget
-  // auto mode restricts itself to spill-capable operators.
-  const std::string cache_key =
-      view_name + "|" + server::CanonicalQueryKey(query) + "|o:" +
-      optimizer_spec + "|" +
-      server::ExecFingerprint(exec_options_, ctx ? ctx->memory_limit() : 0);
-
-  auto plan_start = std::chrono::steady_clock::now();
-  std::shared_ptr<const server::CachedPlan> cached;
-  if (plan_cache_enabled_) {
-    // Keyed on the structural epoch: measure commits don't invalidate plans.
-    cached = plan_cache_.Lookup(cache_key, snap->structural_epoch);
-  }
-  if (cached != nullptr) {
-    result.plan_cache_hit = true;
-  } else {
-    MPFDB_ASSIGN_OR_RETURN(std::unique_ptr<opt::Optimizer> optimizer,
-                           MakeOptimizer(optimizer_spec));
-    MPFDB_ASSIGN_OR_RETURN(PlanPtr logical,
-                           optimizer->Optimize(view, query, snap->catalog,
-                                               *cost_model_));
-    exec::Executor planner(snap->catalog, view.semiring, exec_options_);
-    MPFDB_ASSIGN_OR_RETURN(std::unique_ptr<PhysicalPlanNode> physical,
-                           planner.PlanPhysical(*logical, ctx));
-    auto entry = std::make_shared<server::CachedPlan>();
-    entry->logical = std::move(logical);
-    entry->physical =
-        std::shared_ptr<const PhysicalPlanNode>(std::move(physical));
-    if (plan_cache_enabled_) {
-      plan_cache_.Insert(cache_key, snap->structural_epoch, entry);
-    }
-    cached = std::move(entry);
-  }
-  result.plan = cached->logical;
-  result.planning_seconds = SecondsSince(plan_start);
-
-  exec::Executor executor(snap->catalog, view.semiring, exec_options_);
-  auto exec_start = std::chrono::steady_clock::now();
-  // Wire the database-owned pool into the query's context so the operator
-  // tree can run morsel-parallel. A caller-provided pool wins; a caller that
-  // passed no context at all gets a local one just to carry the pool.
-  QueryContext local_ctx;
-  QueryContext* qctx = ctx;
-  exec::ThreadPool* pool = thread_pool();
-  bool unset_pool = false;
-  if (pool != nullptr) {
-    if (qctx == nullptr) qctx = &local_ctx;
-    if (qctx->thread_pool() == nullptr) {
-      qctx->set_thread_pool(pool);
-      unset_pool = qctx == ctx;
-    }
-  }
-  auto table =
-      executor.ExecutePhysical(*cached->physical, view_name + "_result", qctx);
-  if (unset_pool) ctx->set_thread_pool(nullptr);
-  MPFDB_RETURN_IF_ERROR(table.status());
-  result.table = std::move(*table);
-  result.execution_seconds = SecondsSince(exec_start);
-  return result;
+  MPFDB_ASSIGN_OR_RETURN(const MpfViewDef* view, FindView(*snap, view_name));
+  return PlanAndExecute(*snap, *view, snap->catalog, query, optimizer_spec,
+                        view_name + "_result", ctx);
 }
 
 namespace {
 
-// Applies one measure update to a cloned table.
-Status ApplyWhatIfMeasureUpdate(Table& table,
-                                const WhatIf::MeasureUpdate& update) {
-  std::vector<std::pair<size_t, VarValue>> match;
-  for (const auto& m : update.match) {
+// A what-if match list resolved to (column, value) pairs of `table`.
+using RowMatch = std::vector<std::pair<size_t, VarValue>>;
+
+StatusOr<RowMatch> ResolveMatch(const Table& table,
+                                const std::vector<QuerySelection>& match) {
+  RowMatch resolved;
+  for (const auto& m : match) {
     auto idx = table.schema().IndexOf(m.var);
     if (!idx) {
       return Status::InvalidArgument("what-if match variable '" + m.var +
                                      "' not in table " + table.name());
     }
-    match.emplace_back(*idx, m.value);
+    resolved.emplace_back(*idx, m.value);
   }
-  size_t touched = 0;
+  return resolved;
+}
+
+bool Matches(RowView row, const RowMatch& match) {
+  for (const auto& [idx, value] : match) {
+    if (row.var(idx) != value) return false;
+  }
+  return true;
+}
+
+// A new version of `table` with one what-if measure update applied.
+StatusOr<TablePtr> ApplyWhatIfMeasureUpdate(
+    const Table& table, const WhatIf::MeasureUpdate& update) {
+  MPFDB_ASSIGN_OR_RETURN(RowMatch match, ResolveMatch(table, update.match));
+  std::vector<std::pair<size_t, double>> updates;
   for (size_t i = 0; i < table.NumRows(); ++i) {
-    RowView row = table.Row(i);
-    bool all = true;
-    for (const auto& [idx, value] : match) {
-      if (row.var(idx) != value) {
-        all = false;
-        break;
-      }
-    }
-    if (all) {
-      table.set_measure(i, update.new_measure);
-      ++touched;
+    if (Matches(table.Row(i), match)) {
+      updates.emplace_back(i, update.new_measure);
     }
   }
-  if (touched == 0) {
+  if (updates.empty()) {
     return Status::NotFound("what-if measure update matched no rows of " +
                             table.name());
   }
-  return Status::Ok();
+  return TablePtr(table.WithMeasureUpdates(updates, table.name()));
 }
 
-// Applies one domain update to a cloned table, rebuilding it so the
+// A rebuilt copy of `table` with one what-if domain update applied, so the
 // functional dependency can be verified.
 StatusOr<TablePtr> ApplyDomainUpdate(const Table& table,
                                      const WhatIf::DomainUpdate& update) {
@@ -380,15 +354,7 @@ StatusOr<TablePtr> ApplyDomainUpdate(const Table& table,
     return Status::InvalidArgument("what-if variable '" + update.var +
                                    "' not in table " + table.name());
   }
-  std::vector<std::pair<size_t, VarValue>> match;
-  for (const auto& m : update.match) {
-    auto idx = table.schema().IndexOf(m.var);
-    if (!idx) {
-      return Status::InvalidArgument("what-if match variable '" + m.var +
-                                     "' not in table " + table.name());
-    }
-    match.emplace_back(*idx, m.value);
-  }
+  MPFDB_ASSIGN_OR_RETURN(RowMatch match, ResolveMatch(table, update.match));
   auto rebuilt = std::make_shared<Table>(table.name(), table.schema());
   rebuilt->Reserve(table.NumRows());
   std::vector<VarValue> vars(table.schema().arity());
@@ -396,14 +362,7 @@ StatusOr<TablePtr> ApplyDomainUpdate(const Table& table,
   for (size_t i = 0; i < table.NumRows(); ++i) {
     RowView row = table.Row(i);
     vars.assign(row.vars, row.vars + row.arity);
-    bool all = true;
-    for (const auto& [idx, value] : match) {
-      if (row.var(idx) != value) {
-        all = false;
-        break;
-      }
-    }
-    if (all) {
+    if (Matches(row, match)) {
       vars[*var_idx] = update.new_value;
       ++touched;
     }
@@ -424,68 +383,26 @@ StatusOr<QueryResult> Database::QueryWhatIf(const std::string& view_name,
                                             const WhatIf& what_if,
                                             const std::string& optimizer_spec) {
   SnapshotPtr snap = snapshot();
-  auto view_it = snap->views.find(view_name);
-  if (view_it == snap->views.end()) {
-    return Status::NotFound("view '" + view_name + "' does not exist");
-  }
-  const MpfViewDef& view = view_it->second;
+  MPFDB_ASSIGN_OR_RETURN(const MpfViewDef* view, FindView(*snap, view_name));
 
-  // Scratch catalog: shares unmodified tables, swaps in modified clones.
+  // Scratch catalog: shares unmodified tables, swaps in modified versions.
   Catalog scratch = snap->catalog;
-  auto clone_into_scratch = [&](const std::string& name) -> StatusOr<TablePtr> {
-    MPFDB_ASSIGN_OR_RETURN(TablePtr original, scratch.GetTable(name));
-    TablePtr clone(original->Clone(name));
-    MPFDB_RETURN_IF_ERROR(scratch.DropTable(name));
-    MPFDB_RETURN_IF_ERROR(scratch.RegisterTable(clone));
-    return clone;
-  };
   for (const auto& update : what_if.measure_updates) {
-    MPFDB_ASSIGN_OR_RETURN(TablePtr clone, clone_into_scratch(update.table));
-    MPFDB_RETURN_IF_ERROR(ApplyWhatIfMeasureUpdate(*clone, update));
+    MPFDB_ASSIGN_OR_RETURN(TablePtr table, scratch.GetTable(update.table));
+    MPFDB_ASSIGN_OR_RETURN(TablePtr updated,
+                           ApplyWhatIfMeasureUpdate(*table, update));
+    MPFDB_RETURN_IF_ERROR(scratch.ReplaceTable(std::move(updated)));
   }
   for (const auto& update : what_if.domain_updates) {
-    MPFDB_ASSIGN_OR_RETURN(TablePtr original, clone_into_scratch(update.table));
-    MPFDB_ASSIGN_OR_RETURN(TablePtr rebuilt,
-                           ApplyDomainUpdate(*original, update));
-    MPFDB_RETURN_IF_ERROR(scratch.DropTable(update.table));
-    MPFDB_RETURN_IF_ERROR(scratch.RegisterTable(rebuilt));
+    MPFDB_ASSIGN_OR_RETURN(TablePtr table, scratch.GetTable(update.table));
+    MPFDB_ASSIGN_OR_RETURN(TablePtr rebuilt, ApplyDomainUpdate(*table, update));
+    MPFDB_RETURN_IF_ERROR(scratch.ReplaceTable(std::move(rebuilt)));
   }
-
-  MPFDB_ASSIGN_OR_RETURN(std::unique_ptr<opt::Optimizer> optimizer,
-                         MakeOptimizer(optimizer_spec));
-  QueryResult result;
-  result.snapshot_epoch = snap->epoch;
-  auto plan_start = std::chrono::steady_clock::now();
-  MPFDB_ASSIGN_OR_RETURN(
-      result.plan, optimizer->Optimize(view, query, scratch, *cost_model_));
-  result.planning_seconds = SecondsSince(plan_start);
-
-  exec::Executor executor(scratch, view.semiring, exec_options_);
-  auto exec_start = std::chrono::steady_clock::now();
-  MPFDB_ASSIGN_OR_RETURN(result.table,
-                         executor.Execute(*result.plan, view_name + "_whatif"));
-  result.execution_seconds = SecondsSince(exec_start);
-  return result;
+  return PlanAndExecute(*snap, *view, scratch, query, optimizer_spec,
+                        view_name + "_whatif", nullptr);
 }
 
 namespace {
-
-// Optimize + execute one exact MPF query against an arbitrary catalog (the
-// bound queries run against scratch catalogs the plan cache must not see).
-StatusOr<TablePtr> RunPlainQuery(const MpfViewDef& view,
-                                 const MpfQuerySpec& query,
-                                 const Catalog& catalog, const CostModel& cm,
-                                 const exec::ExecOptions& exec_options,
-                                 const std::string& optimizer_spec,
-                                 const std::string& result_name,
-                                 QueryContext* ctx) {
-  MPFDB_ASSIGN_OR_RETURN(std::unique_ptr<opt::Optimizer> optimizer,
-                         MakeOptimizer(optimizer_spec));
-  MPFDB_ASSIGN_OR_RETURN(PlanPtr plan,
-                         optimizer->Optimize(view, query, catalog, cm));
-  exec::Executor executor(catalog, view.semiring, exec_options);
-  return executor.Execute(*plan, result_name, ctx);
-}
 
 // A result table folded down to (group values in `group_vars` order) ->
 // measure. Executor results are already grouped, so the Add fold is a
@@ -585,11 +502,9 @@ StatusOr<ApproxResult> Database::QueryApprox(const std::string& view_name,
                                              QueryContext* ctx) {
   auto start = std::chrono::steady_clock::now();
   SnapshotPtr snap = snapshot();
-  auto view_it = snap->views.find(view_name);
-  if (view_it == snap->views.end()) {
-    return Status::NotFound("view '" + view_name + "' does not exist");
-  }
-  const MpfViewDef& view = view_it->second;
+  MPFDB_ASSIGN_OR_RETURN(const MpfViewDef* view_def,
+                         FindView(*snap, view_name));
+  const MpfViewDef& view = *view_def;
   const Semiring& sr = view.semiring;
 
   ApproxResult result;
@@ -598,10 +513,12 @@ StatusOr<ApproxResult> Database::QueryApprox(const std::string& view_name,
                          opt::ChooseSplitVars(view, query, snap->catalog));
 
   if (result.split_vars.empty()) {
-    // Acyclic (after GYO reduction): the exact query is its own bound pair.
-    // Route through Query so the plan cache and worker pool still apply.
-    MPFDB_ASSIGN_OR_RETURN(QueryResult exact,
-                           Query(view_name, query, optimizer_spec, ctx));
+    // Acyclic (after GYO reduction): the exact query, answered at the
+    // snapshot split_vars was computed on, is its own bound pair.
+    MPFDB_ASSIGN_OR_RETURN(
+        QueryResult exact,
+        PlanAndExecute(*snap, view, snap->catalog, query, optimizer_spec,
+                       view_name + "_result", ctx));
     result.lower = exact.table;
     result.upper = exact.table;
     result.estimate = std::move(exact.table);
@@ -623,21 +540,20 @@ StatusOr<ApproxResult> Database::QueryApprox(const std::string& view_name,
       MpfQuerySpec conditioned,
       opt::ConditionQuery(view, query, snap->catalog, result.split_vars));
   MPFDB_ASSIGN_OR_RETURN(
-      TablePtr dissoc_table,
-      RunPlainQuery(dissoc.view, dissoc.query, dissoc.catalog, *cost_model_,
-                    exec_options_, optimizer_spec, view_name + "_dissoc",
-                    ctx));
+      QueryResult dissoc_bound,
+      PlanAndExecute(*snap, dissoc.view, dissoc.catalog, dissoc.query,
+                     optimizer_spec, view_name + "_dissoc", ctx));
   MPFDB_ASSIGN_OR_RETURN(
-      TablePtr cond_table,
-      RunPlainQuery(view, conditioned, snap->catalog, *cost_model_,
-                    exec_options_, optimizer_spec, view_name + "_cond", ctx));
+      QueryResult cond_bound,
+      PlanAndExecute(*snap, view, snap->catalog, conditioned, optimizer_spec,
+                     view_name + "_cond", ctx));
 
   const bool dissoc_is_upper =
       opt::DissociatedBoundSide(sr) == opt::BoundSide::kUpper;
   MPFDB_ASSIGN_OR_RETURN(auto dissoc_map,
-                         GroupMap(*dissoc_table, query.group_vars, sr));
+                         GroupMap(*dissoc_bound.table, query.group_vars, sr));
   MPFDB_ASSIGN_OR_RETURN(auto cond_map,
-                         GroupMap(*cond_table, query.group_vars, sr));
+                         GroupMap(*cond_bound.table, query.group_vars, sr));
   auto& lower_map = dissoc_is_upper ? cond_map : dissoc_map;
   auto& upper_map = dissoc_is_upper ? dissoc_map : cond_map;
   AlignGroups(sr, &lower_map, &upper_map);
@@ -731,16 +647,12 @@ StatusOr<std::string> Database::ExplainAnalyzeApprox(
     const std::string& view_name, const MpfQuerySpec& query,
     const ApproxOptions& approx, const std::string& optimizer_spec) {
   SnapshotPtr snap = snapshot();
-  auto view_it = snap->views.find(view_name);
-  if (view_it == snap->views.end()) {
-    return Status::NotFound("view '" + view_name + "' does not exist");
-  }
-  const MpfViewDef& view = view_it->second;
+  MPFDB_ASSIGN_OR_RETURN(const MpfViewDef* view, FindView(*snap, view_name));
   MPFDB_ASSIGN_OR_RETURN(ApproxResult result,
                          QueryApprox(view_name, query, approx,
                                      optimizer_spec));
   std::ostringstream os;
-  os << "-- approx query: " << query.ToString(view) << "\n";
+  os << "-- approx query: " << query.ToString(*view) << "\n";
   os << "-- split vars: (" << FormatVarList(result.split_vars) << ")\n";
   os << "-- approximate: " << (result.approximate ? "yes" : "no")
      << ", converged: " << (result.converged ? "yes" : "no")
@@ -1094,49 +1006,30 @@ StatusOr<std::string> Database::Explain(const std::string& view_name,
                                         const MpfQuerySpec& query,
                                         const std::string& optimizer_spec) {
   SnapshotPtr snap = snapshot();
-  auto view_it = snap->views.find(view_name);
-  if (view_it == snap->views.end()) {
-    return Status::NotFound("view '" + view_name + "' does not exist");
-  }
-  const MpfViewDef& view = view_it->second;
-  MPFDB_ASSIGN_OR_RETURN(std::unique_ptr<opt::Optimizer> optimizer,
-                         MakeOptimizer(optimizer_spec));
-  MPFDB_ASSIGN_OR_RETURN(PlanPtr plan,
-                         optimizer->Optimize(view, query, snap->catalog,
-                                             *cost_model_));
+  MPFDB_ASSIGN_OR_RETURN(const MpfViewDef* view, FindView(*snap, view_name));
+  MPFDB_ASSIGN_OR_RETURN(std::shared_ptr<const server::CachedPlan> plan,
+                         Plan(*snap, *view, snap->catalog, query,
+                              optimizer_spec, nullptr));
   // The logical plan (the optimizer's output) followed by the physical plan
   // (per-node algorithm selection, interesting orders, physical costs).
-  exec::Executor executor(snap->catalog, view.semiring, exec_options_);
-  MPFDB_ASSIGN_OR_RETURN(std::unique_ptr<PhysicalPlanNode> physical,
-                         executor.PlanPhysical(*plan));
-  return "-- optimizer: " + optimizer->name() + "\n-- query: " +
-         query.ToString(view) + "\n-- variable order: (" +
-         FormatVarList(optimizer->last_variable_order()) + ")\n" +
-         ExplainPlan(*plan) + "-- physical plan:\n" +
-         ExplainPhysicalPlan(*physical);
+  return ExplainHeader(*plan, query, *view) + ExplainPlan(*plan->logical) +
+         "-- physical plan:\n" + ExplainPhysicalPlan(*plan->physical);
 }
 
 StatusOr<std::string> Database::ExplainAnalyze(
     const std::string& view_name, const MpfQuerySpec& query,
     const std::string& optimizer_spec) {
   SnapshotPtr snap = snapshot();
-  auto view_it = snap->views.find(view_name);
-  if (view_it == snap->views.end()) {
-    return Status::NotFound("view '" + view_name + "' does not exist");
-  }
-  const MpfViewDef& view = view_it->second;
-  MPFDB_ASSIGN_OR_RETURN(std::unique_ptr<opt::Optimizer> optimizer,
-                         MakeOptimizer(optimizer_spec));
-  MPFDB_ASSIGN_OR_RETURN(
-      PlanPtr plan,
-      optimizer->Optimize(view, query, snap->catalog, *cost_model_));
-  exec::Executor executor(snap->catalog, view.semiring, exec_options_);
-  MPFDB_ASSIGN_OR_RETURN(exec::Executor::AnalyzedResult analyzed,
-                         executor.ExecuteAnalyze(*plan, view_name + "_result"));
-  return "-- optimizer: " + optimizer->name() + "\n-- query: " +
-         query.ToString(view) + "\n-- variable order: (" +
-         FormatVarList(optimizer->last_variable_order()) + ")\n" +
-         exec::ExplainAnalyzePlan(*analyzed.physical, analyzed.stats);
+  MPFDB_ASSIGN_OR_RETURN(const MpfViewDef* view, FindView(*snap, view_name));
+  MPFDB_ASSIGN_OR_RETURN(std::shared_ptr<const server::CachedPlan> plan,
+                         Plan(*snap, *view, snap->catalog, query,
+                              optimizer_spec, nullptr));
+  std::map<const PlanNode*, OperatorStats> stats;
+  MPFDB_RETURN_IF_ERROR(Execute(*plan, snap->catalog, view->semiring,
+                                view_name + "_result", nullptr, &stats)
+                            .status());
+  return ExplainHeader(*plan, query, *view) +
+         exec::ExplainAnalyzePlan(*plan->physical, stats);
 }
 
 Status Database::BuildCache(const std::string& view_name, QueryContext* ctx) {

@@ -24,17 +24,6 @@
 
 namespace mpfdb {
 
-// Builds an optimizer from a textual spec, the same names the paper's plots
-// use:
-//   "cs" | "cs+" | "cs+nonlinear" |
-//   "ve(deg)" | "ve(width)" | "ve(elim_cost)" | "ve(deg&width)" |
-//   "ve(deg&elim_cost)" | "ve(random)"       — each with optional " ext."
-//   suffix (e.g. "ve(deg) ext.") for the Section 5.4 extended space —
-//   plus "faq", the FAQ variable-order planner (worst-case-optimal
-//   multiway joins on cyclic cores, binary planning otherwise).
-StatusOr<std::unique_ptr<opt::Optimizer>> MakeOptimizer(
-    const std::string& spec, uint64_t random_seed = 0);
-
 // Result of running one MPF query end to end.
 struct QueryResult {
   TablePtr table;
@@ -181,11 +170,14 @@ struct MvccStats {
 //
 // Concurrency model (MVCC over chunked table versions):
 //
-//  * Readers — Query, QueryWhatIf, Explain, ExplainAnalyze, QueryCached —
-//    pin an immutable Snapshot (epoch + catalog + view definitions, all
-//    sharing the underlying table storage) and run entirely against it, so
-//    an in-flight query never observes a torn catalog no matter how updates
-//    interleave. Any number may run concurrently. A pinned snapshot keeps
+//  * Readers — Query, QueryWhatIf, QueryApprox, Explain, ExplainAnalyze,
+//    QueryCached — pin an immutable Snapshot (epoch + catalog + view
+//    definitions, all sharing the underlying table storage) and run entirely
+//    against it, so an in-flight query never observes a torn catalog no
+//    matter how updates interleave. Every reader but QueryCached resolves its
+//    view in the snapshot, then plans and executes through one private
+//    pipeline (Plan, Execute): one plan cache, one worker pool. Any number
+//    may run concurrently. A pinned snapshot keeps
 //    every table version it references alive; versions a commit supersedes
 //    are retired into per-table version chains and garbage-collected as the
 //    snapshots pinning them are released.
@@ -209,9 +201,8 @@ struct MvccStats {
 //  * The non-const catalog() accessor hands out direct mutable access for
 //    single-threaded setup; every call conservatively bumps both epochs. Do
 //    not mutate through a retained reference while queries are being served.
-//  * Configuration setters (set_cost_model, set_exec_options,
-//    set_plan_cache_enabled) are setup-time only, not thread-safe against
-//    running queries.
+//  * Configuration setters (set_cost_model, set_exec_options) are
+//    setup-time only, not thread-safe against running queries.
 class Database {
  public:
   explicit Database(DatabaseOptions options = {});
@@ -285,6 +276,7 @@ class Database {
   // accepts the MakeOptimizer names; the default is the strongest
   // single-query optimizer. A non-null `ctx` runs the execution governed:
   // memory budget (with spill-based degradation), cancellation, deadline.
+  // Execution runs on the database's worker pool unless `ctx` carries one.
   // Runs against the current snapshot; physical plans are memoized in the
   // shared plan cache keyed on (view, canonical query, optimizer, exec
   // fingerprint) at the snapshot's *structural* epoch — measure commits do
@@ -321,22 +313,24 @@ class Database {
   // Runs an MPF query against a hypothetically modified view: the what-if
   // updates are applied to copies of the affected base relations, the query
   // is optimized and executed against those copies, and the stored tables
-  // remain untouched.
+  // remain untouched. Plans against the copies bypass the plan cache.
   StatusOr<QueryResult> QueryWhatIf(const std::string& view_name,
                                     const MpfQuerySpec& query,
                                     const WhatIf& what_if,
                                     const std::string& optimizer_spec =
                                         "cs+nonlinear");
 
-  // Optimizes only and renders the plan (EXPLAIN).
+  // Plans only and renders the logical and physical plans (EXPLAIN). Shares
+  // Query's plan cache, so it shows the plan Query runs.
   StatusOr<std::string> Explain(const std::string& view_name,
                                 const MpfQuerySpec& query,
                                 const std::string& optimizer_spec =
                                     "cs+nonlinear");
 
-  // Optimizes, executes with per-node instrumentation, and renders the plan
-  // with estimated vs actual row counts (EXPLAIN ANALYZE). Bypasses the plan
-  // cache (the stats spine needs a private physical tree).
+  // Plans and executes exactly as Query does (plan cache, worker pool) with
+  // per-operator instrumentation, and renders the physical plan with
+  // estimated vs actual row counts (EXPLAIN ANALYZE). Instrumented operators
+  // run on the calling thread; the stats are private to this execution.
   StatusOr<std::string> ExplainAnalyze(const std::string& view_name,
                                        const MpfQuerySpec& query,
                                        const std::string& optimizer_spec =
@@ -374,19 +368,9 @@ class Database {
   void set_exec_options(exec::ExecOptions options);
 
   // The shared physical-plan cache (hit/miss/invalidation counters live on
-  // it). Enabled by default; disable for ablations that must re-plan every
-  // query.
+  // it). Ablations that must re-plan every query Clear() it before each one.
   server::PlanCache& plan_cache() { return plan_cache_; }
   const server::PlanCache& plan_cache() const { return plan_cache_; }
-  void set_plan_cache_enabled(bool enabled) { plan_cache_enabled_ = enabled; }
-
-  // The database-owned worker pool for intra-query parallelism, created
-  // lazily from ExecOptions::num_threads (0 = hardware_concurrency).
-  // Returns null when the resolved thread count is 1 — queries then run on
-  // the calling thread exactly as the serial engine does. The pool is shared
-  // by every concurrently admitted query (ThreadPool supports concurrent
-  // ParallelFor posts).
-  exec::ThreadPool* thread_pool();
 
  private:
   struct CacheEntry {
@@ -435,6 +419,45 @@ class Database {
   // status and marks it done. Runs on the leader thread, outside commit_mu_.
   void CommitBatch(std::vector<std::shared_ptr<PendingCommit>>& batch);
 
+  // The one query pipeline. Every reader resolves its view in a pinned
+  // snapshot, then calls Plan and Execute.
+  //
+  // Plan optimizes `query` over `view` with the MakeOptimizer spec and picks
+  // the physical plan against `catalog`; `ctx` (may be null) supplies the
+  // planner's memory budget. The shared plan cache is consulted and filled
+  // exactly when `catalog` is the snapshot's own: a scratch catalog (what-if
+  // clones, dissociated bounds) always plans fresh. A non-null `cache_hit`
+  // reports whether the plan came from the cache.
+  StatusOr<std::shared_ptr<const server::CachedPlan>> Plan(
+      const Snapshot& snap, const MpfViewDef& view, const Catalog& catalog,
+      const MpfQuerySpec& query, const std::string& optimizer_spec,
+      QueryContext* ctx, bool* cache_hit = nullptr);
+  // Executes `plan` against `catalog`. The only place the worker pool is
+  // connected to a QueryContext: a context without a pool borrows it for
+  // the call, and a null `ctx` gets a local one. A non-null `stats` attaches
+  // the per-operator stats spine (Executor::ExecutePhysical).
+  StatusOr<TablePtr> Execute(
+      const server::CachedPlan& plan, const Catalog& catalog,
+      const Semiring& semiring, const std::string& result_name,
+      QueryContext* ctx,
+      std::map<const PlanNode*, OperatorStats>* stats = nullptr);
+  // Plan then Execute, timed into a QueryResult at the snapshot's epoch.
+  StatusOr<QueryResult> PlanAndExecute(const Snapshot& snap,
+                                       const MpfViewDef& view,
+                                       const Catalog& catalog,
+                                       const MpfQuerySpec& query,
+                                       const std::string& optimizer_spec,
+                                       const std::string& result_name,
+                                       QueryContext* ctx);
+
+  // The database-owned worker pool for intra-query parallelism, created
+  // lazily from ExecOptions::num_threads (0 = hardware_concurrency).
+  // Returns null when the resolved thread count is 1 — queries then run on
+  // the calling thread exactly as the serial engine does. The pool is shared
+  // by every concurrently admitted query (ThreadPool supports concurrent
+  // ParallelFor posts).
+  exec::ThreadPool* thread_pool();
+
   DatabaseOptions options_;
 
   Catalog catalog_;                          // guarded by state_mu_
@@ -462,7 +485,6 @@ class Database {
   std::atomic<uint64_t> full_rebuilds_{0};
 
   server::PlanCache plan_cache_;
-  bool plan_cache_enabled_ = true;
 
   std::unique_ptr<CostModel> cost_model_;
   exec::ExecOptions exec_options_;

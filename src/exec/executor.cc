@@ -201,17 +201,6 @@ StatusOr<OperatorPtr> Executor::BuildNode(
   return op;
 }
 
-StatusOr<OperatorPtr> Executor::BuildPhysical(
-    const PhysicalPlanNode& plan) const {
-  return BuildNode(plan, nullptr);
-}
-
-StatusOr<OperatorPtr> Executor::BuildPhysical(const PlanNode& plan) const {
-  MPFDB_ASSIGN_OR_RETURN(std::unique_ptr<PhysicalPlanNode> phys,
-                         PlanPhysical(plan));
-  return BuildNode(*phys, nullptr);
-}
-
 StatusOr<TablePtr> Executor::Execute(const PlanNode& plan,
                                      const std::string& result_name,
                                      QueryContext* ctx) const {
@@ -220,11 +209,16 @@ StatusOr<TablePtr> Executor::Execute(const PlanNode& plan,
   return ExecutePhysical(*phys, result_name, ctx);
 }
 
-StatusOr<TablePtr> Executor::ExecutePhysical(const PhysicalPlanNode& plan,
-                                             const std::string& result_name,
-                                             QueryContext* ctx) const {
-  MPFDB_ASSIGN_OR_RETURN(OperatorPtr root, BuildNode(plan, nullptr));
-  if (ctx != nullptr) root->BindContext(ctx);
+StatusOr<TablePtr> Executor::ExecutePhysical(
+    const PhysicalPlanNode& plan, const std::string& result_name,
+    QueryContext* ctx, std::map<const PlanNode*, OperatorStats>* stats) const {
+  MPFDB_ASSIGN_OR_RETURN(OperatorPtr root, BuildNode(plan, stats));
+  // Without a caller context, bind a local ungoverned one so the operators'
+  // MemoryGuard charges flow (stats record peak_bytes). It imposes no budget,
+  // deadline or pool, so execution semantics are unchanged.
+  QueryContext local_ctx;
+  if (ctx == nullptr) ctx = &local_ctx;
+  root->BindContext(ctx);
   MPFDB_ASSIGN_OR_RETURN(TablePtr result, Run(*root, result_name, ctx));
   std::vector<size_t> all(result->schema().arity());
   std::iota(all.begin(), all.end(), 0);
@@ -237,18 +231,9 @@ StatusOr<Executor::AnalyzedResult> Executor::ExecuteAnalyze(
     QueryContext* ctx) const {
   AnalyzedResult analyzed;
   MPFDB_ASSIGN_OR_RETURN(analyzed.physical, PlanPhysical(plan, ctx));
-  MPFDB_ASSIGN_OR_RETURN(OperatorPtr root,
-                         BuildNode(*analyzed.physical, &analyzed.stats));
-  // Bind a local ungoverned context when the caller supplied none, so the
-  // operators' MemoryGuard charges flow and peak_bytes gets populated
-  // (guards on a null context are no-ops). An empty QueryContext imposes no
-  // budget or deadline, so execution semantics are unchanged.
-  QueryContext local_ctx;
-  root->BindContext(ctx != nullptr ? ctx : &local_ctx);
-  MPFDB_ASSIGN_OR_RETURN(analyzed.table, Run(*root, result_name, ctx));
-  std::vector<size_t> all(analyzed.table->schema().arity());
-  std::iota(all.begin(), all.end(), 0);
-  analyzed.table->SortByVariables(all);
+  MPFDB_ASSIGN_OR_RETURN(analyzed.table,
+                         ExecutePhysical(*analyzed.physical, result_name, ctx,
+                                         &analyzed.stats));
   return analyzed;
 }
 

@@ -61,16 +61,12 @@ class Executor {
   StatusOr<std::unique_ptr<PhysicalPlanNode>> PlanPhysical(
       const PlanNode& plan, QueryContext* ctx = nullptr) const;
 
-  // Builds the operator tree for a physical plan (scans resolve against the
-  // bound catalog).
-  StatusOr<OperatorPtr> BuildPhysical(const PhysicalPlanNode& plan) const;
-  // Convenience: plan physically (no memory budget), then build.
-  StatusOr<OperatorPtr> BuildPhysical(const PlanNode& plan) const;
-
   // Builds, runs to completion, and returns the materialized result sorted
   // canonically on its variable columns. When `ctx` is non-null the whole
   // operator tree runs governed: memory charges against its budget,
-  // cooperative cancellation/deadline polls, and spill-based degradation.
+  // cooperative cancellation/deadline polls, and spill-based degradation. A
+  // null `ctx` runs under a local context with no budget, deadline or pool:
+  // pure accounting, so results are the same either way.
   StatusOr<TablePtr> Execute(const PlanNode& plan,
                              const std::string& result_name,
                              QueryContext* ctx = nullptr) const;
@@ -80,15 +76,18 @@ class Executor {
   // the operator tree is rebuilt per execution so scans resolve against this
   // executor's catalog and no runtime state is shared between concurrent
   // executions of the same cached plan). Same result contract as Execute.
-  StatusOr<TablePtr> ExecutePhysical(const PhysicalPlanNode& plan,
-                                     const std::string& result_name,
-                                     QueryContext* ctx = nullptr) const;
-
-  // Execute with the per-operator runtime stats spine attached: output
+  // A non-null `stats` attaches the per-operator runtime stats spine: output
   // rows/batches, wall nanos (inclusive of the subtree), peak bytes charged
   // and spill partitions, keyed by the *logical* node each physical operator
   // implements (a fused IndexScan is keyed by the Select node it absorbed).
-  // The returned physical plan is the one that ran.
+  // Instrumented operators run on the calling thread.
+  StatusOr<TablePtr> ExecutePhysical(
+      const PhysicalPlanNode& plan, const std::string& result_name,
+      QueryContext* ctx = nullptr,
+      std::map<const PlanNode*, OperatorStats>* stats = nullptr) const;
+
+  // Execute with the stats spine attached (ExecutePhysical's `stats`). The
+  // returned physical plan is the one that ran.
   struct AnalyzedResult {
     TablePtr table;
     std::unique_ptr<PhysicalPlanNode> physical;

@@ -2,6 +2,11 @@
 
 #include <cmath>
 
+#include "opt/cs.h"
+#include "opt/faq.h"
+#include "opt/ve.h"
+#include "util/strings.h"
+
 namespace mpfdb::opt {
 
 StatusOr<QueryContext> QueryContext::Make(const MpfViewDef& view,
@@ -213,3 +218,59 @@ StatusOr<bool> LinearPlanAdmissible(const MpfViewDef& view,
 }
 
 }  // namespace mpfdb::opt
+
+namespace mpfdb {
+
+StatusOr<std::unique_ptr<opt::Optimizer>> MakeOptimizer(const std::string& spec,
+                                                        uint64_t random_seed) {
+  std::string s = ToLower(std::string(StripWhitespace(spec)));
+  if (s == "cs") return std::unique_ptr<opt::Optimizer>(new opt::CsOptimizer());
+  if (s == "cs+" || s == "cs+linear") {
+    return std::unique_ptr<opt::Optimizer>(new opt::CsPlusOptimizer(false));
+  }
+  if (s == "cs+nonlinear") {
+    return std::unique_ptr<opt::Optimizer>(new opt::CsPlusOptimizer(true));
+  }
+  if (s == "faq") {
+    return std::unique_ptr<opt::Optimizer>(new opt::FaqOptimizer());
+  }
+  if (s.rfind("ve(", 0) == 0) {
+    size_t close = s.find(')');
+    if (close == std::string::npos) {
+      return Status::InvalidArgument("unterminated VE heuristic in: " + spec);
+    }
+    std::string heuristic_name = s.substr(3, close - 3);
+    std::string suffix = std::string(StripWhitespace(s.substr(close + 1)));
+    opt::VeOptions options;
+    options.seed = random_seed;
+    if (heuristic_name == "deg" || heuristic_name == "degree") {
+      options.heuristic = opt::VeHeuristic::kDegree;
+    } else if (heuristic_name == "width") {
+      options.heuristic = opt::VeHeuristic::kWidth;
+    } else if (heuristic_name == "elim_cost") {
+      options.heuristic = opt::VeHeuristic::kElimCost;
+    } else if (heuristic_name == "deg&width") {
+      options.heuristic = opt::VeHeuristic::kDegreeWidth;
+    } else if (heuristic_name == "deg&elim_cost") {
+      options.heuristic = opt::VeHeuristic::kDegreeElimCost;
+    } else if (heuristic_name == "random") {
+      options.heuristic = opt::VeHeuristic::kRandom;
+    } else if (heuristic_name == "min_fill") {
+      options.heuristic = opt::VeHeuristic::kMinFill;
+    } else {
+      return Status::InvalidArgument("unknown VE heuristic: " + heuristic_name);
+    }
+    if (suffix == "ext." || suffix == "ext") {
+      options.extended = true;
+    } else if (suffix == "ext+fd" || suffix == "ext. fd") {
+      options.extended = true;
+      options.fd_pruning = true;
+    } else if (!suffix.empty()) {
+      return Status::InvalidArgument("unknown VE suffix: '" + suffix + "'");
+    }
+    return std::unique_ptr<opt::Optimizer>(new opt::VeOptimizer(options));
+  }
+  return Status::InvalidArgument("unknown optimizer spec: " + spec);
+}
+
+}  // namespace mpfdb

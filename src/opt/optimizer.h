@@ -1,6 +1,7 @@
 #ifndef MPFDB_OPT_OPTIMIZER_H_
 #define MPFDB_OPT_OPTIMIZER_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -147,5 +148,20 @@ StatusOr<bool> LinearPlanAdmissible(const MpfViewDef& view,
                                     const Catalog& catalog);
 
 }  // namespace mpfdb::opt
+
+namespace mpfdb {
+
+// Builds an optimizer from a textual spec, the same names the paper's plots
+// use:
+//   "cs" | "cs+" | "cs+nonlinear" |
+//   "ve(deg)" | "ve(width)" | "ve(elim_cost)" | "ve(deg&width)" |
+//   "ve(deg&elim_cost)" | "ve(random)"       — each with optional " ext."
+//   suffix (e.g. "ve(deg) ext.") for the Section 5.4 extended space —
+//   plus "faq", the FAQ variable-order planner (worst-case-optimal
+//   multiway joins on cyclic cores, binary planning otherwise).
+StatusOr<std::unique_ptr<opt::Optimizer>> MakeOptimizer(
+    const std::string& spec, uint64_t random_seed = 0);
+
+}  // namespace mpfdb
 
 #endif  // MPFDB_OPT_OPTIMIZER_H_

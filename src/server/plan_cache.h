@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "exec/executor.h"
 #include "exec/hash_table.h"
@@ -15,12 +16,15 @@
 namespace mpfdb::server {
 
 // One memoized plan: the logical tree (kept alive because the physical
-// nodes point into it) plus the chosen physical tree. Immutable once
+// nodes point into it) plus the chosen physical tree, and the optimizer's
+// name and variable order so EXPLAIN renders from a hit. Immutable once
 // published — concurrent hits share the trees read-only and each execution
 // builds its own operator state.
 struct CachedPlan {
   PlanPtr logical;
   std::shared_ptr<const PhysicalPlanNode> physical;
+  std::string optimizer_name;
+  std::vector<std::string> variable_order;
 };
 
 // Canonical cache-key fragment for a query spec: group variables in query

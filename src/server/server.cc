@@ -40,17 +40,17 @@ uint64_t Session::queries_run() const {
   return queries_run_;
 }
 
-StatusOr<QueryResult> Session::Query(const std::string& view_name,
-                                     const MpfQuerySpec& query,
-                                     const std::string& optimizer_spec,
-                                     QueryContext* ctx) {
+template <typename Call>
+auto Session::Admitted(const std::string& view_name, const MpfQuerySpec& query,
+                       QueryContext* ctx, Call&& call)
+    -> decltype(call(ctx)) {
   QueryContext local_ctx;
   QueryContext* qctx = ctx != nullptr ? ctx : &local_ctx;
   MPFDB_RETURN_IF_ERROR(server_->Admit(*this, qctx));
   size_t old_limit = qctx->memory_limit();
   qctx->TightenMemoryLimit(server_->SlotMemoryLimit());
   auto start = SteadyClock::now();
-  auto result = server_->db_.Query(view_name, query, optimizer_spec, qctx);
+  auto result = call(qctx);
   double seconds = SecondsSince(start);
   if (qctx == ctx) ctx->set_memory_limit(old_limit);
   server_->Release(*this, result.ok(), seconds);
@@ -61,6 +61,15 @@ StatusOr<QueryResult> Session::Query(const std::string& view_name,
     ++queries_run_;
   }
   return result;
+}
+
+StatusOr<QueryResult> Session::Query(const std::string& view_name,
+                                     const MpfQuerySpec& query,
+                                     const std::string& optimizer_spec,
+                                     QueryContext* ctx) {
+  return Admitted(view_name, query, ctx, [&](QueryContext* qctx) {
+    return server_->db_.Query(view_name, query, optimizer_spec, qctx);
+  });
 }
 
 StatusOr<ApproxResult> Session::QueryApprox(const std::string& view_name,
@@ -68,24 +77,10 @@ StatusOr<ApproxResult> Session::QueryApprox(const std::string& view_name,
                                             const ApproxOptions& approx,
                                             const std::string& optimizer_spec,
                                             QueryContext* ctx) {
-  QueryContext local_ctx;
-  QueryContext* qctx = ctx != nullptr ? ctx : &local_ctx;
-  MPFDB_RETURN_IF_ERROR(server_->Admit(*this, qctx));
-  size_t old_limit = qctx->memory_limit();
-  qctx->TightenMemoryLimit(server_->SlotMemoryLimit());
-  auto start = SteadyClock::now();
-  auto result =
-      server_->db_.QueryApprox(view_name, query, approx, optimizer_spec, qctx);
-  double seconds = SecondsSince(start);
-  if (qctx == ctx) ctx->set_memory_limit(old_limit);
-  server_->Release(*this, result.ok(), seconds);
-  server_->MaybeRecordSlowQuery(*this, view_name, query, seconds,
-                                qctx->stats());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++queries_run_;
-  }
-  return result;
+  return Admitted(view_name, query, ctx, [&](QueryContext* qctx) {
+    return server_->db_.QueryApprox(view_name, query, approx, optimizer_spec,
+                                    qctx);
+  });
 }
 
 StatusOr<TablePtr> Session::QueryCached(const std::string& view_name,
@@ -93,20 +88,9 @@ StatusOr<TablePtr> Session::QueryCached(const std::string& view_name,
                                         QueryContext* ctx) {
   // VE-cache answering itself is not context-governed yet, but the wait for
   // admission honors the context's deadline and cancel token like any query.
-  QueryContext local_ctx;
-  QueryContext* qctx = ctx != nullptr ? ctx : &local_ctx;
-  MPFDB_RETURN_IF_ERROR(server_->Admit(*this, qctx));
-  auto start = SteadyClock::now();
-  auto result = server_->db_.QueryCached(view_name, query);
-  double seconds = SecondsSince(start);
-  server_->Release(*this, result.ok(), seconds);
-  server_->MaybeRecordSlowQuery(*this, view_name, query, seconds,
-                                qctx->stats());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++queries_run_;
-  }
-  return result;
+  return Admitted(view_name, query, ctx, [&](QueryContext*) {
+    return server_->db_.QueryCached(view_name, query);
+  });
 }
 
 Status Session::Update(const std::string& table,

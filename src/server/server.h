@@ -144,6 +144,14 @@ class Session {
   Session(MpfServer* server, uint64_t id, std::string name)
       : server_(server), id_(id), name_(std::move(name)) {}
 
+  // Runs `call(qctx)` — one database read — under admission: admit against
+  // `ctx` (a local context when null), tighten its memory limit to the slot
+  // partition for the call and restore it, then release the slot, offer the
+  // call to the slow-query log, and count it.
+  template <typename Call>
+  auto Admitted(const std::string& view_name, const MpfQuerySpec& query,
+                QueryContext* ctx, Call&& call) -> decltype(call(ctx));
+
   MpfServer* server_;
   uint64_t id_;
   std::string name_;
