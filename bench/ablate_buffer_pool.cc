@@ -1,10 +1,10 @@
 // Ablation — paged storage and the buffer pool.
 //
-// The paper's operands are disk-resident; PageCostModel charges operators in
-// pages. This bench validates those assumptions on the real paged layer:
-// sequential scans touch every data page once regardless of pool size, while
-// random row access hit rates track pool size / table pages — the locality
-// behavior a cost model for disk-resident functional relations presumes.
+// The paper's operands are disk-resident. This bench measures the real paged
+// layer: sequential scans touch every data page once regardless of pool
+// size, while random row access hit rates track pool size / table pages —
+// the locality behavior a cost model for disk-resident functional relations
+// presumes.
 //
 //   ./build/bench/ablate_buffer_pool [rows]   (default 200000)
 

@@ -1,9 +1,9 @@
-// Ablation — physical operator selection and key/table representation.
+// Ablation — physical operators and key/table representation.
 //
-// The paper's closing point in Section 5: unlike the GDL's memory-resident
-// setting, a relational engine has several algorithms for the product join
-// and the marginalization, and plan choice must be cost-based. Three layers
-// of measurement here:
+// Each logical node kind has one physical algorithm (hash product join,
+// hash marginalize, LeapFrog TrieJoin for multiway joins), so what is left
+// to measure is how fast those run and what the planner's estimates miss.
+// Three layers of measurement here:
 //
 //  1. A hand-rolled representation ablation: the hash-join +
 //     hash-marginalize pipeline (and each operator alone) driven through the
@@ -11,14 +11,10 @@
 //     keys (whose small-universe join heads use a dense array). Both run on
 //     the Swiss tables; the raw hash_table/* section compares those against
 //     std::unordered_map with no operator around them.
-//  2. A physical-planner demo: a three-relation chain where the cost-based
-//     planner mixes join algorithms within one query (hash inner join,
-//     sort-merge top join) and the sort-merge output order lets the final
-//     marginalize skip its sort — timed against the forced-hash plan, with
-//     the per-operator stats spine and max cardinality q-error recorded.
-//  3. google-benchmark microbenches comparing hash vs sort-merge vs
-//     nested-loop joins and hash vs sort marginalization (pass any
-//     --benchmark* flag to run these instead).
+//  2. A physical-planner demo: a three-relation chain run under EXPLAIN
+//     ANALYZE's stats spine, recording the max cardinality q-error.
+//  3. google-benchmark microbenches of the hash join and the hash
+//     marginalize (pass any --benchmark* flag to run these instead).
 //
 //   ./build/bench/ablate_exec_operators [--json BENCH_exec.json] [--threads N]
 //   ./build/bench/ablate_exec_operators --benchmark_filter=...
@@ -447,11 +443,9 @@ int RunModeAblation(const std::string& json_path,
   }
 
   // Physical planner: a three-relation chain a(x,y) |x| b(y,z) |x| c(z,w)
-  // marginalized onto z, with honest catalog estimates. The planner mixes
-  // algorithms in this single query — the inner join stays hash, the top
-  // join goes sort-merge because its (z) order lets GroupBy{z} stream — and
-  // the chosen plan is timed against the forced-hash plan it must match bit
-  // for bit.
+  // marginalized onto z, with honest catalog estimates. Every join runs hash
+  // and the GroupBy hash-marginalizes; EXPLAIN ANALYZE's stats spine reports
+  // the per-operator actuals and the worst cardinality q-error.
   {
     Rng rng(3);
     Catalog catalog;
@@ -479,7 +473,7 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterTable(b));
     Check(catalog.RegisterTable(c));
 
-    PageCostModel cost_model(100.0);
+    SimpleCostModel cost_model;
     PlanBuilder builder(catalog, cost_model);
     auto plan = [&]() -> PlanPtr {
       auto sa = builder.Scan("a");
@@ -497,63 +491,10 @@ int RunModeAblation(const std::string& json_path,
       return *root;
     }();
 
-    const Semiring semiring = Semiring::SumProduct();
-    exec::Executor chosen_exec(catalog, semiring, exec::ExecOptions{});
-    exec::Executor hash_exec(
-        catalog, semiring,
-        exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
-                          .agg = exec::AggAlgorithm::kHash});
-
-    auto physical = chosen_exec.PlanPhysical(*plan);
-    Check(physical.status());
-    std::printf("physical_planner chosen plan:\n%s",
-                ExplainPhysicalPlan(**physical).c_str());
-    const PhysicalPlanNode& root = **physical;
-    const bool mixed = root.agg == AggAlgorithm::kSort &&
-                       root.skip_sort_input &&
-                       root.left->join == JoinAlgorithm::kSortMerge &&
-                       root.left->left->join == JoinAlgorithm::kHash;
-    if (!mixed) {
-      std::fprintf(stderr,
-                   "physical_planner: expected a mixed-algorithm plan\n");
-      std::abort();
-    }
-
-    auto time_exec = [&](const exec::Executor& executor) {
-      double best = 0;
-      TablePtr out;
-      for (int rep = 0; rep < 3; ++rep) {
-        auto start = bench::Clock::now();
-        auto result = executor.Execute(*plan, "out");
-        double secs = bench::MsSince(start) / 1e3;
-        Check(result.status());
-        if (rep == 0 || secs < best) best = secs;
-        out = *result;
-      }
-      return std::make_pair(best, out);
-    };
-    auto [chosen_secs, chosen_out] = time_exec(chosen_exec);
-    auto [hash_secs, hash_out] = time_exec(hash_exec);
-    if (!fr::TablesEqual(*chosen_out, *hash_out, /*tolerance=*/0.0)) {
-      std::fprintf(stderr,
-                   "physical_planner: chosen plan differs from forced-hash\n");
-      std::abort();
-    }
-    std::printf(
-        "  chosen (mixed)  %8.1f ms   forced-hash %8.1f ms   %5.2fx\n",
-        chosen_secs * 1e3, hash_secs * 1e3, hash_secs / chosen_secs);
-    json.Add("physical_planner/mixed_plan",
-             {{"chosen_seconds", chosen_secs},
-              {"forced_hash_seconds", hash_secs},
-              {"speedup_vs_forced_hash", hash_secs / chosen_secs},
-              {"output_rows", double(chosen_out->NumRows())},
-              {"top_join_sort_merge", 1.0},
-              {"inner_join_hash", 1.0},
-              {"agg_sort_presorted", 1.0}});
-
+    exec::Executor executor(catalog, Semiring::SumProduct());
     // Per-operator stats spine + max cardinality q-error over the same
     // query, from EXPLAIN ANALYZE's machinery.
-    auto analyzed = chosen_exec.ExecuteAnalyze(*plan, "out");
+    auto analyzed = executor.ExecuteAnalyze(*plan, "out");
     Check(analyzed.status());
     double max_q = 0;
     size_t spill_parts = 0, peak_bytes = 0;
@@ -574,49 +515,6 @@ int RunModeAblation(const std::string& json_path,
               {"max_q_error", max_q},
               {"spill_partitions", double(spill_parts)},
               {"max_peak_bytes", double(peak_bytes)}});
-  }
-
-  // Interesting-order reuse in isolation: sort-marginalize over input that
-  // already arrives sorted by the group key, with and without the planner's
-  // skip-sort flag. The gap is the measured win of an avoided re-sort.
-  {
-    const int64_t rows = 1 << 20;
-    Rng rng(17);
-    const int64_t group_domain = std::max<int64_t>(4, rows / 64);
-    auto t = std::make_shared<Table>("t", Schema({"g", "u"}, "f"));
-    const int64_t per_group = rows / group_domain;
-    for (int64_t g = 0; g < group_domain; ++g) {
-      for (int64_t i = 0; i < per_group; ++i) {
-        t->AppendRow({static_cast<VarValue>(g), static_cast<VarValue>(i)},
-                     rng.UniformDouble(0.0, 1.0));
-      }
-    }
-    const Semiring semiring = Semiring::SumProduct();
-    auto measure_agg = [&](bool presorted) {
-      double best = 0;
-      for (int rep = 0; rep < 5; ++rep) {
-        SortMarginalize agg(std::make_unique<SeqScan>(t),
-                            std::vector<std::string>{"g"}, semiring,
-                            presorted);
-        auto start = bench::Clock::now();
-        Drain(agg);
-        double secs = bench::MsSince(start) / 1e3;
-        if (rep == 0 || secs < best) best = secs;
-      }
-      return best;
-    };
-    double resort = measure_agg(false);
-    double skip = measure_agg(true);
-    std::printf(
-        "order_reuse sort_marginalize (input %lld rows): re-sort %8.1f ms, "
-        "presorted skip %8.1f ms   %5.2fx\n",
-        static_cast<long long>(rows), resort * 1e3, skip * 1e3,
-        resort / skip);
-    json.Add("physical_planner/order_reuse",
-             {{"input_rows", double(rows)},
-              {"resort_seconds", resort},
-              {"presorted_seconds", skip},
-              {"speedup_from_skip", resort / skip}});
   }
 
   // Concurrent serving: the shared plan cache's win on a repeated workload,
@@ -775,13 +673,10 @@ int RunModeAblation(const std::string& json_path,
       std::abort();
     }
 
-    // Best pairwise-hash competitor: every binary optimizer's plan, forced
-    // onto the hash operators, fastest wall time wins.
-    exec::Executor hash_exec(
-        catalog, schema->view.semiring,
-        exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
-                          .agg = exec::AggAlgorithm::kHash});
-    auto time_plan = [&](const exec::Executor& executor, const PlanNode& plan) {
+    // Best pairwise-hash competitor: every binary optimizer's plan, fastest
+    // wall time wins.
+    exec::Executor executor(catalog, schema->view.semiring);
+    auto time_plan = [&](const PlanNode& plan) {
       double best = 0;
       TablePtr out;
       for (int rep = 0; rep < 3; ++rep) {
@@ -804,7 +699,7 @@ int RunModeAblation(const std::string& json_path,
       auto plan =
           (*optimizer)->Optimize(schema->view, query, catalog, cost_model);
       Check(plan.status());
-      auto [secs, out] = time_plan(hash_exec, **plan);
+      auto [secs, out] = time_plan(**plan);
       if (pairwise_out == nullptr || secs < pairwise_secs) {
         pairwise_secs = secs;
         pairwise_out = out;
@@ -812,9 +707,7 @@ int RunModeAblation(const std::string& json_path,
       }
     }
 
-    exec::Executor faq_exec(catalog, schema->view.semiring,
-                            exec::ExecOptions{});
-    auto [faq_secs, faq_out] = time_plan(faq_exec, **faq_plan);
+    auto [faq_secs, faq_out] = time_plan(**faq_plan);
     // Different plan shapes fold FP in different orders; equality up to a
     // tiny tolerance is the cross-shape contract (tol-0.0 is per-shape).
     if (!fr::TablesEqual(*faq_out, *pairwise_out, /*tolerance=*/1e-6)) {
@@ -955,13 +848,12 @@ int RunModeAblation(const std::string& json_path,
 
 // --- google-benchmark microbenches -------------------------------------------
 
-template <typename JoinOp>
-void JoinBench(benchmark::State& state) {
+void BM_HashProductJoin(benchmark::State& state) {
   auto [a, b] = MakeJoinInputs(state.range(0));
   Semiring semiring = Semiring::SumProduct();
   for (auto _ : state) {
-    JoinOp join(std::make_unique<SeqScan>(a), std::make_unique<SeqScan>(b),
-                semiring);
+    HashProductJoin join(std::make_unique<SeqScan>(a),
+                         std::make_unique<SeqScan>(b), semiring);
     auto result = Run(join, "out");
     if (!result.ok()) state.SkipWithError("join failed");
     benchmark::DoNotOptimize(result);
@@ -969,23 +861,12 @@ void JoinBench(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
 }
 
-void BM_HashProductJoin(benchmark::State& state) {
-  JoinBench<HashProductJoin>(state);
-}
-void BM_SortMergeProductJoin(benchmark::State& state) {
-  JoinBench<SortMergeProductJoin>(state);
-}
-void BM_NestedLoopProductJoin(benchmark::State& state) {
-  JoinBench<NestedLoopProductJoin>(state);
-}
-
-template <typename AggOp>
-void AggBench(benchmark::State& state) {
+void BM_HashMarginalize(benchmark::State& state) {
   TablePtr t = MakeAggInput(state.range(0));
   Semiring semiring = Semiring::SumProduct();
   for (auto _ : state) {
-    AggOp agg(std::make_unique<SeqScan>(t), std::vector<std::string>{"g"},
-              semiring);
+    HashMarginalize agg(std::make_unique<SeqScan>(t),
+                        std::vector<std::string>{"g"}, semiring);
     auto result = Run(agg, "out");
     if (!result.ok()) state.SkipWithError("agg failed");
     benchmark::DoNotOptimize(result);
@@ -993,18 +874,8 @@ void AggBench(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_HashMarginalize(benchmark::State& state) {
-  AggBench<HashMarginalize>(state);
-}
-void BM_SortMarginalize(benchmark::State& state) {
-  AggBench<SortMarginalize>(state);
-}
-
 BENCHMARK(BM_HashProductJoin)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
-BENCHMARK(BM_SortMergeProductJoin)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
-BENCHMARK(BM_NestedLoopProductJoin)->Arg(1 << 10)->Arg(1 << 12);
 BENCHMARK(BM_HashMarginalize)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-BENCHMARK(BM_SortMarginalize)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 }  // namespace
 

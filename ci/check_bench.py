@@ -8,8 +8,8 @@ Usage:
 
 Both files are the flat `[{"name": ..., metric: value, ...}, ...]` arrays the
 benches emit via --json. A curated subset of (entry, metric) pairs is gated:
-the pipeline throughput numbers and the physical-planner sections, per
-direction (higher-is-better throughput/speedups). The gate is one-sided —
+the pipeline throughput numbers and the FAQ planner's multiway-join speedup,
+per direction (higher-is-better throughput/speedups). The gate is one-sided —
 only regressions beyond the thresholds matter, so a faster CI machine than
 the baseline machine passes trivially, while a >fail-pct slowdown fails the
 job and a >warn-pct slowdown prints a warning.
@@ -32,8 +32,6 @@ GATED = [
     ("hash_marginalize/batch", "ops_per_sec", "higher"),
     ("hash_table/probe_swiss", "ops_per_sec", "higher"),
     ("hash_table/fold_swiss", "ops_per_sec", "higher"),
-    ("physical_planner/mixed_plan", "speedup_vs_forced_hash", "higher"),
-    ("physical_planner/order_reuse", "speedup_from_skip", "higher"),
     ("faq_planner/triangle", "speedup_vs_pairwise", "higher"),
     # Network serving (BENCH_serving.json; absent from BENCH_exec.json, so
     # these skip when the gate runs against the exec baseline and vice versa).

@@ -44,7 +44,6 @@ std::string ExplainHeader(const server::CachedPlan& plan,
 
 Database::Database(DatabaseOptions options)
     : options_(options),
-      cost_model_(std::make_unique<SimpleCostModel>()),
       exec_options_{} {}
 
 Catalog& Database::catalog() {
@@ -224,19 +223,18 @@ std::vector<std::string> Database::ViewNames() const {
 StatusOr<std::shared_ptr<const server::CachedPlan>> Database::Plan(
     const Snapshot& snap, const MpfViewDef& view, const Catalog& catalog,
     const MpfQuerySpec& query, const std::string& optimizer_spec,
-    QueryContext* ctx, bool* cache_hit) {
+    bool* cache_hit) {
   // Plans are shareable only against the snapshot's own catalog; scratch
   // catalogs hold tables no other query sees. The key is everything that
-  // picks the physical plan, including the planner-visible memory budget (a
-  // finite one restricts auto mode to spill-capable operators). Entries are
-  // keyed on the structural epoch: measure commits don't invalidate plans.
+  // picks the plan — view, query, optimizer; the physical pass makes no
+  // choices, so every context (budget, deadline, pool) shares one entry.
+  // Entries are keyed on the structural epoch: measure commits don't
+  // invalidate plans.
   const bool cacheable = &catalog == &snap.catalog;
   std::string cache_key;
   if (cacheable) {
     cache_key = view.name + "|" + server::CanonicalQueryKey(query) + "|o:" +
-                optimizer_spec + "|" +
-                server::ExecFingerprint(exec_options_,
-                                        ctx ? ctx->memory_limit() : 0);
+                optimizer_spec;
     auto cached = plan_cache_.Lookup(cache_key, snap.structural_epoch);
     if (cache_hit != nullptr) *cache_hit = cached != nullptr;
     if (cached != nullptr) return cached;
@@ -245,10 +243,10 @@ StatusOr<std::shared_ptr<const server::CachedPlan>> Database::Plan(
                          MakeOptimizer(optimizer_spec));
   auto entry = std::make_shared<server::CachedPlan>();
   MPFDB_ASSIGN_OR_RETURN(
-      entry->logical, optimizer->Optimize(view, query, catalog, *cost_model_));
+      entry->logical, optimizer->Optimize(view, query, catalog, cost_model_));
   exec::Executor planner(catalog, view.semiring, exec_options_);
   MPFDB_ASSIGN_OR_RETURN(entry->physical,
-                         planner.PlanPhysical(*entry->logical, ctx));
+                         planner.PlanPhysical(*entry->logical));
   entry->optimizer_name = optimizer->name();
   entry->variable_order = optimizer->last_variable_order();
   if (cacheable) plan_cache_.Insert(cache_key, snap.structural_epoch, entry);
@@ -281,7 +279,7 @@ StatusOr<QueryResult> Database::PlanAndExecute(
   result.snapshot_epoch = snap.epoch;
   auto plan_start = std::chrono::steady_clock::now();
   MPFDB_ASSIGN_OR_RETURN(std::shared_ptr<const server::CachedPlan> plan,
-                         Plan(snap, view, catalog, query, optimizer_spec, ctx,
+                         Plan(snap, view, catalog, query, optimizer_spec,
                               &result.plan_cache_hit));
   result.plan = plan->logical;
   result.planning_seconds = SecondsSince(plan_start);
@@ -1009,9 +1007,9 @@ StatusOr<std::string> Database::Explain(const std::string& view_name,
   MPFDB_ASSIGN_OR_RETURN(const MpfViewDef* view, FindView(*snap, view_name));
   MPFDB_ASSIGN_OR_RETURN(std::shared_ptr<const server::CachedPlan> plan,
                          Plan(*snap, *view, snap->catalog, query,
-                              optimizer_spec, nullptr));
+                              optimizer_spec));
   // The logical plan (the optimizer's output) followed by the physical plan
-  // (per-node algorithm selection, interesting orders, physical costs).
+  // (each node's algorithm and the fused index scans).
   return ExplainHeader(*plan, query, *view) + ExplainPlan(*plan->logical) +
          "-- physical plan:\n" + ExplainPhysicalPlan(*plan->physical);
 }
@@ -1023,7 +1021,7 @@ StatusOr<std::string> Database::ExplainAnalyze(
   MPFDB_ASSIGN_OR_RETURN(const MpfViewDef* view, FindView(*snap, view_name));
   MPFDB_ASSIGN_OR_RETURN(std::shared_ptr<const server::CachedPlan> plan,
                          Plan(*snap, *view, snap->catalog, query,
-                              optimizer_spec, nullptr));
+                              optimizer_spec));
   std::map<const PlanNode*, OperatorStats> stats;
   MPFDB_RETURN_IF_ERROR(Execute(*plan, snap->catalog, view->semiring,
                                 view_name + "_result", nullptr, &stats)

@@ -201,8 +201,8 @@ struct MvccStats {
 //  * The non-const catalog() accessor hands out direct mutable access for
 //    single-threaded setup; every call conservatively bumps both epochs. Do
 //    not mutate through a retained reference while queries are being served.
-//  * Configuration setters (set_cost_model, set_exec_options) are
-//    setup-time only, not thread-safe against running queries.
+//  * The configuration setter (set_exec_options) is setup-time only, not
+//    thread-safe against running queries.
 class Database {
  public:
   explicit Database(DatabaseOptions options = {});
@@ -361,10 +361,7 @@ class Database {
   // MVCC commit/GC counters. Cheap; safe to poll concurrently.
   MvccStats mvcc_stats() const;
 
-  void set_cost_model(std::unique_ptr<CostModel> cost_model) {
-    cost_model_ = std::move(cost_model);
-  }
-  const CostModel& cost_model() const { return *cost_model_; }
+  const CostModel& cost_model() const { return cost_model_; }
   void set_exec_options(exec::ExecOptions options);
 
   // The shared physical-plan cache (hit/miss/invalidation counters live on
@@ -422,16 +419,17 @@ class Database {
   // The one query pipeline. Every reader resolves its view in a pinned
   // snapshot, then calls Plan and Execute.
   //
-  // Plan optimizes `query` over `view` with the MakeOptimizer spec and picks
-  // the physical plan against `catalog`; `ctx` (may be null) supplies the
-  // planner's memory budget. The shared plan cache is consulted and filled
-  // exactly when `catalog` is the snapshot's own: a scratch catalog (what-if
-  // clones, dissociated bounds) always plans fresh. A non-null `cache_hit`
-  // reports whether the plan came from the cache.
+  // Plan optimizes `query` over `view` with the MakeOptimizer spec and maps
+  // it to the physical plan against `catalog`. No query context takes part:
+  // every budget, deadline and pool runs the same plan. The shared plan
+  // cache is consulted and filled exactly when `catalog` is the snapshot's
+  // own: a scratch catalog (what-if clones, dissociated bounds) always plans
+  // fresh. A non-null `cache_hit` reports whether the plan came from the
+  // cache.
   StatusOr<std::shared_ptr<const server::CachedPlan>> Plan(
       const Snapshot& snap, const MpfViewDef& view, const Catalog& catalog,
       const MpfQuerySpec& query, const std::string& optimizer_spec,
-      QueryContext* ctx, bool* cache_hit = nullptr);
+      bool* cache_hit = nullptr);
   // Executes `plan` against `catalog`. The only place the worker pool is
   // connected to a QueryContext: a context without a pool borrows it for
   // the call, and a null `ctx` gets a local one. A non-null `stats` attaches
@@ -486,7 +484,7 @@ class Database {
 
   server::PlanCache plan_cache_;
 
-  std::unique_ptr<CostModel> cost_model_;
+  const SimpleCostModel cost_model_;
   exec::ExecOptions exec_options_;
   std::mutex pool_mu_;
   std::unique_ptr<exec::ThreadPool> pool_;  // guarded by pool_mu_

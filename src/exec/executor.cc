@@ -12,13 +12,6 @@
 namespace mpfdb::exec {
 namespace {
 
-// Bytes-per-row estimate used only to translate the query memory budget
-// into cost-model pages; coarse on purpose (the hard admissibility rule —
-// no sort operators under a finite budget — does the safety work, the page
-// translation only shades hash-vs-hash comparisons).
-constexpr double kPlannerBytesPerRow = 16.0;
-constexpr double kPlannerRowsPerPage = 100.0;
-
 // Transparent decorator measuring the rows/batches its child emits and the
 // wall time spent inside the child's Open/NextBatch (inclusive of the
 // child's whole subtree). The wrapped operator additionally routes its
@@ -81,19 +74,8 @@ class StatsOperator : public PhysicalOperator {
 }  // namespace
 
 StatusOr<std::unique_ptr<PhysicalPlanNode>> Executor::PlanPhysical(
-    const PlanNode& plan, QueryContext* ctx) const {
-  PhysicalPlannerOptions popts;
-  popts.force_join = options_.join;
-  popts.force_agg = options_.agg;
-  popts.memory_limit = ctx != nullptr ? ctx->memory_limit() : 0;
-  double memory_pages =
-      popts.memory_limit == 0
-          ? 1e18
-          : static_cast<double>(popts.memory_limit) /
-                (kPlannerRowsPerPage * kPlannerBytesPerRow);
-  PageCostModel cost_model(kPlannerRowsPerPage, memory_pages);
-  PhysicalPlanner planner(catalog_, cost_model, semiring_, popts);
-  return planner.PlanTree(plan);
+    const PlanNode& plan, QueryContext* /*ctx*/) const {
+  return PlanPhysicalTree(plan, catalog_);
 }
 
 StatusOr<OperatorPtr> Executor::BuildNode(
@@ -142,40 +124,15 @@ StatusOr<OperatorPtr> Executor::BuildNode(
     }
     case PlanNodeKind::kGroupBy: {
       MPFDB_ASSIGN_OR_RETURN(OperatorPtr child, BuildNode(*phys.left, stats));
-      switch (phys.agg) {
-        case AggAlgorithm::kSort:
-          op = std::make_unique<SortMarginalize>(std::move(child),
-                                                 plan.group_vars, semiring_,
-                                                 phys.skip_sort_input);
-          break;
-        case AggAlgorithm::kAuto:
-        case AggAlgorithm::kHash:
-          op = std::make_unique<HashMarginalize>(
-              std::move(child), plan.group_vars, semiring_, &catalog_);
-          break;
-      }
+      op = std::make_unique<HashMarginalize>(std::move(child), plan.group_vars,
+                                             semiring_, &catalog_);
       break;
     }
     case PlanNodeKind::kJoin: {
       MPFDB_ASSIGN_OR_RETURN(OperatorPtr left, BuildNode(*phys.left, stats));
       MPFDB_ASSIGN_OR_RETURN(OperatorPtr right, BuildNode(*phys.right, stats));
-      switch (phys.join) {
-        case JoinAlgorithm::kSortMerge:
-          op = std::make_unique<SortMergeProductJoin>(
-              std::move(left), std::move(right), semiring_,
-              phys.skip_sort_left, phys.skip_sort_right);
-          break;
-        case JoinAlgorithm::kNestedLoop:
-          op = std::make_unique<NestedLoopProductJoin>(
-              std::move(left), std::move(right), semiring_);
-          break;
-        case JoinAlgorithm::kAuto:
-        case JoinAlgorithm::kHash:
-        case JoinAlgorithm::kLeapfrog:
-          op = std::make_unique<HashProductJoin>(
-              std::move(left), std::move(right), semiring_, &catalog_);
-          break;
-      }
+      op = std::make_unique<HashProductJoin>(std::move(left), std::move(right),
+                                             semiring_, &catalog_);
       break;
     }
     case PlanNodeKind::kMultiwayJoin: {
@@ -259,15 +216,15 @@ void ExplainAnalyzeRec(const PhysicalPlanNode& phys,
       os << "Select(" << node.select_var << "=" << node.select_value << ")";
       break;
     case PlanNodeKind::kJoin:
-      os << "ProductJoin(" << JoinAlgorithmName(phys.join) << ")";
+      os << "ProductJoin(" << AlgorithmName(phys.kind) << ")";
       break;
     case PlanNodeKind::kMultiwayJoin:
       os << "MultiwayJoin[" << phys.children.size() << "]("
-         << JoinAlgorithmName(phys.join) << ")";
+         << AlgorithmName(phys.kind) << ")";
       break;
     case PlanNodeKind::kGroupBy:
       os << "GroupBy{" << FormatVarList(node.group_vars) << "}("
-         << AggAlgorithmName(phys.agg) << ")";
+         << AlgorithmName(phys.kind) << ")";
       break;
     case PlanNodeKind::kProject:
       os << "Project{" << FormatVarList(node.group_vars) << "}";
@@ -288,8 +245,7 @@ void ExplainAnalyzeRec(const PhysicalPlanNode& phys,
       os << " q=" << std::fixed << std::setprecision(2) << q
          << std::defaultfloat;
     }
-    os << " cost=" << phys.total_cost << "]";
-    os << " [batches=" << s.batches << " peak_bytes=" << s.peak_bytes
+    os << "] [batches=" << s.batches << " peak_bytes=" << s.peak_bytes
        << " spill_parts=" << s.spill_partitions
        << " wall_us=" << s.wall_nanos / 1000 << "]\n";
     if (!s.trie_vars.empty()) {
@@ -306,7 +262,7 @@ void ExplainAnalyzeRec(const PhysicalPlanNode& phys,
       }
     }
   } else {
-    os << " cost=" << phys.total_cost << "]\n";
+    os << "]\n";
   }
   if (phys.left != nullptr) ExplainAnalyzeRec(*phys.left, stats, depth + 1, os);
   if (phys.right != nullptr) {

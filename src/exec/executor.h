@@ -14,23 +14,7 @@
 
 namespace mpfdb::exec {
 
-// Physical algorithm choices, shared with the physical planner.
-using JoinAlgorithm = ::mpfdb::JoinAlgorithm;
-using AggAlgorithm = ::mpfdb::AggAlgorithm;
-
 struct ExecOptions {
-  // Physical algorithm selection. Precedence, highest first:
-  //   1. join/agg != kAuto: a force-override — every join (resp. group-by)
-  //      node in the plan runs that algorithm, exactly like the pre-planner
-  //      global knob. Used by the ablation benches and differential tests.
-  //      Forcing bypasses the planner's admissibility rules, so e.g. forcing
-  //      sort-merge under a sum semiring may legally perturb low-order float
-  //      bits relative to hash (it reorders the Add folds).
-  //   2. kAuto (the default): the physical planner picks per node from the
-  //      memory-aware cost model with interesting-order reuse; every choice
-  //      it makes is bit-identical to the forced-hash baseline.
-  JoinAlgorithm join = JoinAlgorithm::kAuto;
-  AggAlgorithm agg = AggAlgorithm::kAuto;
   // Worker threads for intra-query morsel parallelism.
   // 0 resolves to std::thread::hardware_concurrency(); 1 reproduces the
   // serial engine exactly. The Executor itself only reads the pool off the
@@ -45,19 +29,22 @@ struct ExecOptions {
   uint64_t sampling_seed = 1;
 };
 
-// Maps an annotated logical plan to a physical plan (per-node algorithm
-// selection) and on to a physical operator tree, then runs it. Stateless
-// apart from the bound catalog and semiring, so one Executor can run many
-// plans.
+// Maps an annotated logical plan to a physical plan (one algorithm per node
+// kind, see plan/physical.h) and on to a physical operator tree, then runs
+// it. Stateless apart from the bound catalog and semiring, so one Executor
+// can run many plans.
 class Executor {
  public:
-  Executor(const Catalog& catalog, Semiring semiring, ExecOptions options = {})
-      : catalog_(catalog), semiring_(semiring), options_(options) {}
+  // ExecOptions configure the Database around the executor (pool size,
+  // sampling seed); the executor itself reads none of them, because the
+  // pool arrives through the QueryContext.
+  Executor(const Catalog& catalog, Semiring semiring,
+           const ExecOptions& /*options*/ = {})
+      : catalog_(catalog), semiring_(semiring) {}
 
-  // Runs the logical->physical pass: per-node algorithm selection under the
-  // page cost model, force-overridden by non-kAuto ExecOptions. `ctx` (may
-  // be null) supplies the memory budget the planner plans for — under a
-  // finite budget auto mode stays on the spill-capable hash operators.
+  // Runs the logical->physical pass (PlanPhysicalTree over this executor's
+  // catalog). `ctx` no longer affects the plan: every budget, deadline and
+  // pool runs the same physical tree, so callers may pass any context.
   StatusOr<std::unique_ptr<PhysicalPlanNode>> PlanPhysical(
       const PlanNode& plan, QueryContext* ctx = nullptr) const;
 
@@ -104,7 +91,6 @@ class Executor {
 
   const Catalog& catalog_;
   Semiring semiring_;
-  ExecOptions options_;
 };
 
 // Renders the physical plan annotated with estimates vs runtime actuals:

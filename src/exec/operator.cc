@@ -120,34 +120,6 @@ JoinLayout MakeJoinLayout(const Schema& left, const Schema& right) {
   return layout;
 }
 
-// Drains `child` through NextBatch into a flat row-major arena, charging
-// every materialized row against `memory` (a guard bound to a null context
-// charges nothing). `who` names the draining operator for budget errors and
-// error-context annotation. Row order is the child's emission order.
-Status DrainToArenaBatches(PhysicalOperator& child, std::vector<VarValue>* vars,
-                           std::vector<double>* measures, MemoryGuard* memory,
-                           const char* who) {
-  const size_t arity = child.output_schema().arity();
-  RowBatch batch;
-  while (true) {
-    auto has = child.NextBatch(&batch);
-    if (!has.ok()) return Annotate(has.status(), who);
-    if (!*has) break;
-    const size_t n = batch.num_rows();
-    MPFDB_RETURN_IF_ERROR(memory->Charge(n * RowFootprint(arity), who));
-    const size_t base = measures->size();
-    vars->resize((base + n) * arity);
-    for (size_t c = 0; c < arity; ++c) {
-      const VarValue* col = batch.col(c);
-      VarValue* dst = vars->data() + base * arity + c;
-      for (size_t r = 0; r < n; ++r) dst[r * arity] = col[r];
-    }
-    const double* m = batch.measures();
-    measures->insert(measures->end(), m, m + n);
-  }
-  return Status::Ok();
-}
-
 // Spill partition for a key hash. The TOP bits are used so the choice stays
 // independent of the low bits the per-partition hash tables mask on —
 // otherwise every key in a partition would collide into 1/16th of the table.
@@ -1340,204 +1312,6 @@ void HashMarginalize::Close() {
   memory_.ReleaseAll();
 }
 
-// --- SortMarginalize -------------------------------------------------------
-
-SortMarginalize::SortMarginalize(OperatorPtr child,
-                                 std::vector<std::string> group_vars,
-                                 Semiring semiring, bool input_presorted)
-    : child_(std::move(child)),
-      group_vars_(std::move(group_vars)),
-      semiring_(semiring),
-      input_presorted_(input_presorted),
-      schema_(group_vars_, child_->output_schema().measure_name()) {}
-
-Status SortMarginalize::Open() {
-  for (const auto& var : group_vars_) {
-    if (!child_->output_schema().HasVariable(var)) {
-      return Status::InvalidArgument("group variable '" + var +
-                                     "' not in child schema");
-    }
-  }
-  key_indices_ = IndicesOf(child_->output_schema(), group_vars_);
-  memory_.Bind(ctx_);
-  memory_.set_stats(stats_);
-  drained_ = false;
-  next_group_ = 0;
-  // The input is drained on the first pull, not here, so the sort's
-  // materialization is charged where the drive loop can observe a budget
-  // breach.
-  return child_->Open();
-}
-
-// Drain: pull the child into a row-major arena, stable-sort row indices on
-// the group key, and fold each run into the output layout HashMarginalize
-// uses. Stability keeps equal-key rows in child arrival order, which makes
-// the per-run folds bit-identical to HashMarginalize's arrival-order folds.
-// When the physical planner proved the input already arrives sorted by the
-// group variables the sort is skipped (a stable sort of sorted input is the
-// identity permutation).
-Status SortMarginalize::DrainBatches() {
-  const size_t in_arity = child_->output_schema().arity();
-  const size_t nkeys = key_indices_.size();
-  std::vector<VarValue> in_vars;
-  std::vector<double> in_measures;
-  MPFDB_RETURN_IF_ERROR(DrainToArenaBatches(*child_, &in_vars, &in_measures,
-                                            &memory_,
-                                            "SortMarginalize: input"));
-  const size_t num_rows = in_measures.size();
-  std::vector<size_t> order(num_rows);
-  for (size_t i = 0; i < num_rows; ++i) order[i] = i;
-  if (!input_presorted_) {
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      const VarValue* ra = in_vars.data() + a * in_arity;
-      const VarValue* rb = in_vars.data() + b * in_arity;
-      for (size_t k : key_indices_) {
-        if (ra[k] != rb[k]) return ra[k] < rb[k];
-      }
-      return false;
-    });
-  }
-
-  out_vars_.clear();
-  out_measures_.clear();
-  size_t i = 0;
-  while (i < num_rows) {
-    const VarValue* first = in_vars.data() + order[i] * in_arity;
-    const size_t group_base = out_vars_.size();
-    out_vars_.resize(group_base + nkeys);
-    for (size_t k = 0; k < nkeys; ++k) {
-      out_vars_[group_base + k] = first[key_indices_[k]];
-    }
-    double acc = in_measures[order[i]];
-    ++i;
-    while (i < num_rows) {
-      const VarValue* next = in_vars.data() + order[i] * in_arity;
-      bool same = true;
-      for (size_t k : key_indices_) {
-        if (next[k] != first[k]) {
-          same = false;
-          break;
-        }
-      }
-      if (!same) break;
-      acc = semiring_.Add(acc, in_measures[order[i]]);
-      ++i;
-    }
-    out_measures_.push_back(acc);
-    MPFDB_RETURN_IF_ERROR(PollContext());
-  }
-  memory_.ChargeUnchecked(out_vars_.size() * sizeof(VarValue) +
-                          out_measures_.size() * sizeof(double));
-  next_group_ = 0;
-  return Status::Ok();
-}
-
-StatusOr<bool> SortMarginalize::NextBatch(RowBatch* batch) {
-  // Presorted input streams: groups arrive contiguously, so each run folds
-  // on the fly (in child arrival order, like every other path) and the
-  // input is never materialized. The group being folded carries across
-  // child batch boundaries in cur_key_/cur_acc_.
-  if (input_presorted_) {
-    const size_t arity = schema_.arity();
-    const size_t nkeys = key_indices_.size();
-    batch->Prepare(arity);
-    size_t emitted = 0;
-    auto emit_group = [&]() {
-      for (size_t c = 0; c < arity; ++c) batch->col(c)[emitted] = cur_key_[c];
-      batch->measures()[emitted] = cur_acc_;
-      ++emitted;
-    };
-    bool out_full = false;
-    while (!out_full) {
-      if (in_pos_ >= in_batch_.num_rows()) {
-        if (stream_done_) break;
-        MPFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&in_batch_));
-        if (!more) {
-          stream_done_ = true;
-          child_->Close();
-          break;
-        }
-        in_pos_ = 0;
-        MPFDB_RETURN_IF_ERROR(PollContext(in_batch_.num_rows()));
-        continue;
-      }
-      const size_t n = in_batch_.num_rows();
-      while (in_pos_ < n) {
-        const size_t r = in_pos_;
-        bool same = have_group_;
-        if (same) {
-          for (size_t k = 0; k < nkeys; ++k) {
-            if (in_batch_.col(key_indices_[k])[r] != cur_key_[k]) {
-              same = false;
-              break;
-            }
-          }
-        }
-        if (same) {
-          cur_acc_ = semiring_.Add(cur_acc_, in_batch_.measures()[r]);
-        } else {
-          if (have_group_) {
-            if (emitted == kBatchSize) {
-              // Output batch full; resume at this row on the next call.
-              out_full = true;
-              break;
-            }
-            emit_group();
-          }
-          cur_key_.resize(nkeys);
-          for (size_t k = 0; k < nkeys; ++k) {
-            cur_key_[k] = in_batch_.col(key_indices_[k])[r];
-          }
-          cur_acc_ = in_batch_.measures()[r];
-          have_group_ = true;
-        }
-        ++in_pos_;
-      }
-    }
-    if (stream_done_ && have_group_ && emitted < kBatchSize) {
-      emit_group();
-      have_group_ = false;
-    }
-    batch->set_num_rows(emitted);
-    MPFDB_RETURN_IF_ERROR(PollContext(emitted == 0 ? 1 : emitted));
-    return emitted > 0;
-  }
-  if (!drained_) {
-    Status drained = DrainBatches();
-    child_->Close();
-    MPFDB_RETURN_IF_ERROR(drained);
-    drained_ = true;
-  }
-  const size_t arity = schema_.arity();
-  batch->Prepare(arity);
-  const size_t total = out_measures_.size();
-  if (next_group_ >= total) return false;
-  const size_t n = std::min(kBatchSize, total - next_group_);
-  MPFDB_RETURN_IF_ERROR(PollContext(n));
-  for (size_t c = 0; c < arity; ++c) {
-    VarValue* out = batch->col(c);
-    const VarValue* in = out_vars_.data() + next_group_ * arity + c;
-    for (size_t r = 0; r < n; ++r) out[r] = in[r * arity];
-  }
-  std::copy(out_measures_.begin() + static_cast<ptrdiff_t>(next_group_),
-            out_measures_.begin() + static_cast<ptrdiff_t>(next_group_ + n),
-            batch->measures());
-  batch->set_num_rows(n);
-  next_group_ += n;
-  return true;
-}
-
-void SortMarginalize::Close() {
-  out_vars_.clear();
-  out_measures_.clear();
-  drained_ = false;
-  in_pos_ = 0;
-  stream_done_ = false;
-  cur_key_.clear();
-  have_group_ = false;
-  memory_.ReleaseAll();
-}
-
 // --- HashProductJoin -------------------------------------------------------
 
 namespace {
@@ -2329,265 +2103,6 @@ void HashProductJoin::Close() {
     if (impl_->right_open) right_->Close();
   }
   impl_.reset();
-}
-
-// --- SortMergeProductJoin ----------------------------------------------------
-
-struct SortMergeProductJoin::Impl {
-  JoinLayout layout;
-  MemoryGuard memory;
-  bool drained = false;
-  // Flat row-major arenas plus stable-sorted row index orders; the cursors
-  // below index into l_order/r_order.
-  size_t l_arity = 0, r_arity = 0;
-  std::vector<VarValue> l_vars, r_vars;
-  std::vector<double> l_measures, r_measures;
-  std::vector<size_t> l_order, r_order;
-  size_t li = 0, ri = 0;
-  // Current matching run on both sides (half-open): rows with equal keys.
-  size_t l_end = 0, r_end = 0;
-  size_t l_cursor = 0, r_cursor = 0;
-  bool in_run = false;
-};
-
-SortMergeProductJoin::~SortMergeProductJoin() = default;
-
-SortMergeProductJoin::SortMergeProductJoin(OperatorPtr left, OperatorPtr right,
-                                           Semiring semiring,
-                                           bool left_presorted,
-                                           bool right_presorted)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      semiring_(semiring),
-      left_presorted_(left_presorted),
-      right_presorted_(right_presorted) {
-  schema_ = MakeJoinLayout(left_->output_schema(), right_->output_schema()).schema;
-}
-
-Status SortMergeProductJoin::Open() {
-  impl_ = std::make_unique<Impl>();
-  impl_->layout = MakeJoinLayout(left_->output_schema(), right_->output_schema());
-  impl_->memory.Bind(ctx_);
-  impl_->memory.set_stats(stats_);
-  // Inputs are drained on the first pull, not here, so the sort's
-  // materialization is charged where the drive loop observes it.
-  MPFDB_RETURN_IF_ERROR(left_->Open());
-  return right_->Open();
-}
-
-// Drain: pull both children into arenas and stable-sort row indices on the
-// shared variables. Stability keeps equal-key rows in arrival order, which
-// makes the run emission a key-restricted subsequence of hash join's output
-// (see the class comment). A presorted side (interesting-order reuse) skips
-// its sort — a stable sort of sorted input is the identity permutation.
-Status SortMergeProductJoin::DrainBatches() {
-  Impl& st = *impl_;
-  st.l_arity = left_->output_schema().arity();
-  st.r_arity = right_->output_schema().arity();
-  Status drained = DrainToArenaBatches(*left_, &st.l_vars, &st.l_measures,
-                                       &st.memory,
-                                       "SortMergeProductJoin: left input");
-  left_->Close();
-  MPFDB_RETURN_IF_ERROR(drained);
-  drained = DrainToArenaBatches(*right_, &st.r_vars, &st.r_measures,
-                                &st.memory,
-                                "SortMergeProductJoin: right input");
-  right_->Close();
-  MPFDB_RETURN_IF_ERROR(drained);
-
-  auto sort_indices = [](std::vector<size_t>* order, size_t count,
-                         const std::vector<VarValue>& vars, size_t arity,
-                         const std::vector<size_t>& keys, bool presorted) {
-    order->resize(count);
-    for (size_t i = 0; i < count; ++i) (*order)[i] = i;
-    if (presorted) return;
-    std::stable_sort(order->begin(), order->end(), [&](size_t a, size_t b) {
-      const VarValue* ra = vars.data() + a * arity;
-      const VarValue* rb = vars.data() + b * arity;
-      for (size_t k : keys) {
-        if (ra[k] != rb[k]) return ra[k] < rb[k];
-      }
-      return false;
-    });
-  };
-  sort_indices(&st.l_order, st.l_measures.size(), st.l_vars, st.l_arity,
-               st.layout.shared_left, left_presorted_);
-  sort_indices(&st.r_order, st.r_measures.size(), st.r_vars, st.r_arity,
-               st.layout.shared_right, right_presorted_);
-  return Status::Ok();
-}
-
-StatusOr<bool> SortMergeProductJoin::NextBatch(RowBatch* out) {
-  Impl& st = *impl_;
-  if (!st.drained) {
-    MPFDB_RETURN_IF_ERROR(DrainBatches());
-    st.drained = true;
-  }
-  const JoinLayout& layout = st.layout;
-  const size_t arity = layout.schema.arity();
-  out->Prepare(arity);
-
-  auto lrow = [&](size_t i) {
-    return st.l_vars.data() + st.l_order[i] * st.l_arity;
-  };
-  auto rrow = [&](size_t i) {
-    return st.r_vars.data() + st.r_order[i] * st.r_arity;
-  };
-  auto compare_keys = [&](const VarValue* l, const VarValue* r) {
-    for (size_t k = 0; k < layout.shared.size(); ++k) {
-      VarValue lv = l[layout.shared_left[k]];
-      VarValue rv = r[layout.shared_right[k]];
-      if (lv != rv) return lv < rv ? -1 : 1;
-    }
-    return 0;
-  };
-
-  std::vector<VarValue*> cols(arity);
-  for (size_t c = 0; c < arity; ++c) cols[c] = out->col(c);
-  double* measures = out->measures();
-  size_t emitted = 0;
-  // Merge automaton over the sorted index arrays; (l_cursor, r_cursor)
-  // persists across calls, so a run may straddle output batches.
-  while (emitted < kBatchSize) {
-    if (st.in_run) {
-      if (st.r_cursor < st.r_end) {
-        const VarValue* l = lrow(st.l_cursor);
-        const VarValue* r = rrow(st.r_cursor);
-        for (size_t c = 0; c < arity; ++c) {
-          cols[c][emitted] = layout.out_from_left[c] != kNpos
-                                 ? l[layout.out_from_left[c]]
-                                 : r[layout.out_from_right[c]];
-        }
-        measures[emitted] =
-            semiring_.Multiply(st.l_measures[st.l_order[st.l_cursor]],
-                               st.r_measures[st.r_order[st.r_cursor]]);
-        ++st.r_cursor;
-        ++emitted;
-        continue;
-      }
-      ++st.l_cursor;
-      st.r_cursor = st.ri;
-      if (st.l_cursor >= st.l_end) {
-        st.in_run = false;
-        st.li = st.l_end;
-        st.ri = st.r_end;
-      }
-      continue;
-    }
-    if (st.li >= st.l_order.size() || st.ri >= st.r_order.size()) break;
-    int cmp = compare_keys(lrow(st.li), rrow(st.ri));
-    if (cmp < 0) {
-      ++st.li;
-    } else if (cmp > 0) {
-      ++st.ri;
-    } else {
-      st.l_end = st.li + 1;
-      while (st.l_end < st.l_order.size() &&
-             compare_keys(lrow(st.l_end), rrow(st.ri)) == 0) {
-        ++st.l_end;
-      }
-      st.r_end = st.ri + 1;
-      while (st.r_end < st.r_order.size() &&
-             compare_keys(lrow(st.li), rrow(st.r_end)) == 0) {
-        ++st.r_end;
-      }
-      st.l_cursor = st.li;
-      st.r_cursor = st.ri;
-      st.in_run = true;
-    }
-  }
-  MPFDB_RETURN_IF_ERROR(PollContext(emitted == 0 ? 1 : emitted));
-  out->set_num_rows(emitted);
-  return emitted > 0;
-}
-
-void SortMergeProductJoin::Close() { impl_.reset(); }
-
-// --- NestedLoopProductJoin ---------------------------------------------------
-
-NestedLoopProductJoin::NestedLoopProductJoin(OperatorPtr left, OperatorPtr right,
-                                             Semiring semiring)
-    : left_(std::move(left)), right_(std::move(right)), semiring_(semiring) {
-  JoinLayout layout = MakeJoinLayout(left_->output_schema(), right_->output_schema());
-  schema_ = layout.schema;
-  shared_left_ = layout.shared_left;
-  shared_right_ = layout.shared_right;
-  out_from_left_ = layout.out_from_left;
-  out_from_right_ = layout.out_from_right;
-}
-
-Status NestedLoopProductJoin::Open() {
-  left_vars_.clear();
-  right_vars_.clear();
-  left_measures_.clear();
-  right_measures_.clear();
-  left_arity_ = left_->output_schema().arity();
-  right_arity_ = right_->output_schema().arity();
-  memory_.Bind(ctx_);
-  memory_.set_stats(stats_);
-  MPFDB_RETURN_IF_ERROR(left_->Open());
-  Status drained =
-      DrainToArenaBatches(*left_, &left_vars_, &left_measures_, &memory_,
-                          "NestedLoopProductJoin: left input");
-  left_->Close();
-  MPFDB_RETURN_IF_ERROR(drained);
-  MPFDB_RETURN_IF_ERROR(right_->Open());
-  drained = DrainToArenaBatches(*right_, &right_vars_, &right_measures_,
-                                &memory_, "NestedLoopProductJoin: right input");
-  right_->Close();
-  MPFDB_RETURN_IF_ERROR(drained);
-  i_ = 0;
-  j_ = 0;
-  return Status::Ok();
-}
-
-StatusOr<bool> NestedLoopProductJoin::NextBatch(RowBatch* batch) {
-  const size_t arity = schema_.arity();
-  batch->Prepare(arity);
-  const size_t num_left = left_measures_.size();
-  const size_t num_right = right_measures_.size();
-  size_t emitted = 0;
-  while (i_ < num_left && emitted < kBatchSize) {
-    // One poll per outer row, weighted by the inner-side cardinality so the
-    // deadline check keeps up with the quadratic work.
-    if (j_ == 0) {
-      MPFDB_RETURN_IF_ERROR(PollContext(num_right == 0 ? 1 : num_right));
-    }
-    const VarValue* l = left_vars_.data() + i_ * left_arity_;
-    for (; j_ < num_right && emitted < kBatchSize; ++j_) {
-      const VarValue* r = right_vars_.data() + j_ * right_arity_;
-      bool match = true;
-      for (size_t k = 0; k < shared_left_.size(); ++k) {
-        if (l[shared_left_[k]] != r[shared_right_[k]]) {
-          match = false;
-          break;
-        }
-      }
-      if (!match) continue;
-      for (size_t c = 0; c < arity; ++c) {
-        batch->col(c)[emitted] = out_from_left_[c] != kNpos
-                                     ? l[out_from_left_[c]]
-                                     : r[out_from_right_[c]];
-      }
-      batch->measures()[emitted] =
-          semiring_.Multiply(left_measures_[i_], right_measures_[j_]);
-      ++emitted;
-    }
-    if (j_ == num_right) {
-      j_ = 0;
-      ++i_;
-    }
-  }
-  batch->set_num_rows(emitted);
-  return emitted > 0;
-}
-
-void NestedLoopProductJoin::Close() {
-  left_vars_.clear();
-  right_vars_.clear();
-  left_measures_.clear();
-  right_measures_.clear();
-  memory_.ReleaseAll();
 }
 
 }  // namespace mpfdb::exec

@@ -348,58 +348,6 @@ class HashMarginalize : public PhysicalOperator {
   size_t next_group_ = 0;
 };
 
-// Sort-based marginalization: materializes and (stable-)sorts the child's
-// output on the group key, then folds each run into one row per group. The
-// stable sort keeps equal-key rows in arrival order, so per-group folds —
-// and the sorted group emission — are bit-identical to HashMarginalize.
-// `input_presorted` (set by the physical planner's interesting-order pass)
-// promises the input already arrives sorted by `group_vars`: groups then
-// arrive contiguously, so runs fold batch-by-batch as they stream past
-// without materializing the input at all — the avoided re-sort also avoids
-// the drain. Otherwise the input is drained into a columnar arena lazily on
-// the first pull (not in Open). Either way the per-group fold order is child
-// arrival order, bit-identical to HashMarginalize.
-class SortMarginalize : public PhysicalOperator {
- public:
-  SortMarginalize(OperatorPtr child, std::vector<std::string> group_vars,
-                  Semiring semiring, bool input_presorted = false);
-
-  Status Open() override;
-  StatusOr<bool> NextBatch(RowBatch* batch) override;
-  void Close() override;
-  void BindContext(QueryContext* ctx) override {
-    ctx_ = ctx;
-    child_->BindContext(ctx);
-  }
-  const Schema& output_schema() const override { return schema_; }
-  std::string name() const override { return "SortMarginalize"; }
-
- private:
-  Status DrainBatches();
-
-  OperatorPtr child_;
-  std::vector<std::string> group_vars_;
-  Semiring semiring_;
-  bool input_presorted_;
-  Schema schema_;
-  std::vector<size_t> key_indices_;
-  bool drained_ = false;
-  // Folded groups (row-major keys + parallel measures), emitted in slices
-  // from next_group_.
-  std::vector<VarValue> out_vars_;
-  std::vector<double> out_measures_;
-  size_t next_group_ = 0;
-  // Streaming presorted mode: the in-flight child batch and the group run
-  // currently being folded across batch boundaries.
-  RowBatch in_batch_;
-  size_t in_pos_ = 0;
-  bool stream_done_ = false;
-  std::vector<VarValue> cur_key_;
-  double cur_acc_ = 0;
-  bool have_group_ = false;
-  MemoryGuard memory_;
-};
-
 // --- Binary ----------------------------------------------------------------
 
 // Hash product join: builds a hash table over the right child on the shared
@@ -455,80 +403,6 @@ class HashProductJoin : public PhysicalOperator {
   const Catalog* catalog_;
   Schema schema_;
   std::unique_ptr<Impl> impl_;
-};
-
-// Sort-merge product join: materializes and (stable-)sorts both inputs on
-// the shared variables, then merges. Duplicate keys on both sides produce
-// the full pairwise product, as the product join requires; within a run the
-// emission is left-major with both sides in arrival order (stable sort), so
-// restricted to any one shared-key value the output sequence matches hash
-// join's exactly. `left/right_presorted` (interesting-order reuse) skip the
-// corresponding sort. Inputs are drained into columnar arenas lazily on the
-// first pull.
-class SortMergeProductJoin : public PhysicalOperator {
- public:
-  SortMergeProductJoin(OperatorPtr left, OperatorPtr right, Semiring semiring,
-                       bool left_presorted = false,
-                       bool right_presorted = false);
-  ~SortMergeProductJoin() override;
-
-  Status Open() override;
-  StatusOr<bool> NextBatch(RowBatch* batch) override;
-  void Close() override;
-  void BindContext(QueryContext* ctx) override {
-    ctx_ = ctx;
-    left_->BindContext(ctx);
-    right_->BindContext(ctx);
-  }
-  const Schema& output_schema() const override { return schema_; }
-  std::string name() const override { return "SortMergeProductJoin"; }
-
- private:
-  struct Impl;
-  Status DrainBatches();
-
-  OperatorPtr left_;
-  OperatorPtr right_;
-  Semiring semiring_;
-  bool left_presorted_;
-  bool right_presorted_;
-  Schema schema_;
-  std::unique_ptr<Impl> impl_;
-};
-
-// Nested-loop product join; quadratic, present as the fallback comparison
-// point for the operator ablation bench. Open drains both inputs batch-wise
-// into flat row-major arenas; NextBatch then walks the (left, right) pairs
-// left-major, resuming mid-pair across output batches.
-class NestedLoopProductJoin : public PhysicalOperator {
- public:
-  NestedLoopProductJoin(OperatorPtr left, OperatorPtr right, Semiring semiring);
-
-  Status Open() override;
-  StatusOr<bool> NextBatch(RowBatch* batch) override;
-  void Close() override;
-  void BindContext(QueryContext* ctx) override {
-    ctx_ = ctx;
-    left_->BindContext(ctx);
-    right_->BindContext(ctx);
-  }
-  const Schema& output_schema() const override { return schema_; }
-  std::string name() const override { return "NestedLoopProductJoin"; }
-
- private:
-  OperatorPtr left_;
-  OperatorPtr right_;
-  Semiring semiring_;
-  Schema schema_;
-  MemoryGuard memory_;
-  size_t left_arity_ = 0, right_arity_ = 0;
-  std::vector<VarValue> left_vars_, right_vars_;  // row-major arenas
-  std::vector<double> left_measures_, right_measures_;
-  std::vector<size_t> shared_left_;
-  std::vector<size_t> shared_right_;
-  std::vector<size_t> out_from_left_;   // output col -> left col (or npos)
-  std::vector<size_t> out_from_right_;  // output col -> right col (or npos)
-  size_t i_ = 0, j_ = 0;
 };
 
 }  // namespace mpfdb::exec

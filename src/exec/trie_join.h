@@ -95,8 +95,7 @@ class TrieIterator {
 // to the child's variables, then sorted lexicographically (stable, so
 // duplicate rows keep arrival order). The join intersects the tries one
 // variable at a time in `var_order`, emitting output tuples in lexicographic
-// var_order order — which is why the physical planner claims var_order as
-// this node's interesting order. Duplicate-key runs produce the full cross
+// var_order order. Duplicate-key runs produce the full cross
 // product, child-major (child 0 varies slowest), with measures combined by
 // Multiply in child order.
 //

@@ -2,20 +2,34 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
-
-#include "exec/hash_table.h"
+#include <unordered_map>
 
 namespace mpfdb::fr {
 namespace {
 
-// The factored-relation operators key their hash tables on the raw bytes of
-// a run of variable values; every output below is canonically re-sorted (or
-// order-free), so the tables' iteration order is never observable.
-size_t KeyBytes(const std::vector<VarValue>& key) {
-  return key.size() * sizeof(VarValue);
-}
+// The reference operators key std::unordered_maps on vectors of variable
+// values: deliberately none of the engine's hash tables, so that a bug in
+// those cannot hide behind an oracle that shares it. Every output below is
+// canonically re-sorted (or order-free), so iteration order is never
+// observable.
+using Key = std::vector<VarValue>;
+
+struct KeyHash {
+  size_t operator()(const Key& key) const {
+    uint64_t h = 1469598103934665603ull;  // FNV-1a over the values
+    for (VarValue v : key) {
+      h ^= static_cast<uint32_t>(v);
+      h *= 1099511628211ull;
+    }
+    return static_cast<size_t>(h);
+  }
+};
+
+template <typename V>
+using KeyMap = std::unordered_map<Key, V, KeyHash>;
 
 std::vector<size_t> IndicesOf(const Schema& schema,
                               const std::vector<std::string>& names) {
@@ -59,13 +73,13 @@ StatusOr<TablePtr> JoinImpl(const Table& a, const Table& b,
   const std::vector<size_t> build_key = IndicesOf(build.schema(), shared);
   const std::vector<size_t> probe_key = IndicesOf(probe.schema(), shared);
 
-  exec::SwissBytesTable<std::vector<size_t>> hash_table;
-  hash_table.Reserve(build.NumRows());
-  std::vector<VarValue> key(shared.size());
+  KeyMap<std::vector<size_t>> build_rows;
+  build_rows.reserve(build.NumRows());
+  Key key(shared.size());
   for (size_t i = 0; i < build.NumRows(); ++i) {
     RowView row = build.Row(i);
     for (size_t k = 0; k < build_key.size(); ++k) key[k] = row.var(build_key[k]);
-    hash_table.FindOrInsert(key.data(), KeyBytes(key), {}).first->push_back(i);
+    build_rows[key].push_back(i);
   }
 
   // Column mapping from (probe row, build row) to the output layout.
@@ -89,10 +103,9 @@ StatusOr<TablePtr> JoinImpl(const Table& a, const Table& b,
   for (size_t i = 0; i < probe.NumRows(); ++i) {
     RowView prow = probe.Row(i);
     for (size_t k = 0; k < probe_key.size(); ++k) key[k] = prow.var(probe_key[k]);
-    const std::vector<size_t>* matches =
-        hash_table.Find(key.data(), KeyBytes(key));
-    if (matches == nullptr) continue;
-    for (size_t j : *matches) {
+    auto matches = build_rows.find(key);
+    if (matches == build_rows.end()) continue;
+    for (size_t j : matches->second) {
       RowView brow = build.Row(j);
       for (size_t c = 0; c < sources.size(); ++c) {
         out_row[c] = sources[c].from_probe ? prow.var(sources[c].index)
@@ -141,21 +154,17 @@ StatusOr<TablePtr> Marginalize(const Table& t,
   auto result = std::make_shared<Table>(result_name, out_schema);
 
   const std::vector<size_t> key_idx = IndicesOf(schema, group_vars);
-  exec::SwissBytesTable<double> groups;
-  groups.Reserve(t.NumRows());
-  std::vector<VarValue> key(group_vars.size());
+  // Each group folds its rows in arrival order.
+  KeyMap<double> groups;
+  groups.reserve(t.NumRows());
+  Key key(group_vars.size());
   for (size_t i = 0; i < t.NumRows(); ++i) {
     RowView row = t.Row(i);
     for (size_t k = 0; k < key_idx.size(); ++k) key[k] = row.var(key_idx[k]);
-    auto [slot, inserted] =
-        groups.FindOrInsert(key.data(), KeyBytes(key), row.measure);
-    if (!inserted) *slot = semiring.Add(*slot, row.measure);
+    auto [it, inserted] = groups.try_emplace(key, row.measure);
+    if (!inserted) it->second = semiring.Add(it->second, row.measure);
   }
-  groups.ForEach([&](const char* k, size_t len, const double& measure) {
-    key.resize(len / sizeof(VarValue));
-    if (len > 0) std::memcpy(key.data(), k, len);
-    result->AppendRow(key, measure);
-  });
+  for (const auto& [group, measure] : groups) result->AppendRow(group, measure);
   SortCanonical(*result);
   return result;
 }
@@ -228,16 +237,17 @@ StatusOr<TablePtr> UpdateSemijoin(const Table& t, const Table& s,
 }
 
 Status CheckFunctionalDependency(const Table& t) {
-  exec::SwissBytesTable<size_t> seen;
-  seen.Reserve(t.NumRows());
+  KeyMap<size_t> seen;
+  seen.reserve(t.NumRows());
   for (size_t i = 0; i < t.NumRows(); ++i) {
     RowView row = t.Row(i);
-    auto [slot, inserted] =
-        seen.FindOrInsert(row.vars, row.arity * sizeof(VarValue), i);
+    auto [it, inserted] =
+        seen.try_emplace(Key(row.vars, row.vars + row.arity), i);
     if (!inserted) {
       return Status::FailedPrecondition(
-          "FD violation in " + t.name() + ": rows " + std::to_string(*slot) +
-          " and " + std::to_string(i) + " share variable values");
+          "FD violation in " + t.name() + ": rows " +
+          std::to_string(it->second) + " and " + std::to_string(i) +
+          " share variable values");
     }
   }
   return Status::Ok();

@@ -18,11 +18,10 @@ namespace mpfdb::opt {
 // takes the view definition, the query, the catalog, and a cost model, and
 // produces an annotated logical plan whose root yields a functional relation
 // over exactly the query variables X. Logical plans fix the join shape and
-// marginalization order only; per-node physical algorithm selection (hash vs
-// sort-merge vs nested-loop joins, hash vs sort marginalize, index fusion)
-// happens in the shared logical->physical pass every optimizer's output
-// flows through (PhysicalPlanner in plan/physical.h, driven by the
-// Executor).
+// marginalization order; the shared logical->physical pass every optimizer's
+// output flows through (PlanPhysicalTree in plan/physical.h, driven by the
+// Executor) maps each node kind to its one algorithm and fuses indexed
+// selections.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;

@@ -128,9 +128,9 @@ StatusOr<SqlResult> CreateMpfView(TokenCursor& cursor, Database& db) {
 }
 
 // EXPLAIN renders the optimizer's logical plan followed by the physical
-// plan (per-node join/agg algorithm selection); EXPLAIN ANALYZE runs the
-// query and renders the physical plan with per-operator runtime stats and
-// cardinality q-errors.
+// plan (each node's algorithm and fused index scans); EXPLAIN ANALYZE runs
+// the query and renders the physical plan with per-operator runtime stats
+// and cardinality q-errors.
 enum class SelectMode { kRun, kExplain, kExplainAnalyze };
 
 // Parses "SELECT vars, AGG(f) FROM [CACHE] view [WHERE ...] GROUP BY vars

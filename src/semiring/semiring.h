@@ -73,31 +73,6 @@ class Semiring {
   // combine order is still kept identical to serial for bit-exact floats.
   bool AddIsCommutative() const { return true; }
 
-  // True if folding any multiset of values with Add yields bit-identical
-  // results for every argument order — i.e. Add is not just abstractly
-  // commutative/associative but exactly reorderable on IEEE doubles. Holds
-  // for the min/max-based kinds (min/max are selection, not accumulation;
-  // the caveat is only that min/max over mixed ±0.0 or NaN inputs could pick
-  // a different representative, which the engine never produces from
-  // measures it loads). Sum-based kinds (sum-product, log-sum-product)
-  // accumulate with floating-point +, which is famously order-sensitive, so
-  // they return false. The physical planner uses this to decide whether a
-  // sort-merge join (which reorders emission relative to hash join) is
-  // unconditionally admissible.
-  bool AddIsOrderInvariant() const {
-    switch (kind_) {
-      case SemiringKind::kMinSum:
-      case SemiringKind::kMaxSum:
-      case SemiringKind::kMaxProduct:
-      case SemiringKind::kBoolOrAnd:
-        return true;
-      case SemiringKind::kSumProduct:
-      case SemiringKind::kLogSumProduct:
-        return false;
-    }
-    return false;
-  }
-
   // True if folding Add over a *superset* of terms can only move the result
   // up (or keep it): max/or are selection over more candidates, sum and
   // log-sum-exp accumulate more mass. False only for kMinSum, where min over

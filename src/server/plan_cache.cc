@@ -24,14 +24,6 @@ std::string CanonicalQueryKey(const MpfQuerySpec& spec) {
   return os.str();
 }
 
-std::string ExecFingerprint(const exec::ExecOptions& options,
-                            size_t planner_memory_limit) {
-  std::ostringstream os;
-  os << "j" << static_cast<int>(options.join) << "a"
-     << static_cast<int>(options.agg) << "m" << planner_memory_limit;
-  return os.str();
-}
-
 std::shared_ptr<const CachedPlan> PlanCache::Lookup(const std::string& key,
                                                     uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/executor.h"
 #include "exec/hash_table.h"
 #include "plan/physical.h"
 #include "plan/plan.h"
@@ -34,16 +33,8 @@ struct CachedPlan {
 // entry, and the HAVING clause rendered verbatim.
 std::string CanonicalQueryKey(const MpfQuerySpec& spec);
 
-// Fingerprint of everything besides view + query + optimizer that changes
-// which physical plan gets built: the ExecOptions join/agg overrides and
-// the planner-visible memory budget (a finite budget restricts auto mode to
-// spill-capable hash operators, so plans are not interchangeable across
-// budgets).
-std::string ExecFingerprint(const exec::ExecOptions& options,
-                            size_t planner_memory_limit);
-
 // Shared physical-plan cache for concurrent serving. Keyed on
-// (view, canonical query, optimizer spec, exec fingerprint) with the
+// (view, canonical query, optimizer spec) with the
 // database stats epoch stored per entry: a lookup at a newer epoch treats
 // the entry as invalid (counted, evicted), and OnEpochBump sweeps stale
 // entries eagerly so counters reflect invalidation at update time. LRU

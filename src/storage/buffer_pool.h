@@ -13,8 +13,7 @@ namespace mpfdb {
 
 // An LRU buffer pool over one PagedFile: a fixed number of in-memory frames,
 // pin/unpin protocol, dirty-page writeback on eviction. The hit/miss
-// statistics are what the ablation bench checks against PageCostModel's
-// assumptions.
+// statistics are what bench/ablate_buffer_pool measures.
 class BufferPool {
  public:
   // `file` must outlive the pool. capacity_pages >= 1.

@@ -14,8 +14,7 @@ namespace mpfdb {
 // A functional relation stored in a paged file: page 0 holds the schema
 // header (magic, arity, row count, measure/variable/key names), data pages
 // hold packed rows. Reads go through an LRU buffer pool, so scans and random
-// row accesses incur the page IO the paper's disk-resident setting assumes
-// (and PageCostModel charges).
+// row accesses incur the page IO the paper's disk-resident setting assumes.
 class DiskTable {
  public:
   // Serializes `table` into a new paged file at `path`.

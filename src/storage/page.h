@@ -11,8 +11,7 @@ namespace mpfdb {
 
 // Fixed page size of the paged storage layer. The paper's setting is
 // disk-resident functional relations; this layer gives the engine a real
-// disk representation with page-granular IO accounting (matching what
-// PageCostModel charges).
+// disk representation with page-granular IO accounting.
 inline constexpr size_t kPageSize = 8192;
 
 // View over one raw page holding fixed-arity rows:

@@ -100,29 +100,6 @@ TEST_F(DatabaseTest, UnknownOptimizerRejected) {
       db_.Query("invest", MpfQuerySpec{{"cid"}, {}}, "ve(deg) bogus").ok());
 }
 
-TEST_F(DatabaseTest, PageCostModelAlsoWorks) {
-  db_.set_cost_model(std::make_unique<PageCostModel>());
-  auto result = db_.Query("invest", MpfQuerySpec{{"cid"}, {}}, "cs+nonlinear");
-  ASSERT_TRUE(result.ok()) << result.status();
-  auto simple = Database();
-  // Same answer as the default model (plans may differ, answers must not).
-  auto direct = db_.Query("invest", MpfQuerySpec{{"cid"}, {}}, "cs");
-  ASSERT_TRUE(direct.ok());
-  EXPECT_TRUE(fr::TablesEqual(*result->table, *direct->table, 1e-6));
-}
-
-TEST_F(DatabaseTest, SortMergeExecutionAgreesWithHash) {
-  auto hash_result = db_.Query("invest", MpfQuerySpec{{"wid"}, {}});
-  ASSERT_TRUE(hash_result.ok());
-  exec::ExecOptions options;
-  options.join = exec::JoinAlgorithm::kSortMerge;
-  options.agg = exec::AggAlgorithm::kSort;
-  db_.set_exec_options(options);
-  auto sort_result = db_.Query("invest", MpfQuerySpec{{"wid"}, {}});
-  ASSERT_TRUE(sort_result.ok());
-  EXPECT_TRUE(fr::TablesEqual(*hash_result->table, *sort_result->table, 1e-6));
-}
-
 TEST(MakeOptimizerTest, AllSpecsParse) {
   for (const std::string spec :
        {"cs", "CS", "cs+", "cs+linear", "cs+nonlinear", "ve(deg)",

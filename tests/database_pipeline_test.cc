@@ -1,9 +1,10 @@
 // The one query pipeline: every Database reader resolves its view in a
 // pinned snapshot, then plans and executes through the same steps. These
 // tests check the two promises that follow from that. EXPLAIN and EXPLAIN
-// ANALYZE share Query's plan cache (a scratch catalog never touches it), and
-// Query, QueryWhatIf and QueryApprox all run on the worker pool yet match the
-// fr naive evaluator bit for bit.
+// ANALYZE share Query's plan cache (a scratch catalog never touches it) —
+// also with a memory-governed server, whose budget no longer changes the
+// plan — and Query, QueryWhatIf and QueryApprox all run on the worker pool
+// yet match the fr naive evaluator bit for bit.
 
 #include <algorithm>
 #include <cmath>
@@ -12,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include "bn/bayes_net.h"
 #include "core/database.h"
 #include "fr/algebra.h"
 #include "random_view.h"
+#include "server/server.h"
 #include "util/rng.h"
 
 namespace mpfdb {
@@ -122,6 +125,47 @@ TEST_P(DatabasePipelineTest, ExplainAndExplainAnalyzeHitQuerysPlanCache) {
   EXPECT_EQ(last.hits, after.hits);
   EXPECT_EQ(last.misses, after.misses);
   EXPECT_EQ(last.inserts, after.inserts);
+}
+
+// EXPLAIN shows the plan a memory-governed server ran: a Session under a
+// global memory limit plans the BN query, and EXPLAIN of the same spec hits
+// that very cache entry, which is all-hash.
+TEST_P(DatabasePipelineTest, GovernedServerAndExplainShareOnePlan) {
+  const uint64_t seed = CaseSeed(GetParam());
+  MPFDB_TRACE_SEED(seed);
+  Rng rng(seed + 3000);
+  auto net = bn::RandomBayesNet(12, 2, 3, rng);
+  ASSERT_TRUE(net.ok()) << net.status();
+  auto view = net->ToMpfView(db_.catalog());
+  ASSERT_TRUE(view.ok()) << view.status();
+  ASSERT_TRUE(db_.CreateMpfView(*view).ok());
+  const std::vector<std::string> vars = net->VariableNames();
+  MpfQuerySpec query;
+  query.group_vars = {Pick(vars, rng)};
+  const std::string evidence = Pick(vars, rng);
+  if (evidence != query.group_vars[0]) {
+    query.selections.push_back(QuerySelection{evidence, 1});
+  }
+
+  server::ServerOptions options;
+  options.global_memory_limit = size_t{64} << 20;
+  server::MpfServer server(db_, options);
+  auto served =
+      server.CreateSession("governed")->Query(view->name, query, "ve(deg)");
+  ASSERT_TRUE(served.ok()) << served.status();
+  auto before = db_.plan_cache().stats();
+
+  auto explain = db_.Explain(view->name, query, "ve(deg)");
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  auto after = db_.plan_cache().stats();
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.inserts, before.inserts);
+  const size_t physical = explain->find("-- physical plan:");
+  ASSERT_NE(physical, std::string::npos) << *explain;
+  EXPECT_EQ(explain->find("agg=sort", physical), std::string::npos)
+      << *explain;
+  EXPECT_NE(explain->find("agg=hash", physical), std::string::npos)
+      << *explain;
 }
 
 TEST_P(DatabasePipelineTest, EveryEntryPointMatchesNaiveOnThePool) {

@@ -1,6 +1,6 @@
 // Operator-level tests of the batch execution engine, including edge cases
-// (empty inputs, no shared variables, duplicate keys) and cross-checks
-// between the three join algorithms and two aggregation algorithms.
+// (empty inputs, no shared variables, duplicate keys), each checked against
+// the fr reference algebra at tolerance 0.0.
 
 #include <algorithm>
 #include <cmath>
@@ -98,53 +98,33 @@ TEST(StreamProjectTest, DropsColumns) {
   EXPECT_EQ((*result)->Row(0).var(1), 1);
 }
 
-class JoinAlgorithmTest : public ::testing::TestWithParam<JoinAlgorithm> {
- protected:
-  OperatorPtr MakeJoin(TablePtr left, TablePtr right) {
-    switch (GetParam()) {
-      case JoinAlgorithm::kSortMerge:
-        return std::make_unique<SortMergeProductJoin>(
-            std::make_unique<SeqScan>(left), std::make_unique<SeqScan>(right),
-            Semiring::SumProduct());
-      case JoinAlgorithm::kNestedLoop:
-        return std::make_unique<NestedLoopProductJoin>(
-            std::make_unique<SeqScan>(left), std::make_unique<SeqScan>(right),
-            Semiring::SumProduct());
-      case JoinAlgorithm::kAuto:
-      case JoinAlgorithm::kHash:
-      case JoinAlgorithm::kLeapfrog:  // n-ary only; not a binary algorithm
-        break;
-    }
-    return std::make_unique<HashProductJoin>(std::make_unique<SeqScan>(left),
-                                             std::make_unique<SeqScan>(right),
-                                             Semiring::SumProduct());
-  }
+// Canonically sorted result of hash-joining left and right.
+TablePtr JoinTables(TablePtr left, TablePtr right) {
+  HashProductJoin join(std::make_unique<SeqScan>(std::move(left)),
+                       std::make_unique<SeqScan>(std::move(right)),
+                       Semiring::SumProduct());
+  auto result = ::mpfdb::exec::Run(join, "out");
+  EXPECT_TRUE(result.ok()) << result.status();
+  std::vector<size_t> all((*result)->schema().arity());
+  std::iota(all.begin(), all.end(), 0);
+  (*result)->SortByVariables(all);
+  return *result;
+}
 
-  // Canonically sorted result of joining left and right.
-  TablePtr JoinTables(TablePtr left, TablePtr right) {
-    OperatorPtr join = MakeJoin(std::move(left), std::move(right));
-    auto result = ::mpfdb::exec::Run(*join, "out");
-    EXPECT_TRUE(result.ok()) << result.status();
-    std::vector<size_t> all((*result)->schema().arity());
-    std::iota(all.begin(), all.end(), 0);
-    (*result)->SortByVariables(all);
-    return *result;
-  }
-};
-
-TEST_P(JoinAlgorithmTest, MatchesReferenceAlgebra) {
-  Rng rng(static_cast<uint64_t>(GetParam()) + 100);
+TEST(JoinAlgorithmTest, MatchesReferenceAlgebra) {
+  Rng rng(101);
   for (int trial = 0; trial < 5; ++trial) {
     TablePtr a = RandomTable("a", {"x", "y"}, {6, 4}, 15, rng);
     TablePtr b = RandomTable("b", {"y", "z"}, {4, 5}, 12, rng);
     auto expected = fr::ProductJoin(*a, *b, Semiring::SumProduct(), "ref");
     ASSERT_TRUE(expected.ok());
     TablePtr actual = JoinTables(a, b);
-    EXPECT_TRUE(fr::TablesEqual(**expected, *actual, 1e-12)) << trial;
+    EXPECT_TRUE(fr::TablesEqual(**expected, *actual, /*tolerance=*/0.0))
+        << trial;
   }
 }
 
-TEST_P(JoinAlgorithmTest, EmptyInputs) {
+TEST(JoinAlgorithmTest, EmptyInputs) {
   TablePtr a = MakeTable("a", {"x", "y"}, {});
   TablePtr b = MakeTable("b", {"y", "z"}, {{{0, 0}, 1.0}});
   EXPECT_EQ(JoinTables(a, b)->NumRows(), 0u);
@@ -152,14 +132,14 @@ TEST_P(JoinAlgorithmTest, EmptyInputs) {
   EXPECT_EQ(JoinTables(a, a)->NumRows(), 0u);
 }
 
-TEST_P(JoinAlgorithmTest, CrossProductWhenNoSharedVars) {
+TEST(JoinAlgorithmTest, CrossProductWhenNoSharedVars) {
   TablePtr a = MakeTable("a", {"x"}, {{{0}, 2.0}, {{1}, 3.0}});
   TablePtr b = MakeTable("b", {"y"}, {{{0}, 5.0}, {{1}, 7.0}, {{2}, 11.0}});
   TablePtr result = JoinTables(a, b);
   EXPECT_EQ(result->NumRows(), 6u);
 }
 
-TEST_P(JoinAlgorithmTest, DuplicateKeysProducePairwiseProduct) {
+TEST(JoinAlgorithmTest, DuplicateKeysProducePairwiseProduct) {
   // Two rows per key on each side -> 4 output rows per key; the join output
   // here is NOT a functional relation (y alone doesn't determine the rest),
   // which is why plans marginalize afterwards.
@@ -174,49 +154,24 @@ TEST_P(JoinAlgorithmTest, DuplicateKeysProducePairwiseProduct) {
   EXPECT_DOUBLE_EQ(total, (2.0 + 3.0) * (7.0 + 11.0) + 5.0 * 13.0);
 }
 
-TEST_P(JoinAlgorithmTest, MultiVariableSharedKeys) {
+TEST(JoinAlgorithmTest, MultiVariableSharedKeys) {
   Rng rng(7);
   TablePtr a = RandomTable("a", {"x", "y", "z"}, {3, 3, 3}, 12, rng);
   TablePtr b = RandomTable("b", {"y", "z", "w"}, {3, 3, 3}, 12, rng);
   auto expected = fr::ProductJoin(*a, *b, Semiring::SumProduct(), "ref");
   ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(fr::TablesEqual(**expected, *JoinTables(a, b), 1e-12));
+  EXPECT_TRUE(
+      fr::TablesEqual(**expected, *JoinTables(a, b), /*tolerance=*/0.0));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllJoins, JoinAlgorithmTest,
-                         ::testing::Values(JoinAlgorithm::kHash,
-                                           JoinAlgorithm::kSortMerge,
-                                           JoinAlgorithm::kNestedLoop),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case JoinAlgorithm::kAuto:
-                               return "auto";
-                             case JoinAlgorithm::kHash:
-                               return "hash";
-                             case JoinAlgorithm::kSortMerge:
-                               return "sort_merge";
-                             case JoinAlgorithm::kNestedLoop:
-                               return "nested_loop";
-                             case JoinAlgorithm::kLeapfrog:
-                               return "leapfrog";
-                           }
-                           return "unknown";
-                         });
+// A hash marginalize of `input` onto `group_vars`.
+OperatorPtr MakeAgg(TablePtr input, std::vector<std::string> group_vars,
+                    Semiring semiring) {
+  return std::make_unique<HashMarginalize>(std::make_unique<SeqScan>(input),
+                                           std::move(group_vars), semiring);
+}
 
-class AggAlgorithmTest : public ::testing::TestWithParam<AggAlgorithm> {
- protected:
-  OperatorPtr MakeAgg(TablePtr input, std::vector<std::string> group_vars,
-                      Semiring semiring) {
-    if (GetParam() == AggAlgorithm::kSort) {
-      return std::make_unique<SortMarginalize>(
-          std::make_unique<SeqScan>(input), std::move(group_vars), semiring);
-    }
-    return std::make_unique<HashMarginalize>(std::make_unique<SeqScan>(input),
-                                             std::move(group_vars), semiring);
-  }
-};
-
-TEST_P(AggAlgorithmTest, MatchesReferenceAlgebra) {
+TEST(AggAlgorithmTest, MatchesReferenceAlgebra) {
   Rng rng(11);
   for (int trial = 0; trial < 5; ++trial) {
     TablePtr t = RandomTable("t", {"x", "y", "z"}, {4, 3, 5}, 30, rng);
@@ -230,13 +185,13 @@ TEST_P(AggAlgorithmTest, MatchesReferenceAlgebra) {
       std::vector<size_t> all((*actual)->schema().arity());
       std::iota(all.begin(), all.end(), 0);
       (*actual)->SortByVariables(all);
-      EXPECT_TRUE(fr::TablesEqual(**expected, **actual, 1e-12))
+      EXPECT_TRUE(fr::TablesEqual(**expected, **actual, /*tolerance=*/0.0))
           << semiring.name();
     }
   }
 }
 
-TEST_P(AggAlgorithmTest, EmptyInput) {
+TEST(AggAlgorithmTest, EmptyInput) {
   TablePtr t = MakeTable("t", {"x"}, {});
   OperatorPtr agg = MakeAgg(t, {"x"}, Semiring::SumProduct());
   auto result = ::mpfdb::exec::Run(*agg, "out");
@@ -244,7 +199,7 @@ TEST_P(AggAlgorithmTest, EmptyInput) {
   EXPECT_EQ((*result)->NumRows(), 0u);
 }
 
-TEST_P(AggAlgorithmTest, GroupByNothingYieldsScalar) {
+TEST(AggAlgorithmTest, GroupByNothingYieldsScalar) {
   TablePtr t = MakeTable("t", {"x"}, {{{0}, 1.5}, {{1}, 2.5}});
   OperatorPtr agg = MakeAgg(t, {}, Semiring::SumProduct());
   auto result = ::mpfdb::exec::Run(*agg, "out");
@@ -253,19 +208,11 @@ TEST_P(AggAlgorithmTest, GroupByNothingYieldsScalar) {
   EXPECT_DOUBLE_EQ((*result)->measure(0), 4.0);
 }
 
-TEST_P(AggAlgorithmTest, UnknownGroupVariableFailsAtOpen) {
+TEST(AggAlgorithmTest, UnknownGroupVariableFailsAtOpen) {
   TablePtr t = MakeTable("t", {"x"}, {{{0}, 1.0}});
   OperatorPtr agg = MakeAgg(t, {"zz"}, Semiring::SumProduct());
   EXPECT_FALSE(agg->Open().ok());
 }
-
-INSTANTIATE_TEST_SUITE_P(AllAggs, AggAlgorithmTest,
-                         ::testing::Values(AggAlgorithm::kHash,
-                                           AggAlgorithm::kSort),
-                         [](const auto& info) {
-                           return info.param == AggAlgorithm::kHash ? "hash"
-                                                                    : "sort";
-                         });
 
 // Test double that fails at a chosen point, for error-propagation coverage.
 class FailingOperator : public PhysicalOperator {
@@ -327,10 +274,6 @@ TEST_P(FailureInjectionTest, ErrorsPropagateThroughEveryOperator) {
     EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
   }
   {
-    SortMarginalize op(Failing(t), {"x"}, sr);
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
-  }
-  {
     StreamProject op(Failing(t), {"x"});
     EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
   }
@@ -346,14 +289,6 @@ TEST_P(FailureInjectionTest, ErrorsPropagateThroughEveryOperator) {
   }
   {
     HashProductJoin op(std::make_unique<SeqScan>(other), Failing(t), sr);
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
-  }
-  {
-    SortMergeProductJoin op(Failing(t), std::make_unique<SeqScan>(other), sr);
-    EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
-  }
-  {
-    NestedLoopProductJoin op(std::make_unique<SeqScan>(other), Failing(t), sr);
     EXPECT_FALSE(::mpfdb::exec::Run(op, "out").ok());
   }
 }
@@ -644,47 +579,6 @@ TEST_F(BatchExecutionTest, IndexScanBatchesMatchOracleAndCancel) {
     ASSERT_FALSE(has.ok());
     EXPECT_EQ(has.status().code(), StatusCode::kCancelled);
     scan.Close();
-  }
-}
-
-// NestedLoopProductJoin's native batch path: 60 x 90 rows with 30 matches
-// per left row give 1800 outputs, so a left row's match run straddles the
-// first batch boundary; a cancel between pulls stops the join.
-TEST_F(BatchExecutionTest, NestedLoopBatchesMatchOracleAndCancel) {
-  auto left = std::make_shared<Table>("l", Schema({"x", "y"}, "f"));
-  for (VarValue x = 0; x < 60; ++x) left->AppendRow({x, x % 3}, 1.0);
-  auto right = std::make_shared<Table>("r", Schema({"y", "z"}, "f"));
-  for (VarValue z = 0; z < 90; ++z) right->AppendRow({z % 3, z}, 1.0);
-  const Semiring sr = Semiring::SumProduct();
-  auto make_join = [&] {
-    return std::make_unique<NestedLoopProductJoin>(
-        std::make_unique<SeqScan>(left), std::make_unique<SeqScan>(right), sr);
-  };
-  {
-    auto join = make_join();
-    ExpectMatchesOracle(*join, fr::ProductJoin(*left, *right, sr, "ref"));
-  }
-  {
-    auto join = make_join();
-    RowBatch batch;
-    ExpectFullFirstBatch(*join, &batch);
-    auto has = join->NextBatch(&batch);
-    ASSERT_TRUE(has.ok() && *has);
-    EXPECT_EQ(batch.num_rows(), 1800 - kBatchSize);
-    EXPECT_FALSE(*join->NextBatch(&batch));
-    join->Close();
-  }
-  {
-    QueryContext ctx;
-    auto join = make_join();
-    join->BindContext(&ctx);
-    RowBatch batch;
-    ExpectFullFirstBatch(*join, &batch);
-    ctx.RequestCancel();
-    auto has = join->NextBatch(&batch);
-    ASSERT_FALSE(has.ok());
-    EXPECT_EQ(has.status().code(), StatusCode::kCancelled);
-    join->Close();
   }
 }
 

@@ -3,18 +3,15 @@
 // random schemas and random optimizer plans, every combination of
 //
 //   num_threads in {1, 2, 4, 8}
-//     x mode in {forced hash with vector keys (a 2^62-domain catalog),
-//       forced hash with packed keys, forced hash with 25-64-bit packed
-//       keys (a 2^25-domain catalog, so join heads live in the Swiss table
-//       rather than a dense array), kAuto physical planning
-//       (cost-chosen operators)}
+//     x key mode in {vector keys (a 2^62-domain catalog), packed keys,
+//       25-64-bit packed keys (a 2^25-domain catalog, so join heads live in
+//       the Swiss table rather than a dense array)}
 //     x spill {off, on (tiny budget forcing Grace spills)}
 //
-// must reproduce the forced-hash serial golden answer bit for bit
-// (tolerance 0.0) — including the auto mode, which is the physical
-// planner's central bit-identity promise. The golden itself is checked
-// against the fr oracle. The same MPFDB_TEST_SEED env knob as property_test
-// shifts every seed, and each case prints its effective seed on failure.
+// must reproduce the serial golden answer bit for bit (tolerance 0.0). The
+// golden itself is checked against the fr oracle. The same MPFDB_TEST_SEED
+// env knob as property_test shifts every seed, and each case prints its
+// effective seed on failure.
 
 #include <chrono>
 #include <cstdint>
@@ -78,24 +75,13 @@ enum class Domains { kDeclared, kMid, kWide };
 
 struct ExecMode {
   const char* label;
-  exec::ExecOptions options;
-  Domains domains = Domains::kDeclared;
+  Domains domains;
 };
 
 const ExecMode kExecModes[] = {
-    {"vector_keys",
-     {.join = exec::JoinAlgorithm::kHash, .agg = exec::AggAlgorithm::kHash},
-     Domains::kWide},
-    {"packed",
-     {.join = exec::JoinAlgorithm::kHash, .agg = exec::AggAlgorithm::kHash}},
-    {"packed/mid",
-     {.join = exec::JoinAlgorithm::kHash, .agg = exec::AggAlgorithm::kHash},
-     Domains::kMid},
-    // kAuto: the physical planner picks per-node algorithms (sort-merge
-    // joins / sort marginalize where admissible and cheaper). Must still
-    // match the forced-hash golden at tolerance 0.0.
-    {"auto",
-     {.join = exec::JoinAlgorithm::kAuto, .agg = exec::AggAlgorithm::kAuto}},
+    {"vector_keys", Domains::kWide},
+    {"packed", Domains::kDeclared},
+    {"packed/mid", Domains::kMid},
 };
 
 class ParallelDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -143,13 +129,9 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
           (*optimizer)->Optimize(rv.view, query, rv.catalog, cost_model);
       ASSERT_TRUE(plan.ok()) << spec << ": " << plan.status();
 
-      // Serial golden: forced-hash, packed keys, no context, no pool.
-      // Forcing hash pins the baseline the auto mode must reproduce bit for
-      // bit; the oracle folds in another order, so it agrees to 1e-9.
-      exec::Executor golden_exec(
-          rv.catalog, rv.view.semiring,
-          exec::ExecOptions{.join = exec::JoinAlgorithm::kHash,
-                            .agg = exec::AggAlgorithm::kHash});
+      // Serial golden: packed keys, no context, no pool. The oracle folds
+      // in another order, so it agrees to 1e-9.
+      exec::Executor golden_exec(rv.catalog, rv.view.semiring);
       auto golden = golden_exec.Execute(**plan, "golden");
       ASSERT_TRUE(golden.ok()) << spec << ": " << golden.status();
       EXPECT_TRUE(fr::TablesEqual(**oracle, **golden, 1e-9)) << spec;
@@ -171,7 +153,7 @@ TEST_P(ParallelDifferentialTest, BitIdenticalAcrossThreadsModesAndSpill) {
             const Catalog& catalog = mode.domains == Domains::kWide  ? wide
                                      : mode.domains == Domains::kMid ? mid
                                                                      : rv.catalog;
-            exec::Executor executor(catalog, rv.view.semiring, mode.options);
+            exec::Executor executor(catalog, rv.view.semiring);
             auto result = executor.Execute(**plan, "out", &ctx);
             std::string where = std::string(semiring.name()) + "/" + spec +
                                 "/threads=" + std::to_string(threads) + "/" +

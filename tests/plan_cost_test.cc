@@ -165,25 +165,12 @@ TEST(SimpleCostModelTest, PaperFormulas) {
   EXPECT_GE(model.GroupByCost(0), 0.0);
 }
 
-TEST(PageCostModelTest, PageRounding) {
-  PageCostModel model(100.0);
-  EXPECT_DOUBLE_EQ(model.ScanCost(1), 1.0);    // min one page
-  EXPECT_DOUBLE_EQ(model.ScanCost(100), 1.0);
-  EXPECT_DOUBLE_EQ(model.ScanCost(101), 2.0);
-  // Hash join: both inputs plus 2x build side.
-  EXPECT_DOUBLE_EQ(model.JoinCost(1000, 100), 10 + 1 + 2 * 1);
-  EXPECT_GT(model.GroupByCost(100000), model.GroupByCost(1000));
-}
-
 TEST(CostModelTest, MonotoneInInputSize) {
   SimpleCostModel simple;
-  PageCostModel page;
   for (double small = 10; small < 1e6; small *= 10) {
     double big = small * 10;
     EXPECT_LE(simple.JoinCost(small, small), simple.JoinCost(big, big));
     EXPECT_LE(simple.GroupByCost(small), simple.GroupByCost(big));
-    EXPECT_LE(page.JoinCost(small, small), page.JoinCost(big, big));
-    EXPECT_LE(page.GroupByCost(small), page.GroupByCost(big));
   }
 }
 
