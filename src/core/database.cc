@@ -244,9 +244,6 @@ StatusOr<std::shared_ptr<const server::CachedPlan>> Database::Plan(
   auto entry = std::make_shared<server::CachedPlan>();
   MPFDB_ASSIGN_OR_RETURN(
       entry->logical, optimizer->Optimize(view, query, catalog, cost_model_));
-  exec::Executor planner(catalog, view.semiring, exec_options_);
-  MPFDB_ASSIGN_OR_RETURN(entry->physical,
-                         planner.PlanPhysical(*entry->logical));
   entry->optimizer_name = optimizer->name();
   entry->variable_order = optimizer->last_variable_order();
   if (cacheable) plan_cache_.Insert(cache_key, snap.structural_epoch, entry);
@@ -265,8 +262,8 @@ StatusOr<TablePtr> Database::Execute(
   const bool borrow_pool = pool != nullptr && qctx->thread_pool() == nullptr;
   if (borrow_pool) qctx->set_thread_pool(pool);
   exec::Executor executor(catalog, semiring, exec_options_);
-  auto table =
-      executor.ExecutePhysical(*plan.physical, result_name, qctx, stats);
+  auto table = executor.ExecutePhysical(
+      *PlanPhysicalTree(*plan.logical, catalog), result_name, qctx, stats);
   if (borrow_pool) qctx->set_thread_pool(nullptr);
   return table;
 }
@@ -1011,7 +1008,8 @@ StatusOr<std::string> Database::Explain(const std::string& view_name,
   // The logical plan (the optimizer's output) followed by the physical plan
   // (each node's algorithm and the fused index scans).
   return ExplainHeader(*plan, query, *view) + ExplainPlan(*plan->logical) +
-         "-- physical plan:\n" + ExplainPhysicalPlan(*plan->physical);
+         "-- physical plan:\n" +
+         ExplainPhysicalPlan(*PlanPhysicalTree(*plan->logical, snap->catalog));
 }
 
 StatusOr<std::string> Database::ExplainAnalyze(
@@ -1027,7 +1025,8 @@ StatusOr<std::string> Database::ExplainAnalyze(
                                 view_name + "_result", nullptr, &stats)
                             .status());
   return ExplainHeader(*plan, query, *view) +
-         exec::ExplainAnalyzePlan(*plan->physical, stats);
+         exec::ExplainAnalyzePlan(
+             *PlanPhysicalTree(*plan->logical, snap->catalog), stats);
 }
 
 Status Database::BuildCache(const std::string& view_name, QueryContext* ctx) {

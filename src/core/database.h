@@ -419,8 +419,8 @@ class Database {
   // The one query pipeline. Every reader resolves its view in a pinned
   // snapshot, then calls Plan and Execute.
   //
-  // Plan optimizes `query` over `view` with the MakeOptimizer spec and maps
-  // it to the physical plan against `catalog`. No query context takes part:
+  // Plan optimizes `query` over `view` with the MakeOptimizer spec against
+  // `catalog`. No query context takes part:
   // every budget, deadline and pool runs the same plan. The shared plan
   // cache is consulted and filled exactly when `catalog` is the snapshot's
   // own: a scratch catalog (what-if clones, dissociated bounds) always plans
@@ -430,7 +430,8 @@ class Database {
       const Snapshot& snap, const MpfViewDef& view, const Catalog& catalog,
       const MpfQuerySpec& query, const std::string& optimizer_spec,
       bool* cache_hit = nullptr);
-  // Executes `plan` against `catalog`. The only place the worker pool is
+  // Maps `plan` to its physical tree and executes it against `catalog`.
+  // The only place the worker pool is
   // connected to a QueryContext: a context without a pool borrows it for
   // the call, and a null `ctx` gets a local one. A non-null `stats` attaches
   // the per-operator stats spine (Executor::ExecutePhysical).

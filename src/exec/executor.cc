@@ -119,12 +119,12 @@ StatusOr<OperatorPtr> Executor::BuildNode(
     }
     case PlanNodeKind::kProject: {
       MPFDB_ASSIGN_OR_RETURN(OperatorPtr child, BuildNode(*phys.left, stats));
-      op = std::make_unique<StreamProject>(std::move(child), plan.group_vars);
+      op = std::make_unique<StreamProject>(std::move(child), plan.output_vars);
       break;
     }
     case PlanNodeKind::kGroupBy: {
       MPFDB_ASSIGN_OR_RETURN(OperatorPtr child, BuildNode(*phys.left, stats));
-      op = std::make_unique<HashMarginalize>(std::move(child), plan.group_vars,
+      op = std::make_unique<HashMarginalize>(std::move(child), plan.output_vars,
                                              semiring_, &catalog_);
       break;
     }
@@ -223,11 +223,11 @@ void ExplainAnalyzeRec(const PhysicalPlanNode& phys,
          << AlgorithmName(phys.kind) << ")";
       break;
     case PlanNodeKind::kGroupBy:
-      os << "GroupBy{" << FormatVarList(node.group_vars) << "}("
+      os << "GroupBy{" << FormatVarList(node.output_vars) << "}("
          << AlgorithmName(phys.kind) << ")";
       break;
     case PlanNodeKind::kProject:
-      os << "Project{" << FormatVarList(node.group_vars) << "}";
+      os << "Project{" << FormatVarList(node.output_vars) << "}";
       break;
     case PlanNodeKind::kMeasureFilter:
       os << "MeasureFilter(f " << CompareOpSymbol(node.having.op) << " "

@@ -1,7 +1,7 @@
 #include "opt/faq.h"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "cost/agm.h"
@@ -14,14 +14,14 @@ namespace {
 // the shared deterministic rule. Used for the retained prefix of the
 // multiway variable order, where the first variable also becomes the morsel
 // partitioning key.
-StatusOr<std::vector<std::string>> OrderByDomain(const QueryContext& ctx,
-                                                 std::vector<std::string> vars) {
+std::vector<std::string> OrderByDomain(const QueryContext& ctx,
+                                       std::vector<std::string> vars) {
   std::vector<std::string> out;
   out.reserve(vars.size());
   while (!vars.empty()) {
     std::vector<double> scores(vars.size(), 0.0);
     for (size_t i = 0; i < vars.size(); ++i) {
-      MPFDB_ASSIGN_OR_RETURN(scores[i], ctx.builder.DomainProduct({vars[i]}));
+      scores[i] = ctx.domain[ctx.Id(vars[i])];
     }
     size_t pick = PickMinScore(scores);
     out.push_back(std::move(vars[pick]));
@@ -30,25 +30,47 @@ StatusOr<std::vector<std::string>> OrderByDomain(const QueryContext& ctx,
   return out;
 }
 
+// A hyperedge of the elimination search: its variables in order (the AGM
+// LP's input) and as a set (for the membership tests).
+struct BagEdge {
+  agm::Edge edge;
+  VarSet vars;
+};
+
+// Appends the names of `names` not yet in `seen` to `out`: the first-seen
+// union of ordered name lists in linear time.
+void UnionInto(const QueryContext& ctx, const std::vector<std::string>& names,
+               VarSet* seen, std::vector<std::string>* out) {
+  for (const auto& name : names) {
+    const VarId id = ctx.Id(name);
+    if (seen->Contains(id)) continue;
+    seen->Insert(id);
+    out->push_back(name);
+  }
+}
+
 // Greedy fractional-hypertree-width order for the eliminated core variables:
 // at each step the candidate whose bag (the union of its incident
 // hyperedges) has the smallest AGM bound is eliminated next, and its
 // incident edges are contracted into one bag edge of that bound — the
 // standard width-style evaluation of a variable order, with the AGM bound
 // standing in for N^{rho*} per bag.
-std::vector<std::string> OrderEliminatedByAgm(std::vector<std::string> vars,
-                                              std::vector<agm::Edge> edges) {
+std::vector<std::string> OrderEliminatedByAgm(const QueryContext& ctx,
+                                              std::vector<std::string> vars,
+                                              std::vector<BagEdge> edges) {
   std::vector<std::string> out;
   out.reserve(vars.size());
   while (!vars.empty()) {
     std::vector<double> scores(vars.size(), 0.0);
     for (size_t c = 0; c < vars.size(); ++c) {
+      const VarId id = ctx.Id(vars[c]);
       std::vector<std::string> bag;
+      VarSet seen;
       std::vector<agm::Edge> incident;
-      for (const agm::Edge& e : edges) {
-        if (!varset::Contains(e.vars, vars[c])) continue;
-        incident.push_back(e);
-        bag = varset::Union(bag, e.vars);
+      for (const BagEdge& e : edges) {
+        if (!e.vars.Contains(id)) continue;
+        incident.push_back(e.edge);
+        UnionInto(ctx, e.edge.vars, &seen, &bag);
       }
       scores[c] = incident.empty() ? 1.0 : agm::AgmBound(bag, incident);
     }
@@ -57,18 +79,24 @@ std::vector<std::string> OrderEliminatedByAgm(std::vector<std::string> vars,
     vars.erase(vars.begin() + pick);
 
     // Contract: incident edges collapse to one bag edge without `var`.
-    std::vector<agm::Edge> next;
+    const VarId id = ctx.Id(var);
+    std::vector<BagEdge> next;
     std::vector<std::string> bag;
-    for (agm::Edge& e : edges) {
-      if (varset::Contains(e.vars, var)) {
-        bag = varset::Union(bag, e.vars);
+    VarSet bag_set;
+    for (BagEdge& e : edges) {
+      if (e.vars.Contains(id)) {
+        UnionInto(ctx, e.edge.vars, &bag_set, &bag);
       } else {
         next.push_back(std::move(e));
       }
     }
-    bag = varset::Difference(bag, {var});
+    if (auto it = std::find(bag.begin(), bag.end(), var); it != bag.end()) {
+      bag.erase(it);
+    }
+    bag_set.Erase(id);
     if (!bag.empty()) {
-      next.push_back(agm::Edge{std::move(bag), std::max(1.0, scores[pick])});
+      next.push_back(BagEdge{
+          agm::Edge{std::move(bag), std::max(1.0, scores[pick])}, bag_set});
     }
     edges = std::move(next);
     out.push_back(var);
@@ -99,25 +127,34 @@ StatusOr<PlanPtr> BinaryPlan(const QueryContext& ctx,
 
 std::vector<size_t> GyoCyclicCore(
     const std::vector<std::vector<std::string>>& edges) {
-  std::vector<std::vector<std::string>> e = edges;
+  // Intern the names so the reduction runs on bitsets.
+  std::unordered_map<std::string, VarId> ids;
+  std::vector<VarSet> e;
+  for (const auto& edge : edges) {
+    VarSet set;
+    for (const std::string& v : edge) {
+      set.Insert(ids.emplace(v, VarId(ids.size())).first->second);
+    }
+    e.push_back(std::move(set));
+  }
   std::vector<bool> alive(e.size(), true);
   bool changed = true;
   while (changed) {
     changed = false;
     // Vertex rule: a variable occurring in exactly one surviving edge is an
     // ear tip — delete it.
-    std::map<std::string, int> occurrences;
+    std::vector<int> occurrences(ids.size(), 0);
     for (size_t i = 0; i < e.size(); ++i) {
-      if (!alive[i]) continue;
-      for (const std::string& v : e[i]) ++occurrences[v];
+      if (alive[i]) e[i].ForEach([&](VarId v) { ++occurrences[v]; });
+    }
+    VarSet shared;
+    for (VarId v = 0; v < occurrences.size(); ++v) {
+      if (occurrences[v] >= 2) shared.Insert(v);
     }
     for (size_t i = 0; i < e.size(); ++i) {
       if (!alive[i]) continue;
-      std::vector<std::string> kept;
-      for (const std::string& v : e[i]) {
-        if (occurrences[v] >= 2) kept.push_back(v);
-      }
-      if (kept.size() != e[i].size()) {
+      VarSet kept = e[i] & shared;
+      if (kept != e[i]) {
         e[i] = std::move(kept);
         changed = true;
       }
@@ -133,8 +170,7 @@ std::vector<size_t> GyoCyclicCore(
       }
       for (size_t j = 0; j < e.size(); ++j) {
         if (j == i || !alive[j]) continue;
-        if (varset::IsSubset(e[i], e[j]) &&
-            (!varset::SetEquals(e[i], e[j]) || j < i)) {
+        if (e[i].IsSubsetOf(e[j]) && (e[i] != e[j] || j < i)) {
           alive[i] = false;
           changed = true;
           break;
@@ -181,28 +217,33 @@ StatusOr<PlanPtr> FaqOptimizer::Optimize(const MpfViewDef& view,
   for (size_t idx : core) in_core[idx] = true;
   std::vector<PlanPtr> children;
   std::vector<Factor> periphery;
-  std::vector<agm::Edge> core_edges;
+  std::vector<BagEdge> core_edges;
   std::vector<std::string> core_vars;
+  VarSet core_set;
   uint64_t covered = 0;
   for (size_t i = 0; i < factors.size(); ++i) {
     if (!in_core[i]) {
       periphery.push_back(factors[i]);
       continue;
     }
-    children.push_back(factors[i].plan);
+    const PlanPtr& plan = factors[i].plan;
+    children.push_back(plan);
     covered |= factors[i].covered;
-    core_vars = varset::Union(core_vars, factors[i].plan->output_vars);
-    core_edges.push_back(agm::Edge{factors[i].plan->output_vars,
-                                   std::max(1.0, factors[i].plan->est_card)});
+    UnionInto(ctx, plan->output_vars, &core_set, &core_vars);
+    core_edges.push_back(BagEdge{
+        agm::Edge{plan->output_vars, std::max(1.0, plan->est_card)},
+        factors[i].vars});
   }
 
   // Variable order: retained variables first — the LeapFrog emission order
   // then presorts the eliminating GroupBy — followed by the eliminated core
   // variables in greedy min-bag-AGM order.
-  std::vector<std::string> retained = SafeRetainVars(ctx, covered, core_vars);
-  std::vector<std::string> eliminated = varset::Difference(core_vars, retained);
-  MPFDB_ASSIGN_OR_RETURN(retained, OrderByDomain(ctx, std::move(retained)));
-  eliminated = OrderEliminatedByAgm(std::move(eliminated), core_edges);
+  VarSet retained_set = SafeRetainVars(ctx, covered, core_set);
+  std::vector<std::string> retained =
+      OrderByDomain(ctx, ctx.Names(core_vars, retained_set));
+  std::vector<std::string> eliminated =
+      OrderEliminatedByAgm(ctx, ctx.Names(core_vars, core_set - retained_set),
+                           std::move(core_edges));
   std::vector<std::string> var_order = retained;
   var_order.insert(var_order.end(), eliminated.begin(), eliminated.end());
 
@@ -212,7 +253,8 @@ StatusOr<PlanPtr> FaqOptimizer::Optimize(const MpfViewDef& view,
     MPFDB_ASSIGN_OR_RETURN(merged,
                            ctx.builder.GroupBy(std::move(merged), retained));
   }
-  periphery.push_back(Factor{std::move(merged), covered});
+  periphery.push_back(
+      Factor{std::move(merged), covered, std::move(retained_set)});
   MPFDB_ASSIGN_OR_RETURN(PlanPtr faq, BinaryPlan(ctx, std::move(periphery)));
 
   if (faq->est_cost < binary->est_cost) {

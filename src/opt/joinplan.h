@@ -8,9 +8,6 @@
 
 namespace mpfdb::opt {
 
-// Factor (the planning unit: subplan + covered-leaves bitmask) lives in
-// optimizer.h, shared with the elimination searches.
-
 struct JoinPlanOptions {
   // Search bushy (nonlinear) join trees instead of left-linear only
   // (Section 5.1's nonlinear extension).

@@ -20,12 +20,8 @@ StatusOr<QueryContext> QueryContext::Make(const MpfViewDef& view,
     return Status::InvalidArgument(
         "optimizers support at most 64 base relations");
   }
-  QueryContext ctx{PlanBuilder(catalog, cost_model),
-                   query.group_vars,
-                   query.having,
-                   {},
-                   {},
-                   {}};
+  QueryContext ctx{PlanBuilder(catalog, cost_model), query.group_vars,
+                   query.having};
 
   for (const auto& rel : view.relations) {
     // Access path choice for the leaf: if exactly one pushed-down selection
@@ -54,95 +50,81 @@ StatusOr<QueryContext> QueryContext::Make(const MpfViewDef& view,
         index_applied = true;
         continue;
       }
-      if (varset::Contains(leaf->output_vars, sel.var)) {
+      if (table->schema().HasVariable(sel.var)) {
         MPFDB_ASSIGN_OR_RETURN(leaf,
                                ctx.builder.Select(leaf, sel.var, sel.value));
       }
     }
-    ctx.leaf_vars.push_back(leaf->output_vars);
-    ctx.all_vars = varset::Union(ctx.all_vars, leaf->output_vars);
+    // Intern the leaf's variables (selections do not drop any).
+    VarSet leaf_set;
+    for (const auto& var : leaf->output_vars) {
+      auto [it, added] = ctx.ids.emplace(var, VarId(ctx.all_vars.size()));
+      if (added) {
+        MPFDB_ASSIGN_OR_RETURN(int64_t size, catalog.DomainSize(var));
+        ctx.all_vars.push_back(var);
+        ctx.domain.push_back(static_cast<double>(size));
+      }
+      leaf_set.Insert(it->second);
+    }
+    ctx.leaf_sets.push_back(std::move(leaf_set));
     ctx.leaves.push_back(std::move(leaf));
   }
 
   for (const auto& var : query.group_vars) {
-    if (!varset::Contains(ctx.all_vars, var)) {
+    if (ctx.ids.count(var) == 0) {
       return Status::InvalidArgument("query variable '" + var +
                                      "' does not appear in view '" +
                                      view.name + "'");
     }
   }
   for (const auto& sel : query.selections) {
-    if (!varset::Contains(ctx.all_vars, sel.var)) {
+    if (ctx.ids.count(sel.var) == 0) {
       return Status::InvalidArgument("selection variable '" + sel.var +
                                      "' does not appear in view '" +
                                      view.name + "'");
     }
   }
+  ctx.query_set = ctx.SetOf(ctx.query_vars);
   return ctx;
+}
+
+VarSet QueryContext::SetOf(const std::vector<std::string>& names) const {
+  VarSet set;
+  for (const auto& name : names) set.Insert(Id(name));
+  return set;
+}
+
+std::vector<std::string> QueryContext::Names(
+    const std::vector<std::string>& ordered, const VarSet& set) const {
+  std::vector<std::string> names;
+  for (const auto& name : ordered) {
+    if (set.Contains(Id(name))) names.push_back(name);
+  }
+  return names;
 }
 
 std::vector<Factor> LeafFactors(const QueryContext& ctx) {
   std::vector<Factor> factors;
   factors.reserve(ctx.leaves.size());
   for (size_t i = 0; i < ctx.leaves.size(); ++i) {
-    factors.push_back(Factor{ctx.leaves[i], uint64_t{1} << i});
+    factors.push_back(
+        Factor{ctx.leaves[i], uint64_t{1} << i, ctx.leaf_sets[i]});
   }
   return factors;
 }
 
-namespace {
-
-// Shared core of both retained-variable rules: needed = X ∪ Var(everything
-// outside the covered subplan), intersected with what the subplan emits.
-std::vector<std::string> RetainNeeded(
-    const QueryContext& ctx, const std::vector<std::string>& out_vars,
-    const std::vector<const std::vector<std::string>*>& outside) {
-  std::vector<std::string> needed = ctx.query_vars;
-  for (const auto* vars : outside) needed = varset::Union(needed, *vars);
-  return varset::Intersect(out_vars, needed);
+VarSet RetainedVars(const QueryContext& ctx, const VarSet& vars,
+                    const VarSet& outside) {
+  return vars & (ctx.query_set | outside);
 }
 
-}  // namespace
-
-std::vector<std::string> SafeRetainVars(
-    const QueryContext& ctx, uint64_t covered,
-    const std::vector<std::string>& out_vars) {
-  std::vector<const std::vector<std::string>*> outside;
+VarSet SafeRetainVars(const QueryContext& ctx, uint64_t covered,
+                      const VarSet& vars) {
+  VarSet outside;
   for (size_t i = 0; i < ctx.leaves.size(); ++i) {
-    if (covered & (uint64_t{1} << i)) continue;
-    outside.push_back(&ctx.leaf_vars[i]);
+    if (!(covered & (uint64_t{1} << i))) outside |= ctx.leaf_sets[i];
   }
-  return RetainNeeded(ctx, out_vars, outside);
-}
-
-std::vector<std::string> RetainedVars(const QueryContext& ctx,
-                                      const std::vector<std::string>& out_vars,
-                                      const std::vector<Factor>& others) {
-  std::vector<const std::vector<std::string>*> outside;
-  outside.reserve(others.size());
-  for (const Factor& f : others) outside.push_back(&f.plan->output_vars);
-  return RetainNeeded(ctx, out_vars, outside);
-}
-
-double CountFillEdges(const std::vector<std::string>& clique_vars,
-                      const std::string& var,
-                      const std::vector<Factor>& all_factors) {
-  std::vector<std::string> neighbors = varset::Difference(clique_vars, {var});
-  double fill = 0;
-  for (size_t i = 0; i < neighbors.size(); ++i) {
-    for (size_t j = i + 1; j < neighbors.size(); ++j) {
-      bool connected = false;
-      for (const Factor& f : all_factors) {
-        if (varset::Contains(f.plan->output_vars, neighbors[i]) &&
-            varset::Contains(f.plan->output_vars, neighbors[j])) {
-          connected = true;
-          break;
-        }
-      }
-      if (!connected) ++fill;
-    }
-  }
-  return fill;
+  return RetainedVars(ctx, vars, outside);
 }
 
 size_t PickMinScore(const std::vector<double>& scores) {
@@ -189,7 +171,7 @@ StatusOr<PlanPtr> FinalizePlan(const QueryContext& ctx, PlanPtr plan) {
   const bool already_grouped =
       (plan->kind == PlanNodeKind::kGroupBy ||
        plan->kind == PlanNodeKind::kProject) &&
-      varset::SetEquals(plan->group_vars, ctx.query_vars);
+      ctx.SetOf(plan->output_vars) == ctx.query_set;
   if (already_grouped) return ApplyHaving(ctx, std::move(plan));
   // A join of functional relations whose output is exactly X is itself a
   // functional relation over X only if no other variables were ever joined
@@ -243,21 +225,15 @@ StatusOr<std::unique_ptr<opt::Optimizer>> MakeOptimizer(const std::string& spec,
     std::string suffix = std::string(StripWhitespace(s.substr(close + 1)));
     opt::VeOptions options;
     options.seed = random_seed;
-    if (heuristic_name == "deg" || heuristic_name == "degree") {
-      options.heuristic = opt::VeHeuristic::kDegree;
-    } else if (heuristic_name == "width") {
-      options.heuristic = opt::VeHeuristic::kWidth;
-    } else if (heuristic_name == "elim_cost") {
-      options.heuristic = opt::VeHeuristic::kElimCost;
-    } else if (heuristic_name == "deg&width") {
-      options.heuristic = opt::VeHeuristic::kDegreeWidth;
-    } else if (heuristic_name == "deg&elim_cost") {
-      options.heuristic = opt::VeHeuristic::kDegreeElimCost;
-    } else if (heuristic_name == "random") {
-      options.heuristic = opt::VeHeuristic::kRandom;
-    } else if (heuristic_name == "min_fill") {
-      options.heuristic = opt::VeHeuristic::kMinFill;
-    } else {
+    if (heuristic_name == "degree") heuristic_name = "deg";
+    bool known = false;
+    for (int h = 0; h <= static_cast<int>(opt::VeHeuristic::kMinFill); ++h) {
+      auto heuristic = static_cast<opt::VeHeuristic>(h);
+      if (opt::VeHeuristicName(heuristic) != heuristic_name) continue;
+      options.heuristic = heuristic;
+      known = true;
+    }
+    if (!known) {
       return Status::InvalidArgument("unknown VE heuristic: " + heuristic_name);
     }
     if (suffix == "ext." || suffix == "ext") {

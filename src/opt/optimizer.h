@@ -5,9 +5,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cost/cost_model.h"
+#include "opt/var_set.h"
 #include "plan/plan.h"
 #include "storage/catalog.h"
 #include "util/status.h"
@@ -50,7 +52,7 @@ class Optimizer {
 
 // Shared per-query state set up identically by every optimizer: validated
 // inputs, one leaf plan per base relation (scan plus any pushed-down
-// selections), and the variable -> relations index.
+// selections), and the view's variables interned as dense VarIds.
 struct QueryContext {
   PlanBuilder builder;
   std::vector<std::string> query_vars;
@@ -58,10 +60,13 @@ struct QueryContext {
   std::optional<HavingClause> having;
   // Leaf plan for each base relation, in view order.
   std::vector<PlanPtr> leaves;
-  // Variables of each leaf (after selections; selections do not drop vars).
-  std::vector<std::vector<std::string>> leaf_vars;
-  // All variables of the view.
+  // The view's variables in first-seen order (VarId = index), their domain
+  // sizes, and the query's and each leaf's variables as sets.
   std::vector<std::string> all_vars;
+  std::vector<double> domain;
+  VarSet query_set;
+  std::vector<VarSet> leaf_sets;
+  std::unordered_map<std::string, VarId> ids;  // all_vars' inverse
 
   // Builds the context or reports why the query is invalid (unknown
   // relation, query variable absent from the view, ...).
@@ -69,47 +74,53 @@ struct QueryContext {
                                      const MpfQuerySpec& query,
                                      const Catalog& catalog,
                                      const CostModel& cost_model);
+
+  // The VarId of a view variable.
+  VarId Id(const std::string& name) const { return ids.find(name)->second; }
+  // The set of view variables `names`.
+  VarSet SetOf(const std::vector<std::string>& names) const;
+  // The members of `set` in the order they appear in `ordered`.
+  std::vector<std::string> Names(const std::vector<std::string>& ordered,
+                                 const VarSet& set) const;
+  // Product of the domain sizes of `set`'s members, or nothing from 2^53 on.
+  // Below it all partial products are exact, so it matches
+  // PlanBuilder::DomainProduct over any order bit for bit; past it rounding
+  // depends on order, and callers fall back to the ordered name list.
+  std::optional<double> ExactDomainProduct(const VarSet& set) const {
+    double product = 1.0;
+    set.ForEach([&](VarId id) { product *= domain[id]; });
+    if (product >= 9007199254740992.0) return std::nullopt;
+    return product;
+  }
+
 };
 
-// A unit of join planning: an already-built subplan plus the bitmask of base
-// relations (indices into QueryContext::leaves) it covers. Base relations are
-// factors with a single bit set; VE's intermediate elimination results and
-// FAQ's multiway bags are factors with several.
+// A unit of join planning: an already-built subplan, the bitmask of base
+// relations (indices into QueryContext::leaves) it covers, and its output
+// variables. Base relations are factors with a single bit set; VE's
+// elimination results and FAQ's multiway bags are factors with several.
 struct Factor {
   PlanPtr plan;
   uint64_t covered = 0;
+  VarSet vars;
 };
 
 // One Factor per context leaf, in view order — the starting factor set of
 // every optimizer's search.
 std::vector<Factor> LeafFactors(const QueryContext& ctx);
 
+// The variables of `vars` a GroupBy must retain while `outside` is still to
+// be joined: X plus everything shared with the outside. The rest is grouped
+// away at once, as Algorithm 2's "grouped by the variables not eliminated
+// yet" implies.
+VarSet RetainedVars(const QueryContext& ctx, const VarSet& vars,
+                    const VarSet& outside);
+
 // The semantic-safety grouping set of Chaudhuri-Shim adapted to MPF queries:
-// for a subplan that covers exactly the base relations indexed by
-// `covered` (bitmask over ctx.leaves), a GroupBy placed on top of it must
-// retain the query variables plus every variable shared with a relation not
-// yet covered. Returns the retained variables in output order.
-std::vector<std::string> SafeRetainVars(const QueryContext& ctx,
-                                        uint64_t covered,
-                                        const std::vector<std::string>& out_vars);
-
-// Factor-set form of the same rule, used inside elimination searches: the
-// variables of `out_vars` a GroupBy over a clique's join must retain are the
-// query variables plus everything shared with a factor outside the clique.
-// Everything else — the eliminated variable and any variable local to the
-// clique — is grouped away at once, exactly as Algorithm 2's "grouped by the
-// variables not eliminated yet" implies.
-std::vector<std::string> RetainedVars(const QueryContext& ctx,
-                                      const std::vector<std::string>& out_vars,
-                                      const std::vector<Factor>& others);
-
-// Number of fill edges eliminating `var` adds to the variable graph induced
-// by the current factor scopes: pairs of var's neighbors (the clique's other
-// variables) that do not already co-occur in some factor. Used by VE's
-// min-fill heuristic and FAQ's order search.
-double CountFillEdges(const std::vector<std::string>& clique_vars,
-                      const std::string& var,
-                      const std::vector<Factor>& all_factors);
+// RetainedVars for a subplan covering the leaves in bitmask `covered`, whose
+// outside is every leaf not yet covered.
+VarSet SafeRetainVars(const QueryContext& ctx, uint64_t covered,
+                      const VarSet& vars);
 
 // The single deterministic argmin rule every order search uses: the smallest
 // score wins, and exact ties go to the earliest index (candidate lists are

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "opt/joinplan.h"
 #include "util/rng.h"
@@ -9,9 +10,7 @@
 namespace mpfdb::opt {
 namespace {
 
-// Per-candidate heuristic scores; lower is better. RetainedVars and
-// CountFillEdges live in the shared optimizer interface (optimizer.h), used
-// here and by the FAQ planner's order search.
+// Per-candidate heuristic scores; lower is better.
 struct Scores {
   double degree = 0;
   double width = 0;
@@ -19,35 +18,70 @@ struct Scores {
   double fill = 0;
 };
 
-StatusOr<Scores> ScoreCandidate(const QueryContext& ctx,
-                                const std::vector<Factor>& clique,
-                                const std::vector<Factor>& others,
-                                const std::vector<Factor>& all_factors,
-                                const std::string& var, bool need_elim_cost,
-                                bool need_fill) {
-  std::vector<std::string> clique_vars;
-  for (const Factor& f : clique) {
-    clique_vars = varset::Union(clique_vars, f.plan->output_vars);
+// Number of fill edges eliminating `var` adds to the variable graph induced
+// by the current factor scopes: pairs of var's neighbors (the clique's other
+// variables) that do not already co-occur in some factor. The min-fill
+// heuristic's score.
+double CountFillEdges(const VarSet& clique_vars, VarId var,
+                      const std::vector<Factor>& all_factors) {
+  VarSet neighbors = clique_vars;
+  neighbors.Erase(var);
+  double fill = 0;
+  neighbors.ForEach([&](VarId a) {
+    VarSet adjacent;
+    for (const Factor& f : all_factors) {
+      if (f.vars.Contains(a)) adjacent |= f.vars;
+    }
+    (neighbors - adjacent).ForEach([&](VarId b) {
+      if (b > a) ++fill;
+    });
+  });
+  return fill;
+}
+
+// Scores eliminating `var` next; its clique is every factor containing it.
+// Nothing when no factor does: an extended-space GroupBy already grouped the
+// variable away.
+StatusOr<std::optional<Scores>> ScoreCandidate(
+    const QueryContext& ctx, const std::vector<Factor>& factors, VarId var,
+    bool need_elim_cost, bool need_fill) {
+  VarSet clique_vars, outside;
+  for (const Factor& f : factors) {
+    (f.vars.Contains(var) ? clique_vars : outside) |= f.vars;
   }
+  if (clique_vars.empty()) return std::optional<Scores>();
+  // Domain products past 2^53 depend on multiplication order; those take
+  // the clique's first-seen variable order, as the name lists did.
+  auto product = [&](const VarSet& set) -> StatusOr<double> {
+    if (auto exact = ctx.ExactDomainProduct(set)) return *exact;
+    std::vector<std::string> order;
+    for (const Factor& f : factors) {
+      if (f.vars.Contains(var)) {
+        order = varset::Union(order, f.plan->output_vars);
+      }
+    }
+    return ctx.builder.DomainProduct(ctx.Names(order, set));
+  };
   Scores scores;
   // Width estimates the pre-elimination relation: the clique's domain
   // product. Degree estimates the post-elimination relation: the domain
   // product of what the GroupBy retains (this is what makes degree pick the
   // star schema's common variable — the retained set shrinks to the query
   // variable, see Section 7.3).
-  MPFDB_ASSIGN_OR_RETURN(scores.width, ctx.builder.DomainProduct(clique_vars));
-  MPFDB_ASSIGN_OR_RETURN(
-      scores.degree,
-      ctx.builder.DomainProduct(RetainedVars(ctx, clique_vars, others)));
+  MPFDB_ASSIGN_OR_RETURN(scores.width, product(clique_vars));
+  MPFDB_ASSIGN_OR_RETURN(scores.degree,
+                         product(RetainedVars(ctx, clique_vars, outside)));
   if (need_elim_cost) {
+    std::vector<Factor> clique;
+    for (const Factor& f : factors) {
+      if (f.vars.Contains(var)) clique.push_back(f);
+    }
     MPFDB_ASSIGN_OR_RETURN(PlanPtr overestimate,
-                           FixedOrderJoinPlan(ctx, clique));
+                           FixedOrderJoinPlan(ctx, std::move(clique)));
     scores.elim_cost = overestimate->est_cost;
   }
-  if (need_fill) {
-    scores.fill = CountFillEdges(clique_vars, var, all_factors);
-  }
-  return scores;
+  if (need_fill) scores.fill = CountFillEdges(clique_vars, var, factors);
+  return std::optional<Scores>(scores);
 }
 
 // Normalizes each score dimension by the maximum over candidates, as the
@@ -156,27 +190,29 @@ StatusOr<PlanPtr> VeOptimizer::RunVe(const MpfViewDef& view,
   // Current factor set S (Algorithm 2 line 1).
   std::vector<Factor> factors = LeafFactors(ctx);
 
-  // V = Var(r) \ X (line 2).
-  std::vector<std::string> to_eliminate =
-      varset::Difference(ctx.all_vars, ctx.query_vars);
+  // V = Var(r) \ X (line 2). VarIds number all_vars in order, so walking
+  // the set visits candidates in first-seen variable order.
+  VarSet to_eliminate;
+  for (VarId id = 0; id < ctx.all_vars.size(); ++id) to_eliminate.Insert(id);
+  to_eliminate -= ctx.query_set;
 
   // Proposition 1: drop from the candidate set every variable not in any
   // declared primary key, provided all base relations declare keys. Such
   // variables never cause row merging, so a root projection handles them.
   bool all_keys_known = true;
-  std::vector<std::string> key_union;
+  VarSet key_union;
   for (const auto& rel : view.relations) {
     MPFDB_ASSIGN_OR_RETURN(TablePtr table, catalog.GetTable(rel));
     if (table->key_vars().empty()) {
       all_keys_known = false;
       break;
     }
-    key_union = varset::Union(key_union, table->key_vars());
+    key_union |= ctx.SetOf(table->key_vars());
   }
-  std::vector<std::string> projection_only;
+  VarSet projection_only;
   if (options.fd_pruning && all_keys_known) {
-    projection_only = varset::Difference(to_eliminate, key_union);
-    to_eliminate = varset::Intersect(to_eliminate, key_union);
+    projection_only = to_eliminate - key_union;
+    to_eliminate &= key_union;
   }
 
   // Within a clique, joins are planned left-linear — the extension adds only
@@ -187,55 +223,53 @@ StatusOr<PlanPtr> VeOptimizer::RunVe(const MpfViewDef& view,
       /*bushy=*/false,
       /*groupby_pushdown=*/options.extended,
       /*avoid_cross_products=*/true};
+  const bool need_elim_cost =
+      options.heuristic == VeHeuristic::kElimCost ||
+      options.heuristic == VeHeuristic::kDegreeElimCost;
+  const bool need_fill = options.heuristic == VeHeuristic::kMinFill;
 
   while (!to_eliminate.empty()) {
-    // Score every candidate over the current factor set.
-    const bool need_elim_cost =
-        options.heuristic == VeHeuristic::kElimCost ||
-        options.heuristic == VeHeuristic::kDegreeElimCost;
-    const bool need_fill = options.heuristic == VeHeuristic::kMinFill;
-    std::vector<std::vector<Factor>> cliques(to_eliminate.size());
-    std::vector<std::vector<Factor>> others(to_eliminate.size());
-    std::vector<Scores> scores(to_eliminate.size());
-    for (size_t c = 0; c < to_eliminate.size(); ++c) {
-      for (const Factor& f : factors) {
-        if (varset::Contains(f.plan->output_vars, to_eliminate[c])) {
-          cliques[c].push_back(f);
-        } else {
-          others[c].push_back(f);
-        }
-      }
-      if (cliques[c].empty()) {
-        // The variable vanished from every factor (it was grouped away by an
-        // extended-space GroupBy); it is already eliminated.
+    // Score every candidate over the current factor set; variables already
+    // grouped away drop out.
+    std::vector<VarId> ids, candidates;
+    to_eliminate.ForEach([&](VarId c) { ids.push_back(c); });
+    std::vector<Scores> scores;
+    for (VarId c : ids) {
+      MPFDB_ASSIGN_OR_RETURN(
+          std::optional<Scores> s,
+          ScoreCandidate(ctx, factors, c, need_elim_cost, need_fill));
+      if (!s) {
+        to_eliminate.Erase(c);
         continue;
       }
-      MPFDB_ASSIGN_OR_RETURN(
-          scores[c],
-          ScoreCandidate(ctx, cliques[c], others[c], factors, to_eliminate[c],
-                         need_elim_cost, need_fill));
+      candidates.push_back(c);
+      scores.push_back(*s);
     }
-    // Drop already-vanished variables.
-    for (size_t c = to_eliminate.size(); c-- > 0;) {
-      if (cliques[c].empty()) {
-        to_eliminate.erase(to_eliminate.begin() + c);
-        cliques.erase(cliques.begin() + c);
-        others.erase(others.begin() + c);
-        scores.erase(scores.begin() + c);
-      }
-    }
-    if (to_eliminate.empty()) break;
+    if (candidates.empty()) break;
 
     size_t pick;
     if (options.heuristic == VeHeuristic::kRandom) {
       pick = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(to_eliminate.size()) - 1));
+          rng.UniformInt(0, static_cast<int64_t>(candidates.size()) - 1));
     } else {
       pick = PickCandidate(options.heuristic, scores);
     }
-    const std::string var = to_eliminate[pick];
-    std::vector<Factor> clique = cliques[pick];
-    last_order_.push_back(var);
+    const VarId var = candidates[pick];
+    last_order_.push_back(ctx.all_vars[var]);
+
+    // Split S into the clique of `var` and the rest (lines 5 and 8).
+    std::vector<Factor> clique, rest;
+    VarSet outside;
+    uint64_t covered = 0;
+    for (Factor& f : factors) {
+      if (f.vars.Contains(var)) {
+        covered |= f.covered;
+        clique.push_back(std::move(f));
+      } else {
+        outside |= f.vars;
+        rest.push_back(std::move(f));
+      }
+    }
 
     // Join the clique (line 6). Plain VE: best join order with no inner
     // GroupBys, then a forced GroupBy eliminating the variable. Extended VE:
@@ -243,39 +277,22 @@ StatusOr<PlanPtr> VeOptimizer::RunVe(const MpfViewDef& view,
     // elimination (Section 5.4).
     MPFDB_ASSIGN_OR_RETURN(PlanPtr joined,
                            BestJoinPlan(ctx, clique, clique_join_opts));
-    uint64_t covered = 0;
-    for (const Factor& f : clique) covered |= f.covered;
-
-    PlanPtr replacement;
-    if (options.extended) {
-      replacement = std::move(joined);
-    } else {
+    VarSet joined_vars = ctx.SetOf(joined->output_vars);
+    if (!options.extended) {
       // Group by the variables still needed (query variables and variables
       // shared with factors outside the clique): this eliminates `var` plus
       // any variable local to the clique in one GroupBy, as the paper's
       // Algorithm 2 describes.
-      std::vector<std::string> keep =
-          RetainedVars(ctx, joined->output_vars, others[pick]);
-      MPFDB_ASSIGN_OR_RETURN(replacement,
-                             ctx.builder.GroupBy(std::move(joined), keep));
+      joined_vars = RetainedVars(ctx, joined_vars, outside);
+      MPFDB_ASSIGN_OR_RETURN(
+          joined, ctx.builder.GroupBy(
+                      joined, ctx.Names(joined->output_vars, joined_vars)));
     }
 
-    // Replace the clique's factors by the new one (lines 8-9).
-    std::vector<Factor> next;
-    for (const Factor& f : factors) {
-      bool in_clique = false;
-      for (const Factor& cf : clique) {
-        if (cf.plan == f.plan) {
-          in_clique = true;
-          break;
-        }
-      }
-      if (!in_clique) next.push_back(f);
-    }
-    next.push_back(Factor{std::move(replacement), covered});
-    factors = std::move(next);
-
-    to_eliminate.erase(to_eliminate.begin() + pick);
+    // Replace the clique's factors by the new one (line 9).
+    rest.push_back(Factor{std::move(joined), covered, std::move(joined_vars)});
+    factors = std::move(rest);
+    to_eliminate.Erase(var);
   }
 
   // Join whatever remains (factors over query variables only, plus — in the
@@ -291,9 +308,8 @@ StatusOr<PlanPtr> VeOptimizer::RunVe(const MpfViewDef& view,
 
   // Root: if every variable to drop is projection-only (Proposition 1),
   // project; otherwise aggregate.
-  std::vector<std::string> extra =
-      varset::Difference(plan->output_vars, ctx.query_vars);
-  if (!extra.empty() && varset::IsSubset(extra, projection_only)) {
+  const VarSet extra = ctx.SetOf(plan->output_vars) - ctx.query_set;
+  if (!extra.empty() && extra.IsSubsetOf(projection_only)) {
     MPFDB_ASSIGN_OR_RETURN(plan,
                            ctx.builder.Project(std::move(plan), ctx.query_vars));
     return ApplyHaving(ctx, std::move(plan));

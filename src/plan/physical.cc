@@ -47,39 +47,12 @@ void ExplainPhysRec(const PhysicalPlanNode& phys, int depth,
                     std::ostringstream& os) {
   os << std::string(static_cast<size_t>(depth) * 2, ' ');
   const PlanNode& logical = *phys.logical;
-  switch (phys.kind) {
-    case PlanNodeKind::kScan:
-      os << "Scan(" << logical.table_name << ")";
-      break;
-    case PlanNodeKind::kIndexScan: {
-      // A fused leaf's logical node is the kSelect whose scan it absorbed.
-      const std::string& table = phys.index_fused
-                                     ? logical.left->table_name
-                                     : logical.table_name;
-      os << "IndexScan(" << table << ", " << logical.select_var << "="
-         << logical.select_value << ")";
-      break;
-    }
-    case PlanNodeKind::kSelect:
-      os << "Select(" << logical.select_var << "=" << logical.select_value
-         << ")";
-      break;
-    case PlanNodeKind::kJoin:
-      os << "ProductJoin";
-      break;
-    case PlanNodeKind::kMultiwayJoin:
-      os << "MultiwayJoin[" << phys.children.size() << "]";
-      break;
-    case PlanNodeKind::kGroupBy:
-      os << "GroupBy{" << FormatVarList(logical.group_vars) << "}";
-      break;
-    case PlanNodeKind::kProject:
-      os << "Project{" << FormatVarList(logical.group_vars) << "}";
-      break;
-    case PlanNodeKind::kMeasureFilter:
-      os << "MeasureFilter(f " << CompareOpSymbol(logical.having.op) << " "
-         << logical.having.threshold << ")";
-      break;
+  if (phys.index_fused) {
+    // A fused leaf's logical node is the kSelect whose scan it absorbed.
+    os << "IndexScan(" << logical.left->table_name << ", "
+       << logical.select_var << "=" << logical.select_value << ")";
+  } else {
+    os << PlanNodeLabel(logical);
   }
   os << "  [";
   if (const char* algorithm = AlgorithmName(phys.kind)) {

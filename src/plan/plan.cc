@@ -133,6 +133,23 @@ std::vector<std::string> PlanNode::BaseTables() const {
   return tables;
 }
 
+namespace {
+
+// Fails unless `child` exists and outputs every variable of `vars`.
+Status CheckProduced(const PlanPtr& child, const std::vector<std::string>& vars,
+                     const std::string& role) {
+  if (child == nullptr) return Status::InvalidArgument("null child");
+  for (const auto& var : vars) {
+    if (!varset::Contains(child->output_vars, var)) {
+      return Status::InvalidArgument(role + " variable '" + var +
+                                     "' not produced by child plan");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 StatusOr<double> PlanBuilder::DomainProduct(
     const std::vector<std::string>& vars) const {
   double product = 1.0;
@@ -177,11 +194,7 @@ StatusOr<PlanPtr> PlanBuilder::IndexScan(const std::string& table_name,
 
 StatusOr<PlanPtr> PlanBuilder::Select(PlanPtr child, const std::string& var,
                                       VarValue value) const {
-  if (child == nullptr) return Status::InvalidArgument("null child");
-  if (!varset::Contains(child->output_vars, var)) {
-    return Status::InvalidArgument("selection variable '" + var +
-                                   "' not produced by child plan");
-  }
+  MPFDB_RETURN_IF_ERROR(CheckProduced(child, {var}, "selection"));
   MPFDB_ASSIGN_OR_RETURN(int64_t domain, catalog_.DomainSize(var));
   auto node = std::make_shared<PlanNode>();
   node->kind = PlanNodeKind::kSelect;
@@ -261,19 +274,12 @@ StatusOr<PlanPtr> PlanBuilder::MultiwayJoin(
 
 StatusOr<PlanPtr> PlanBuilder::GroupBy(
     PlanPtr child, std::vector<std::string> group_vars) const {
-  if (child == nullptr) return Status::InvalidArgument("null child");
-  for (const auto& var : group_vars) {
-    if (!varset::Contains(child->output_vars, var)) {
-      return Status::InvalidArgument("group variable '" + var +
-                                     "' not produced by child plan");
-    }
-  }
+  MPFDB_RETURN_IF_ERROR(CheckProduced(child, group_vars, "group"));
   MPFDB_ASSIGN_OR_RETURN(double group_domain, DomainProduct(group_vars));
   auto node = std::make_shared<PlanNode>();
   node->kind = PlanNodeKind::kGroupBy;
   node->left = child;
-  node->group_vars = std::move(group_vars);
-  node->output_vars = node->group_vars;
+  node->output_vars = std::move(group_vars);
   node->est_card = std::max(1.0, std::min(child->est_card, group_domain));
   node->est_cost = child->est_cost + cost_model_.GroupByCost(child->est_card);
   return PlanPtr(node);
@@ -281,18 +287,11 @@ StatusOr<PlanPtr> PlanBuilder::GroupBy(
 
 StatusOr<PlanPtr> PlanBuilder::Project(
     PlanPtr child, std::vector<std::string> keep_vars) const {
-  if (child == nullptr) return Status::InvalidArgument("null child");
-  for (const auto& var : keep_vars) {
-    if (!varset::Contains(child->output_vars, var)) {
-      return Status::InvalidArgument("projected variable '" + var +
-                                     "' not produced by child plan");
-    }
-  }
+  MPFDB_RETURN_IF_ERROR(CheckProduced(child, keep_vars, "projected"));
   auto node = std::make_shared<PlanNode>();
   node->kind = PlanNodeKind::kProject;
   node->left = child;
-  node->group_vars = std::move(keep_vars);
-  node->output_vars = node->group_vars;
+  node->output_vars = std::move(keep_vars);
   node->est_card = child->est_card;
   node->est_cost = child->est_cost + cost_model_.SelectCost(child->est_card);
   return PlanPtr(node);
@@ -339,10 +338,8 @@ std::string FormatVarList(const std::vector<std::string>& vars) {
   return out;
 }
 
-namespace {
-
-void ExplainRec(const PlanNode& node, int depth, std::ostringstream& os) {
-  os << std::string(static_cast<size_t>(depth) * 2, ' ');
+std::string PlanNodeLabel(const PlanNode& node) {
+  std::ostringstream os;
   switch (node.kind) {
     case PlanNodeKind::kScan:
       os << "Scan(" << node.table_name << ")";
@@ -361,17 +358,24 @@ void ExplainRec(const PlanNode& node, int depth, std::ostringstream& os) {
       os << "MultiwayJoin[" << node.children.size() << "]";
       break;
     case PlanNodeKind::kGroupBy:
-      os << "GroupBy{" << FormatVarList(node.group_vars) << "}";
+      os << "GroupBy{" << FormatVarList(node.output_vars) << "}";
       break;
     case PlanNodeKind::kProject:
-      os << "Project{" << FormatVarList(node.group_vars) << "}";
+      os << "Project{" << FormatVarList(node.output_vars) << "}";
       break;
     case PlanNodeKind::kMeasureFilter:
       os << "MeasureFilter(f " << CompareOpSymbol(node.having.op) << " "
          << node.having.threshold << ")";
       break;
   }
-  os << "  [vars=(" << FormatVarList(node.output_vars) << ") card="
+  return os.str();
+}
+
+namespace {
+
+void ExplainRec(const PlanNode& node, int depth, std::ostringstream& os) {
+  os << std::string(static_cast<size_t>(depth) * 2, ' ') << PlanNodeLabel(node)
+     << "  [vars=(" << FormatVarList(node.output_vars) << ") card="
      << node.est_card << " cost=" << node.est_cost << "]\n";
   if (node.left) ExplainRec(*node.left, depth + 1, os);
   if (node.right) ExplainRec(*node.right, depth + 1, os);
@@ -408,12 +412,12 @@ void SignatureRec(const PlanNode& node, std::ostringstream& os) {
       os << ")";
       return;
     case PlanNodeKind::kGroupBy:
-      os << "GroupBy{" << FormatVarList(node.group_vars) << "}(";
+      os << "GroupBy{" << FormatVarList(node.output_vars) << "}(";
       SignatureRec(*node.left, os);
       os << ")";
       return;
     case PlanNodeKind::kProject:
-      os << "Project{" << FormatVarList(node.group_vars) << "}(";
+      os << "Project{" << FormatVarList(node.output_vars) << "}(";
       SignatureRec(*node.left, os);
       os << ")";
       return;

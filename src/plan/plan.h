@@ -86,6 +86,8 @@ using PlanPtr = std::shared_ptr<const PlanNode>;
 
 struct PlanNode {
   PlanNodeKind kind;
+  // kSelect (declared here, beside `kind`, so the two share one word).
+  VarValue select_value = 0;
 
   // kScan.
   std::string table_name;
@@ -97,17 +99,14 @@ struct PlanNode {
   // kMultiwayJoin: the n-ary operand list (left/right stay null).
   std::vector<PlanPtr> children;
 
-  // kGroupBy / kProject: variables retained.
-  std::vector<std::string> group_vars;
-
   // kSelect.
   std::string select_var;
-  VarValue select_value = 0;
 
   // kMeasureFilter.
   HavingClause having;
 
-  // Annotations, filled by PlanBuilder.
+  // Annotations, filled by PlanBuilder. For kGroupBy / kProject these are
+  // the variables retained.
   std::vector<std::string> output_vars;
   double est_card = 0;   // estimated output cardinality
   double est_cost = 0;   // cumulative cost of the subtree
@@ -177,6 +176,10 @@ class PlanBuilder {
 // name — is double-quoted with backslash escapes. Plain identifiers render
 // bare, keeping existing golden strings stable.
 std::string FormatVarList(const std::vector<std::string>& vars);
+
+// A node's EXPLAIN label, e.g. "Select(x=1)" or "GroupBy{a,b}"; the
+// logical and physical renderings share it.
+std::string PlanNodeLabel(const PlanNode& node);
 
 // Multi-line indented rendering of a plan with cardinality and cost
 // annotations, in the spirit of EXPLAIN.

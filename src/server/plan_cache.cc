@@ -1,6 +1,7 @@
 #include "server/plan_cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <vector>
 
@@ -19,7 +20,12 @@ std::string CanonicalQueryKey(const MpfQuerySpec& spec) {
   for (const auto& sel : selections) os << sel.var << '=' << sel.value << ',';
   os << "|h:";
   if (spec.having.has_value()) {
-    os << CompareOpSymbol(spec.having->op) << spec.having->threshold;
+    // Shortest round-trip rendering: thresholds that differ in any bit get
+    // different keys (the stream default of six digits merged them).
+    char buf[32];
+    const char* end =
+        std::to_chars(buf, buf + sizeof(buf), spec.having->threshold).ptr;
+    os << CompareOpSymbol(spec.having->op) << std::string_view(buf, end - buf);
   }
   return os.str();
 }

@@ -9,19 +9,18 @@
 #include <vector>
 
 #include "exec/hash_table.h"
-#include "plan/physical.h"
 #include "plan/plan.h"
 
 namespace mpfdb::server {
 
-// One memoized plan: the logical tree (kept alive because the physical
-// nodes point into it) plus the chosen physical tree, and the optimizer's
-// name and variable order so EXPLAIN renders from a hit. Immutable once
-// published — concurrent hits share the trees read-only and each execution
-// builds its own operator state.
+// One memoized plan: the optimizer's logical tree, name and variable order
+// (so EXPLAIN renders from a hit). The physical pass is a choice-free walk
+// (PlanPhysicalTree), so each execution derives its physical tree instead of
+// the cache holding a second copy of every node. Immutable once published —
+// concurrent hits share the tree read-only and each execution builds its
+// own operator state.
 struct CachedPlan {
   PlanPtr logical;
-  std::shared_ptr<const PhysicalPlanNode> physical;
   std::string optimizer_name;
   std::vector<std::string> variable_order;
 };
@@ -30,7 +29,8 @@ struct CachedPlan {
 // order (order is semantically irrelevant to the result rows, but keeping it
 // preserves the plan's output schema exactly), selections sorted by
 // (var, value) so syntactic permutations of the WHERE clause share one
-// entry, and the HAVING clause rendered verbatim.
+// entry, and the HAVING threshold in shortest round-trip digits, so two
+// thresholds share a key only when they are the same double.
 std::string CanonicalQueryKey(const MpfQuerySpec& spec);
 
 // Shared physical-plan cache for concurrent serving. Keyed on

@@ -196,6 +196,35 @@ TEST_P(DatabasePipelineTest, EveryEntryPointMatchesNaiveOnThePool) {
   }
 }
 
+// The plan cache keys a query on its exact HAVING threshold. Two thresholds
+// that agree to six significant digits but straddle an answer value must
+// not share a cached plan: each answers with its own filter.
+TEST_P(DatabasePipelineTest, HavingThresholdsNeverShareACachedPlan) {
+  const uint64_t seed = CaseSeed(GetParam());
+  MPFDB_TRACE_SEED(seed);
+  Load(seed, /*force_acyclic=*/false);
+  Rng rng(seed + 4000);
+  MpfQuerySpec query;
+  query.group_vars = {Pick(rv_.present_vars, rng)};
+  TablePtr naive = Naive(query);
+  ASSERT_NE(naive, nullptr);
+  ASSERT_GT(naive->NumRows(), 0u);
+  const double v = naive->measure(0);
+  size_t previous_rows = naive->NumRows() + 1;
+  for (double threshold : {v * (1 - 1e-9), v * (1 + 1e-9)}) {
+    query.having = HavingClause{CompareOp::kGt, threshold};
+    auto want = fr::FilterMeasure(*naive, *query.having, "naive");
+    ASSERT_TRUE(want.ok()) << want.status();
+    auto result = db_.Query(rv_.view.name, query, "ve(deg)");
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_FALSE(result->plan_cache_hit) << query.ToString(rv_.view);
+    EXPECT_TRUE(fr::TablesEqual(**want, *result->table, 0.0))
+        << query.ToString(rv_.view);
+    EXPECT_LT((*want)->NumRows(), previous_rows);
+    previous_rows = (*want)->NumRows();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DatabasePipelineTest,
                          ::testing::Range<uint64_t>(0, 6));
 

@@ -48,11 +48,7 @@ class JoinPlanTest : public ::testing::Test {
   }
 
   std::vector<Factor> Leaves(const QueryContext& ctx) {
-    std::vector<Factor> factors;
-    for (size_t i = 0; i < ctx.leaves.size(); ++i) {
-      factors.push_back(Factor{ctx.leaves[i], uint64_t{1} << i});
-    }
-    return factors;
+    return LeafFactors(ctx);
   }
 
   Catalog catalog_;
