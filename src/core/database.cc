@@ -33,7 +33,7 @@ StatusOr<const MpfViewDef*> FindView(const Database::Snapshot& snap,
 }
 
 // EXPLAIN's header lines: optimizer, query, variable order.
-std::string ExplainHeader(const server::CachedPlan& plan,
+std::string ExplainHeader(const BoundPlan& plan,
                           const MpfQuerySpec& query, const MpfViewDef& view) {
   return "-- optimizer: " + plan.optimizer_name + "\n-- query: " +
          query.ToString(view) + "\n-- variable order: (" +
@@ -220,40 +220,64 @@ std::vector<std::string> Database::ViewNames() const {
   return names;
 }
 
-StatusOr<std::shared_ptr<const server::CachedPlan>> Database::Plan(
-    const Snapshot& snap, const MpfViewDef& view, const Catalog& catalog,
-    const MpfQuerySpec& query, const std::string& optimizer_spec,
-    bool* cache_hit) {
+StatusOr<BoundPlan> Database::Plan(const Snapshot& snap,
+                                   const MpfViewDef& view,
+                                   const Catalog& catalog,
+                                   const MpfQuerySpec& query,
+                                   const std::string& optimizer_spec,
+                                   bool* cache_hit) {
   // Plans are shareable only against the snapshot's own catalog; scratch
   // catalogs hold tables no other query sees. The key is everything that
-  // picks the plan — view, query, optimizer; the physical pass makes no
-  // choices, so every context (budget, deadline, pool) shares one entry.
-  // Entries are keyed on the structural epoch: measure commits don't
-  // invalidate plans.
+  // picks the plan — view, selected variables, query, optimizer, but no
+  // selection value; the physical pass makes no choices, so every context
+  // (budget, deadline, pool) shares one entry. Entries are keyed on the
+  // structural epoch: measure commits don't invalidate plans.
   const bool cacheable = &catalog == &snap.catalog;
+  if (cache_hit != nullptr) *cache_hit = false;
   std::string cache_key;
   if (cacheable) {
-    cache_key = view.name + "|" + server::CanonicalQueryKey(query) + "|o:" +
+    cache_key = view.name + "|" + server::TemplateQueryKey(query) + "|o:" +
                 optimizer_spec;
     auto cached = plan_cache_.Lookup(cache_key, snap.structural_epoch);
-    if (cache_hit != nullptr) *cache_hit = cached != nullptr;
-    if (cached != nullptr) return cached;
+    if (cached != nullptr) {
+      if (cache_hit != nullptr) *cache_hit = true;
+      return cached->Bind(query);
+    }
   }
   MPFDB_ASSIGN_OR_RETURN(std::unique_ptr<opt::Optimizer> optimizer,
                          MakeOptimizer(optimizer_spec));
-  auto entry = std::make_shared<server::CachedPlan>();
+  BoundPlan fresh;
   MPFDB_ASSIGN_OR_RETURN(
-      entry->logical, optimizer->Optimize(view, query, catalog, cost_model_));
-  entry->optimizer_name = optimizer->name();
-  entry->variable_order = optimizer->last_variable_order();
-  if (cacheable) plan_cache_.Insert(cache_key, snap.structural_epoch, entry);
-  return std::shared_ptr<const server::CachedPlan>(std::move(entry));
+      fresh.logical, optimizer->Optimize(view, query, catalog, cost_model_));
+  fresh.optimizer_name = optimizer->name();
+  fresh.variable_order = optimizer->last_variable_order();
+  if (!cacheable) return fresh;
+
+  // A miss runs the hit path too: compact, then inflate with this query's
+  // values. A plan the template format cannot hold, or whose template does
+  // not rebuild it exactly, is served uncached.
+  auto vocabulary = plan_cache_.Vocabulary(view, catalog, cost_model_,
+                                           snap.structural_epoch);
+  if (!vocabulary.ok()) return fresh;
+  auto compacted = PlanTemplate::Compact(
+      *fresh.logical, fresh.optimizer_name, fresh.variable_order,
+      **vocabulary, server::CanonicalSelections(query));
+  if (!compacted.ok()) return fresh;
+  auto entry = std::make_shared<server::CachedPlan>(
+      server::CachedPlan{std::move(*compacted), std::move(*vocabulary)});
+  auto bound = entry->Bind(query);
+  if (!bound.ok() || !SamePlan(*bound->logical, *fresh.logical) ||
+      bound->variable_order != fresh.variable_order) {
+    return fresh;
+  }
+  plan_cache_.Insert(cache_key, snap.structural_epoch, std::move(entry));
+  return bound;
 }
 
 StatusOr<TablePtr> Database::Execute(
-    const server::CachedPlan& plan, const Catalog& catalog,
-    const Semiring& semiring, const std::string& result_name,
-    QueryContext* ctx, std::map<const PlanNode*, OperatorStats>* stats) {
+    const PlanNode& plan, const Catalog& catalog, const Semiring& semiring,
+    const std::string& result_name, QueryContext* ctx,
+    std::map<const PlanNode*, OperatorStats>* stats) {
   // A caller-provided pool wins; a caller that passed no context at all gets
   // a local one just to carry the pool.
   QueryContext local_ctx;
@@ -262,8 +286,8 @@ StatusOr<TablePtr> Database::Execute(
   const bool borrow_pool = pool != nullptr && qctx->thread_pool() == nullptr;
   if (borrow_pool) qctx->set_thread_pool(pool);
   exec::Executor executor(catalog, semiring, exec_options_);
-  auto table = executor.ExecutePhysical(
-      *PlanPhysicalTree(*plan.logical, catalog), result_name, qctx, stats);
+  auto table = executor.ExecutePhysical(*PlanPhysicalTree(plan, catalog),
+                                        result_name, qctx, stats);
   if (borrow_pool) qctx->set_thread_pool(nullptr);
   return table;
 }
@@ -275,14 +299,15 @@ StatusOr<QueryResult> Database::PlanAndExecute(
   QueryResult result;
   result.snapshot_epoch = snap.epoch;
   auto plan_start = std::chrono::steady_clock::now();
-  MPFDB_ASSIGN_OR_RETURN(std::shared_ptr<const server::CachedPlan> plan,
+  MPFDB_ASSIGN_OR_RETURN(BoundPlan plan,
                          Plan(snap, view, catalog, query, optimizer_spec,
                               &result.plan_cache_hit));
-  result.plan = plan->logical;
+  result.plan = plan.logical;
   result.planning_seconds = SecondsSince(plan_start);
   auto exec_start = std::chrono::steady_clock::now();
-  MPFDB_ASSIGN_OR_RETURN(result.table, Execute(*plan, catalog, view.semiring,
-                                               result_name, ctx));
+  MPFDB_ASSIGN_OR_RETURN(result.table,
+                         Execute(*plan.logical, catalog, view.semiring,
+                                 result_name, ctx));
   result.execution_seconds = SecondsSince(exec_start);
   return result;
 }
@@ -1002,14 +1027,13 @@ StatusOr<std::string> Database::Explain(const std::string& view_name,
                                         const std::string& optimizer_spec) {
   SnapshotPtr snap = snapshot();
   MPFDB_ASSIGN_OR_RETURN(const MpfViewDef* view, FindView(*snap, view_name));
-  MPFDB_ASSIGN_OR_RETURN(std::shared_ptr<const server::CachedPlan> plan,
-                         Plan(*snap, *view, snap->catalog, query,
-                              optimizer_spec));
+  MPFDB_ASSIGN_OR_RETURN(BoundPlan plan, Plan(*snap, *view, snap->catalog,
+                                               query, optimizer_spec));
   // The logical plan (the optimizer's output) followed by the physical plan
   // (each node's algorithm and the fused index scans).
-  return ExplainHeader(*plan, query, *view) + ExplainPlan(*plan->logical) +
+  return ExplainHeader(plan, query, *view) + ExplainPlan(*plan.logical) +
          "-- physical plan:\n" +
-         ExplainPhysicalPlan(*PlanPhysicalTree(*plan->logical, snap->catalog));
+         ExplainPhysicalPlan(*PlanPhysicalTree(*plan.logical, snap->catalog));
 }
 
 StatusOr<std::string> Database::ExplainAnalyze(
@@ -1017,16 +1041,15 @@ StatusOr<std::string> Database::ExplainAnalyze(
     const std::string& optimizer_spec) {
   SnapshotPtr snap = snapshot();
   MPFDB_ASSIGN_OR_RETURN(const MpfViewDef* view, FindView(*snap, view_name));
-  MPFDB_ASSIGN_OR_RETURN(std::shared_ptr<const server::CachedPlan> plan,
-                         Plan(*snap, *view, snap->catalog, query,
-                              optimizer_spec));
+  MPFDB_ASSIGN_OR_RETURN(BoundPlan plan, Plan(*snap, *view, snap->catalog,
+                                               query, optimizer_spec));
   std::map<const PlanNode*, OperatorStats> stats;
-  MPFDB_RETURN_IF_ERROR(Execute(*plan, snap->catalog, view->semiring,
+  MPFDB_RETURN_IF_ERROR(Execute(*plan.logical, snap->catalog, view->semiring,
                                 view_name + "_result", nullptr, &stats)
                             .status());
-  return ExplainHeader(*plan, query, *view) +
+  return ExplainHeader(plan, query, *view) +
          exec::ExplainAnalyzePlan(
-             *PlanPhysicalTree(*plan->logical, snap->catalog), stats);
+             *PlanPhysicalTree(*plan.logical, snap->catalog), stats);
 }
 
 Status Database::BuildCache(const std::string& view_name, QueryContext* ctx) {
@@ -1061,7 +1084,8 @@ bool Database::HasCache(const std::string& view_name) const {
 }
 
 StatusOr<TablePtr> Database::QueryCached(const std::string& view_name,
-                                         const MpfQuerySpec& query) const {
+                                         const MpfQuerySpec& query,
+                                         QueryContext* ctx) const {
   std::shared_ptr<const workload::VeCache> cache;
   {
     std::shared_lock<std::shared_mutex> lock(state_mu_);
@@ -1074,7 +1098,7 @@ StatusOr<TablePtr> Database::QueryCached(const std::string& view_name,
   }
   // Answer off the pinned shared cache: a concurrent ApplyMeasureUpdate
   // publishes a fresh clone rather than mutating this one.
-  return cache->Answer(query);
+  return cache->Answer(query, ctx);
 }
 
 }  // namespace mpfdb

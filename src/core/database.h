@@ -355,8 +355,11 @@ class Database {
   // fresh state a few times before giving up with kInternal.
   Status BuildCache(const std::string& view_name, QueryContext* ctx = nullptr);
   bool HasCache(const std::string& view_name) const;
+  // Answers from the view's VE-cache; a non-null `ctx` cancels or times out
+  // the read between its relational steps.
   StatusOr<TablePtr> QueryCached(const std::string& view_name,
-                                 const MpfQuerySpec& query) const;
+                                 const MpfQuerySpec& query,
+                                 QueryContext* ctx = nullptr) const;
 
   // MVCC commit/GC counters. Cheap; safe to poll concurrently.
   MvccStats mvcc_stats() const;
@@ -424,21 +427,21 @@ class Database {
   // every budget, deadline and pool runs the same plan. The shared plan
   // cache is consulted and filled exactly when `catalog` is the snapshot's
   // own: a scratch catalog (what-if clones, dissociated bounds) always plans
-  // fresh. A non-null `cache_hit` reports whether the plan came from the
-  // cache.
-  StatusOr<std::shared_ptr<const server::CachedPlan>> Plan(
-      const Snapshot& snap, const MpfViewDef& view, const Catalog& catalog,
-      const MpfQuerySpec& query, const std::string& optimizer_spec,
-      bool* cache_hit = nullptr);
+  // fresh. A cacheable plan, hit or miss, is inflated from its template with
+  // the query's selection values. A non-null `cache_hit` reports whether
+  // the template came from the cache.
+  StatusOr<BoundPlan> Plan(const Snapshot& snap, const MpfViewDef& view,
+                           const Catalog& catalog, const MpfQuerySpec& query,
+                           const std::string& optimizer_spec,
+                           bool* cache_hit = nullptr);
   // Maps `plan` to its physical tree and executes it against `catalog`.
   // The only place the worker pool is
   // connected to a QueryContext: a context without a pool borrows it for
   // the call, and a null `ctx` gets a local one. A non-null `stats` attaches
   // the per-operator stats spine (Executor::ExecutePhysical).
   StatusOr<TablePtr> Execute(
-      const server::CachedPlan& plan, const Catalog& catalog,
-      const Semiring& semiring, const std::string& result_name,
-      QueryContext* ctx,
+      const PlanNode& plan, const Catalog& catalog, const Semiring& semiring,
+      const std::string& result_name, QueryContext* ctx,
       std::map<const PlanNode*, OperatorStats>* stats = nullptr);
   // Plan then Execute, timed into a QueryResult at the snapshot's epoch.
   StatusOr<QueryResult> PlanAndExecute(const Snapshot& snap,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -10,20 +11,27 @@
 
 #include "exec/hash_table.h"
 #include "plan/plan.h"
+#include "plan/plan_template.h"
 
 namespace mpfdb::server {
 
-// One memoized plan: the optimizer's logical tree, name and variable order
-// (so EXPLAIN renders from a hit). The physical pass is a choice-free walk
-// (PlanPhysicalTree), so each execution derives its physical tree instead of
-// the cache holding a second copy of every node. Immutable once published —
-// concurrent hits share the tree read-only and each execution builds its
-// own operator state.
+// One memoized plan: a compact template (optimizer name and variable order
+// included, so EXPLAIN renders from a hit) plus the view vocabulary it
+// indexes into. Every execution, hit or miss, binds its query's values with
+// Bind; the physical pass is a choice-free walk (PlanPhysicalTree), so the
+// cache holds no physical tree either. Immutable once published —
+// concurrent hits share it read-only and each builds its own plan tree.
 struct CachedPlan {
-  PlanPtr logical;
-  std::string optimizer_name;
-  std::vector<std::string> variable_order;
+  PlanTemplate plan;
+  std::shared_ptr<const PlanVocabulary> vocabulary;
+
+  // Inflates the template with `query`'s values.
+  StatusOr<BoundPlan> Bind(const MpfQuerySpec& query) const;
 };
+
+// A query's selections sorted by (var, value): the order every cache key
+// prints them in and that a template's parameter slots index.
+std::vector<QuerySelection> CanonicalSelections(const MpfQuerySpec& spec);
 
 // Canonical cache-key fragment for a query spec: group variables in query
 // order (order is semantically irrelevant to the result rows, but keeping it
@@ -33,15 +41,24 @@ struct CachedPlan {
 // thresholds share a key only when they are the same double.
 std::string CanonicalQueryKey(const MpfQuerySpec& spec);
 
-// Shared physical-plan cache for concurrent serving. Keyed on
-// (view, canonical query, optimizer spec) with the
-// database stats epoch stored per entry: a lookup at a newer epoch treats
-// the entry as invalid (counted, evicted), and OnEpochBump sweeps stale
-// entries eagerly so counters reflect invalidation at update time. LRU
-// bounded by `capacity`. All methods are thread-safe.
+// The plan cache's key fragment: CanonicalQueryKey without the selection
+// values, which no plan depends on, so x=0 and x=2 share one template. A
+// query that selects one variable twice keeps the values (its two slots
+// would otherwise bind in an order the key does not pin down).
+std::string TemplateQueryKey(const MpfQuerySpec& spec);
+
+// Shared plan-template cache for concurrent serving. Keyed on
+// (view, template query key, optimizer spec) with the structural epoch
+// stored per entry: a lookup at a newer epoch treats the entry as invalid
+// (counted, evicted), and OnEpochBump sweeps stale entries eagerly so
+// counters reflect invalidation at update time. LRU bounded by `capacity`
+// entries; the default holds every template of a 64-variable view's
+// single-evidence marginals. It also keeps one vocabulary per view, built on
+// the view's first plan at each structural epoch. All methods are
+// thread-safe.
 class PlanCache {
  public:
-  explicit PlanCache(size_t capacity = 256) : capacity_(capacity) {}
+  explicit PlanCache(size_t capacity = 4096) : capacity_(capacity) {}
 
   // The entry under `key` if present and built at `epoch`, else nullptr.
   // Counts a hit or a miss; a present-but-stale entry additionally counts an
@@ -58,6 +75,13 @@ class PlanCache {
   // mutation committed). Each dropped entry counts as an invalidation.
   void OnEpochBump(uint64_t epoch);
 
+  // The vocabulary of `view` at `epoch`, built from `catalog` on first use.
+  // Concurrent first uses may each build one; the first published wins.
+  StatusOr<std::shared_ptr<const PlanVocabulary>> Vocabulary(
+      const MpfViewDef& view, const Catalog& catalog,
+      const CostModel& cost_model, uint64_t epoch);
+
+  // Drops every template and vocabulary; counters keep running.
   void Clear();
 
   struct Stats {
@@ -67,6 +91,7 @@ class PlanCache {
     uint64_t invalidations = 0;  // entries dropped by epoch bumps/staleness
     uint64_t evictions = 0;      // entries dropped by the LRU capacity bound
     size_t entries = 0;
+    size_t bytes = 0;            // resident template bytes (PlanTemplate::Bytes)
     double hit_rate() const {
       uint64_t total = hits + misses;
       return total == 0 ? 0.0 : static_cast<double>(hits) / total;
@@ -79,6 +104,11 @@ class PlanCache {
     uint64_t epoch = 0;
     std::shared_ptr<const CachedPlan> plan;
     std::list<std::string>::iterator lru_pos;
+    size_t bytes = 0;  // plan->plan.Bytes(), counted in stats_.bytes
+  };
+  struct VocabularyEntry {
+    uint64_t epoch = 0;
+    std::shared_ptr<const PlanVocabulary> vocabulary;
   };
 
   // Callers hold mu_. `entry` must be the live slot for `key`; the slot
@@ -93,6 +123,7 @@ class PlanCache {
   exec::SwissBytesTable<Entry> entries_;  // guarded by mu_
   std::list<std::string> lru_;            // guarded by mu_; front = most recent
   Stats stats_;                           // guarded by mu_ (entries_ filled on read)
+  std::map<std::string, VocabularyEntry> vocabularies_;  // guarded by mu_
 };
 
 }  // namespace mpfdb::server

@@ -86,10 +86,10 @@ StatusOr<ApproxResult> Session::QueryApprox(const std::string& view_name,
 StatusOr<TablePtr> Session::QueryCached(const std::string& view_name,
                                         const MpfQuerySpec& query,
                                         QueryContext* ctx) {
-  // VE-cache answering itself is not context-governed yet, but the wait for
-  // admission honors the context's deadline and cancel token like any query.
-  return Admitted(view_name, query, ctx, [&](QueryContext*) {
-    return server_->db_.QueryCached(view_name, query);
+  // The admitted context governs the read itself: its cancel token and
+  // deadline stop the VE-cache steps, as they stop the wait for admission.
+  return Admitted(view_name, query, ctx, [&](QueryContext* qctx) {
+    return server_->db_.QueryCached(view_name, query, qctx);
   });
 }
 
@@ -348,6 +348,7 @@ std::string MpfServer::MetricsText() const {
       << "plan_cache_invalidations " << p.invalidations << "\n"
       << "plan_cache_evictions " << p.evictions << "\n"
       << "plan_cache_entries " << p.entries << "\n"
+      << "plan_cache_bytes " << p.bytes << "\n"
       << "plan_cache_hit_rate " << p.hit_rate() << "\n";
   for (const SlowQuery& q : slow) {
     out << "slow_query session=" << q.session << " view=" << q.view

@@ -14,6 +14,11 @@
 namespace mpfdb::workload {
 namespace {
 
+// Polls a read's context, if it has one, after a step over `rows` rows.
+Status PollStep(QueryContext* ctx, size_t rows) {
+  return ctx == nullptr ? Status::Ok() : ctx->Poll(rows);
+}
+
 // Bitwise double equality: the change-pruning predicate. Conservative in the
 // right direction (distinguishes -0.0 from 0.0 and NaN payloads), so a row
 // is only ever pruned when a rebuild would reproduce its bits exactly.
@@ -425,7 +430,7 @@ void VeCache::BuildBaseRowLocator() {
   base_row_locator_ = std::move(locator);
 }
 
-Status VeCache::RefreshComponentTotals() {
+Status VeCache::RefreshComponentTotals(QueryContext* ctx) {
   const size_t n = caches_.size();
   cache_component_.resize(n);
   for (size_t i = 0; i < n; ++i) cache_component_[i] = i;
@@ -453,6 +458,7 @@ Status VeCache::RefreshComponentTotals() {
     // Every calibrated cache carries its component's total mass.
     MPFDB_ASSIGN_OR_RETURN(TablePtr scalar,
                            fr::Marginalize(*caches_[i], {}, semiring_, "total"));
+    MPFDB_RETURN_IF_ERROR(PollStep(ctx, caches_[i]->NumRows()));
     component_totals_[root] = scalar->NumRows() > 0
                                   ? scalar->measure(0)
                                   : semiring_.AddIdentity();
@@ -461,25 +467,29 @@ Status VeCache::RefreshComponentTotals() {
   return Status::Ok();
 }
 
-StatusOr<TablePtr> VeCache::Answer(const MpfQuerySpec& query) const {
+StatusOr<TablePtr> VeCache::Answer(const MpfQuerySpec& query,
+                                   QueryContext* ctx) const {
+  MPFDB_RETURN_IF_ERROR(PollStep(ctx, 0));
   const VeCache* source = this;
   VeCache restricted(semiring_);
   if (!query.selections.empty()) {
     MPFDB_ASSIGN_OR_RETURN(restricted,
                            WithSelection(query.selections[0].var,
-                                         query.selections[0].value));
+                                         query.selections[0].value, ctx));
     for (size_t s = 1; s < query.selections.size(); ++s) {
-      MPFDB_ASSIGN_OR_RETURN(restricted,
-                             restricted.WithSelection(query.selections[s].var,
-                                                      query.selections[s].value));
+      MPFDB_ASSIGN_OR_RETURN(
+          restricted,
+          restricted.WithSelection(query.selections[s].var,
+                                   query.selections[s].value, ctx));
     }
     source = &restricted;
   }
   MPFDB_ASSIGN_OR_RETURN(TablePtr combined,
-                         source->CombineForVars(query.group_vars));
+                         source->CombineForVars(query.group_vars, ctx));
   MPFDB_ASSIGN_OR_RETURN(
       TablePtr answer,
       fr::Marginalize(*combined, query.group_vars, semiring_, "answer"));
+  MPFDB_RETURN_IF_ERROR(PollStep(ctx, combined->NumRows()));
   if (query.having.has_value()) {
     return fr::FilterMeasure(*answer, *query.having, "answer");
   }
@@ -487,7 +497,7 @@ StatusOr<TablePtr> VeCache::Answer(const MpfQuerySpec& query) const {
 }
 
 StatusOr<TablePtr> VeCache::CombineForVars(
-    const std::vector<std::string>& needed_vars) const {
+    const std::vector<std::string>& needed_vars, QueryContext* ctx) const {
   // Pick, for each needed variable, the smallest cache containing it.
   std::vector<size_t> anchors;
   for (const auto& var : needed_vars) {
@@ -569,10 +579,12 @@ StatusOr<TablePtr> VeCache::CombineForVars(
         MPFDB_ASSIGN_OR_RETURN(attachment,
                                fr::DivisionJoin(*caches_[node], *sep_marginal,
                                                 semiring_, "att"));
+        MPFDB_RETURN_IF_ERROR(PollStep(ctx, 2 * caches_[node]->NumRows()));
       }
       MPFDB_ASSIGN_OR_RETURN(component_result,
                              fr::ProductJoin(*component_result, *attachment,
                                              semiring_, "combined"));
+      MPFDB_RETURN_IF_ERROR(PollStep(ctx, component_result->NumRows()));
     }
     if (result == nullptr) {
       result = component_result;
@@ -580,6 +592,7 @@ StatusOr<TablePtr> VeCache::CombineForVars(
       // Var-disjoint components: cross product.
       MPFDB_ASSIGN_OR_RETURN(result, fr::ProductJoin(*result, *component_result,
                                                      semiring_, "combined"));
+      MPFDB_RETURN_IF_ERROR(PollStep(ctx, result->NumRows()));
     }
   }
   if (result == nullptr) {
@@ -603,7 +616,8 @@ StatusOr<TablePtr> VeCache::CombineForVars(
 }
 
 StatusOr<VeCache> VeCache::WithSelection(const std::string& var,
-                                         VarValue value) const {
+                                         VarValue value,
+                                         QueryContext* ctx) const {
   // Locate a cache containing the variable.
   size_t start = caches_.size();
   for (size_t i = 0; i < caches_.size(); ++i) {
@@ -631,11 +645,12 @@ StatusOr<VeCache> VeCache::WithSelection(const std::string& var,
       updated.caches_[start],
       fr::Select(*updated.caches_[start], var, value,
                  updated.caches_[start]->name()));
-  MPFDB_RETURN_IF_ERROR(updated.DistributeFrom(start));
+  MPFDB_RETURN_IF_ERROR(PollStep(ctx, caches_[start]->NumRows()));
+  MPFDB_RETURN_IF_ERROR(updated.DistributeFrom(start, ctx));
   return updated;
 }
 
-Status VeCache::DistributeFrom(size_t start) {
+Status VeCache::DistributeFrom(size_t start, QueryContext* ctx) {
   // BFS outward over the cache tree, reducing each table with respect to its
   // already-updated neighbor (a BP semijoin program over the acyclic cache
   // schema — Theorems 5 and 10).
@@ -658,11 +673,13 @@ Status VeCache::DistributeFrom(size_t start) {
         MPFDB_ASSIGN_OR_RETURN(
             caches_[w], fr::UpdateSemijoin(*caches_[w], *caches_[u], semiring_,
                                            caches_[w]->name()));
+        MPFDB_RETURN_IF_ERROR(
+            PollStep(ctx, caches_[w]->NumRows() + caches_[u]->NumRows()));
       }
       queue.push_back(w);
     }
   }
-  return RefreshComponentTotals();
+  return RefreshComponentTotals(ctx);
 }
 
 StatusOr<size_t> VeCache::BaseIndexOf(const std::string& table_name) const {

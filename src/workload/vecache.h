@@ -135,14 +135,17 @@ class VeCache {
   // dividing out each edge's separator marginal — the standard
   // out-of-clique inference on a calibrated junction tree, so no mass is
   // double-counted. Selections are absorbed with the restricted-domain
-  // protocol before marginalizing.
-  StatusOr<TablePtr> Answer(const MpfQuerySpec& query) const;
+  // protocol before marginalizing. A non-null `ctx` is polled between the
+  // relational steps, so its cancel token and deadline stop the read.
+  StatusOr<TablePtr> Answer(const MpfQuerySpec& query,
+                            QueryContext* ctx = nullptr) const;
 
   // The restricted-domain protocol (Theorem 5): applies var = value to a
   // cache containing the variable and propagates update-semijoin reductions
   // along the cache tree, returning a new cache set satisfying the invariant
   // for the constrained view.
-  StatusOr<VeCache> WithSelection(const std::string& var, VarValue value) const;
+  StatusOr<VeCache> WithSelection(const std::string& var, VarValue value,
+                                  QueryContext* ctx = nullptr) const;
 
   const std::vector<TablePtr>& caches() const { return caches_; }
   // Dependency tree edges (i, j), i < j: GroupBy(cache i) participated in
@@ -203,20 +206,20 @@ class VeCache {
 
   // Re-propagates updates outward from cache `start` along the tree, then
   // refreshes the component totals.
-  Status DistributeFrom(size_t start);
+  Status DistributeFrom(size_t start, QueryContext* ctx);
   // Builds base_row_locator_ over base_tables_.
   void BuildBaseRowLocator();
   // Combines the calibrated caches of the minimal subtrees covering
   // `needed_vars` into one relation holding the joint's marginal over (at
   // least) those variables, including cross-component totals.
-  StatusOr<TablePtr> CombineForVars(
-      const std::vector<std::string>& needed_vars) const;
+  StatusOr<TablePtr> CombineForVars(const std::vector<std::string>& needed_vars,
+                                    QueryContext* ctx) const;
   // Labels caches with their connected component (over the message edges)
   // and records each component's scalar total. A var-disjoint component
   // never receives another's mass through messages, so Answer multiplies the
   // other components' totals in explicitly (the full joint is the cross
   // product of components).
-  Status RefreshComponentTotals();
+  Status RefreshComponentTotals(QueryContext* ctx = nullptr);
 
   Semiring semiring_;
   std::vector<TablePtr> caches_;

@@ -18,6 +18,7 @@
 #include "exec/gibbs.h"
 #include "exec/operator.h"
 #include "fr/algebra.h"
+#include "server/server.h"
 #include "util/query_context.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -354,6 +355,44 @@ TEST_F(GovernedDatabaseTest, CacheBuildHonorsBudget) {
   EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
   // Unbounded build still works.
   ASSERT_TRUE(db_.BuildCache("invest").ok());
+}
+
+// A restricted cached read (cid | tid=0) runs under its context: a cancelled
+// token or an expired deadline stops it between its relational steps, both
+// in-process and through an admitted Session, and an unlimited context
+// leaves the answer bit-identical.
+TEST_F(GovernedDatabaseTest, CachedReadHonorsCancelAndDeadline) {
+  ASSERT_TRUE(db_.BuildCache("invest").ok());
+  const MpfQuerySpec query{{"cid"}, {{"tid", 0}}};
+  auto plain = db_.QueryCached("invest", query);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  QueryContext unlimited;
+  auto governed = db_.QueryCached("invest", query, &unlimited);
+  ASSERT_TRUE(governed.ok()) << governed.status();
+  EXPECT_TRUE(fr::TablesEqual(**plain, **governed, 0.0));
+
+  server::MpfServer server(db_);
+  auto session = server.CreateSession();
+  for (bool through_session : {false, true}) {
+    SCOPED_TRACE(through_session ? "Session" : "in-process");
+    auto read = [&](QueryContext* ctx) {
+      return through_session ? session->QueryCached("invest", query, ctx)
+                             : db_.QueryCached("invest", query, ctx);
+    };
+    QueryContext cancelled;
+    cancelled.RequestCancel();
+    auto result = read(&cancelled);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+        << result.status();
+
+    QueryContext expired;
+    expired.set_deadline_after(std::chrono::nanoseconds(0));
+    result = read(&expired);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+        << result.status();
+  }
 }
 
 // --- anytime approximate inference under governance --------------------------

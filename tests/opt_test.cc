@@ -11,7 +11,9 @@
 #include "opt/cs.h"
 #include "opt/optimizer.h"
 #include "opt/ve.h"
+#include "plan/plan_template.h"
 #include "random_view.h"
+#include "server/plan_cache.h"
 #include "workload/generators.h"
 
 namespace mpfdb::opt {
@@ -522,25 +524,55 @@ void ExpectGolden(const std::map<std::string, uint64_t>& golden,
       << "ull},";
 }
 
+// Where HashPlan's plan comes from.
+enum class PlanSource {
+  kOptimize,  // the optimizer's own output
+  // What a warm plan cache serves: the template of a sibling query (every
+  // selection value shifted by one), inflated with this query's values.
+  kTemplate,
+};
+
 // Plans `query` under `spec` and folds the result into `h`; returns the
 // plan (nullptr when the spec rejects the view).
 PlanPtr HashPlan(const std::string& spec, const MpfViewDef& view,
-                 const MpfQuerySpec& query, const Catalog& catalog,
-                 Fnv1a* h) {
+                 const MpfQuerySpec& query, const Catalog& catalog, Fnv1a* h,
+                 PlanSource source = PlanSource::kOptimize) {
   SimpleCostModel cost_model;
   auto optimizer = MakeOptimizer(spec, /*random_seed=*/13);
   EXPECT_TRUE(optimizer.ok()) << spec;
   if (!optimizer.ok()) return nullptr;
-  auto plan = (*optimizer)->Optimize(view, query, catalog, cost_model);
+  MpfQuerySpec planned = query;
+  if (source == PlanSource::kTemplate) {
+    for (auto& sel : planned.selections) ++sel.value;
+  }
+  auto plan = (*optimizer)->Optimize(view, planned, catalog, cost_model);
   if (!plan.ok()) {
     h->Str("error: " + plan.status().ToString());
     return nullptr;
   }
-  h->Str(ExplainPlan(**plan));
-  HashEstimates(**plan, h);
-  for (const auto& var : (*optimizer)->last_variable_order()) h->Str(var);
+  PlanPtr result = *plan;
+  std::vector<std::string> order = (*optimizer)->last_variable_order();
+  if (source == PlanSource::kTemplate) {
+    auto vocab = PlanVocabulary::Build(view, catalog, cost_model);
+    EXPECT_TRUE(vocab.ok()) << vocab.status();
+    if (!vocab.ok()) return nullptr;
+    auto tmpl =
+        PlanTemplate::Compact(*result, (*optimizer)->name(), order, **vocab,
+                              server::CanonicalSelections(planned));
+    EXPECT_TRUE(tmpl.ok()) << spec << ": " << tmpl.status();
+    if (!tmpl.ok()) return nullptr;
+    auto bound = tmpl->Inflate(**vocab, server::CanonicalSelections(query),
+                               query.having);
+    EXPECT_TRUE(bound.ok()) << spec << ": " << bound.status();
+    if (!bound.ok()) return nullptr;
+    result = bound->logical;
+    order = bound->variable_order;
+  }
+  h->Str(ExplainPlan(*result));
+  HashEstimates(*result, h);
+  for (const auto& var : order) h->Str(var);
   h->Str("|");
-  return *plan;
+  return result;
 }
 
 // Basic, restricted-answer, constrained-domain, two-variable and HAVING
@@ -578,7 +610,7 @@ Catalog LargeDomainCatalog(const RandomView& rv) {
   return copy;
 }
 
-uint64_t RandomViewsHash(const std::string& spec) {
+uint64_t RandomViewsHash(const std::string& spec, PlanSource source) {
   Fnv1a h;
   struct Shape {
     uint64_t seed;
@@ -596,14 +628,14 @@ uint64_t RandomViewsHash(const std::string& spec) {
     const Catalog catalog =
         s.large_domains ? LargeDomainCatalog(rv) : rv.catalog;
     for (const MpfQuerySpec& query : IdentityQueries(rv.present_vars)) {
-      HashPlan(spec, rv.view, query, catalog, &h);
+      HashPlan(spec, rv.view, query, catalog, &h, source);
     }
   }
   return h.value();
 }
 
-TEST(PlanIdentityTest, RandomViewsEverySpec) {
-  const std::map<std::string, uint64_t> expected = {
+const std::map<std::string, uint64_t>& RandomViewsGolden() {
+  static const std::map<std::string, uint64_t> expected = {
       {"cs", 0x281235d6ccce2ee8ull},
       {"cs+", 0x95de00a5b4bdfec2ull},
       {"cs+linear", 0x95de00a5b4bdfec2ull},
@@ -631,14 +663,28 @@ TEST(PlanIdentityTest, RandomViewsEverySpec) {
       {"ve(min_fill) ext.", 0x920f76c486bc3ffaull},
       {"ve(min_fill) ext+fd", 0x920f76c486bc3ffaull},
   };
+  return expected;
+}
+
+TEST(PlanIdentityTest, RandomViewsEverySpec) {
   for (const std::string& spec : AllSpecs()) {
-    ExpectGolden(expected, spec, RandomViewsHash(spec));
+    ExpectGolden(RandomViewsGolden(), spec,
+                 RandomViewsHash(spec, PlanSource::kOptimize));
+  }
+}
+
+// The same goldens from templates: a warm plan cache serves every spec's
+// plans bit for bit.
+TEST(PlanIdentityTest, RandomViewsEverySpecThroughTemplates) {
+  for (const std::string& spec : AllSpecs()) {
+    ExpectGolden(RandomViewsGolden(), spec,
+                 RandomViewsHash(spec, PlanSource::kTemplate));
   }
 }
 
 // The bn_inference net: 40 nodes, at most 2 parents, domain 3, seed 33,
 // asked P(x_q | x_e = v) as the end-to-end workload asks it.
-TEST(PlanIdentityTest, BayesNet40VeSpecs) {
+void ExpectBayesNet40Goldens(PlanSource source) {
   Catalog catalog;
   Rng rng(33);
   auto net = bn::RandomBayesNet(40, 2, 3, rng);
@@ -650,7 +696,7 @@ TEST(PlanIdentityTest, BayesNet40VeSpecs) {
     int e;
     VarValue v;
   };
-  const std::map<std::string, uint64_t> expected = {
+  static const std::map<std::string, uint64_t> expected = {
       {"ve(deg)", 0x68240af5bde66c90ull},
       {"ve(deg) ext.", 0x1c11d16233e5d1f9ull},
       {"ve(deg) ext+fd", 0x1c11d16233e5d1f9ull},
@@ -679,10 +725,18 @@ TEST(PlanIdentityTest, BayesNet40VeSpecs) {
                            Ask{39, 0, 1}}) {
       MpfQuerySpec query{{"x" + std::to_string(ask.q)},
                          {{"x" + std::to_string(ask.e), ask.v}}};
-      HashPlan(spec, *view, query, catalog, &h);
+      HashPlan(spec, *view, query, catalog, &h, source);
     }
     ExpectGolden(expected, spec, h.value());
   }
+}
+
+TEST(PlanIdentityTest, BayesNet40VeSpecs) {
+  ExpectBayesNet40Goldens(PlanSource::kOptimize);
+}
+
+TEST(PlanIdentityTest, BayesNet40VeSpecsThroughTemplates) {
+  ExpectBayesNet40Goldens(PlanSource::kTemplate);
 }
 
 // A ring of 33 relations over 66 variables — more than one 64-bit word of
@@ -690,7 +744,7 @@ TEST(PlanIdentityTest, BayesNet40VeSpecs) {
 // relation's rows are a matching (a, a+i mod 3, a), so the full join has
 // three rows and the naive oracle stays cheap; measures are powers of two,
 // so every fold order gives the same bits.
-TEST(PlanIdentityTest, WideRingViewEverySpecMatchesNaive) {
+void ExpectWideRingGoldensAndAnswers(PlanSource source) {
   constexpr int kRels = 33;
   constexpr int kVars = 2 * kRels;
   Catalog catalog;
@@ -746,7 +800,7 @@ TEST(PlanIdentityTest, WideRingViewEverySpecMatchesNaive) {
   for (const std::string& spec : AllSpecs()) {
     Fnv1a h;
     for (const MpfQuerySpec& query : IdentityQueries(vars)) {
-      PlanPtr plan = HashPlan(spec, view, query, catalog, &h);
+      PlanPtr plan = HashPlan(spec, view, query, catalog, &h, source);
       if (plan == nullptr) continue;
       std::vector<fr::Selection> selections;
       for (const auto& sel : query.selections) {
@@ -774,6 +828,14 @@ TEST(PlanIdentityTest, WideRingViewEverySpecMatchesNaive) {
     }
     ExpectGolden(expected, spec, h.value());
   }
+}
+
+TEST(PlanIdentityTest, WideRingViewEverySpecMatchesNaive) {
+  ExpectWideRingGoldensAndAnswers(PlanSource::kOptimize);
+}
+
+TEST(PlanIdentityTest, WideRingViewEverySpecThroughTemplates) {
+  ExpectWideRingGoldensAndAnswers(PlanSource::kTemplate);
 }
 
 }  // namespace
