@@ -336,55 +336,6 @@ class SeqScanRangeStream : public PhysicalOperator {
   size_t next_row_ = 0;
 };
 
-// Range-restricted scan over a disk table. Page reads go through the
-// table's buffer pool, which serializes them internally; the transpose and
-// all downstream work still run per-morsel.
-class DiskScanRangeStream : public PhysicalOperator {
- public:
-  DiskScanRangeStream(DiskTable* table, uint64_t begin, uint64_t end)
-      : table_(table), schema_(table->schema()), begin_(begin), end_(end) {}
-
-  Status Open() override {
-    next_row_ = begin_;
-    return Status::Ok();
-  }
-  StatusOr<bool> NextBatch(RowBatch* batch) override {
-    const size_t arity = schema_.arity();
-    batch->Prepare(arity);
-    if (next_row_ >= end_) return false;
-    const size_t n =
-        static_cast<size_t>(std::min<uint64_t>(kBatchSize, end_ - next_row_));
-    MPFDB_RETURN_IF_ERROR(PollContext(n));
-    scratch_vars_.resize(n * arity);
-    scratch_measures_.resize(n);
-    MPFDB_RETURN_IF_ERROR(table_->ReadRange(next_row_, n, scratch_vars_.data(),
-                                            scratch_measures_.data()));
-    for (size_t c = 0; c < arity; ++c) {
-      VarValue* out = batch->col(c);
-      const VarValue* in = scratch_vars_.data() + c;
-      for (size_t r = 0; r < n; ++r) out[r] = in[r * arity];
-    }
-    std::copy(scratch_measures_.begin(), scratch_measures_.end(),
-              batch->measures());
-    batch->set_num_rows(n);
-    next_row_ += n;
-    return true;
-  }
-  void Close() override {}
-  const Schema& output_schema() const override { return schema_; }
-  std::string name() const override {
-    return "DiskScanRange(" + table_->name() + ")";
-  }
-
- private:
-  DiskTable* table_;
-  Schema schema_;
-  uint64_t begin_, end_;
-  uint64_t next_row_ = 0;
-  std::vector<VarValue> scratch_vars_;
-  std::vector<double> scratch_measures_;
-};
-
 // Batch reader over a row-major materialized result owned by a blocking
 // operator (HashMarginalize's sorted groups). The owner must outlive the
 // stream.
@@ -586,42 +537,6 @@ StatusOr<std::vector<OperatorPtr>> SeqScan::MakeMorselStreams(size_t n) {
   streams.reserve(n);
   for (auto [begin, end] : SplitRanges(table_->NumRows(), n)) {
     streams.push_back(std::make_unique<SeqScanRangeStream>(table_, begin, end));
-  }
-  return streams;
-}
-
-// --- DiskScan ----------------------------------------------------------------
-
-StatusOr<bool> DiskScan::NextBatch(RowBatch* batch) {
-  const size_t arity = schema_.arity();
-  batch->Prepare(arity);
-  if (next_row_ >= table_->NumRows()) return false;
-  const size_t n = static_cast<size_t>(
-      std::min<uint64_t>(kBatchSize, table_->NumRows() - next_row_));
-  MPFDB_RETURN_IF_ERROR(PollContext(n));
-  scratch_vars_.resize(n * arity);
-  scratch_measures_.resize(n);
-  MPFDB_RETURN_IF_ERROR(table_->ReadRange(next_row_, n, scratch_vars_.data(),
-                                          scratch_measures_.data()));
-  for (size_t c = 0; c < arity; ++c) {
-    VarValue* out = batch->col(c);
-    const VarValue* in = scratch_vars_.data() + c;
-    for (size_t r = 0; r < n; ++r) out[r] = in[r * arity];
-  }
-  std::copy(scratch_measures_.begin(), scratch_measures_.end(),
-            batch->measures());
-  batch->set_num_rows(n);
-  next_row_ += n;
-  return true;
-}
-
-StatusOr<std::vector<OperatorPtr>> DiskScan::MakeMorselStreams(size_t n) {
-  std::vector<OperatorPtr> streams;
-  streams.reserve(n);
-  for (auto [begin, end] :
-       SplitRanges(static_cast<size_t>(table_->NumRows()), n)) {
-    streams.push_back(
-        std::make_unique<DiskScanRangeStream>(table_, begin, end));
   }
   return streams;
 }

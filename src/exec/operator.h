@@ -10,7 +10,6 @@
 #include "plan/plan.h"
 #include "semiring/semiring.h"
 #include "storage/catalog.h"
-#include "storage/disk_table.h"
 #include "storage/index.h"
 #include "storage/schema.h"
 #include "storage/table.h"
@@ -129,41 +128,6 @@ class SeqScan : public PhysicalOperator {
  private:
   TablePtr table_;
   size_t next_row_ = 0;
-};
-
-// Streaming scan of a disk-resident table: rows are read page by page
-// through the table's buffer pool, so a full pipeline can run without ever
-// materializing the base relation in memory — the paper's disk-resident
-// operand setting.
-class DiskScan : public PhysicalOperator {
- public:
-  // `table` must outlive the operator.
-  explicit DiskScan(DiskTable* table)
-      : table_(table), schema_(table->schema()) {}
-
-  Status Open() override {
-    next_row_ = 0;
-    return Status::Ok();
-  }
-  StatusOr<bool> NextBatch(RowBatch* batch) override;
-  void Close() override {}
-  bool SupportsMorselStreams() const override { return true; }
-  StatusOr<std::vector<OperatorPtr>> MakeMorselStreams(size_t n) override;
-  size_t MorselSourceRows() const override {
-    return static_cast<size_t>(table_->NumRows());
-  }
-  const Schema& output_schema() const override { return schema_; }
-  std::string name() const override {
-    return "DiskScan(" + table_->name() + ")";
-  }
-
- private:
-  DiskTable* table_;
-  Schema schema_;
-  uint64_t next_row_ = 0;
-  // Row-major staging area for page-wise batch readout.
-  std::vector<VarValue> scratch_vars_;
-  std::vector<double> scratch_measures_;
 };
 
 // Equality scan served by a hash index: emits exactly the rows whose indexed

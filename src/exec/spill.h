@@ -18,16 +18,14 @@ namespace mpfdb {
 inline constexpr size_t kSpillPartitions = 16;
 
 // One spilled run of fixed-arity rows: `arity` VarValues plus a double
-// measure per record, packed into kPageSize pages with the same layout as
-// DataPage (so the format is shared with the rest of the paged storage
-// layer). Records are written append-only through a one-page buffer, then
-// read back in insertion order after Rewind(). The backing file is created
-// under the query's spill directory and removed by the destructor, so
-// spills never outlive the operator that wrote them — including on error
-// paths.
+// measure per record, packed into kPageSize DataPages. Records are written
+// append-only through a one-page buffer, then read back in insertion order
+// after Rewind(). The backing file is created under the query's spill
+// directory and removed by the destructor, so spills never outlive the
+// operator that wrote them — including on error paths.
 //
 // All IO goes through PagedFile, which means spill traffic is visible to
-// FaultInjector and to the IO counters like any other storage traffic.
+// FaultInjector like any other storage traffic.
 class SpillFile {
  public:
   static StatusOr<std::unique_ptr<SpillFile>> Create(const std::string& path,

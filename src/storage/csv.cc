@@ -23,23 +23,29 @@ Status ParseError(size_t line_number, const std::string& path,
 }
 
 // True if `end` (the strtol/strtod stop position) consumed the whole field
-// up to trailing whitespace. Rejects trailing garbage like "12abc".
+// up to trailing whitespace. Rejects trailing garbage like "12abc", and
+// embedded NUL bytes.
 bool ConsumedField(const std::string& field, const char* end) {
+  const char* stop = field.c_str() + field.size();
   if (end == field.c_str()) return false;
-  for (const char* p = end; *p != '\0'; ++p) {
+  for (const char* p = end; p != stop; ++p) {
     if (!std::isspace(static_cast<unsigned char>(*p))) return false;
   }
   return true;
 }
 
+// Cuts the next '\n'-terminated line off the front of `text`.
+std::string_view NextLine(std::string_view* text) {
+  size_t end = text->find('\n');
+  std::string_view line = text->substr(0, end);
+  text->remove_prefix(end == std::string_view::npos ? text->size() : end + 1);
+  return line;
+}
+
 }  // namespace
 
-Status WriteTableCsv(const Table& table, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::Internal("cannot open '" + path + "' for writing: " +
-                            std::strerror(errno));
-  }
+std::string FormatTableCsv(const Table& table) {
+  std::ostringstream out;
   // Round-trip-exact doubles.
   out << std::setprecision(std::numeric_limits<double>::max_digits10);
   const Schema& schema = table.schema();
@@ -54,36 +60,25 @@ Status WriteTableCsv(const Table& table, const std::string& path) {
     }
     out << row.measure << "\n";
   }
-  if (!out) {
-    return Status::Internal("write to '" + path + "' failed");
-  }
-  return Status::Ok();
+  return std::move(out).str();
 }
 
-StatusOr<std::unique_ptr<Table>> ReadTableCsv(const std::string& table_name,
-                                              const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open '" + path + "': " +
-                            std::strerror(errno));
-  }
-  std::string header;
-  if (!std::getline(in, header)) {
+StatusOr<std::unique_ptr<Table>> ParseTableCsv(const std::string& table_name,
+                                               std::string_view text,
+                                               const std::string& path) {
+  if (text.empty()) {
     return Status::InvalidArgument("empty CSV file: " + path);
   }
-  std::vector<std::string> columns = Split(header, ',');
-  if (columns.empty()) {
-    return Status::InvalidArgument("CSV header has no columns: " + path);
-  }
+  std::vector<std::string> columns = Split(NextLine(&text), ',');
   std::string measure_name = columns.back();
   columns.pop_back();
   auto table = std::make_unique<Table>(
       table_name, Schema(columns, std::move(measure_name)));
 
-  std::string line;
   std::vector<VarValue> vars(columns.size());
   size_t line_number = 1;
-  while (std::getline(in, line)) {
+  while (!text.empty()) {
+    std::string_view line = NextLine(&text);
     ++line_number;
     if (StripWhitespace(line).empty()) continue;
     std::vector<std::string> fields = Split(line, ',');
@@ -112,7 +107,10 @@ StatusOr<std::unique_ptr<Table>> ReadTableCsv(const std::string& table_name,
     errno = 0;
     char* end = nullptr;
     double measure = std::strtod(fields.back().c_str(), &end);
-    if (errno != 0 || !ConsumedField(fields.back(), end)) {
+    // ERANGE also flags subnormal results, which FormatTableCsv writes and
+    // which parse back exactly; only an overflow to infinity is an error.
+    if ((errno != 0 && std::isinf(measure)) ||
+        !ConsumedField(fields.back(), end)) {
       return ParseError(line_number, path,
                         "bad measure value '" + fields.back() + "'");
     }
@@ -123,6 +121,31 @@ StatusOr<std::unique_ptr<Table>> ReadTableCsv(const std::string& table_name,
     table->AppendRow(vars, measure);
   }
   return table;
+}
+
+Status WriteTableCsv(const Table& table, const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    return Status::Internal("cannot open '" + path + "' for writing: " +
+                            std::strerror(errno));
+  }
+  out << FormatTableCsv(table);
+  if (!out) {
+    return Status::Internal("write to '" + path + "' failed");
+  }
+  return Status::Ok();
+}
+
+StatusOr<std::unique_ptr<Table>> ReadTableCsv(const std::string& table_name,
+                                              const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::NotFound("cannot open '" + path + "': " +
+                            std::strerror(errno));
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return ParseTableCsv(table_name, text.str(), path);
 }
 
 }  // namespace mpfdb

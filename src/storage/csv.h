@@ -3,18 +3,27 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "storage/table.h"
 #include "util/status.h"
 
 namespace mpfdb {
 
-// Writes `table` to `path` as CSV with a header row naming the variable
-// columns followed by the measure column.
-Status WriteTableCsv(const Table& table, const std::string& path);
+// Formats `table` as CSV with a header row naming the variable columns
+// followed by the measure column. Measures print with max_digits10, so a
+// parse gives back the same bits.
+std::string FormatTableCsv(const Table& table);
 
-// Reads a table written by WriteTableCsv. The last header column becomes the
-// measure; all other columns are variables with integer values.
+// Parses CSV text as written by FormatTableCsv. The last header column
+// becomes the measure; all other columns are variables with integer values.
+// `path` names the text in error messages.
+StatusOr<std::unique_ptr<Table>> ParseTableCsv(const std::string& table_name,
+                                               std::string_view text,
+                                               const std::string& path);
+
+// File forms of the two above.
+Status WriteTableCsv(const Table& table, const std::string& path);
 StatusOr<std::unique_ptr<Table>> ReadTableCsv(const std::string& table_name,
                                               const std::string& path);
 

@@ -9,9 +9,8 @@
 
 namespace mpfdb {
 
-// Fixed page size of the paged storage layer. The paper's setting is
-// disk-resident functional relations; this layer gives the engine a real
-// disk representation with page-granular IO accounting.
+// Page size of spill runs (exec/spill.h), which buffer and write their
+// rows a page at a time.
 inline constexpr size_t kPageSize = 8192;
 
 // View over one raw page holding fixed-arity rows:

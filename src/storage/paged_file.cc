@@ -1,8 +1,5 @@
 #include "storage/paged_file.h"
 
-#include <filesystem>
-#include <vector>
-
 #include "util/fault_injector.h"
 
 namespace mpfdb {
@@ -13,43 +10,7 @@ StatusOr<std::unique_ptr<PagedFile>> PagedFile::Create(const std::string& path) 
   if (!stream) {
     return Status::Internal("cannot create paged file '" + path + "'");
   }
-  return std::unique_ptr<PagedFile>(
-      new PagedFile(path, std::move(stream), 0));
-}
-
-StatusOr<std::unique_ptr<PagedFile>> PagedFile::Open(const std::string& path) {
-  std::error_code ec;
-  auto size = std::filesystem::file_size(path, ec);
-  if (ec) {
-    return Status::NotFound("cannot stat paged file '" + path +
-                            "': " + ec.message());
-  }
-  if (size % kPageSize != 0) {
-    return Status::InvalidArgument("'" + path +
-                                   "' is not page-aligned; not a paged file");
-  }
-  std::fstream stream(path, std::ios::binary | std::ios::in | std::ios::out);
-  if (!stream) {
-    return Status::Internal("cannot open paged file '" + path + "'");
-  }
-  return std::unique_ptr<PagedFile>(new PagedFile(
-      path, std::move(stream), static_cast<uint32_t>(size / kPageSize)));
-}
-
-StatusOr<uint32_t> PagedFile::AllocatePage() {
-  MPFDB_RETURN_IF_ERROR(FaultInjector::MaybeFail("PagedFile::AllocatePage"));
-  std::vector<std::byte> zeros(kPageSize, std::byte{0});
-  uint32_t id = page_count_;
-  stream_.clear();
-  stream_.seekp(static_cast<std::streamoff>(id) *
-                static_cast<std::streamoff>(kPageSize));
-  stream_.write(reinterpret_cast<const char*>(zeros.data()), kPageSize);
-  if (!stream_) {
-    return Status::Internal("page allocation failed in '" + path_ + "'");
-  }
-  ++page_count_;
-  ++stats_.writes;
-  return id;
+  return std::unique_ptr<PagedFile>(new PagedFile(path, std::move(stream)));
 }
 
 StatusOr<uint32_t> PagedFile::AppendPage(const std::byte* data) {
@@ -63,7 +24,6 @@ StatusOr<uint32_t> PagedFile::AppendPage(const std::byte* data) {
     return Status::Internal("page append failed in '" + path_ + "'");
   }
   ++page_count_;
-  ++stats_.writes;
   return id;
 }
 
@@ -80,25 +40,6 @@ Status PagedFile::ReadPage(uint32_t id, std::byte* out) {
   if (!stream_) {
     return Status::Internal("page read failed in '" + path_ + "'");
   }
-  ++stats_.reads;
-  return Status::Ok();
-}
-
-Status PagedFile::WritePage(uint32_t id, const std::byte* data) {
-  MPFDB_RETURN_IF_ERROR(FaultInjector::MaybeFail("PagedFile::WritePage"));
-  if (id >= page_count_) {
-    return Status::OutOfRange("page " + std::to_string(id) + " beyond " +
-                              std::to_string(page_count_) + " pages");
-  }
-  stream_.clear();
-  stream_.seekp(static_cast<std::streamoff>(id) *
-                static_cast<std::streamoff>(kPageSize));
-  stream_.write(reinterpret_cast<const char*>(data), kPageSize);
-  if (!stream_) {
-    return Status::Internal("page write failed in '" + path_ + "'");
-  }
-  stream_.flush();
-  ++stats_.writes;
   return Status::Ok();
 }
 

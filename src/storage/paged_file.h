@@ -11,51 +11,32 @@
 
 namespace mpfdb {
 
-// A file of kPageSize pages with page-granular read/write and IO counters.
+// An append-only file of kPageSize pages, the backing store of a spill run.
 // Not thread-safe (one owner at a time, like the rest of the engine).
 class PagedFile {
  public:
   // Creates (truncating) a new paged file.
   static StatusOr<std::unique_ptr<PagedFile>> Create(const std::string& path);
-  // Opens an existing paged file; fails if the size is not page-aligned.
-  static StatusOr<std::unique_ptr<PagedFile>> Open(const std::string& path);
 
   PagedFile(const PagedFile&) = delete;
   PagedFile& operator=(const PagedFile&) = delete;
 
-  // Appends a zeroed page and returns its id.
-  StatusOr<uint32_t> AllocatePage();
-
   // Appends a page with the given contents (kPageSize bytes) in a single
-  // write, returning its id. Equivalent to AllocatePage + WritePage but
-  // half the IO; used by the spill layer.
+  // write, returning its id.
   StatusOr<uint32_t> AppendPage(const std::byte* data);
 
   // Reads page `id` into `out` (kPageSize bytes).
   Status ReadPage(uint32_t id, std::byte* out);
-  // Writes kPageSize bytes over page `id`.
-  Status WritePage(uint32_t id, const std::byte* data);
 
   uint32_t page_count() const { return page_count_; }
-  const std::string& path() const { return path_; }
-
-  struct Stats {
-    uint64_t reads = 0;
-    uint64_t writes = 0;
-  };
-  const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats{}; }
 
  private:
-  PagedFile(std::string path, std::fstream stream, uint32_t page_count)
-      : path_(std::move(path)),
-        stream_(std::move(stream)),
-        page_count_(page_count) {}
+  PagedFile(std::string path, std::fstream stream)
+      : path_(std::move(path)), stream_(std::move(stream)) {}
 
   std::string path_;
   std::fstream stream_;
-  uint32_t page_count_;
-  Stats stats_;
+  uint32_t page_count_ = 0;
 };
 
 }  // namespace mpfdb

@@ -12,13 +12,15 @@ namespace mpfdb {
 
 // Deterministic, seedable IO fault injection for robustness tests.
 //
-// The storage layer (PagedFile, BufferPool, DiskTable) calls
-// FaultInjector::MaybeFail("PagedFile::ReadPage") at every IO site. When no
-// injector is installed — the production configuration — the call is a null
-// pointer check and nothing else. Tests install one with ScopedFaultInjection
-// to fail either the Nth counted IO (`fail_nth`) or each IO independently
-// with probability `probability` under a fixed seed, so a failing schedule
-// can be replayed bit-for-bit from the seed alone.
+// The IO layers call FaultInjector::MaybeFail("PagedFile::ReadPage")
+// at every IO site: the page appends and reads of spill runs (PagedFile)
+// and every write, fsync, rename and read of persistence
+// (core/file_io.h). When no injector is installed — the production
+// configuration — the call is a null pointer check and nothing else. Tests
+// install one with ScopedFaultInjection to fail either the Nth counted IO
+// (`fail_nth`) or each IO independently with probability `probability`
+// under a fixed seed, so a failing schedule can be replayed bit-for-bit from
+// the seed alone.
 //
 // Injected failures are ordinary kInternal statuses: the point is to prove
 // that every operator propagates them cleanly (no crash, no leak, no result

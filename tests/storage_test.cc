@@ -1,6 +1,8 @@
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -251,6 +253,27 @@ TEST(CsvTest, NanMeasureIsRejected) {
   Status s = ReadCorruptCsv("nanmeasure", "x,f\n1,nan\n");
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(s.message().find("NaN"), std::string::npos) << s.message();
+}
+
+TEST(CsvTest, SubnormalAndExtremeMeasuresRoundTripExactly) {
+  Table t("t", Schema({"x"}, "f"));
+  const std::vector<double> measures = {
+      std::numeric_limits<double>::denorm_min(), -2.5e-310,
+      std::numeric_limits<double>::max(), -0.0,
+      std::numeric_limits<double>::infinity()};
+  for (size_t i = 0; i < measures.size(); ++i) {
+    t.AppendRow({static_cast<VarValue>(i)}, measures[i]);
+  }
+  auto loaded = ParseTableCsv("t", FormatTableCsv(t), "subnormal.csv");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ((*loaded)->NumRows(), measures.size());
+  for (size_t i = 0; i < measures.size(); ++i) {
+    double m = (*loaded)->measure(i);
+    EXPECT_EQ(std::memcmp(&m, &measures[i], sizeof(m)), 0) << i;
+  }
+  // A measure that overflows a double is still an error.
+  EXPECT_EQ(ReadCorruptCsv("overflowmeasure", "x,f\n1,1e999\n").code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CsvTest, WhitespacePaddedNumericsStillParse) {
