@@ -46,8 +46,8 @@ StatusOr<std::string> ReadFileBytes(const std::string& path) {
   MPFDB_RETURN_IF_ERROR(FaultInjector::MaybeFail("File::Read"));
   Fd file{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
   if (file.get() < 0) {
-    return Status::NotFound("cannot open '" + path +
-                            "': " + std::strerror(errno));
+    if (errno != ENOENT) return Errno("cannot open", path);
+    return Status::NotFound("no file '" + path + "'");
   }
   std::string bytes;
   char buffer[1 << 16];

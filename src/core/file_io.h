@@ -17,7 +17,8 @@ namespace mpfdb {
 // so changing any single byte always changes the checksum.
 uint64_t Checksum64(std::string_view bytes);
 
-// Reads the whole file. A missing or unreadable file is kNotFound.
+// Reads the whole file. A missing file is kNotFound; any other failure to
+// open or read it is kInternal.
 StatusOr<std::string> ReadFileBytes(const std::string& path);
 
 // Creates or truncates `path`, writes `bytes` and fsyncs the file before

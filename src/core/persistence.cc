@@ -187,9 +187,10 @@ Status SaveDatabase(const Database& db, const std::string& directory,
   // file the current manifest names (nor a failed save's leftover) is
   // overwritten.
   uint64_t generation = 0;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    generation = std::max(generation,
-                          GenerationOf(entry.path().filename().string()));
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    generation =
+        std::max(generation, GenerationOf(it->path().filename().string()));
   }
   if (ec) {
     return Status::Internal("cannot list '" + directory + "': " + ec.message());
@@ -242,10 +243,11 @@ Status SaveDatabase(const Database& db, const std::string& directory,
   std::set<std::string> live;
   for (const auto& t : manifest.tables) live.insert(t.file);
   std::vector<fs::path> stale;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    std::string name = entry.path().filename().string();
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    std::string name = it->path().filename().string();
     if (GenerationOf(name) != 0 && live.count(name) == 0) {
-      stale.push_back(entry.path());
+      stale.push_back(it->path());
     }
   }
   for (const auto& path : stale) fs::remove(path, ec);
@@ -265,11 +267,18 @@ Status LoadDatabase(const std::string& directory, Database& db) {
   std::vector<std::string> contents;
   for (const auto& t : manifest.tables) {
     const std::string path = (dir / t.file).string();
-    MPFDB_ASSIGN_OR_RETURN(std::string content, ReadFileBytes(path));
-    if (Checksum64(content) != t.checksum) {
+    auto content = ReadFileBytes(path);
+    // Only a missing manifest means "no database"; a table file missing
+    // under a valid manifest is a damaged one.
+    if (!content.ok() && content.status().code() == StatusCode::kNotFound) {
+      return Status::InvalidArgument("manifest names missing file '" + path +
+                                     "'");
+    }
+    MPFDB_RETURN_IF_ERROR(content.status());
+    if (Checksum64(*content) != t.checksum) {
       return Status::InvalidArgument("checksum mismatch in '" + path + "'");
     }
-    contents.push_back(std::move(content));
+    contents.push_back(std::move(*content));
   }
   std::vector<TablePtr> tables;
   for (size_t i = 0; i < manifest.tables.size(); ++i) {

@@ -34,8 +34,9 @@ Status SaveDatabase(const Database& db, const std::string& directory,
 // Loads a database previously written by SaveDatabase into `db`, which must
 // be empty (no clash with existing variables/tables/views). The manifest's
 // own checksum and every table file's checksum are verified before any
-// table is parsed; a mismatch is kInvalidArgument. A missing manifest is
-// kNotFound.
+// table is parsed; a mismatch, or a table file the manifest names that is
+// missing, is kInvalidArgument. A missing manifest is kNotFound; a manifest
+// that exists but cannot be read is kInternal.
 Status LoadDatabase(const std::string& directory, Database& db);
 
 // The manifest, one record per line with '|'-separated fields:

@@ -3,8 +3,6 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -108,8 +106,9 @@ StatusOr<std::unique_ptr<Table>> ParseTableCsv(const std::string& table_name,
     char* end = nullptr;
     double measure = std::strtod(fields.back().c_str(), &end);
     // ERANGE also flags subnormal results, which FormatTableCsv writes and
-    // which parse back exactly; only an overflow to infinity is an error.
-    if ((errno != 0 && std::isinf(measure)) ||
+    // which parse back exactly; overflow to infinity and underflow to zero
+    // are errors.
+    if ((errno != 0 && (std::isinf(measure) || measure == 0.0)) ||
         !ConsumedField(fields.back(), end)) {
       return ParseError(line_number, path,
                         "bad measure value '" + fields.back() + "'");
@@ -121,31 +120,6 @@ StatusOr<std::unique_ptr<Table>> ParseTableCsv(const std::string& table_name,
     table->AppendRow(vars, measure);
   }
   return table;
-}
-
-Status WriteTableCsv(const Table& table, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::Internal("cannot open '" + path + "' for writing: " +
-                            std::strerror(errno));
-  }
-  out << FormatTableCsv(table);
-  if (!out) {
-    return Status::Internal("write to '" + path + "' failed");
-  }
-  return Status::Ok();
-}
-
-StatusOr<std::unique_ptr<Table>> ReadTableCsv(const std::string& table_name,
-                                              const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open '" + path + "': " +
-                            std::strerror(errno));
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return ParseTableCsv(table_name, text.str(), path);
 }
 
 }  // namespace mpfdb

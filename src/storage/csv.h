@@ -22,11 +22,6 @@ StatusOr<std::unique_ptr<Table>> ParseTableCsv(const std::string& table_name,
                                                std::string_view text,
                                                const std::string& path);
 
-// File forms of the two above.
-Status WriteTableCsv(const Table& table, const std::string& path);
-StatusOr<std::unique_ptr<Table>> ReadTableCsv(const std::string& table_name,
-                                              const std::string& path);
-
 }  // namespace mpfdb
 
 #endif  // MPFDB_STORAGE_CSV_H_

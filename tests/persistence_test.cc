@@ -222,6 +222,47 @@ TEST(PersistenceCorruptionTest, EveryFlippedBinarySaveByteFailsTheLoad) {
   FlipEveryByte(/*binary=*/true);
 }
 
+// A manifest that exists but cannot be opened (a symlink loop) or read (a
+// directory) is an IO error, not an empty directory.
+TEST(PersistenceCorruptionTest, UnreadableManifestIsNotNotFound) {
+  const std::string dir = TempDir("mpfdb_unreadable_manifest");
+  const fs::path manifest = fs::path(dir) / "manifest";
+  fs::create_directories(dir);
+  fs::create_symlink(manifest, manifest);
+  for (int unreadable = 0; unreadable < 2; ++unreadable) {
+    SCOPED_TRACE(unreadable == 0 ? "symlink loop" : "directory");
+    if (unreadable == 1) {
+      fs::remove(manifest);
+      fs::create_directories(manifest);
+    }
+    Database db;
+    Status status = LoadDatabase(dir, db);
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+  }
+  fs::remove_all(dir);
+}
+
+// A table file that went missing after a save is a damaged database, not an
+// absent one.
+TEST(PersistenceCorruptionTest, MissingTableFileIsCorruption) {
+  auto db = TinyDatabase();
+  for (bool binary : {false, true}) {
+    SCOPED_TRACE(binary ? "binary" : "csv");
+    const std::string dir = TempDir("mpfdb_missing_table");
+    ASSERT_TRUE(SaveDatabase(*db, dir, binary).ok());
+    const std::string file =
+        (fs::path(dir) / (binary ? "b.g1.mpft" : "b.g1.csv")).string();
+    ASSERT_TRUE(fs::remove(file));
+    Database loaded;
+    Status status = LoadDatabase(dir, loaded);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("missing file"), std::string::npos)
+        << status;
+    EXPECT_TRUE(loaded.catalog().TableNames().empty());
+    fs::remove_all(dir);
+  }
+}
+
 // A manifest with a valid checksum whose one table lives at `file`, with
 // that file's checksum when it exists.
 std::string ManifestNaming(const std::string& dir, const std::string& file) {
@@ -241,10 +282,11 @@ TEST(ManifestPathTest, FileNamesMustStayInsideTheDirectory) {
   t.AppendRow({1}, 0.5);
   const std::string outside =
       (fs::temp_directory_path() / "mpfdb_outside.csv").string();
-  ASSERT_TRUE(WriteTableCsv(t, outside).ok());
-  ASSERT_TRUE(
-      WriteTableCsv(t, (fs::path(dir) / "sub" / "t.csv").string()).ok());
-  ASSERT_TRUE(WriteTableCsv(t, (fs::path(dir) / "t.csv").string()).ok());
+  for (const std::string& path :
+       {outside, (fs::path(dir) / "sub" / "t.csv").string(),
+        (fs::path(dir) / "t.csv").string()}) {
+    ASSERT_TRUE(WriteFileSynced(path, FormatTableCsv(t)).ok());
+  }
 
   // The control: a plain name loads.
   ASSERT_TRUE(WriteFileSynced((fs::path(dir) / "manifest").string(),

@@ -1,11 +1,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 
 #include <gtest/gtest.h>
 
+#include "core/file_io.h"
 #include "storage/catalog.h"
 #include "storage/csv.h"
 #include "storage/schema.h"
@@ -171,8 +171,10 @@ TEST(CsvTest, RoundTrip) {
   t.AppendRow({3, 4}, 1.75);
   std::string path =
       (std::filesystem::temp_directory_path() / "mpfdb_csv_test.csv").string();
-  ASSERT_TRUE(WriteTableCsv(t, path).ok());
-  auto loaded = ReadTableCsv("t2", path);
+  ASSERT_TRUE(WriteFileSynced(path, FormatTableCsv(t)).ok());
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  auto loaded = ParseTableCsv("t2", *bytes, path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ((*loaded)->NumRows(), 2u);
   EXPECT_EQ((*loaded)->schema().variables(),
@@ -184,34 +186,20 @@ TEST(CsvTest, RoundTrip) {
 }
 
 TEST(CsvTest, MissingFileIsNotFound) {
-  EXPECT_EQ(ReadTableCsv("t", "/nonexistent/nope.csv").status().code(),
+  EXPECT_EQ(ReadFileBytes("/nonexistent/nope.csv").status().code(),
             StatusCode::kNotFound);
 }
 
 TEST(CsvTest, MalformedRowIsInvalidArgument) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mpfdb_csv_bad.csv").string();
-  {
-    std::ofstream out(path);
-    out << "x,f\n1,2\nbroken\n";
-  }
-  EXPECT_EQ(ReadTableCsv("t", path).status().code(),
+  EXPECT_EQ(ParseTableCsv("t", "x,f\n1,2\nbroken\n", "bad.csv")
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
-// Writes `body` to a temp CSV, reads it back, and returns the status.
+// Parses `body` as the CSV file `name`.csv and returns the status.
 Status ReadCorruptCsv(const std::string& name, const std::string& body) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / ("mpfdb_csv_" + name + ".csv"))
-          .string();
-  {
-    std::ofstream out(path);
-    out << body;
-  }
-  Status status = ReadTableCsv("t", path).status();
-  std::remove(path.c_str());
-  return status;
+  return ParseTableCsv("t", body, name + ".csv").status();
 }
 
 TEST(CsvTest, WrongArityReportsLineNumberAndCounts) {
@@ -271,23 +259,21 @@ TEST(CsvTest, SubnormalAndExtremeMeasuresRoundTripExactly) {
     double m = (*loaded)->measure(i);
     EXPECT_EQ(std::memcmp(&m, &measures[i], sizeof(m)), 0) << i;
   }
-  // A measure that overflows a double is still an error.
+  // A measure that overflows a double, or underflows to zero, is still an
+  // error.
   EXPECT_EQ(ReadCorruptCsv("overflowmeasure", "x,f\n1,1e999\n").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadCorruptCsv("underflowmeasure", "x,f\n1,1e-400\n").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadCorruptCsv("underflowmeasure", "x,f\n1,-1e-400\n").code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(CsvTest, WhitespacePaddedNumericsStillParse) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mpfdb_csv_ws.csv").string();
-  {
-    std::ofstream out(path);
-    out << "x,f\n1 ,0.5 \n";
-  }
-  auto loaded = ReadTableCsv("t", path);
+  auto loaded = ParseTableCsv("t", "x,f\n1 ,0.5 \n", "ws.csv");
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ((*loaded)->NumRows(), 1u);
   EXPECT_EQ((*loaded)->Row(0).var(0), 1);
-  std::remove(path.c_str());
 }
 
 }  // namespace
