@@ -473,7 +473,7 @@ int RunModeAblation(const std::string& json_path,
     Check(catalog.RegisterTable(b));
     Check(catalog.RegisterTable(c));
 
-    SimpleCostModel cost_model;
+    CostModel cost_model;
     PlanBuilder builder(catalog, cost_model);
     auto plan = [&]() -> PlanPtr {
       auto sa = builder.Scan("a");
@@ -661,7 +661,7 @@ int RunModeAblation(const std::string& json_path,
     auto schema = workload::GenerateCycle(params, catalog);
     Check(schema.status());
     const MpfQuerySpec query{{"x0"}, {}};
-    SimpleCostModel cost_model;
+    CostModel cost_model;
 
     opt::FaqOptimizer faq;
     auto faq_plan =

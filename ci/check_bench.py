@@ -17,6 +17,10 @@ job and a >warn-pct slowdown prints a warning.
 Entries absent from the gated set (serving/*, governed_overhead/*, ...) are
 reported informationally. A gated entry missing from the current run is a
 hard failure: a regression must not hide behind a renamed or dropped bench.
+
+A baseline entry and a current entry that both record `hardware_threads`
+and disagree on it were measured on different machines: the pair is
+reported as incomparable and not compared.
 """
 
 import argparse
@@ -110,6 +114,16 @@ def load(path):
     return {e["name"]: e for e in entries}
 
 
+def thread_mismatch(base_entry, cur_entry):
+    """(baseline, current) hardware_threads when both record it and they
+    differ, else None."""
+    base = base_entry.get("hardware_threads")
+    cur = cur_entry.get("hardware_threads")
+    if base is None or cur is None or base == cur:
+        return None
+    return base, cur
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True)
@@ -123,6 +137,7 @@ def main():
 
     failures = []
     warnings = []
+    incomparable = []
     print(f"{'entry/metric':55s} {'baseline':>14s} {'current':>14s} "
           f"{'delta':>8s}")
     for name, metric, direction in GATED:
@@ -135,6 +150,13 @@ def main():
             continue
         if cur_entry is None or metric not in cur_entry:
             failures.append(f"{name}/{metric}: missing from current run")
+            continue
+        mismatch = thread_mismatch(base_entry, cur_entry)
+        if mismatch is not None:
+            incomparable.append(
+                f"{name}/{metric}: hardware_threads {mismatch[0]} in the "
+                f"baseline, {mismatch[1]} in the current run")
+            print(f"{name}/{metric}: incomparable, not compared")
             continue
         base = base_entry[metric]
         cur = cur_entry[metric]
@@ -199,6 +221,10 @@ def main():
         print(f"{name + '/' + metric:55s} {base_str} "
               f"{cur_entry[metric]:14.6g}   (info)")
 
+    if incomparable:
+        print("\nIncomparable (measured on different core counts):")
+        for i in incomparable:
+            print("  " + i)
     if warnings:
         print("\nWarnings (>{:.0f}% regression):".format(args.warn_pct))
         for w in warnings:

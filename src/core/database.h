@@ -488,7 +488,7 @@ class Database {
 
   server::PlanCache plan_cache_;
 
-  const SimpleCostModel cost_model_;
+  const CostModel cost_model_{};
   exec::ExecOptions exec_options_;
   std::mutex pool_mu_;
   std::unique_ptr<exec::ThreadPool> pool_;  // guarded by pool_mu_

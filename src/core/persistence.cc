@@ -199,24 +199,20 @@ Status SaveDatabase(const Database& db, const std::string& directory,
       ".g" + std::to_string(generation + 1) + (binary ? ".mpft" : ".csv");
 
   const Catalog& catalog = db.catalog();
-  // The catalog does not expose its variable map; the variables of the
-  // tables are the ones that matter, so persist their union.
+  // Every registered variable, used by a table or not: a variable created
+  // for a table still to come must survive the round trip.
   Manifest manifest;
-  std::vector<std::string> seen_vars;
+  for (const auto& [var, domain] : catalog.variables()) {
+    MPFDB_RETURN_IF_ERROR(CheckStorable(var));
+    manifest.variables.emplace_back(var, domain);
+  }
   for (const auto& name : catalog.TableNames()) {
     TablePtr table = *catalog.GetTable(name);
-    for (const auto& var : table->schema().variables()) {
-      if (varset::Contains(seen_vars, var)) continue;
-      seen_vars.push_back(var);
-      manifest.variables.emplace_back(var, *catalog.DomainSize(var));
-    }
     Manifest::TableFile file{name, name + suffix,
                              table->schema().measure_name(),
                              table->key_vars(), 0};
-    std::vector<std::string> names = table->schema().variables();
-    names.push_back(name);
-    names.push_back(file.measure);
-    for (const auto& n : names) MPFDB_RETURN_IF_ERROR(CheckStorable(n));
+    MPFDB_RETURN_IF_ERROR(CheckStorable(name));
+    MPFDB_RETURN_IF_ERROR(CheckStorable(file.measure));
     if (!IsPlainFileName(file.file)) {
       return Status::InvalidArgument("table name '" + name +
                                      "' cannot name a file");

@@ -119,11 +119,4 @@ double AgmBound(const std::vector<std::string>& vars,
   return std::exp(CoverLpValue(vars, edges, weights));
 }
 
-double FractionalEdgeCoverNumber(const std::vector<std::string>& vars,
-                                 const std::vector<Edge>& edges) {
-  if (vars.empty()) return 0.0;
-  std::vector<double> weights(edges.size(), 1.0);
-  return CoverLpValue(vars, edges, weights);
-}
-
 }  // namespace mpfdb::agm

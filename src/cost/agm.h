@@ -26,13 +26,6 @@ struct Edge {
 double AgmBound(const std::vector<std::string>& vars,
                 const std::vector<Edge>& edges);
 
-// The fractional edge cover number rho* of `vars` under `edges`: the optimal
-// LP value with every edge weight ln|R| replaced by 1. This is the exponent
-// that makes AgmBound = N^rho* for equal-size relations, and the quantity
-// fractional-hypertree-width scoring minimizes per bag.
-double FractionalEdgeCoverNumber(const std::vector<std::string>& vars,
-                                 const std::vector<Edge>& edges);
-
 }  // namespace mpfdb::agm
 
 #endif  // MPFDB_COST_AGM_H_

@@ -22,21 +22,21 @@ double CostModel::MultiwayJoinCost(const std::vector<double>& input_cards,
   return cost + output_card * std::max(1.0, seek);
 }
 
-double SimpleCostModel::ScanCost(double card) const { return card; }
+double CostModel::ScanCost(double card) const { return card; }
 
-double SimpleCostModel::JoinCost(double left_card, double right_card) const {
+double CostModel::JoinCost(double left_card, double right_card) const {
   return left_card * right_card;
 }
 
-double SimpleCostModel::GroupByCost(double input_card) const {
+double CostModel::GroupByCost(double input_card) const {
   return input_card * Log2Safe(input_card);
 }
 
-double SimpleCostModel::SelectCost(double input_card) const {
+double CostModel::SelectCost(double input_card) const {
   return input_card;
 }
 
-double SimpleCostModel::IndexScanCost(double output_card) const {
+double CostModel::IndexScanCost(double output_card) const {
   return 1.0 + output_card;
 }
 

@@ -100,7 +100,6 @@ class GibbsEstimator {
   GibbsEstimator(Semiring semiring, GibbsOptions options, QueryContext* ctx)
       : semiring_(semiring), options_(options), ctx_(ctx), rng_(options.seed) {}
 
-  uint64_t FactorKey(const FactorTable& f) const;
   // Measure of factor `f` at the current state with variable `var` set to
   // `value`; false when the factor has no such row.
   bool FactorMeasureAt(const FactorTable& f, size_t var, VarValue value,

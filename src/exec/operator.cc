@@ -743,6 +743,7 @@ Status HashMarginalize::DrainBatches() {
   std::vector<const VarValue*> key_cols(nkeys);
   MemoryGuard table_memory(ctx_);
   std::vector<std::unique_ptr<SpillFile>> parts;
+  std::vector<std::pair<std::vector<VarValue>, double>> entries;  // groups
 
   // Routes one batch's rows straight to the spill partitions (used once the
   // operator has degraded to Grace-style partitioned aggregation).
@@ -812,45 +813,24 @@ Status HashMarginalize::DrainBatches() {
       }
     }
     if (parts.empty()) {
-      if (codec_is_lexicographic) {
-        // Packed keys sort exactly as their decoded tuples (MSB-first
-        // layout), so integer-sorting reproduces the tuples' lexicographic
-        // order.
-        std::vector<std::pair<uint64_t, double>> entries;
-        entries.reserve(agg.size());
-        agg.ForEach([&](uint64_t key, const double& measure) {
-          entries.emplace_back(key, measure);
-        });
-        std::sort(
-            entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-        out_vars_.resize(entries.size() * nkeys);
-        out_measures_.resize(entries.size());
-        for (size_t i = 0; i < entries.size(); ++i) {
-          codec->Decode(entries[i].first, out_vars_.data() + i * nkeys);
-          out_measures_[i] = entries[i].second;
-        }
-      } else {
-        // Catalog-free 32-bit packing: flipping each lane's sign bit makes
-        // unsigned integer order match the tuples' signed lexicographic
-        // order, so the sort runs on raw uint64s (no per-entry decode, no
-        // tuple materialization).
-        const uint64_t flip = codec->SignFlipMask();
-        std::vector<std::pair<uint64_t, double>> entries;
-        entries.reserve(agg.size());
-        agg.ForEach([&](uint64_t key, const double& measure) {
-          entries.emplace_back(key ^ flip, measure);
-        });
-        std::sort(
-            entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-        out_vars_.resize(entries.size() * nkeys);
-        out_measures_.resize(entries.size());
-        for (size_t i = 0; i < entries.size(); ++i) {
-          codec->Decode(entries[i].first ^ flip,
-                        out_vars_.data() + i * nkeys);
-          out_measures_[i] = entries[i].second;
-        }
+      // Packed keys sort exactly as their decoded tuples: the catalog
+      // codec's MSB-first layout as is, the catalog-free 32-bit packing once
+      // each lane's sign bit is flipped (`flip`) so that unsigned order
+      // matches signed order. The sort runs on raw uint64s (no per-entry
+      // decode, no tuple materialization).
+      const uint64_t flip = codec_is_lexicographic ? 0 : codec->SignFlipMask();
+      std::vector<std::pair<uint64_t, double>> sorted;
+      sorted.reserve(agg.size());
+      agg.ForEach([&](uint64_t key, const double& measure) {
+        sorted.emplace_back(key ^ flip, measure);
+      });
+      std::sort(sorted.begin(), sorted.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      out_vars_.resize(sorted.size() * nkeys);
+      out_measures_.resize(sorted.size());
+      for (size_t i = 0; i < sorted.size(); ++i) {
+        codec->Decode(sorted[i].first ^ flip, out_vars_.data() + i * nkeys);
+        out_measures_[i] = sorted[i].second;
       }
       memory_.ChargeUnchecked(out_vars_.size() * sizeof(VarValue) +
                               out_measures_.size() * sizeof(double));
@@ -903,32 +883,20 @@ Status HashMarginalize::DrainBatches() {
       }
     }
     if (parts.empty()) {
-      std::vector<std::pair<std::vector<VarValue>, double>> entries;
       entries.reserve(table.size());
       table.ForEach([&](const std::vector<VarValue>& k, const double& m) {
         entries.emplace_back(k, m);
       });
-      std::sort(entries.begin(), entries.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      out_vars_.resize(entries.size() * nkeys);
-      out_measures_.resize(entries.size());
-      for (size_t i = 0; i < entries.size(); ++i) {
-        std::copy(entries[i].first.begin(), entries[i].first.end(),
-                  out_vars_.begin() + static_cast<ptrdiff_t>(i * nkeys));
-        out_measures_[i] = entries[i].second;
-      }
-      memory_.ChargeUnchecked(out_vars_.size() * sizeof(VarValue) +
-                              out_measures_.size() * sizeof(double));
-      return Status::Ok();
     }
   }
 
-  // Spilled: re-aggregate every partition, then lay out the sorted groups —
+  // Lay out the sorted groups. Spilled partitions are re-aggregated first:
   // per-key Add replay order matches the in-memory path, so the result is
   // bit-identical to an unconstrained run.
-  std::vector<std::pair<std::vector<VarValue>, double>> entries;
-  MPFDB_RETURN_IF_ERROR(
-      DrainAggSpill(parts, semiring_, nkeys, ctx_, &entries));
+  if (!parts.empty()) {
+    MPFDB_RETURN_IF_ERROR(
+        DrainAggSpill(parts, semiring_, nkeys, ctx_, &entries));
+  }
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   out_vars_.resize(entries.size() * nkeys);
@@ -1251,9 +1219,9 @@ struct ProbeCursor {
 // Emits (a slice of) the current left row's contiguous match run: constant
 // fills for left-side outputs, contiguous column copies for right-side
 // outputs, one vectorizable multiply for the measures. Shared between the
-// serial in-memory probe loop, the spill-partition probe loop, and the
-// parallel probe streams. ImplT is HashProductJoin::Impl, deduced because
-// the type is private; only build-side state is read through it.
+// serial in-memory probe loop and the parallel probe streams. ImplT is
+// HashProductJoin::Impl, deduced because the type is private; only
+// build-side state is read through it.
 template <class ImplT>
 void EmitJoinRunSlice(ImplT& st, ProbeCursor& pc, const Semiring& semiring,
                       RowBatch* out) {
@@ -1396,6 +1364,19 @@ class HashJoinProbeStream : public PhysicalOperator {
 
 }  // namespace
 
+// A spilled build partition being joined: its rows chained per key in
+// arrival order (the order the in-memory join emits a key's matches in), the
+// probe row whose matches are being emitted, and its next matching row.
+struct SpillJoinPart {
+  std::vector<VarValue> vars;  // row-major
+  std::vector<double> measures;
+  std::vector<uint32_t> next_row;
+  VecKeyMap<std::pair<uint32_t, uint32_t>> chains;  // (first, last) per key
+  std::vector<VarValue> probe_row;
+  double probe_measure = 0.0;
+  uint32_t match = kNoChain;
+};
+
 struct HashProductJoin::Impl {
   JoinLayout layout;
   bool built = false;
@@ -1428,16 +1409,25 @@ struct HashProductJoin::Impl {
   std::vector<const VarValue*> key_cols;
 
   // Resource governance. `memory` covers the in-memory build state; when the
-  // budget is hit both sides are partitioned to disk (Grace-style) and the
-  // partitions are joined pairwise, one resident partition at a time
-  // (`part_memory`).
+  // budget is hit both sides are partitioned to disk (Grace-style), each
+  // probe row tagged with its input position in a last column. The joined
+  // rows leave in probe order: NextBatchSpill merges the partitions by the
+  // position of their next joined row (`heads`; `live` while they have one).
+  // When the budget (`part_memory`) holds every build partition at once,
+  // the partitions are joined as the merge pulls them (`resident`); else
+  // each is joined in turn, one resident partition at a time, into an output
+  // run (`out_parts`) the merge reads back.
   MemoryGuard memory;
   MemoryGuard part_memory;
   bool spilling = false;
+  bool resident = false;
   std::vector<std::unique_ptr<SpillFile>> right_parts;
   std::vector<std::unique_ptr<SpillFile>> left_parts;
-  size_t cur_part = 0;
-  bool part_loaded = false;
+  std::vector<std::unique_ptr<SpillFile>> out_parts;
+  std::vector<SpillJoinPart> join_parts;  // one per partition when resident
+  std::vector<std::vector<VarValue>> heads;
+  std::vector<double> head_measures;
+  std::vector<char> live;
   size_t left_arity = 0;
   std::vector<VarValue> spill_row;
 };
@@ -1765,9 +1755,10 @@ Status HashProductJoin::BuildBatches() {
     // can be joined independently in NextBatchSpill.
     st.left_arity = left_->output_schema().arity();
     MPFDB_ASSIGN_OR_RETURN(st.left_parts,
-                           MakeSpillPartitions(ctx_, st.left_arity));
+                           MakeSpillPartitions(ctx_, st.left_arity + 1));
     if (stats_ != nullptr) stats_->spill_partitions = st.left_parts.size();
-    st.spill_row.resize(std::max(st.spill_row.size(), st.left_arity));
+    st.spill_row.resize(std::max(st.spill_row.size(), st.left_arity + 1));
+    uint32_t position = 0;  // stored in a VarValue, compared unsigned
     RowBatch lbatch;
     while (true) {
       auto lhas = left_->NextBatch(&lbatch);
@@ -1785,6 +1776,11 @@ Status HashProductJoin::BuildBatches() {
         for (size_t c = 0; c < st.left_arity; ++c) {
           st.spill_row[c] = lbatch.col(c)[r];
         }
+        if (position == UINT32_MAX) {
+          return Status::ResourceExhausted(
+              "HashProductJoin: probe side too large to spill");
+        }
+        st.spill_row[st.left_arity] = static_cast<VarValue>(position++);
         MPFDB_RETURN_IF_ERROR(
             st.left_parts[SpillPartOf(KeyHash()(st.key_vals))]->Append(
                 st.spill_row.data(), measures[r]));
@@ -1792,7 +1788,7 @@ Status HashProductJoin::BuildBatches() {
     }
     left_->Close();
     st.left_open = false;
-    return Status::Ok();
+    return JoinSpillPartitions();
   }
 
   // Compact the staging copy so each key's rows are contiguous (preserving
@@ -1873,116 +1869,157 @@ StatusOr<bool> HashProductJoin::NextBatch(RowBatch* out) {
   return JoinProbeNextBatch(st, st.probe, *left_, semiring_, ctx_, out);
 }
 
-Status HashProductJoin::LoadSpillPartition() {
+// Reads build run `part` into its SpillJoinPart and rewinds its probe run.
+Status HashProductJoin::LoadSpillPartition(size_t part) {
   Impl& st = *impl_;
-  const size_t nkeys = st.layout.shared.size();
-  SpillFile& rp = *st.right_parts[st.cur_part];
-  MPFDB_RETURN_IF_ERROR(rp.Rewind());
-  if (ctx_ != nullptr) ctx_->RecordSpill(rp.num_rows(), rp.bytes_written());
-  // Same staging-then-compact build as BuildBatches, restricted to one
-  // partition. Probing uses vec_heads: partitioning hashed decoded keys, so
-  // the packed codec plays no role on the spill path.
-  const size_t total = static_cast<size_t>(rp.num_rows());
-  std::vector<VarValue> staging_vars(total * st.right_arity);
-  std::vector<double> staging_measures(total);
-  std::vector<uint32_t> next_row(total, kNoChain);
-  st.vec_heads.clear();
-  std::vector<VarValue> key(nkeys);
+  SpillJoinPart& jp = st.join_parts[st.resident ? part : 0];
+  SpillFile& build = *st.right_parts[part];
+  SpillFile& probe = *st.left_parts[part];
+  MPFDB_RETURN_IF_ERROR(build.Rewind());
+  MPFDB_RETURN_IF_ERROR(probe.Rewind());
+  if (ctx_ != nullptr) {
+    ctx_->RecordSpill(build.num_rows(), build.bytes_written());
+    ctx_->RecordSpill(probe.num_rows(), probe.bytes_written());
+  }
+  const size_t total = static_cast<size_t>(build.num_rows());
+  jp.vars.assign(total * st.right_arity, 0);
+  jp.measures.assign(total, 0.0);
+  jp.next_row.assign(total, kNoChain);
+  jp.chains.clear();
+  jp.probe_row.resize(st.left_arity + 1);
+  jp.match = kNoChain;
+  std::vector<VarValue>& key = st.key_vals;
   for (size_t r = 0; r < total; ++r) {
-    MPFDB_ASSIGN_OR_RETURN(
-        bool has,
-        rp.Next(staging_vars.data() + r * st.right_arity, &staging_measures[r]));
+    VarValue* src = jp.vars.data() + r * st.right_arity;
+    MPFDB_ASSIGN_OR_RETURN(bool has, build.Next(src, &jp.measures[r]));
     if (!has) return Status::Internal("spill partition shorter than expected");
-    const VarValue* src = staging_vars.data() + r * st.right_arity;
-    for (size_t k = 0; k < nkeys; ++k) key[k] = src[st.layout.shared_right[k]];
+    for (size_t k = 0; k < key.size(); ++k) {
+      key[k] = src[st.layout.shared_right[k]];
+    }
     const uint32_t idx = static_cast<uint32_t>(r);
-    auto [slot, inserted] = st.vec_heads.FindOrInsert(key, {idx, idx});
+    auto [slot, inserted] = jp.chains.FindOrInsert(key, {idx, idx});
     if (!inserted) {
-      next_row[slot->second] = idx;
+      jp.next_row[slot->second] = idx;
       slot->second = idx;
     }
   }
-  MPFDB_RETURN_IF_ERROR(PollContext(total));
-  st.arena_rows = total;
-  st.arena_cols.assign(total * st.right_arity, 0);
-  st.arena_measures.assign(total, 0.0);
-  size_t pos = 0;
-  st.vec_heads.ForEachMutable([&](const std::vector<VarValue>&,
-                                  std::pair<uint32_t, uint32_t>& payload) {
-    const size_t start = pos;
-    for (uint32_t idx = payload.first; idx != kNoChain; idx = next_row[idx]) {
-      const VarValue* src =
-          staging_vars.data() + static_cast<size_t>(idx) * st.right_arity;
-      for (size_t c = 0; c < st.right_arity; ++c) {
-        st.arena_cols[c * total + pos] = src[c];
-      }
-      st.arena_measures[pos] = staging_measures[idx];
-      ++pos;
+  st.right_parts[part].reset();
+  return PollContext(total);
+}
+
+// Moves partition `part` to its next joined row — the next build row
+// matching the current probe row, else the first match of the next probe row
+// that has one — and writes it into heads[part], its probe row's position
+// last. False once the probe run is exhausted.
+StatusOr<bool> HashProductJoin::NextSpillJoinRow(size_t part) {
+  Impl& st = *impl_;
+  SpillJoinPart& jp = st.join_parts[st.resident ? part : 0];
+  SpillFile& probe = *st.left_parts[part];
+  if (jp.match != kNoChain) jp.match = jp.next_row[jp.match];
+  std::vector<VarValue>& key = st.key_vals;
+  while (jp.match == kNoChain) {
+    MPFDB_ASSIGN_OR_RETURN(bool has,
+                           probe.Next(jp.probe_row.data(), &jp.probe_measure));
+    if (!has) return false;
+    MPFDB_RETURN_IF_ERROR(PollContext());
+    for (size_t k = 0; k < key.size(); ++k) {
+      key[k] = jp.probe_row[st.layout.shared_left[k]];
     }
-    payload = {static_cast<uint32_t>(start),
-               static_cast<uint32_t>(pos - start)};
-  });
-  st.part_memory.ReleaseAll();
-  st.part_memory.ChargeUnchecked(
-      total * (st.right_arity * sizeof(VarValue) + sizeof(double)));
-  MPFDB_RETURN_IF_ERROR(st.left_parts[st.cur_part]->Rewind());
-  if (ctx_ != nullptr) {
-    ctx_->RecordSpill(st.left_parts[st.cur_part]->num_rows(),
-                      st.left_parts[st.cur_part]->bytes_written());
+    if (const auto* chain = jp.chains.Find(key)) jp.match = chain->first;
   }
-  st.part_loaded = true;
+  std::vector<VarValue>& row = st.heads[part];
+  for (auto [out_c, left_c] : st.out_left_cols) {
+    row[out_c] = jp.probe_row[left_c];
+  }
+  const VarValue* src = jp.vars.data() + size_t{jp.match} * st.right_arity;
+  for (auto [out_c, right_c] : st.out_right_cols) row[out_c] = src[right_c];
+  row.back() = jp.probe_row[st.left_arity];
+  st.head_measures[part] =
+      semiring_.Multiply(jp.probe_measure, jp.measures[jp.match]);
+  return true;
+}
+
+// Moves partition `part` of the merge to its next row: joined on the spot
+// when resident, else read back from its output run.
+StatusOr<bool> HashProductJoin::NextMergeRow(size_t part) {
+  Impl& st = *impl_;
+  if (st.resident) return NextSpillJoinRow(part);
+  return st.out_parts[part]->Next(st.heads[part].data(),
+                                  &st.head_measures[part]);
+}
+
+// Prepares the merge. When the budget holds every build partition they all
+// stay loaded and are joined as the merge pulls them; otherwise each is
+// joined in turn, holding one partition, into an output run.
+Status HashProductJoin::JoinSpillPartitions() {
+  Impl& st = *impl_;
+  const size_t arity = st.layout.schema.arity();
+  const size_t row_bytes = st.right_arity * sizeof(VarValue) + sizeof(double);
+  size_t build_bytes = 0;
+  for (const auto& run : st.right_parts) build_bytes += run->num_rows();
+  st.resident =
+      st.part_memory.Charge(build_bytes * row_bytes, "HashProductJoin").ok();
+  st.join_parts.resize(st.resident ? kSpillPartitions : 1);
+  st.heads.assign(kSpillPartitions, std::vector<VarValue>(arity + 1));
+  st.head_measures.assign(kSpillPartitions, 0.0);
+  st.live.assign(kSpillPartitions, 0);
+  if (!st.resident) {
+    MPFDB_ASSIGN_OR_RETURN(st.out_parts, MakeSpillPartitions(ctx_, arity + 1));
+  }
+  for (size_t part = 0; part < kSpillPartitions; ++part) {
+    const size_t rows = static_cast<size_t>(st.right_parts[part]->num_rows());
+    MPFDB_RETURN_IF_ERROR(LoadSpillPartition(part));
+    if (!st.resident) {
+      st.part_memory.ReleaseAll();
+      st.part_memory.ChargeUnchecked(rows * row_bytes);
+      MPFDB_RETURN_IF_ERROR(JoinIntoRun(part));
+    }
+    MPFDB_ASSIGN_OR_RETURN(st.live[part], NextMergeRow(part));
+  }
+  if (!st.resident) st.part_memory.ReleaseAll();
   return Status::Ok();
 }
 
+// Joins partition `part` into its output run and rewinds the run.
+Status HashProductJoin::JoinIntoRun(size_t part) {
+  Impl& st = *impl_;
+  SpillFile& joined = *st.out_parts[part];
+  while (true) {
+    MPFDB_ASSIGN_OR_RETURN(bool has, NextSpillJoinRow(part));
+    if (!has) break;
+    MPFDB_RETURN_IF_ERROR(
+        joined.Append(st.heads[part].data(), st.head_measures[part]));
+  }
+  st.left_parts[part].reset();
+  MPFDB_RETURN_IF_ERROR(joined.Rewind());
+  if (ctx_ != nullptr) {
+    ctx_->RecordSpill(joined.num_rows(), joined.bytes_written());
+  }
+  return Status::Ok();
+}
+
+// Merges the partitions by probe position: a probe row's matches lie in one
+// partition, in build order, so the rows come out in exactly the order the
+// in-memory join emits them.
 StatusOr<bool> HashProductJoin::NextBatchSpill(RowBatch* out) {
   Impl& st = *impl_;
-  ProbeCursor& pc = st.probe;
-  const JoinLayout& layout = st.layout;
-  const size_t nkeys = layout.shared.size();
-  out->Prepare(layout.schema.arity());
+  const size_t arity = st.layout.schema.arity();
+  out->Prepare(arity);
   while (!out->full()) {
-    if (pc.match_off < pc.match_len) {
-      EmitJoinRunSlice(st, pc, semiring_, out);
-      continue;
-    }
-    if (pc.left_pos >= pc.left_batch.num_rows()) {
-      if (st.cur_part >= kSpillPartitions) break;
-      if (!st.part_loaded) MPFDB_RETURN_IF_ERROR(LoadSpillPartition());
-      // Refill the probe batch from the current partition's probe run.
-      pc.left_batch.Prepare(st.left_arity);
-      size_t n = 0;
-      double measure = 0.0;
-      while (n < kBatchSize) {
-        MPFDB_ASSIGN_OR_RETURN(
-            bool has,
-            st.left_parts[st.cur_part]->Next(st.spill_row.data(), &measure));
-        if (!has) break;
-        pc.left_batch.AppendRow(st.spill_row.data(), measure);
-        ++n;
+    size_t next = kSpillPartitions;
+    for (size_t part = 0; part < kSpillPartitions; ++part) {
+      if (st.live[part] &&
+          (next == kSpillPartitions ||
+           static_cast<uint32_t>(st.heads[part][arity]) <
+               static_cast<uint32_t>(st.heads[next][arity]))) {
+        next = part;
       }
-      MPFDB_RETURN_IF_ERROR(PollContext(n == 0 ? 1 : n));
-      if (n == 0) {
-        st.right_parts[st.cur_part].reset();
-        st.left_parts[st.cur_part].reset();
-        ++st.cur_part;
-        st.part_loaded = false;
-        continue;
-      }
-      pc.left_pos = 0;
-      continue;
     }
-    pc.cur_left = pc.left_pos++;
-    pc.match_off = 0;
-    pc.match_len = 0;
-    for (size_t k = 0; k < nkeys; ++k) {
-      st.key_vals[k] = pc.left_batch.col(layout.shared_left[k])[pc.cur_left];
-    }
-    auto* range = st.vec_heads.Find(st.key_vals);
-    if (range != nullptr) {
-      pc.match_start = range->first;
-      pc.match_len = range->second;
-    }
+    if (next == kSpillPartitions) break;
+    out->AppendRow(st.heads[next].data(), st.head_measures[next]);
+    MPFDB_ASSIGN_OR_RETURN(st.live[next], NextMergeRow(next));
   }
+  MPFDB_RETURN_IF_ERROR(PollContext(out->num_rows()));
   return !out->empty();
 }
 

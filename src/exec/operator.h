@@ -359,7 +359,11 @@ class HashProductJoin : public PhysicalOperator {
   struct Impl;
   Status BuildBatches();
   StatusOr<bool> NextBatchSpill(RowBatch* out);
-  Status LoadSpillPartition();
+  Status JoinSpillPartitions();
+  Status LoadSpillPartition(size_t part);
+  Status JoinIntoRun(size_t part);
+  StatusOr<bool> NextSpillJoinRow(size_t part);
+  StatusOr<bool> NextMergeRow(size_t part);
 
   OperatorPtr left_;
   OperatorPtr right_;

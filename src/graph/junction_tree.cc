@@ -59,15 +59,6 @@ bool IsAcyclicSchema(
   return false;
 }
 
-std::vector<size_t> JoinTree::NeighborsOf(size_t i) const {
-  std::vector<size_t> neighbors;
-  for (const auto& [a, b] : edges) {
-    if (a == i) neighbors.push_back(b);
-    if (b == i) neighbors.push_back(a);
-  }
-  return neighbors;
-}
-
 JoinTree MaxSpanningJoinTree(
     const std::vector<std::vector<std::string>>& node_vars) {
   JoinTree tree;

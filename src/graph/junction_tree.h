@@ -24,9 +24,6 @@ struct JoinTree {
   std::vector<std::vector<std::string>> node_vars;
   // Undirected tree edges (parent/child orientation is chosen by consumers).
   std::vector<std::pair<size_t, size_t>> edges;
-
-  // Neighbors of node i.
-  std::vector<size_t> NeighborsOf(size_t i) const;
 };
 
 // Builds a maximum-weight spanning tree over the nodes where edge weight is

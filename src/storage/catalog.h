@@ -27,6 +27,10 @@ class Catalog {
   bool HasVariable(const std::string& name) const;
   // Domain size of a variable (σ_X in the paper). Error if unregistered.
   StatusOr<int64_t> DomainSize(const std::string& name) const;
+  // Every registered variable with its domain size, by name.
+  const std::map<std::string, int64_t>& variables() const {
+    return variable_domains_;
+  }
 
   // Registers a table; all its schema variables must be registered first.
   Status RegisterTable(TablePtr table);

@@ -53,7 +53,6 @@ class Table {
         var_data_(std::make_shared<std::vector<VarValue>>()) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
   const Schema& schema() const { return schema_; }
 
   // Optional declared primary key: a subset of the variables that
@@ -160,17 +159,12 @@ class Table {
   // most `max_rows` rows.
   std::string ToString(size_t max_rows = 20) const;
 
-  // Raw columns, exposed for the executor's tight loops.
-  const std::vector<VarValue>& var_data() const { return *var_data_; }
-  // Flat measure vector; only valid on a non-chunked table (the executor
-  // and tests that use it operate on freshly built results, which are
-  // always flat). Use MeasuresFlat() for a mode-independent copy.
+  // Flat measure vector, exposed for the executor's tight loops; only
+  // valid on a non-chunked table (the executor and tests that use it
+  // operate on freshly built results, which are always flat).
   const std::vector<double>& measures() const {
     assert(!chunked_);
     return measures_;
-  }
-  std::vector<double> MeasuresFlat() const {
-    return chunked_ ? vmeasures_.ToFlat() : measures_;
   }
 
  private:

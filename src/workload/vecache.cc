@@ -459,9 +459,9 @@ Status VeCache::RefreshComponentTotals(QueryContext* ctx) {
     MPFDB_ASSIGN_OR_RETURN(TablePtr scalar,
                            fr::Marginalize(*caches_[i], {}, semiring_, "total"));
     MPFDB_RETURN_IF_ERROR(PollStep(ctx, caches_[i]->NumRows()));
-    component_totals_[root] = scalar->NumRows() > 0
-                                  ? scalar->measure(0)
-                                  : semiring_.AddIdentity();
+    component_totals_[root] =
+        scalar->Empty() ? std::nullopt
+                        : std::optional<double>(scalar->measure(0));
   }
   for (size_t i = 0; i < n; ++i) cache_component_[i] = find(i);
   return Status::Ok();
@@ -598,12 +598,15 @@ StatusOr<TablePtr> VeCache::CombineForVars(
   if (result == nullptr) {
     return Status::InvalidArgument("no variables requested");
   }
-  // Totals of components not represented at all.
+  // Totals of components not represented at all; an empty one empties the
+  // answer.
   double factor = semiring_.MultiplyIdentity();
   for (const auto& [root, total] : component_totals_) {
-    if (covered_components.count(root) == 0) {
-      factor = semiring_.Multiply(factor, total);
+    if (covered_components.count(root) != 0) continue;
+    if (!total) {
+      return std::make_shared<Table>(result->name(), result->schema());
     }
+    factor = semiring_.Multiply(factor, *total);
   }
   if (factor != semiring_.MultiplyIdentity()) {
     TablePtr scaled(result->Clone(result->name()));
@@ -962,15 +965,16 @@ StatusOr<VeCache> VeCache::WithMeasureDelta(
   // answer covers the component), so skip the refold entirely; otherwise
   // refold exactly the components whose representative cache changed, with
   // the same Marginalize call Build uses.
-  std::map<size_t, double> new_totals = component_totals_;
+  std::map<size_t, std::optional<double>> new_totals = component_totals_;
   if (component_totals_.size() > 1) {
     for (const auto& [root, rep] : plan.component_rep) {
       if (changed_final[rep].empty()) continue;
       MPFDB_ASSIGN_OR_RETURN(
           TablePtr scalar,
           fr::Marginalize(*new_final[rep], {}, semiring_, "total"));
-      new_totals[root] = scalar->NumRows() > 0 ? scalar->measure(0)
-                                               : semiring_.AddIdentity();
+      new_totals[root] = scalar->Empty()
+                             ? std::nullopt
+                             : std::optional<double>(scalar->measure(0));
     }
   }
 

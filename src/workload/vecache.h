@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,6 @@ struct DeltaCsr {
   std::vector<uint32_t> offsets;  // size = num_groups + 1
   std::vector<uint32_t> members;
 
-  size_t NumGroups() const { return offsets.empty() ? 0 : offsets.size() - 1; }
   const uint32_t* begin(size_t g) const { return members.data() + offsets[g]; }
   const uint32_t* end(size_t g) const { return members.data() + offsets[g + 1]; }
 };
@@ -234,9 +234,10 @@ class VeCache {
   // and a selection restricts the caches, not the base tables.
   std::shared_ptr<const std::vector<exec::SwissTable<uint32_t>>>
       base_row_locator_;
-  // Component id per cache and scalar total per component id.
+  // Component id per cache and scalar total per component id; no total
+  // when the component's join is empty, which empties every answer.
   std::vector<size_t> cache_component_;
-  std::map<size_t, double> component_totals_;
+  std::map<size_t, std::optional<double>> component_totals_;
   // Retained Build artifacts for exact-replay maintenance: the pre-GroupBy
   // clique join (joined_[i]; == the pre-backward cache0_i values; aliases
   // the factor table for single-factor cliques) and the outgoing message

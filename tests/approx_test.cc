@@ -1,9 +1,10 @@
 // Approximate & anytime inference: dissociation bounds, the conditioned
 // companion query, the Gibbs sampling backend, and Database::QueryApprox's
 // anytime contract. The bracketing property — lower <= exact <= upper for
-// every group — is checked across semirings and seeds on committed cyclic
-// workloads; every sampled estimate must be bit-reproducible from its seed
-// (the nightly determinism-audit CI leg replays these suites byte-for-byte).
+// every group — is the differential driver's (tests/differential_test.cc),
+// across semirings, seeds, cycles and grids; every sampled
+// estimate must be bit-reproducible from its seed (the nightly
+// determinism-audit CI leg replays these suites byte-for-byte).
 
 #include <chrono>
 #include <cmath>
@@ -16,7 +17,6 @@
 #include "exec/gibbs.h"
 #include "fr/algebra.h"
 #include "opt/dissociate.h"
-#include "random_view.h"
 #include "util/query_context.h"
 #include "workload/generators.h"
 
@@ -156,96 +156,6 @@ TEST(DissociateTest, DissocNegativeMeasureRejectedUnderSumProduct) {
   auto approx = db.QueryApprox("neg", query);
   ASSERT_FALSE(approx.ok());
   EXPECT_EQ(approx.status().code(), StatusCode::kFailedPrecondition);
-}
-
-// --- bracketing property: every semiring x every seed ---------------------
-
-struct BracketCase {
-  uint64_t seed;
-  SemiringKind kind;
-};
-
-class ApproxBracketTest : public ::testing::TestWithParam<BracketCase> {};
-
-TEST_P(ApproxBracketTest, ApproxBoundsBracketExactOnCycle) {
-  const uint64_t seed = CaseSeed(GetParam().seed);
-  MPFDB_TRACE_SEED(seed);
-  const Semiring semiring(GetParam().kind);
-  CycleFixture fx;
-  MakeCycleFixture(seed, semiring, &fx);
-  MpfQuerySpec query{{fx.schema.vars[0]}, {}};
-
-  auto exact = fx.db.Query(fx.schema.view.name, query);
-  ASSERT_TRUE(exact.ok()) << exact.status();
-
-  ApproxOptions options;
-  options.eps = 1e-4;
-  options.seed = seed;
-  options.max_rounds = 8;
-  auto approx = fx.db.QueryApprox(fx.schema.view.name, query, options);
-  ASSERT_TRUE(approx.ok()) << approx.status();
-  EXPECT_TRUE(approx->approximate);
-  EXPECT_FALSE(approx->split_vars.empty());
-
-  auto lower = RowsOf(*approx->lower);
-  auto upper = RowsOf(*approx->upper);
-  for (size_t i = 0; i < exact->table->NumRows(); ++i) {
-    RowView row = exact->table->Row(i);
-    std::vector<VarValue> key(row.vars, row.vars + row.arity);
-    auto lo = lower.find(key);
-    auto hi = upper.find(key);
-    // A group of the exact answer must appear in the (superset) bound on
-    // each side — the aligned maps share one key set.
-    ASSERT_TRUE(lo != lower.end()) << "group missing from lower bound";
-    ASSERT_TRUE(hi != upper.end()) << "group missing from upper bound";
-    ExpectBracketed(lo->second, row.measure, hi->second);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SemiringsBySeeds, ApproxBracketTest,
-    ::testing::Values(
-        BracketCase{1, SemiringKind::kSumProduct},
-        BracketCase{2, SemiringKind::kSumProduct},
-        BracketCase{3, SemiringKind::kSumProduct},
-        BracketCase{1, SemiringKind::kMinSum},
-        BracketCase{2, SemiringKind::kMinSum},
-        BracketCase{1, SemiringKind::kMaxSum},
-        BracketCase{2, SemiringKind::kMaxSum},
-        BracketCase{1, SemiringKind::kMaxProduct},
-        BracketCase{2, SemiringKind::kMaxProduct},
-        BracketCase{1, SemiringKind::kBoolOrAnd},
-        BracketCase{2, SemiringKind::kBoolOrAnd},
-        BracketCase{1, SemiringKind::kLogSumProduct},
-        BracketCase{2, SemiringKind::kLogSumProduct}));
-
-TEST(ApproxQueryTest, ApproxBoundsBracketExactOnGrid) {
-  Database db;
-  workload::GridParams params;
-  params.rows = 2;
-  params.cols = 3;
-  params.domain_size = 3;
-  auto schema = workload::GenerateGrid(params, db.catalog());
-  ASSERT_TRUE(schema.ok()) << schema.status();
-  ASSERT_TRUE(db.CreateMpfView(schema->view).ok());
-  MpfQuerySpec query{{schema->vars[0]}, {}};
-
-  auto exact = db.Query(schema->view.name, query);
-  ASSERT_TRUE(exact.ok()) << exact.status();
-  ApproxOptions options;
-  options.seed = 5;
-  options.max_rounds = 4;
-  auto approx = db.QueryApprox(schema->view.name, query, options);
-  ASSERT_TRUE(approx.ok()) << approx.status();
-  EXPECT_TRUE(approx->approximate);
-  auto lower = RowsOf(*approx->lower);
-  auto upper = RowsOf(*approx->upper);
-  for (size_t i = 0; i < exact->table->NumRows(); ++i) {
-    RowView row = exact->table->Row(i);
-    std::vector<VarValue> key(row.vars, row.vars + row.arity);
-    ASSERT_TRUE(lower.count(key) && upper.count(key));
-    ExpectBracketed(lower[key], row.measure, upper[key]);
-  }
 }
 
 // --- QueryApprox contract -------------------------------------------------

@@ -1,10 +1,10 @@
 // The one query pipeline: every Database reader resolves its view in a
-// pinned snapshot, then plans and executes through the same steps. These
-// tests check the two promises that follow from that. EXPLAIN and EXPLAIN
-// ANALYZE share Query's plan cache (a scratch catalog never touches it) —
-// also with a memory-governed server, whose budget no longer changes the
-// plan — and Query, QueryWhatIf and QueryApprox all run on the worker pool
-// yet match the fr naive evaluator bit for bit.
+// pinned snapshot, then plans and executes through the same steps. EXPLAIN
+// and EXPLAIN ANALYZE share Query's plan cache (a scratch catalog never
+// touches it) — also with a memory-governed server, whose budget no longer
+// changes the plan — and HAVING thresholds key the cache exactly. (That
+// Query, QueryWhatIf and QueryApprox match the fr naive evaluator on the
+// worker pool is the differential driver's, tests/differential_test.cc.)
 
 #include <algorithm>
 #include <cmath>
@@ -166,34 +166,6 @@ TEST_P(DatabasePipelineTest, GovernedServerAndExplainShareOnePlan) {
       << *explain;
   EXPECT_NE(explain->find("agg=hash", physical), std::string::npos)
       << *explain;
-}
-
-TEST_P(DatabasePipelineTest, EveryEntryPointMatchesNaiveOnThePool) {
-  const uint64_t seed = CaseSeed(GetParam());
-  MPFDB_TRACE_SEED(seed);
-  Load(seed, /*force_acyclic=*/true);
-  Rng rng(seed + 2000);
-  for (int q = 0; q < 3; ++q) {
-    const MpfQuerySpec query = RandomQuery(rng);
-    TablePtr naive = Naive(query);
-    ASSERT_NE(naive, nullptr);
-    const std::string& view = rv_.view.name;
-    for (const std::string spec : {"cs+nonlinear", "ve(deg)", "faq"}) {
-      SCOPED_TRACE(spec + " query " + std::to_string(q));
-      auto result = db_.Query(view, query, spec);
-      ASSERT_TRUE(result.ok()) << result.status();
-      EXPECT_TRUE(fr::TablesEqual(*naive, *result->table, 0.0));
-
-      auto what_if = db_.QueryWhatIf(view, query, WhatIf{}, spec);
-      ASSERT_TRUE(what_if.ok()) << what_if.status();
-      EXPECT_TRUE(fr::TablesEqual(*naive, *what_if->table, 0.0));
-
-      auto approx = db_.QueryApprox(view, query, ApproxOptions{}, spec);
-      ASSERT_TRUE(approx.ok()) << approx.status();
-      EXPECT_FALSE(approx->approximate);
-      EXPECT_TRUE(fr::TablesEqual(*naive, *approx->estimate, 0.0));
-    }
-  }
 }
 
 // The plan cache keys a query on its exact HAVING threshold. Two thresholds

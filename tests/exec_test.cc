@@ -322,7 +322,7 @@ TEST(ExecutorTest, ComposedPipeline) {
   ASSERT_TRUE(catalog.RegisterTable(a).ok());
   ASSERT_TRUE(catalog.RegisterTable(b).ok());
 
-  SimpleCostModel cost_model;
+  CostModel cost_model;
   PlanBuilder builder(catalog, cost_model);
   auto scan_a = builder.Scan("a");
   auto scan_b = builder.Scan("b");
@@ -640,7 +640,7 @@ TEST_F(BatchExecutionTest, OutOfDomainValueFailsUnderPackedKeys) {
 
 TEST(ExecutorTest, MissingTableFails) {
   Catalog catalog;
-  SimpleCostModel cost_model;
+  CostModel cost_model;
   ASSERT_TRUE(catalog.RegisterVariable("x", 2).ok());
   auto t = MakeTable("t", {"x"}, {{{0}, 1.0}});
   ASSERT_TRUE(catalog.RegisterTable(t).ok());

@@ -52,7 +52,7 @@ class JoinPlanTest : public ::testing::Test {
   }
 
   Catalog catalog_;
-  SimpleCostModel cost_model_;
+  CostModel cost_model_;
   MpfViewDef view_;
 };
 
@@ -147,7 +147,7 @@ TEST_F(JoinPlanTest, FactorLimitEnforced) {
 // cost of VE's chosen plan >= cost of CS+'s (nonlinear) plan, since
 // GDLPlan(VE) ⊂ GDLPlan(CS+).
 TEST(PlanSpaceInclusionTest, Theorem1CostOrdering) {
-  SimpleCostModel cost_model;
+  CostModel cost_model;
   for (auto kind : {workload::SyntheticKind::kStar,
                     workload::SyntheticKind::kMultistar,
                     workload::SyntheticKind::kLinear}) {

@@ -19,53 +19,14 @@
 #include "storage/binary_table.h"
 #include "storage/csv.h"
 #include "core/file_io.h"
+#include "mutate.h"
 #include "util/rng.h"
 
 namespace mpfdb {
 namespace {
 
-// Applies one to four random edits: bit flips, interesting bytes, inserts,
-// deletions, duplicated ranges and truncation.
-std::string Mutate(std::string bytes, Rng& rng) {
-  static const char kInteresting[] = {'\0', '\n', ',', '|', '-', '.', '/',
-                                      '0',  '9',  'e', '\x7f', '\xff'};
-  const int edits = static_cast<int>(rng.UniformInt(1, 4));
-  for (int e = 0; e < edits; ++e) {
-    const size_t size = bytes.size();
-    const size_t pos =
-        size == 0 ? 0 : static_cast<size_t>(rng.UniformInt(0, size - 1));
-    switch (rng.UniformInt(0, 5)) {
-      case 0:
-        if (size > 0) {
-          bytes[pos] ^= static_cast<char>(1 << rng.UniformInt(0, 7));
-        }
-        break;
-      case 1:
-        if (size > 0) {
-          bytes[pos] =
-              kInteresting[rng.UniformInt(0, sizeof(kInteresting) - 1)];
-        }
-        break;
-      case 2:
-        bytes.insert(bytes.begin() + pos,
-                     static_cast<char>(rng.UniformInt(0, 255)));
-        break;
-      case 3:
-        bytes.erase(pos, static_cast<size_t>(rng.UniformInt(1, 8)));
-        break;
-      case 4: {
-        std::string chunk = bytes.substr(pos, rng.UniformInt(1, 16));
-        bytes.insert(static_cast<size_t>(rng.UniformInt(0, bytes.size())),
-                     chunk);
-        break;
-      }
-      default:
-        bytes.resize(static_cast<size_t>(rng.UniformInt(0, size)));
-        break;
-    }
-  }
-  return bytes;
-}
+// Bytes that matter to the CSV and manifest formats.
+const std::string kInteresting("\0\n,|-./09e\x7f\xff", 12);
 
 std::vector<Table> SeedTables() {
   std::vector<Table> tables;
@@ -109,7 +70,8 @@ TEST_F(LoaderFuzzTest, CsvParser) {
   size_t accepted = 0;
   for (uint64_t i = 0; i < iterations_; ++i) {
     std::string input =
-        Mutate(corpus[rng_.UniformInt(0, corpus.size() - 1)], rng_);
+        Mutate(corpus[rng_.UniformInt(0, corpus.size() - 1)], kInteresting,
+               rng_);
     auto table = ParseTableCsv("t", input, "fuzz");
     if (!table.ok()) {
       ASSERT_EQ(table.status().code(), StatusCode::kInvalidArgument);
@@ -130,7 +92,8 @@ TEST_F(LoaderFuzzTest, BinaryDecoder) {
   size_t accepted = 0;
   for (uint64_t i = 0; i < iterations_; ++i) {
     std::string input =
-        Mutate(corpus[rng_.UniformInt(0, corpus.size() - 1)], rng_);
+        Mutate(corpus[rng_.UniformInt(0, corpus.size() - 1)], kInteresting,
+               rng_);
     auto table = DecodeTableBinary("t", input);
     if (!table.ok()) {
       ASSERT_EQ(table.status().code(), StatusCode::kInvalidArgument);
@@ -158,7 +121,8 @@ TEST_F(LoaderFuzzTest, ManifestParser) {
   size_t accepted = 0;
   for (uint64_t i = 0; i < iterations_; ++i) {
     std::string input =
-        Mutate(corpus[rng_.UniformInt(0, corpus.size() - 1)], rng_);
+        Mutate(corpus[rng_.UniformInt(0, corpus.size() - 1)], kInteresting,
+               rng_);
     if (rng_.Bernoulli(0.5)) {
       // Re-seal: drop whatever now ends the text and append a valid
       // checksum line, so the records themselves get parsed.

@@ -34,18 +34,6 @@ using server::ServerOptions;
 using workload::VeCache;
 using workload::VeCacheDeltaOp;
 
-// Installs a RandomView's variables, tables, and view into a database.
-void Install(const RandomView& rv, Database& db) {
-  for (const auto& var : rv.vars) {
-    ASSERT_TRUE(
-        db.catalog().RegisterVariable(var, *rv.catalog.DomainSize(var)).ok());
-  }
-  for (const auto& table : rv.tables) {
-    ASSERT_TRUE(db.CreateTable(table).ok());
-  }
-  ASSERT_TRUE(db.CreateMpfView(rv.view).ok());
-}
-
 // A random measure-update batch over the view's base tables: 1-3 tables,
 // 1-3 rows each, values in a range disjoint from MakeRandomView's so no
 // update is a no-op and none introduces a zero.

@@ -1,10 +1,10 @@
-// Tests for the epoll network front end: wire-vs-in-process differential
-// correctness (bit-identical, tolerance 0.0, including under a concurrent
-// update stream), overload behaviour (queue-full rejection with backoff
-// hints, queued-deadline error frames, per-connection backpressure, the
-// slow-reader kick, the connection cap), graceful drain, protocol-error
-// handling, and a seeded socket-fault chaos soak in which every request must
-// observe exactly one definite outcome.
+// Tests for the epoll network front end: wire-vs-in-process bit-identity
+// of one round trip (the differential driver, tests/differential_test.cc,
+// checks wire answers under concurrent updates), overload behaviour
+// (queue-full rejection with backoff hints, queued-deadline error frames,
+// per-connection backpressure, the slow-reader kick, the connection cap),
+// graceful drain, protocol-error handling, and a seeded socket-fault chaos
+// soak in which every request must observe exactly one definite outcome.
 
 #include "server/net/net_server.h"
 
@@ -41,17 +41,6 @@ using server::net::NetClient;
 using server::net::NetServer;
 using server::net::NetServerOptions;
 using server::net::QueryRequestFrame;
-
-void Install(const RandomView& rv, Database& db) {
-  for (const auto& var : rv.vars) {
-    ASSERT_TRUE(
-        db.catalog().RegisterVariable(var, *rv.catalog.DomainSize(var)).ok());
-  }
-  for (const auto& table : rv.tables) {
-    ASSERT_TRUE(db.CreateTable(table).ok());
-  }
-  ASSERT_TRUE(db.CreateMpfView(rv.view).ok());
-}
 
 std::unique_ptr<NetClient> MustConnect(uint16_t port) {
   auto client = NetClient::Connect(port);
@@ -426,157 +415,6 @@ TEST_F(NetServerTest, ShutdownIsIdempotentAndImmediateWhenIdle) {
                      std::chrono::steady_clock::now() - started)
                      .count();
   EXPECT_LT(seconds, 5.0);
-}
-
-// --- Wire vs in-process differential under an update stream ---------------
-
-struct WireRecord {
-  size_t view = 0;
-  MpfQuerySpec spec;
-  bool cached = false;
-  uint64_t epoch = 0;
-  bool epoch_exact = true;
-  TablePtr result;
-};
-
-TEST(NetServerDifferentialTest, WireResultsBitIdenticalToSerialReplay) {
-  constexpr int kViews = 2;
-  constexpr int kClients = 3;
-  constexpr int kOpsPerClient = 18;
-  constexpr int kUpdates = 8;
-  const uint64_t seed = CaseSeed(202);
-  MPFDB_TRACE_SEED(seed);
-
-  Database db;
-  std::vector<RandomView> views;
-  for (int i = 0; i < kViews; ++i) {
-    views.push_back(MakeRandomView(seed + static_cast<uint64_t>(i),
-                                   /*num_vars=*/4, /*num_rels=*/3,
-                                   /*force_acyclic=*/(i % 2 == 0),
-                                   "w" + std::to_string(i) + "_"));
-    Install(views.back(), db);
-    ASSERT_TRUE(db.BuildCache(views.back().view.name).ok());
-  }
-  const uint64_t base = db.epoch();
-  const Table& target = *views[0].tables[0];
-  std::vector<VarValue> target_row(target.Row(0).vars,
-                                   target.Row(0).vars + target.Row(0).arity);
-  auto update_value = [](int k) { return 16.0 + k * 0.125; };  // exact in FP
-
-  server::ServerOptions sopts;
-  sopts.max_concurrent = 3;
-  MpfServer server(db, sopts);
-  NetServer net(server);
-  ASSERT_TRUE(net.Start().ok());
-
-  std::atomic<bool> start{false};
-  std::thread updater([&] {
-    while (!start.load()) std::this_thread::yield();
-    for (int k = 0; k < kUpdates; ++k) {
-      ASSERT_TRUE(db.ApplyMeasureUpdate(views[0].tables[0]->name(),
-                                        target_row, update_value(k))
-                      .ok());
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::vector<WireRecord>> recorded(kClients);
-  std::vector<std::thread> clients;
-  for (int cidx = 0; cidx < kClients; ++cidx) {
-    clients.emplace_back([&, cidx] {
-      auto client = NetClient::Connect(net.port());
-      ASSERT_TRUE(client.ok()) << client.status().message();
-      ASSERT_TRUE((*client)->set_recv_timeout_ms(60000).ok());
-      Rng rng(seed + 500 + static_cast<uint64_t>(cidx));
-      while (!start.load()) std::this_thread::yield();
-      for (int op = 0; op < kOpsPerClient; ++op) {
-        WireRecord rec;
-        rec.view = static_cast<size_t>(rng.UniformInt(0, kViews - 1));
-        const RandomView& rv = views[rec.view];
-        MpfQuerySpec spec;
-        spec.group_vars = {Pick(rv.present_vars, rng)};
-        if (rng.Bernoulli(0.4)) {
-          const std::string& sel = Pick(rv.present_vars, rng);
-          if (sel != spec.group_vars[0]) {
-            spec.selections.push_back(QuerySelection{
-                sel, static_cast<VarValue>(rng.UniformInt(
-                         0, *rv.catalog.DomainSize(sel) - 1))});
-          }
-        }
-        rec.spec = spec;
-        rec.cached = rng.Bernoulli(0.3);
-        auto result = (*client)->Query(rv.view.name, spec, "", 0, rec.cached);
-        ASSERT_TRUE(result.ok()) << result.status().message();
-        rec.epoch = result->snapshot_epoch;
-        rec.epoch_exact = !result->epoch_inexact;
-        rec.result = result->table;
-        recorded[static_cast<size_t>(cidx)].push_back(std::move(rec));
-      }
-    });
-  }
-  start.store(true);
-  updater.join();
-  for (auto& t : clients) t.join();
-  ASSERT_EQ(db.epoch(), base + kUpdates);
-  net.Shutdown();
-  auto nstats = net.stats();
-  EXPECT_EQ(nstats.results_sent,
-            static_cast<uint64_t>(kClients * kOpsPerClient));
-  EXPECT_EQ(nstats.errors_sent, 0u);
-
-  // Serial replay on a fresh database stepped through the same updates.
-  Database replay;
-  std::vector<RandomView> replay_views;
-  for (int i = 0; i < kViews; ++i) {
-    replay_views.push_back(MakeRandomView(seed + static_cast<uint64_t>(i), 4,
-                                          3, (i % 2 == 0),
-                                          "w" + std::to_string(i) + "_"));
-    Install(replay_views.back(), replay);
-    ASSERT_TRUE(replay.BuildCache(replay_views.back().view.name).ok());
-  }
-  std::map<uint64_t, std::vector<const WireRecord*>> by_step;
-  size_t replayed = 0, skipped = 0;
-  for (const auto& log : recorded) {
-    for (const auto& rec : log) {
-      if (rec.cached && !rec.epoch_exact) {
-        ++skipped;  // raced an update; no single epoch to replay at
-        continue;
-      }
-      by_step[rec.epoch - base].push_back(&rec);
-      ++replayed;
-    }
-  }
-  for (uint64_t step = 0, applied = 0; step <= kUpdates; ++step) {
-    while (applied < step) {
-      ASSERT_TRUE(replay
-                      .ApplyMeasureUpdate(replay_views[0].tables[0]->name(),
-                                          target_row,
-                                          update_value(static_cast<int>(
-                                              applied)))
-                      .ok());
-      ++applied;
-    }
-    auto it = by_step.find(step);
-    if (it == by_step.end()) continue;
-    for (const WireRecord* rec : it->second) {
-      const std::string& view_name = replay_views[rec->view].view.name;
-      TablePtr expected;
-      if (rec->cached) {
-        auto result = replay.QueryCached(view_name, rec->spec);
-        ASSERT_TRUE(result.ok()) << result.status().message();
-        expected = *result;
-      } else {
-        auto result = replay.Query(view_name, rec->spec);
-        ASSERT_TRUE(result.ok()) << result.status().message();
-        expected = result->table;
-      }
-      EXPECT_TRUE(fr::TablesEqual(*expected, *rec->result,
-                                  /*tolerance=*/0.0))
-          << (rec->cached ? "cached" : "query") << " over the wire on view "
-          << view_name << " at step " << step;
-    }
-  }
-  EXPECT_GT(replayed, skipped);
 }
 
 // --- Seeded socket-fault chaos soak ----------------------------------------

@@ -20,40 +20,8 @@ namespace mpfdb::opt {
 namespace {
 
 using workload::GenerateSupplyChain;
-using workload::GenerateSynthetic;
 using workload::SupplyChainParams;
 using workload::SupplyChainSchema;
-using workload::SyntheticKind;
-using workload::SyntheticParams;
-using workload::SyntheticSchema;
-
-// Builds every optimizer configuration the paper evaluates.
-std::vector<std::unique_ptr<Optimizer>> AllOptimizers() {
-  std::vector<std::unique_ptr<Optimizer>> optimizers;
-  optimizers.push_back(std::make_unique<CsOptimizer>());
-  optimizers.push_back(std::make_unique<CsPlusOptimizer>(/*nonlinear=*/false));
-  optimizers.push_back(std::make_unique<CsPlusOptimizer>(/*nonlinear=*/true));
-  for (VeHeuristic h :
-       {VeHeuristic::kDegree, VeHeuristic::kWidth, VeHeuristic::kElimCost,
-        VeHeuristic::kDegreeWidth, VeHeuristic::kDegreeElimCost,
-        VeHeuristic::kRandom, VeHeuristic::kMinFill}) {
-    for (bool extended : {false, true}) {
-      VeOptions options;
-      options.heuristic = h;
-      options.extended = extended;
-      options.seed = 13;
-      optimizers.push_back(std::make_unique<VeOptimizer>(options));
-    }
-  }
-  {
-    VeOptions options;
-    options.heuristic = VeHeuristic::kDegree;
-    options.extended = true;
-    options.fd_pruning = true;
-    optimizers.push_back(std::make_unique<VeOptimizer>(options));
-  }
-  return optimizers;
-}
 
 class SmallSupplyChainTest : public ::testing::Test {
  protected:
@@ -66,108 +34,10 @@ class SmallSupplyChainTest : public ::testing::Test {
     schema_ = *schema;
   }
 
-  StatusOr<TablePtr> Naive(const MpfQuerySpec& query) {
-    std::vector<TablePtr> tables;
-    for (const auto& rel : schema_.view.relations) {
-      tables.push_back(*catalog_.GetTable(rel));
-    }
-    std::vector<fr::Selection> selections;
-    for (const auto& sel : query.selections) {
-      selections.push_back({sel.var, sel.value});
-    }
-    return fr::EvaluateNaiveMpf(tables, query.group_vars, selections,
-                                schema_.view.semiring, "naive");
-  }
-
-  StatusOr<TablePtr> RunPlan(const PlanNode& plan) {
-    exec::Executor executor(catalog_, schema_.view.semiring);
-    return executor.Execute(plan, "result");
-  }
-
   Catalog catalog_;
   SupplyChainSchema schema_;
-  SimpleCostModel cost_model_;
+  CostModel cost_model_;
 };
-
-TEST_F(SmallSupplyChainTest, AllOptimizersAgreeWithNaiveBasicQuery) {
-  for (const auto& var : {"wid", "cid", "tid", "pid", "sid"}) {
-    MpfQuerySpec query{{var}, {}};
-    auto expected = Naive(query);
-    ASSERT_TRUE(expected.ok()) << expected.status();
-    for (auto& optimizer : AllOptimizers()) {
-      auto plan = optimizer->Optimize(schema_.view, query, catalog_, cost_model_);
-      ASSERT_TRUE(plan.ok()) << optimizer->name() << ": " << plan.status();
-      auto result = RunPlan(**plan);
-      ASSERT_TRUE(result.ok()) << optimizer->name() << ": " << result.status();
-      EXPECT_TRUE(fr::TablesEqual(**expected, **result, 1e-6))
-          << optimizer->name() << " on group-by " << var << "\nplan:\n"
-          << ExplainPlan(**plan);
-    }
-  }
-}
-
-TEST_F(SmallSupplyChainTest, AllOptimizersAgreeWithNaiveConstrainedDomain) {
-  // "How much money would each contractor lose if transporter 1 went
-  // off-line?" — constrained-domain query form.
-  MpfQuerySpec query{{"cid"}, {{"tid", 1}}};
-  auto expected = Naive(query);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  for (auto& optimizer : AllOptimizers()) {
-    auto plan = optimizer->Optimize(schema_.view, query, catalog_, cost_model_);
-    ASSERT_TRUE(plan.ok()) << optimizer->name() << ": " << plan.status();
-    auto result = RunPlan(**plan);
-    ASSERT_TRUE(result.ok()) << optimizer->name() << ": " << result.status();
-    EXPECT_TRUE(fr::TablesEqual(**expected, **result, 1e-6))
-        << optimizer->name();
-  }
-}
-
-TEST_F(SmallSupplyChainTest, AllOptimizersAgreeWithNaiveRestrictedAnswer) {
-  // Restricted-answer form: selection on the query variable itself.
-  MpfQuerySpec query{{"wid"}, {{"wid", 3}}};
-  auto expected = Naive(query);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  for (auto& optimizer : AllOptimizers()) {
-    auto plan = optimizer->Optimize(schema_.view, query, catalog_, cost_model_);
-    ASSERT_TRUE(plan.ok()) << optimizer->name() << ": " << plan.status();
-    auto result = RunPlan(**plan);
-    ASSERT_TRUE(result.ok()) << optimizer->name() << ": " << result.status();
-    EXPECT_TRUE(fr::TablesEqual(**expected, **result, 1e-6))
-        << optimizer->name();
-  }
-}
-
-TEST_F(SmallSupplyChainTest, MultiVariableGroupBy) {
-  MpfQuerySpec query{{"cid", "tid"}, {}};
-  auto expected = Naive(query);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  for (auto& optimizer : AllOptimizers()) {
-    auto plan = optimizer->Optimize(schema_.view, query, catalog_, cost_model_);
-    ASSERT_TRUE(plan.ok()) << optimizer->name() << ": " << plan.status();
-    auto result = RunPlan(**plan);
-    ASSERT_TRUE(result.ok()) << optimizer->name();
-    EXPECT_TRUE(fr::TablesEqual(**expected, **result, 1e-6))
-        << optimizer->name();
-  }
-}
-
-TEST_F(SmallSupplyChainTest, MinSumSemiringAgreesWithNaive) {
-  MpfViewDef view = schema_.view;
-  view.semiring = Semiring::MinSum();
-  MpfQuerySpec query{{"cid"}, {}};
-  std::vector<TablePtr> tables;
-  for (const auto& rel : view.relations) tables.push_back(*catalog_.GetTable(rel));
-  auto expected =
-      fr::EvaluateNaiveMpf(tables, query.group_vars, {}, view.semiring, "naive");
-  ASSERT_TRUE(expected.ok());
-  CsPlusOptimizer cs_plus(/*nonlinear=*/true);
-  auto plan = cs_plus.Optimize(view, query, catalog_, cost_model_);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  exec::Executor executor(catalog_, view.semiring);
-  auto result = executor.Execute(**plan, "result");
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(fr::TablesEqual(**expected, **result, 1e-6));
-}
 
 TEST_F(SmallSupplyChainTest, CsProducesSingleRootGroupBy) {
   CsOptimizer cs;
@@ -232,27 +102,6 @@ TEST_F(SmallSupplyChainTest, VeRecordsEliminationOrder) {
   }
 }
 
-TEST_F(SmallSupplyChainTest, FdPruningUsesProjection) {
-  // With fd_pruning, sid (key member only via contracts' (pid,sid) key...)
-  // Only variables outside *every* key are projection-eligible. In the
-  // supply-chain schema cid is not part of warehouses' key (wid) nor any
-  // other key... cid is in ctdeals' key (cid,tid). So the only candidate
-  // would be a variable in no key at all; the schema has none, hence
-  // fd_pruning must not change results.
-  VeOptions options;
-  options.extended = true;
-  options.fd_pruning = true;
-  VeOptimizer ve(options);
-  MpfQuerySpec query{{"wid"}, {}};
-  auto plan = ve.Optimize(schema_.view, query, catalog_, cost_model_);
-  ASSERT_TRUE(plan.ok());
-  auto expected = Naive(query);
-  ASSERT_TRUE(expected.ok());
-  auto result = RunPlan(**plan);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(fr::TablesEqual(**expected, **result, 1e-6));
-}
-
 TEST(FdPruningTest, ProjectsNonKeyVariables) {
   // Dedicated schema where a variable is determined by every table's key:
   // t1(a, b; f) with key {a}, t2(a, c; f) with key {a}. Variable b and c are
@@ -274,7 +123,7 @@ TEST(FdPruningTest, ProjectsNonKeyVariables) {
 
   MpfViewDef view{"v", {"t1", "t2"}, Semiring::SumProduct()};
   MpfQuerySpec query{{"a"}, {}};
-  SimpleCostModel cost_model;
+  CostModel cost_model;
   VeOptions options;
   options.extended = true;
   options.fd_pruning = true;
@@ -315,41 +164,6 @@ TEST(LinearityTest, CatalogDriven) {
   EXPECT_FALSE(r2.ok());
 }
 
-TEST(SyntheticSchemaTest, OptimizersAgreeOnAllSchemas) {
-  SimpleCostModel cost_model;
-  for (SyntheticKind kind : {SyntheticKind::kStar, SyntheticKind::kLinear,
-                             SyntheticKind::kMultistar}) {
-    Catalog catalog;
-    SyntheticParams params;
-    params.kind = kind;
-    params.num_tables = 4;
-    params.domain_size = 3;
-    auto schema = GenerateSynthetic(params, catalog);
-    ASSERT_TRUE(schema.ok()) << schema.status();
-    MpfQuerySpec query{{schema->linear_vars[0]}, {}};
-
-    std::vector<TablePtr> tables;
-    for (const auto& rel : schema->view.relations) {
-      tables.push_back(*catalog.GetTable(rel));
-    }
-    auto expected = fr::EvaluateNaiveMpf(tables, query.group_vars, {},
-                                         schema->view.semiring, "naive");
-    ASSERT_TRUE(expected.ok());
-
-    for (auto& optimizer : AllOptimizers()) {
-      auto plan = optimizer->Optimize(schema->view, query, catalog, cost_model);
-      ASSERT_TRUE(plan.ok())
-          << optimizer->name() << " on " << SyntheticKindName(kind) << ": "
-          << plan.status();
-      exec::Executor executor(catalog, schema->view.semiring);
-      auto result = executor.Execute(**plan, "result");
-      ASSERT_TRUE(result.ok()) << optimizer->name();
-      EXPECT_TRUE(fr::TablesEqual(**expected, **result, 1e-6))
-          << optimizer->name() << " on " << SyntheticKindName(kind);
-    }
-  }
-}
-
 TEST(SafeRetainVarsTest, KeepsQueryAndSharedVariables) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterVariable("a", 2).ok());
@@ -361,7 +175,7 @@ TEST(SafeRetainVarsTest, KeepsQueryAndSharedVariables) {
   t2->AppendRow({0, 0}, 1.0);
   ASSERT_TRUE(catalog.RegisterTable(t1).ok());
   ASSERT_TRUE(catalog.RegisterTable(t2).ok());
-  SimpleCostModel cost_model;
+  CostModel cost_model;
   MpfViewDef view{"v", {"t1", "t2"}, Semiring::SumProduct()};
   MpfQuerySpec query{{"c"}, {}};
   auto ctx = QueryContext::Make(view, query, catalog, cost_model);
@@ -382,7 +196,7 @@ TEST(QueryContextTest, RejectsBadQueries) {
   auto t1 = std::make_shared<Table>("t1", Schema({"a"}, "f"));
   t1->AppendRow({0}, 1.0);
   ASSERT_TRUE(catalog.RegisterTable(t1).ok());
-  SimpleCostModel cost_model;
+  CostModel cost_model;
   MpfViewDef view{"v", {"t1"}, Semiring::SumProduct()};
 
   EXPECT_FALSE(QueryContext::Make(MpfViewDef{"e", {}, Semiring::SumProduct()},
@@ -413,7 +227,7 @@ TEST(QueryContextTest, ExactDomainProductStopsAtTwoToThe53) {
   auto t = std::make_shared<Table>("t", Schema(vars, "f"));
   t->AppendRow({0, 0, 0, 0, 0}, 1.0);
   ASSERT_TRUE(catalog.RegisterTable(t).ok());
-  SimpleCostModel cost_model;
+  CostModel cost_model;
   auto ctx = QueryContext::Make(MpfViewDef{"v", {"t"}, Semiring::SumProduct()},
                                 MpfQuerySpec{{"a"}, {}}, catalog, cost_model);
   ASSERT_TRUE(ctx.ok()) << ctx.status();
@@ -436,7 +250,7 @@ TEST(SingleRelationViewTest, Works) {
   t1->AppendRow({0, 1}, 2.0);
   t1->AppendRow({1, 0}, 4.0);
   ASSERT_TRUE(catalog.RegisterTable(t1).ok());
-  SimpleCostModel cost_model;
+  CostModel cost_model;
   MpfViewDef view{"v", {"t1"}, Semiring::SumProduct()};
   MpfQuerySpec query{{"a"}, {}};
   CsPlusOptimizer optimizer(true);
@@ -450,19 +264,6 @@ TEST(SingleRelationViewTest, Works) {
   EXPECT_DOUBLE_EQ((*result)->measure(1), 4.0);
 }
 
-
-// The VE specs: each heuristic plain, extended, and extended with FD
-// pruning.
-std::vector<std::string> VeSpecs() {
-  std::vector<std::string> specs;
-  for (const char* h : {"deg", "width", "elim_cost", "deg&width",
-                        "deg&elim_cost", "random", "min_fill"}) {
-    for (const char* suffix : {"", " ext.", " ext+fd"}) {
-      specs.push_back(std::string("ve(") + h + ")" + suffix);
-    }
-  }
-  return specs;
-}
 
 // --- Plan identity ---------------------------------------------------------
 //
@@ -504,16 +305,6 @@ void HashEstimates(const PlanNode& node, Fnv1a* h) {
   for (const auto& child : node.children) HashEstimates(*child, h);
 }
 
-// Every MakeOptimizer spec: the CS family (with the cs+linear alias), FAQ,
-// and each VE heuristic plain, extended, and extended with FD pruning.
-std::vector<std::string> AllSpecs() {
-  std::vector<std::string> specs = {"cs", "cs+", "cs+linear", "cs+nonlinear",
-                                    "faq"};
-  const std::vector<std::string> ve = VeSpecs();
-  specs.insert(specs.end(), ve.begin(), ve.end());
-  return specs;
-}
-
 // Compares one spec's hash with its golden; a mismatch prints the line to
 // record.
 void ExpectGolden(const std::map<std::string, uint64_t>& golden,
@@ -537,7 +328,7 @@ enum class PlanSource {
 PlanPtr HashPlan(const std::string& spec, const MpfViewDef& view,
                  const MpfQuerySpec& query, const Catalog& catalog, Fnv1a* h,
                  PlanSource source = PlanSource::kOptimize) {
-  SimpleCostModel cost_model;
+  CostModel cost_model;
   auto optimizer = MakeOptimizer(spec, /*random_seed=*/13);
   EXPECT_TRUE(optimizer.ok()) << spec;
   if (!optimizer.ok()) return nullptr;

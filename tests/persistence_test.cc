@@ -331,5 +331,31 @@ TEST(ManifestPathTest, SaveRejectsNamesTheManifestCannotHold) {
   fs::remove_all(dir);
 }
 
+// Every registered variable is saved, also one that no table uses yet: a
+// table created after the load can still declare it.
+TEST(PersistenceTest, UnusedVariableSurvivesSaveAndLoad) {
+  const std::string dir = TempDir("mpfdb_unused_var");
+  for (bool binary : {false, true}) {
+    SCOPED_TRACE(binary ? "binary" : "csv");
+    Database db;
+    ASSERT_TRUE(db.catalog().RegisterVariable("x", 3).ok());
+    ASSERT_TRUE(db.catalog().RegisterVariable("z", 5).ok());
+    auto a = std::make_shared<Table>("a", Schema({"x"}, "f"));
+    a->AppendRow({0}, 1.0);
+    ASSERT_TRUE(db.CreateTable(a).ok());
+    ASSERT_TRUE(SaveDatabase(db, dir, binary).ok());
+
+    Database loaded;
+    ASSERT_TRUE(LoadDatabase(dir, loaded).ok());
+    auto domain = loaded.catalog().DomainSize("z");
+    ASSERT_TRUE(domain.ok()) << domain.status();
+    EXPECT_EQ(*domain, 5);
+    auto b = std::make_shared<Table>("b", Schema({"z"}, "g"));
+    b->AppendRow({4}, 2.0);
+    EXPECT_TRUE(loaded.CreateTable(b).ok());
+  }
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace mpfdb

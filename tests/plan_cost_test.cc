@@ -24,7 +24,7 @@ class PlanBuilderTest : public ::testing::Test {
   }
 
   Catalog catalog_;
-  SimpleCostModel cost_model_;
+  CostModel cost_model_;
 };
 
 TEST_F(PlanBuilderTest, ScanAnnotations) {
@@ -33,7 +33,7 @@ TEST_F(PlanBuilderTest, ScanAnnotations) {
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ((*scan)->kind, PlanNodeKind::kScan);
   EXPECT_EQ((*scan)->est_card, 100);
-  EXPECT_EQ((*scan)->est_cost, 100);  // SimpleCostModel charges |R| per scan
+  EXPECT_EQ((*scan)->est_cost, 100);  // CostModel charges |R| per scan
   EXPECT_EQ((*scan)->output_vars, (std::vector<std::string>{"x", "y"}));
   EXPECT_FALSE(builder.Scan("nope").ok());
 }
@@ -155,7 +155,7 @@ TEST(CompareOpTest, SymbolsAndEval) {
 }
 
 TEST(SimpleCostModelTest, PaperFormulas) {
-  SimpleCostModel model;
+  CostModel model;
   EXPECT_DOUBLE_EQ(model.JoinCost(100, 50), 5000.0);
   EXPECT_DOUBLE_EQ(model.GroupByCost(8), 8 * 3.0);  // n log2 n
   EXPECT_DOUBLE_EQ(model.ScanCost(42), 42.0);
@@ -166,7 +166,7 @@ TEST(SimpleCostModelTest, PaperFormulas) {
 }
 
 TEST(CostModelTest, MonotoneInInputSize) {
-  SimpleCostModel simple;
+  CostModel simple;
   for (double small = 10; small < 1e6; small *= 10) {
     double big = small * 10;
     EXPECT_LE(simple.JoinCost(small, small), simple.JoinCost(big, big));

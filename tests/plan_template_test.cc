@@ -241,7 +241,7 @@ TEST(PlanTemplateTest, CompactAndInflateCheckTheirSelections) {
   r->AppendRow({0}, 1.0);
   ASSERT_TRUE(catalog.RegisterTable(r).ok());
   MpfViewDef view{"v", {"r"}, Semiring::SumProduct()};
-  SimpleCostModel cost_model;
+  CostModel cost_model;
   auto vocab = PlanVocabulary::Build(view, catalog, cost_model);
   ASSERT_TRUE(vocab.ok()) << vocab.status();
   auto optimizer = MakeOptimizer("ve(deg)");

@@ -1,6 +1,7 @@
 // Shared randomized-schema machinery for property-style tests: a generator
-// for random MPF views over random functional relations, plus the seed
-// plumbing that lets one environment variable re-seed every property test.
+// for random MPF views over random functional relations, the cases of the
+// differential driver, plus the seed plumbing that lets one environment
+// variable re-seed every property test.
 //
 // MPFDB_TEST_SEED (a non-negative integer, default 0) offsets the seed of
 // every parameterized test case, so CI can sweep fresh schedules without a
@@ -10,15 +11,19 @@
 #ifndef MPFDB_TESTS_RANDOM_VIEW_H_
 #define MPFDB_TESTS_RANDOM_VIEW_H_
 
+#include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/database.h"
 #include "util/rng.h"
+#include "workload/generators.h"
 
 namespace mpfdb {
 
@@ -97,33 +102,233 @@ inline RandomView MakeRandomView(uint64_t seed, int num_vars, int num_rels,
   return rv;
 }
 
-// A copy of rv's catalog whose variables all declare `domain`. The tables,
-// and so every query answer, are unchanged; only the packed-key widths the
-// hash operators derive from the catalog move.
-inline Catalog UniformDomainCatalog(const RandomView& rv, int64_t domain) {
-  Catalog copy;
-  for (const std::string& var : rv.vars) {
-    EXPECT_TRUE(copy.RegisterVariable(var, domain).ok());
+// Installs a RandomView's variables, tables, and view into a database.
+inline void Install(const RandomView& rv, Database& db) {
+  for (const auto& var : rv.vars) {
+    ASSERT_TRUE(
+        db.catalog().RegisterVariable(var, *rv.catalog.DomainSize(var)).ok());
   }
-  for (const TablePtr& table : rv.tables) {
-    EXPECT_TRUE(copy.RegisterTable(table).ok());
+  for (const auto& table : rv.tables) {
+    ASSERT_TRUE(db.CreateTable(table).ok());
   }
-  return copy;
+  ASSERT_TRUE(db.CreateMpfView(rv.view).ok());
 }
 
-// Every domain 2^62: any hash key over two or more variables no longer
-// packs into 64 bits, so executors bound to this catalog run the hash
-// operators' vector-key paths.
-inline Catalog WideDomainCatalog(const RandomView& rv) {
-  return UniformDomainCatalog(rv, int64_t{1} << 62);
+// The VE specs: each heuristic plain, extended, and extended with FD
+// pruning.
+inline std::vector<std::string> VeSpecs() {
+  std::vector<std::string> specs;
+  for (const char* h : {"deg", "width", "elim_cost", "deg&width",
+                        "deg&elim_cost", "random", "min_fill"}) {
+    for (const char* suffix : {"", " ext.", " ext+fd"}) {
+      specs.push_back(std::string("ve(") + h + ")" + suffix);
+    }
+  }
+  return specs;
 }
 
-// Every domain 2^25: one- and two-variable keys pack into 25 or 50 bits,
-// past the 24-bit ceiling of HashProductJoin's dense heads, so its joins
-// keep their heads in the Swiss table (keys of three or more variables
-// take the vector-key path).
-inline Catalog MidDomainCatalog(const RandomView& rv) {
-  return UniformDomainCatalog(rv, int64_t{1} << 25);
+// Every MakeOptimizer spec: the CS family (with the cs+linear alias), FAQ,
+// and the VE specs.
+inline const std::vector<std::string>& AllSpecs() {
+  static const std::vector<std::string> specs = [] {
+    std::vector<std::string> all = {"cs", "cs+", "cs+linear", "cs+nonlinear",
+                                    "faq"};
+    for (const std::string& ve : VeSpecs()) all.push_back(ve);
+    return all;
+  }();
+  return specs;
+}
+
+// --- Cases of the differential driver (tests/differential_test.cc) -------
+
+// A self-contained MPF view: every registered variable with its domain, the
+// base relations, the (table, variable) indexes to build, the semiring, and
+// whether the measures make every fold order give the same bits. The driver
+// builds each catalog, database and server it checks from one of these, and
+// its shrinker edits one directly.
+struct DiffView {
+  std::vector<std::pair<std::string, int64_t>> vars;
+  std::vector<TablePtr> tables;
+  std::vector<std::pair<std::string, std::string>> indexes;
+  Semiring semiring = Semiring::SumProduct();
+  bool exact = false;    // unit or power-of-two measures, or bool_or_and
+  bool acyclic = false;  // drawn from an acyclic family
+};
+
+struct DiffCase {
+  DiffView view;
+  MpfQuerySpec query;
+};
+
+// The view's definition: every relation, named "view".
+inline MpfViewDef ViewDefOf(const DiffView& view) {
+  MpfViewDef def{"view", {}, view.semiring};
+  for (const TablePtr& t : view.tables) def.relations.push_back(t->name());
+  return def;
+}
+
+// A catalog over the view's tables and indexes. A non-zero `uniform_domain`
+// declares every variable with that domain instead: the answers stay the
+// same, and only the key widths the hash operators derive from the catalog
+// move (2^25 keeps one- and two-variable keys packed but past the dense
+// join heads; 2^62 sends every key of two or more variables down the
+// vector-key path).
+inline Catalog CatalogOf(const DiffView& view, int64_t uniform_domain = 0) {
+  Catalog catalog;
+  for (const auto& [var, domain] : view.vars) {
+    EXPECT_TRUE(
+        catalog.RegisterVariable(var, uniform_domain ? uniform_domain : domain)
+            .ok());
+  }
+  for (const TablePtr& t : view.tables) {
+    EXPECT_TRUE(catalog.RegisterTable(t).ok());
+  }
+  for (const auto& [table, var] : view.indexes) {
+    EXPECT_TRUE(catalog.CreateIndex(table, var).ok());
+  }
+  return catalog;
+}
+
+// The variables some relation of the view uses, in first-seen order.
+inline std::vector<std::string> PresentVars(const DiffView& view) {
+  std::vector<std::string> vars;
+  for (const TablePtr& t : view.tables) {
+    vars = varset::Union(vars, t->schema().variables());
+  }
+  return vars;
+}
+
+// The view families the driver draws from.
+enum class ViewFamily {
+  kAny,          // one of the next six, drawn from the seed
+  kAcyclic,      // MakeRandomView: a path of pairs
+  kCyclic,       // MakeRandomView: random scopes
+  kCycle,        // GenerateCycle: a small dense or a larger sparse core
+  kGrid,         // GenerateGrid: 2 x 2 or 2 x 3 cells
+  kSupplyChain,  // GenerateSupplyChain at a small scale: declared keys
+  kSynthetic,    // GenerateSynthetic: a star, linear or multistar schema
+  kChain,        // three complete 20 x 20 relations in a chain
+};
+
+// Draws one view for `seed` from `family`, under `semiring` (or one of the
+// six, drawn), with measures that are exact under every fold order (powers
+// of two, or 1 under bool_or_and) or random, and an index on about a third
+// of the (table, variable) pairs.
+inline DiffView DrawView(uint64_t seed, ViewFamily family = ViewFamily::kAny,
+                         std::optional<SemiringKind> semiring = {}) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ull + 1);
+  if (family == ViewFamily::kAny) {
+    family = static_cast<ViewFamily>(rng.UniformInt(1, 6));
+  }
+  DiffView view;
+  view.acyclic = family == ViewFamily::kAcyclic;
+  Catalog catalog;
+  MpfViewDef def;
+  auto take = [&](const auto& generated) {
+    EXPECT_TRUE(generated.ok()) << generated.status();
+    def = generated->view;
+  };
+  switch (family) {
+    case ViewFamily::kCycle: {
+      workload::CycleParams params;
+      const bool large = rng.Bernoulli(0.5);
+      params.num_vars = static_cast<int>(rng.UniformInt(3, 4));
+      params.domain_size = large ? 24 : rng.UniformInt(3, 5);
+      params.density = large ? 0.25 : 0.6;
+      params.seed = seed;
+      take(workload::GenerateCycle(params, catalog));
+      break;
+    }
+    case ViewFamily::kGrid: {
+      workload::GridParams params;
+      params.rows = 2;
+      params.cols = static_cast<int>(rng.UniformInt(2, 3));
+      params.domain_size = rng.UniformInt(2, 3);
+      params.seed = seed;
+      take(workload::GenerateGrid(params, catalog));
+      break;
+    }
+    case ViewFamily::kSupplyChain: {
+      workload::SupplyChainParams params;
+      params.scale = 0.002;
+      params.location_factor = 0.1;
+      params.seed = seed;
+      take(workload::GenerateSupplyChain(params, catalog));
+      break;
+    }
+    case ViewFamily::kSynthetic:
+    case ViewFamily::kChain: {
+      workload::SyntheticParams params;
+      const bool chain = family == ViewFamily::kChain;
+      params.kind = chain ? workload::SyntheticKind::kLinear
+                          : static_cast<workload::SyntheticKind>(
+                                rng.UniformInt(0, 2));
+      params.num_tables = chain ? 3 : 4;
+      params.domain_size = chain ? 20 : 3;
+      params.seed = seed;
+      take(workload::GenerateSynthetic(params, catalog));
+      break;
+    }
+    default: {
+      RandomView rv = MakeRandomView(seed, 6, 5, view.acyclic);
+      catalog = rv.catalog;
+      def = rv.view;
+    }
+  }
+  view.semiring = Semiring(
+      semiring.value_or(static_cast<SemiringKind>(rng.UniformInt(0, 5))));
+  const SemiringKind kind = view.semiring.kind();
+  view.exact = kind == SemiringKind::kBoolOrAnd ||
+               (kind != SemiringKind::kLogSumProduct && rng.Bernoulli(0.5));
+  for (const std::string& name : def.relations) {
+    TablePtr table = *catalog.GetTable(name);
+    for (size_t r = 0; r < table->NumRows(); ++r) {
+      double measure = rng.UniformDouble(0.25, 2.0);
+      if (kind == SemiringKind::kBoolOrAnd) {
+        measure = 1.0;
+      } else if (kind == SemiringKind::kLogSumProduct) {
+        measure = std::log(measure);
+      } else if (view.exact) {
+        measure = std::ldexp(1.0, static_cast<int>(rng.UniformInt(-2, 2)));
+      }
+      table->set_measure(r, measure);
+    }
+    for (const std::string& var : table->schema().variables()) {
+      if (rng.Bernoulli(0.3)) view.indexes.emplace_back(name, var);
+    }
+    view.tables.push_back(table);
+  }
+  for (const std::string& var : PresentVars(view)) {
+    view.vars.emplace_back(var, *catalog.DomainSize(var));
+  }
+  return view;
+}
+
+// Draws a query over `view`: one or two group variables and up to two
+// equality selections on any variable of the view, group variables
+// included (the restricted-answer form), a variable possibly twice.
+inline MpfQuerySpec DrawQuery(const DiffView& view, Rng& rng) {
+  const std::vector<std::string> vars = PresentVars(view);
+  auto pick = [&] {
+    return vars[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(vars.size()) - 1))];
+  };
+  MpfQuerySpec query;
+  query.group_vars = {pick()};
+  const std::string second = pick();
+  if (rng.Bernoulli(0.4) && second != query.group_vars[0]) {
+    query.group_vars.push_back(second);
+  }
+  for (int64_t s = rng.UniformInt(0, 2); s > 0; --s) {
+    const std::string var = pick();
+    int64_t domain = 0;
+    for (const auto& [name, size] : view.vars) {
+      if (name == var) domain = size;
+    }
+    query.selections.push_back(
+        {var, static_cast<VarValue>(rng.UniformInt(0, domain - 1))});
+  }
+  return query;
 }
 
 // Uniform choice from a non-empty list.

@@ -1,8 +1,9 @@
 // Tests for the concurrent serving layer: admission control (FIFO with
 // per-session fairness), epoch-snapshot isolation of queries against
-// concurrent updates, the shared plan cache's counters and invalidation,
-// and a multi-session differential soak that replays every recorded query
-// serially and demands bit-identical results (tolerance 0.0).
+// concurrent updates, and the shared plan cache's counters and
+// invalidation. (The multi-session soak that replays every recorded query
+// serially is the differential driver's concurrent mode,
+// tests/differential_test.cc.)
 
 #include "server/server.h"
 
@@ -18,8 +19,6 @@
 #include "core/database.h"
 #include "fr/algebra.h"
 #include "random_view.h"
-#include "server/net/client.h"
-#include "server/net/net_server.h"
 #include "server/plan_cache.h"
 #include "util/rng.h"
 
@@ -31,18 +30,6 @@ using server::PickNextTicket;
 using server::ServerOptions;
 using server::Session;
 using server::Ticket;
-
-// Installs a RandomView's variables, tables, and view into a database.
-void Install(const RandomView& rv, Database& db) {
-  for (const auto& var : rv.vars) {
-    ASSERT_TRUE(
-        db.catalog().RegisterVariable(var, *rv.catalog.DomainSize(var)).ok());
-  }
-  for (const auto& table : rv.tables) {
-    ASSERT_TRUE(db.CreateTable(table).ok());
-  }
-  ASSERT_TRUE(db.CreateMpfView(rv.view).ok());
-}
 
 // --- PickNextTicket: the pure admission policy ----------------------------
 
@@ -674,412 +661,6 @@ TEST(PlanCacheTest, KeyCanonicalizationAndEviction) {
   EXPECT_EQ(cache.stats().invalidations, 1u);
   EXPECT_EQ(cache.stats().entries, 1u);
 }
-
-// --- Multi-session differential soak --------------------------------------
-
-struct RecordedQuery {
-  size_t view = 0;  // index into the soak's views
-  MpfQuerySpec spec;
-  bool cached = false;     // QueryCached instead of Query
-  uint64_t epoch = 0;      // snapshot epoch the result was served at
-  bool epoch_exact = true; // false: cached call raced an update, skip replay
-  TablePtr result;
-};
-
-TEST(ServerSoakTest, ConcurrentSessionsBitIdenticalToSerialReplay) {
-  constexpr int kViews = 3;
-  constexpr int kSessions = 4;
-  constexpr int kOpsPerSession = 24;
-  constexpr int kUpdates = 10;
-  const uint64_t seed = CaseSeed(101);
-  MPFDB_TRACE_SEED(seed);
-
-  // Live database: kViews independent random views, VE-caches on all of
-  // them; view 0's first relation receives the update stream.
-  Database db;
-  std::vector<RandomView> views;
-  for (int i = 0; i < kViews; ++i) {
-    views.push_back(MakeRandomView(seed + static_cast<uint64_t>(i),
-                                   /*num_vars=*/4, /*num_rels=*/3,
-                                   /*force_acyclic=*/(i % 2 == 0),
-                                   "s" + std::to_string(i) + "_"));
-    Install(views.back(), db);
-    ASSERT_TRUE(db.BuildCache(views.back().view.name).ok());
-  }
-  const uint64_t base = db.epoch();
-
-  // The update stream: rewrite the measure of row 0 of view 0's first
-  // relation to values never equal to the current one, so every update
-  // commits (bumping the epoch by exactly 1) — epoch base + k means the
-  // first k updates are visible.
-  const Table& target = *views[0].tables[0];
-  std::vector<VarValue> target_row(target.Row(0).vars,
-                                   target.Row(0).vars + target.Row(0).arity);
-  auto update_value = [](int k) { return 16.0 + k * 0.125; };  // exact in FP
-
-  std::atomic<bool> start{false};
-  std::atomic<bool> done{false};
-  std::thread updater([&] {
-    while (!start.load()) std::this_thread::yield();
-    for (int k = 0; k < kUpdates; ++k) {
-      ASSERT_TRUE(db.ApplyMeasureUpdate(views[0].tables[0]->name(),
-                                        target_row, update_value(k))
-                      .ok());
-      std::this_thread::yield();
-    }
-    done.store(true);
-  });
-
-  server::ServerOptions options;
-  options.max_concurrent = 3;
-  options.global_memory_limit = 64u << 20;
-  MpfServer server(db, options);
-  std::vector<std::vector<RecordedQuery>> recorded(kSessions);
-  std::vector<std::thread> workers;
-  for (int s = 0; s < kSessions; ++s) {
-    workers.emplace_back([&, s] {
-      auto session = server.CreateSession("soak-" + std::to_string(s));
-      Rng rng(seed + 1000 + static_cast<uint64_t>(s));
-      while (!start.load()) std::this_thread::yield();
-      for (int op = 0; op < kOpsPerSession; ++op) {
-        RecordedQuery rec;
-        rec.view = static_cast<size_t>(rng.UniformInt(0, kViews - 1));
-        const RandomView& rv = views[rec.view];
-        MpfQuerySpec spec;
-        spec.group_vars = {Pick(rv.present_vars, rng)};
-        if (rng.Bernoulli(0.4)) {
-          const std::string& sel = Pick(rv.present_vars, rng);
-          if (sel != spec.group_vars[0]) {
-            spec.selections.push_back(QuerySelection{
-                sel, static_cast<VarValue>(rng.UniformInt(
-                         0, *rv.catalog.DomainSize(sel) - 1))});
-          }
-        }
-        rec.spec = spec;
-        rec.cached = rng.Bernoulli(0.3);
-        if (rec.cached) {
-          uint64_t pre = db.epoch();
-          auto result = session->QueryCached(rv.view.name, spec);
-          uint64_t post = db.epoch();
-          ASSERT_TRUE(result.ok()) << result.status().message();
-          rec.epoch = pre;
-          rec.epoch_exact = pre == post;
-          rec.result = *result;
-        } else {
-          auto result = session->Query(rv.view.name, spec);
-          ASSERT_TRUE(result.ok()) << result.status().message();
-          rec.epoch = result->snapshot_epoch;
-          rec.result = result->table;
-        }
-        recorded[static_cast<size_t>(s)].push_back(std::move(rec));
-      }
-    });
-  }
-  start.store(true);
-  updater.join();
-  for (auto& t : workers) t.join();
-  ASSERT_TRUE(done.load());
-  ASSERT_EQ(db.epoch(), base + kUpdates);
-
-  // The serving layer actually served concurrently and the plan cache
-  // actually earned its keep.
-  auto sstats = server.stats();
-  EXPECT_EQ(sstats.admitted,
-            static_cast<uint64_t>(kSessions * kOpsPerSession));
-  EXPECT_EQ(sstats.completed, sstats.admitted);
-  auto pstats = db.plan_cache().stats();
-  EXPECT_GT(pstats.hits, 0u);
-  // Plans are keyed on the structural epoch now, so the measure-update
-  // stream must not have invalidated a single cached plan.
-  EXPECT_EQ(pstats.invalidations, 0u);
-
-  // Serial replay: a fresh database built from the same seeds, stepped
-  // through the same update stream one epoch at a time. Every recorded
-  // query re-runs serially at its epoch and must match bit-for-bit.
-  Database replay;
-  std::vector<RandomView> replay_views;
-  for (int i = 0; i < kViews; ++i) {
-    replay_views.push_back(MakeRandomView(seed + static_cast<uint64_t>(i),
-                                          4, 3, (i % 2 == 0),
-                                          "s" + std::to_string(i) + "_"));
-    Install(replay_views.back(), replay);
-    ASSERT_TRUE(replay.BuildCache(replay_views.back().view.name).ok());
-  }
-
-  // Group recorded queries by the number of updates their epoch reflects.
-  std::map<uint64_t, std::vector<const RecordedQuery*>> by_step;
-  size_t replayed = 0, skipped = 0;
-  for (const auto& session_log : recorded) {
-    for (const auto& rec : session_log) {
-      if (rec.cached && !rec.epoch_exact) {
-        ++skipped;  // raced an update; no single epoch to replay at
-        continue;
-      }
-      by_step[rec.epoch - base].push_back(&rec);
-      ++replayed;
-    }
-  }
-  for (uint64_t step = 0, applied = 0; step <= kUpdates; ++step) {
-    while (applied < step) {
-      ASSERT_TRUE(replay
-                      .ApplyMeasureUpdate(replay_views[0].tables[0]->name(),
-                                          target_row,
-                                          update_value(static_cast<int>(
-                                              applied)))
-                      .ok());
-      ++applied;
-    }
-    auto it = by_step.find(step);
-    if (it == by_step.end()) continue;
-    for (const RecordedQuery* rec : it->second) {
-      const std::string& view_name = replay_views[rec->view].view.name;
-      TablePtr expected;
-      if (rec->cached) {
-        auto result = replay.QueryCached(view_name, rec->spec);
-        ASSERT_TRUE(result.ok()) << result.status().message();
-        expected = *result;
-      } else {
-        auto result = replay.Query(view_name, rec->spec);
-        ASSERT_TRUE(result.ok()) << result.status().message();
-        expected = result->table;
-      }
-      EXPECT_TRUE(fr::TablesEqual(*expected, *rec->result,
-                                  /*tolerance=*/0.0))
-          << (rec->cached ? "cached" : "query") << " on view " << view_name
-          << " at step " << step;
-    }
-  }
-  // The race-skip path should be the exception, not the rule.
-  EXPECT_GT(replayed, skipped);
-}
-
-// --- MVCC mixed readers+writers soak --------------------------------------
-
-struct RecordedUpdate {
-  uint64_t commit_epoch = 0;  // exact epoch of the commit (from the ack)
-  std::string table;
-  std::vector<VarValue> row_vars;
-  double value = 0;
-};
-
-// Four sessions — two in-process, two over the wire — mix reads and writes
-// at the parameterized write fraction. Every session writes only its own
-// (table, row) target, so the order inside one coalesced commit batch never
-// matters and the exact ack epochs define a serial schedule: a fresh
-// database stepped through the recorded commits in epoch order must
-// reproduce every recorded query result bit-for-bit (tolerance 0.0).
-class MvccSoakTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(MvccSoakTest, MixedReadersWritersBitIdenticalToSerialReplay) {
-  const double write_frac = GetParam();
-  constexpr int kViews = 2;
-  constexpr int kSessions = 4;
-  constexpr int kOpsPerSession = 32;
-  const uint64_t seed =
-      CaseSeed(401 + static_cast<uint64_t>(write_frac * 1000));
-  MPFDB_TRACE_SEED(seed);
-
-  Database db;
-  std::vector<RandomView> views;
-  for (int i = 0; i < kViews; ++i) {
-    views.push_back(MakeRandomView(seed + static_cast<uint64_t>(i),
-                                   /*num_vars=*/4, /*num_rels=*/3,
-                                   /*force_acyclic=*/(i % 2 == 0),
-                                   "m" + std::to_string(i) + "_"));
-    Install(views.back(), db);
-    ASSERT_TRUE(db.BuildCache(views.back().view.name).ok());
-  }
-  const uint64_t base = db.epoch();
-
-  // Session s writes row 0 of views[s % kViews].tables[s / kViews]: four
-  // distinct (table, row) targets, never a conflict inside a batch. Values
-  // are exact in FP, session-disjoint, and strictly increasing, so no
-  // update is ever a no-op.
-  struct WriteTarget {
-    std::string table;
-    std::vector<VarValue> row;
-  };
-  std::vector<WriteTarget> targets;
-  for (int s = 0; s < kSessions; ++s) {
-    const RandomView& rv = views[static_cast<size_t>(s % kViews)];
-    const Table& t = *rv.tables[static_cast<size_t>(s / kViews) %
-                                rv.tables.size()];
-    RowView r0 = t.Row(0);
-    targets.push_back(
-        {t.name(), std::vector<VarValue>(r0.vars, r0.vars + r0.arity)});
-  }
-  auto write_value = [](int s, int k) { return 128.0 + s * 16.0 + k * 0.125; };
-
-  server::ServerOptions sopts;
-  sopts.max_concurrent = 3;
-  sopts.global_memory_limit = 64u << 20;
-  MpfServer server(db, sopts);
-  server::net::NetServer net(server);
-  ASSERT_TRUE(net.Start().ok());
-
-  std::vector<std::vector<RecordedQuery>> recorded(kSessions);
-  std::vector<std::vector<RecordedUpdate>> written(kSessions);
-  std::atomic<bool> start{false};
-  std::vector<std::thread> workers;
-  for (int s = 0; s < kSessions; ++s) {
-    workers.emplace_back([&, s] {
-      const bool wire = s >= kSessions / 2;
-      std::unique_ptr<server::net::NetClient> client;
-      std::shared_ptr<Session> session;
-      if (wire) {
-        auto connected = server::net::NetClient::Connect(net.port());
-        ASSERT_TRUE(connected.ok()) << connected.status().message();
-        client = std::move(*connected);
-        ASSERT_TRUE(client->set_recv_timeout_ms(30000).ok());
-      } else {
-        session = server.CreateSession("mvcc-soak-" + std::to_string(s));
-      }
-      Rng rng(seed + 2000 + static_cast<uint64_t>(s));
-      int writes = 0;
-      while (!start.load()) std::this_thread::yield();
-      for (int op = 0; op < kOpsPerSession; ++op) {
-        if (rng.Bernoulli(write_frac)) {
-          RecordedUpdate up;
-          up.table = targets[static_cast<size_t>(s)].table;
-          up.row_vars = targets[static_cast<size_t>(s)].row;
-          up.value = write_value(s, writes++);
-          if (wire) {
-            auto epoch = client->Update(up.table, up.row_vars, up.value);
-            ASSERT_TRUE(epoch.ok()) << epoch.status().message();
-            up.commit_epoch = *epoch;
-          } else {
-            ASSERT_TRUE(session
-                            ->Update(up.table, up.row_vars, up.value,
-                                     &up.commit_epoch)
-                            .ok());
-          }
-          written[static_cast<size_t>(s)].push_back(std::move(up));
-          continue;
-        }
-        RecordedQuery rec;
-        rec.view = static_cast<size_t>(rng.UniformInt(0, kViews - 1));
-        const RandomView& rv = views[rec.view];
-        MpfQuerySpec spec;
-        spec.group_vars = {Pick(rv.present_vars, rng)};
-        if (rng.Bernoulli(0.4)) {
-          const std::string& sel = Pick(rv.present_vars, rng);
-          if (sel != spec.group_vars[0]) {
-            spec.selections.push_back(QuerySelection{
-                sel, static_cast<VarValue>(rng.UniformInt(
-                         0, *rv.catalog.DomainSize(sel) - 1))});
-          }
-        }
-        rec.spec = spec;
-        rec.cached = rng.Bernoulli(0.4);
-        if (wire) {
-          auto result = client->Query(rv.view.name, spec, "", 0, rec.cached);
-          ASSERT_TRUE(result.ok()) << result.status().message();
-          rec.epoch = result->snapshot_epoch;
-          rec.epoch_exact = !result->epoch_inexact;
-          rec.result = result->table;
-        } else if (rec.cached) {
-          uint64_t pre = db.epoch();
-          auto result = session->QueryCached(rv.view.name, spec);
-          uint64_t post = db.epoch();
-          ASSERT_TRUE(result.ok()) << result.status().message();
-          rec.epoch = pre;
-          rec.epoch_exact = pre == post;
-          rec.result = *result;
-        } else {
-          auto result = session->Query(rv.view.name, spec);
-          ASSERT_TRUE(result.ok()) << result.status().message();
-          rec.epoch = result->snapshot_epoch;
-          rec.result = result->table;
-        }
-        recorded[static_cast<size_t>(s)].push_back(std::move(rec));
-      }
-    });
-  }
-  start.store(true);
-  for (auto& t : workers) t.join();
-
-  // Accounting: every write was effective (distinct targets, fresh values),
-  // every commit batch bumped the epoch exactly once, and the wire/local
-  // acks all name real commit epochs.
-  std::vector<const RecordedUpdate*> updates;
-  for (const auto& session_log : written) {
-    for (const auto& up : session_log) updates.push_back(&up);
-  }
-  std::sort(updates.begin(), updates.end(),
-            [](const RecordedUpdate* a, const RecordedUpdate* b) {
-              return a->commit_epoch < b->commit_epoch;
-            });
-  MvccStats mstats = db.mvcc_stats();
-  EXPECT_EQ(mstats.updates_applied, updates.size());
-  EXPECT_EQ(db.epoch(), base + mstats.commit_batches);
-  for (const RecordedUpdate* up : updates) {
-    EXPECT_GT(up->commit_epoch, base);
-    EXPECT_LE(up->commit_epoch, db.epoch());
-  }
-  EXPECT_EQ(server.stats().updates, updates.size());
-  // Measure commits never invalidate structurally-keyed plans.
-  EXPECT_EQ(db.plan_cache().stats().invalidations, 0u);
-
-  // Serial replay: a fresh database stepped through the recorded commits in
-  // ack-epoch order; every exact-epoch query must match bit-for-bit.
-  Database replay;
-  std::vector<RandomView> replay_views;
-  for (int i = 0; i < kViews; ++i) {
-    replay_views.push_back(MakeRandomView(seed + static_cast<uint64_t>(i), 4,
-                                          3, (i % 2 == 0),
-                                          "m" + std::to_string(i) + "_"));
-    Install(replay_views.back(), replay);
-    ASSERT_TRUE(replay.BuildCache(replay_views.back().view.name).ok());
-  }
-  std::map<uint64_t, std::vector<const RecordedQuery*>> by_epoch;
-  size_t replayed = 0, skipped = 0;
-  for (const auto& session_log : recorded) {
-    for (const auto& rec : session_log) {
-      if (rec.cached && !rec.epoch_exact) {
-        ++skipped;  // raced an update; no single epoch to replay at
-        continue;
-      }
-      by_epoch[rec.epoch].push_back(&rec);
-      ++replayed;
-    }
-  }
-  size_t next_update = 0;
-  for (const auto& [epoch, queries] : by_epoch) {
-    while (next_update < updates.size() &&
-           updates[next_update]->commit_epoch <= epoch) {
-      const RecordedUpdate* up = updates[next_update];
-      ASSERT_TRUE(
-          replay.ApplyMeasureUpdate(up->table, up->row_vars, up->value).ok());
-      ++next_update;
-    }
-    for (const RecordedQuery* rec : queries) {
-      const std::string& view_name = replay_views[rec->view].view.name;
-      TablePtr expected;
-      if (rec->cached) {
-        auto result = replay.QueryCached(view_name, rec->spec);
-        ASSERT_TRUE(result.ok()) << result.status().message();
-        expected = *result;
-      } else {
-        auto result = replay.Query(view_name, rec->spec);
-        ASSERT_TRUE(result.ok()) << result.status().message();
-        expected = result->table;
-      }
-      EXPECT_TRUE(fr::TablesEqual(*expected, *rec->result,
-                                  /*tolerance=*/0.0))
-          << (rec->cached ? "cached" : "query") << " on view " << view_name
-          << " at epoch " << epoch;
-    }
-  }
-  // The race-skip path should be the exception, not the rule.
-  EXPECT_GT(replayed, skipped);
-}
-
-INSTANTIATE_TEST_SUITE_P(Mixes, MvccSoakTest,
-                         ::testing::Values(0.05, 0.5),
-                         [](const ::testing::TestParamInfo<double>& info) {
-                           return info.param < 0.1 ? "Read95Write5"
-                                                   : "Read50Write50";
-                         });
 
 }  // namespace
 }  // namespace mpfdb

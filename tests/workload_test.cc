@@ -121,54 +121,6 @@ TEST_F(WorkloadTest, VeCacheSatisfiesInvariant) {
   }
 }
 
-TEST_F(WorkloadTest, VeCacheRestrictedDomainProtocol) {
-  auto cache = VeCache::Build(schema_.view, catalog_);
-  ASSERT_TRUE(cache.ok()) << cache.status();
-  // "How much would each contractor lose if transporter 1 went off-line?"
-  MpfQuerySpec query{{"cid"}, {{"tid", 1}}};
-  auto answer = cache->Answer(query);
-  ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_TRUE(fr::TablesEqual(*Truth({"cid"}, {{"tid", 1}}), **answer, 1e-6));
-
-  // Selection on a variable co-located with the query variable.
-  MpfQuerySpec query2{{"wid"}, {{"cid", 2}}};
-  auto answer2 = cache->Answer(query2);
-  ASSERT_TRUE(answer2.ok()) << answer2.status();
-  EXPECT_TRUE(fr::TablesEqual(*Truth({"wid"}, {{"cid", 2}}), **answer2, 1e-6));
-}
-
-TEST_F(WorkloadTest, VeCacheRestrictedAnswerQueries) {
-  auto cache = VeCache::Build(schema_.view, catalog_);
-  ASSERT_TRUE(cache.ok()) << cache.status();
-  // Restricted answer: selection on the query variable itself.
-  MpfQuerySpec query{{"wid"}, {{"wid", 3}}};
-  auto answer = cache->Answer(query);
-  ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_TRUE(fr::TablesEqual(*Truth({"wid"}, {{"wid", 3}}), **answer, 1e-6));
-}
-
-TEST_F(WorkloadTest, VeCacheAnswersMultiVariableQueries) {
-  auto cache = VeCache::Build(schema_.view, catalog_);
-  ASSERT_TRUE(cache.ok()) << cache.status();
-  // Pairs spanning different caches of the chain: the cross-clique
-  // combination must divide out separators so mass is not double-counted.
-  const std::vector<std::vector<std::string>> var_sets = {
-      {"cid", "tid"}, {"pid", "tid"}, {"sid", "cid"},
-      {"wid", "tid"}, {"pid", "sid", "wid"}};
-  for (const auto& vars : var_sets) {
-    auto answer = cache->Answer(MpfQuerySpec{vars, {}});
-    ASSERT_TRUE(answer.ok()) << answer.status();
-    EXPECT_TRUE(fr::TablesEqual(*Truth(vars), **answer, 1e-6))
-        << "group by " << vars[0] << "...";
-  }
-  // With a selection too.
-  MpfQuerySpec query{{"pid", "tid"}, {{"cid", 1}}};
-  auto answer = cache->Answer(query);
-  ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_TRUE(
-      fr::TablesEqual(*Truth({"pid", "tid"}, {{"cid", 1}}), **answer, 1e-6));
-}
-
 TEST_F(WorkloadTest, VeCacheWidthHeuristic) {
   VeCacheOptions options;
   options.use_width_heuristic = true;
@@ -202,6 +154,41 @@ TEST_F(WorkloadTest, VeCacheTotalRowsPositive) {
   auto cache = VeCache::Build(schema_.view, catalog_);
   ASSERT_TRUE(cache.ok());
   EXPECT_GT(cache->TotalCacheRows(), 0);
+}
+
+// A var-disjoint component whose join is empty (here: emptied by its own
+// rows, or by a selection) empties the whole view, so every answer is empty
+// instead of rows scaled by a zero total.
+TEST(VeCacheEmptyComponentTest, EmptyComponentEmptiesEveryAnswer) {
+  Catalog catalog;
+  for (const char* var : {"a", "b"}) {
+    ASSERT_TRUE(catalog.RegisterVariable(var, 3).ok());
+  }
+  auto table = [&](const std::string& name, const std::string& var,
+                   VarValue value) {
+    auto t = std::make_shared<Table>(name, Schema({var}, "f"));
+    t->AppendRow({value}, 2.0);
+    EXPECT_TRUE(catalog.RegisterTable(t).ok());
+    return t;
+  };
+  std::vector<TablePtr> tables = {table("r", "a", 2), table("s", "b", 1),
+                                  table("t", "a", 1)};
+  MpfViewDef view{"v", {"r", "s", "t"}, Semiring::SumProduct()};
+  auto cache = VeCache::Build(view, catalog);
+  ASSERT_TRUE(cache.ok()) << cache.status();
+  auto answer = cache->Answer(MpfQuerySpec{{"b"}, {}});
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ((*answer)->NumRows(), 0u) << (*answer)->ToString();
+
+  view.relations = {"r", "s"};
+  cache = VeCache::Build(view, catalog);
+  ASSERT_TRUE(cache.ok()) << cache.status();
+  answer = cache->Answer(MpfQuerySpec{{"a"}, {{"b", 0}}});
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  auto truth = fr::EvaluateNaiveMpf({tables[0], tables[1]}, {"a"}, {{"b", 0}},
+                                    view.semiring, "truth");
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  EXPECT_TRUE(fr::TablesEqual(**truth, **answer, 0.0)) << (*answer)->ToString();
 }
 
 TEST(LoopyBpTest, ExactOnTreeFactorGraphs) {
