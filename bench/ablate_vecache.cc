@@ -6,20 +6,95 @@
 // single-variable queries (including restricted-domain queries exercising
 // the Theorem 5 protocol).
 //
-//   ./build/bench/ablate_vecache [scale]   (default 0.02)
+//   ./build/bench/ablate_vecache [scale] [--json <path>]   (default 0.05)
+//
+// --json writes, per workload query, the median in-process answer time
+// (vecache_answer/<query>), and the median encode and decode time of a
+// 5,000-row, one-variable result frame (wire/result_codec_5000). The
+// default scale is e2ebench cache_rw's, whose seven read specs these are.
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "fr/algebra.h"
+#include "server/net/wire.h"
 #include "workload/vecache.h"
 
 using namespace mpfdb;
 using bench::Clock;
 using bench::MsSince;
 
+namespace {
+
+// Median wall time of `fn` in ms, over at least `min_reps` runs and about
+// 0.2 s.
+template <typename Fn>
+double MedianMs(Fn&& fn, int min_reps) {
+  std::vector<double> samples;
+  const auto start = Clock::now();
+  while (static_cast<int>(samples.size()) < min_reps || MsSince(start) < 200) {
+    const auto t0 = Clock::now();
+    fn();
+    samples.push_back(MsSince(t0));
+  }
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                   samples.end());
+  return samples[samples.size() / 2];
+}
+
+// Encode and decode time of one result frame carrying a 5,000-row answer
+// over one variable (the shape of cache_rw's `pid` read).
+void ResultCodecSection(double hardware_threads,
+                        bench::BenchJsonWriter* json) {
+  constexpr size_t kRows = 5000;
+  auto table = std::make_shared<Table>("answer", Schema({"pid"}, "f"));
+  for (size_t r = 0; r < kRows; ++r) {
+    table->AppendRow({static_cast<VarValue>(r)}, 0.5 + static_cast<double>(r));
+  }
+  server::net::ResultFrame frame;
+  frame.request_id = 1;
+  frame.table = table;
+  std::vector<uint8_t> bytes;
+  const double encode_ms = MedianMs(
+      [&] {
+        bytes.clear();
+        bytes.shrink_to_fit();
+        server::net::EncodeResult(frame, &bytes);
+      },
+      200);
+  const double decode_ms = MedianMs(
+      [&] {
+        server::net::FrameReader reader;
+        reader.Append(bytes.data(), bytes.size());
+        server::net::Frame out;
+        auto got = reader.Next(&out);
+        if (!got.ok() || !*got || out.result.table->NumRows() != kRows) {
+          std::abort();
+        }
+      },
+      200);
+  std::printf("\nresult codec, %zu rows x 1 var: encode %.1f us, decode %.1f "
+              "us\n",
+              kRows, encode_ms * 1e3, decode_ms * 1e3);
+  json->Add("wire/result_codec_5000",
+            {{"encode_us", encode_ms * 1e3},
+             {"decode_us", decode_ms * 1e3},
+             {"hardware_threads", hardware_threads}});
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  double scale = argc > 1 ? std::atof(argv[1]) : 0.02;
+  const std::string json_path = bench::JsonPathFromArgs(argc, argv);
+  double scale = 0.05;
+  if (argc > 1 && argv[1][0] != '-') scale = std::atof(argv[1]);
+  const double hardware_threads = std::thread::hardware_concurrency();
+  bench::BenchJsonWriter json;
+
   Database db;
   workload::SupplyChainParams params;
   params.scale = scale;
@@ -49,9 +124,9 @@ int main(int argc, char** argv) {
               "agree");
   double expected_cache = 0, expected_scratch = 0;
   for (const auto& wq : queries) {
-    auto t0 = Clock::now();
-    auto from_cache = cache->Answer(wq.spec);
-    double cache_ms = MsSince(t0);
+    StatusOr<TablePtr> from_cache = Status::Internal("not run");
+    const double cache_ms =
+        MedianMs([&] { from_cache = cache->Answer(wq.spec); }, 5);
     auto t1 = Clock::now();
     auto from_scratch = db.Query("invest", wq.spec, "ve(deg) ext.");
     double scratch_ms = MsSince(t1);
@@ -62,6 +137,14 @@ int main(int argc, char** argv) {
                 agree ? "yes" : "NO");
     expected_cache += wq.probability * cache_ms;
     expected_scratch += wq.probability * scratch_ms;
+    std::string name = "vecache_answer/" + wq.spec.group_vars[0];
+    for (const auto& sel : wq.spec.selections) {
+      name += "|" + sel.var + "=" + std::to_string(sel.value);
+    }
+    const double rows = static_cast<double>((*from_cache)->NumRows());
+    json.Add(name, {{"answer_ms", cache_ms},
+                    {"answer_rows", rows},
+                    {"hardware_threads", hardware_threads}});
   }
   std::printf("\nexpected per-query cost: cache %.3f ms vs scratch %.3f ms\n",
               expected_cache, expected_scratch);
@@ -84,5 +167,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(width_cache->TotalCacheRows()),
                 width_build_ms);
   }
+
+  ResultCodecSection(hardware_threads, &json);
+  if (!json_path.empty() && !json.WriteTo(json_path)) return 1;
   return 0;
 }

@@ -453,11 +453,11 @@ class Database {
                                        QueryContext* ctx);
 
   // The database-owned worker pool for intra-query parallelism, created
-  // lazily from ExecOptions::num_threads (0 = hardware_concurrency).
-  // Returns null when the resolved thread count is 1 — queries then run on
-  // the calling thread exactly as the serial engine does. The pool is shared
-  // by every concurrently admitted query (ThreadPool supports concurrent
-  // ParallelFor posts).
+  // lazily from ExecOptions::num_threads (default 1, serial; 0 =
+  // hardware_concurrency). Returns null when the resolved thread count is
+  // 1 — queries then run on the calling thread exactly as the serial engine
+  // does. The pool is shared by every concurrently admitted query
+  // (ThreadPool supports concurrent ParallelFor posts).
   exec::ThreadPool* thread_pool();
 
   DatabaseOptions options_;

@@ -15,12 +15,13 @@
 namespace mpfdb::exec {
 
 struct ExecOptions {
-  // Worker threads for intra-query morsel parallelism.
-  // 0 resolves to std::thread::hardware_concurrency(); 1 reproduces the
-  // serial engine exactly. The Executor itself only reads the pool off the
-  // QueryContext — Database owns the pool and wires it up from this knob.
-  // Results are bit-identical for every thread count.
-  size_t num_threads = 0;
+  // Worker threads for intra-query morsel parallelism. The default 1 runs
+  // serial, on the calling thread: the pool is opt-in, because on the
+  // measured workloads it loses to one thread. 0 resolves to
+  // std::thread::hardware_concurrency(). The Executor itself only reads the
+  // pool off the QueryContext — Database owns the pool and wires it up from
+  // this knob. Results are bit-identical for every thread count.
+  size_t num_threads = 1;
   // Default seed of the approximate-inference sampling backend (the Gibbs
   // chain behind Database::QueryApprox) when the per-query ApproxOptions
   // leaves its seed at 0. Threaded through so every sampled estimate in a

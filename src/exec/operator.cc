@@ -280,29 +280,6 @@ size_t AggPartOf(size_t hash) {
   return (hash >> 56) & (kAggPartitions - 1);
 }
 
-// Dispatches `body` with a monomorphized Add for each built-in semiring so
-// hot accumulate loops inline the arithmetic. Every fast path performs
-// exactly the IEEE operation Semiring::Add performs; serial and parallel
-// folds both go through here, so their per-key arithmetic is identical.
-template <class Body>
-void DispatchAdd(const Semiring& semiring, Body&& body) {
-  switch (semiring.kind()) {
-    case SemiringKind::kSumProduct:
-      body([](double a, double b) { return a + b; });
-      break;
-    case SemiringKind::kMinSum:
-      body([](double a, double b) { return std::min(a, b); });
-      break;
-    case SemiringKind::kMaxSum:
-    case SemiringKind::kMaxProduct:
-      body([](double a, double b) { return std::max(a, b); });
-      break;
-    default:
-      body([&semiring](double a, double b) { return semiring.Add(a, b); });
-      break;
-  }
-}
-
 // Range-restricted scan over an in-memory table: one morsel of a SeqScan.
 class SeqScanRangeStream : public PhysicalOperator {
  public:

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <sstream>
+#include <string_view>
 
 #include "cost/agm.h"
 #include "util/strings.h"
@@ -69,8 +71,13 @@ std::string MpfQuerySpec::ToString(const MpfViewDef& view) const {
   }
   os << " group by " << Join(group_vars, ", ");
   if (having.has_value()) {
+    // Shortest round-trip form, so the printed SQL parses back to the
+    // same threshold bits.
+    char buf[32];
+    const auto printed =
+        std::to_chars(buf, buf + sizeof(buf), having->threshold);
     os << " having f " << CompareOpSymbol(having->op) << " "
-       << having->threshold;
+       << std::string_view(buf, static_cast<size_t>(printed.ptr - buf));
   }
   return os.str();
 }

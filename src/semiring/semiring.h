@@ -1,6 +1,7 @@
 #ifndef MPFDB_SEMIRING_SEMIRING_H_
 #define MPFDB_SEMIRING_SEMIRING_H_
 
+#include <algorithm>
 #include <string>
 
 #include "util/status.h"
@@ -110,6 +111,30 @@ class Semiring {
  private:
   SemiringKind kind_;
 };
+
+// Dispatches `body` with a monomorphized Add for each built-in semiring so
+// hot accumulate loops inline the arithmetic. Every fast path performs
+// exactly the IEEE operation Semiring::Add performs; the executor's serial
+// and parallel folds and exec::MarginalizeTable all go through here, so
+// their per-key arithmetic is identical.
+template <class Body>
+void DispatchAdd(const Semiring& semiring, Body&& body) {
+  switch (semiring.kind()) {
+    case SemiringKind::kSumProduct:
+      body([](double a, double b) { return a + b; });
+      break;
+    case SemiringKind::kMinSum:
+      body([](double a, double b) { return std::min(a, b); });
+      break;
+    case SemiringKind::kMaxSum:
+    case SemiringKind::kMaxProduct:
+      body([](double a, double b) { return std::max(a, b); });
+      break;
+    default:
+      body([&semiring](double a, double b) { return semiring.Add(a, b); });
+      break;
+  }
+}
 
 }  // namespace mpfdb
 

@@ -8,27 +8,61 @@ namespace mpfdb::server::net {
 
 namespace {
 
+// --- little-endian fixed-width fields -----------------------------------
+
+void StoreU32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+void StoreU64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+uint32_t LoadU32(const uint8_t* p) {
+  uint32_t r = 0;
+  for (int i = 0; i < 4; ++i) r |= static_cast<uint32_t>(p[i]) << (8 * i);
+  return r;
+}
+
+uint64_t LoadU64(const uint8_t* p) {
+  uint64_t r = 0;
+  for (int i = 0; i < 8; ++i) r |= static_cast<uint64_t>(p[i]) << (8 * i);
+  return r;
+}
+
+uint64_t F64Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double F64FromBits(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
 // --- primitive writers ----------------------------------------------------
 
 void PutU8(uint8_t v, std::vector<uint8_t>* out) { out->push_back(v); }
 
 void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  const size_t at = out->size();
+  out->resize(at + 4);
+  StoreU32(out->data() + at, v);
 }
 
 void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  const size_t at = out->size();
+  out->resize(at + 8);
+  StoreU64(out->data() + at, v);
 }
 
 void PutI32(int32_t v, std::vector<uint8_t>* out) {
   PutU32(static_cast<uint32_t>(v), out);
 }
 
-void PutF64(double v, std::vector<uint8_t>* out) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits, out);
-}
+void PutF64(double v, std::vector<uint8_t>* out) { PutU64(F64Bits(v), out); }
 
 void PutString(const std::string& s, std::vector<uint8_t>* out) {
   PutU32(static_cast<uint32_t>(s.size()), out);
@@ -44,12 +78,8 @@ size_t BeginFrame(FrameType type, std::vector<uint8_t>* out) {
 }
 
 void FinishFrame(size_t payload_start, std::vector<uint8_t>* out) {
-  uint32_t len = static_cast<uint32_t>(out->size() - payload_start);
-  size_t header = payload_start - kFrameHeaderBytes;
-  for (int i = 0; i < 4; ++i) {
-    (*out)[header + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(len >> (8 * i));
-  }
+  StoreU32(out->data() + payload_start - kFrameHeaderBytes,
+           static_cast<uint32_t>(out->size() - payload_start));
 }
 
 // --- primitive readers ----------------------------------------------------
@@ -70,25 +100,15 @@ struct Cursor {
 
   Status TakeU32(uint32_t* v) {
     if (!Need(4)) return Status::InvalidArgument("frame payload truncated");
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) {
-      r |= static_cast<uint32_t>(data[pos + static_cast<size_t>(i)])
-           << (8 * i);
-    }
+    *v = LoadU32(data + pos);
     pos += 4;
-    *v = r;
     return Status::Ok();
   }
 
   Status TakeU64(uint64_t* v) {
     if (!Need(8)) return Status::InvalidArgument("frame payload truncated");
-    uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) {
-      r |= static_cast<uint64_t>(data[pos + static_cast<size_t>(i)])
-           << (8 * i);
-    }
+    *v = LoadU64(data + pos);
     pos += 8;
-    *v = r;
     return Status::Ok();
   }
 
@@ -102,7 +122,7 @@ struct Cursor {
   Status TakeF64(double* v) {
     uint64_t bits;
     MPFDB_RETURN_IF_ERROR(TakeU64(&bits));
-    std::memcpy(v, &bits, sizeof(*v));
+    *v = F64FromBits(bits);
     return Status::Ok();
   }
 
@@ -220,18 +240,22 @@ Status DecodeTableBlock(Cursor* c, bool exact_remaining, TablePtr* out) {
                       : !c->Need(block_bytes)) {
     return Status::InvalidArgument("result frame: row block size mismatch");
   }
+  // The block is in bounds: read it in one pass, then append it in bulk.
+  std::vector<VarValue> row_vars(static_cast<size_t>(n_rows) * arity);
+  std::vector<double> measures(n_rows);
+  const uint8_t* p = c->data + c->pos;
+  VarValue* v = row_vars.data();
+  for (uint32_t r = 0; r < n_rows; ++r) {
+    for (uint32_t i = 0; i < arity; ++i, p += 4) {
+      *v++ = static_cast<VarValue>(LoadU32(p));
+    }
+    measures[r] = F64FromBits(LoadU64(p));
+    p += 8;
+  }
+  c->pos += block_bytes;
   auto table = std::make_shared<Table>(std::move(table_name),
                                        Schema(vars, measure_name));
-  table->Reserve(n_rows);
-  std::vector<VarValue> row(arity);
-  for (uint32_t r = 0; r < n_rows; ++r) {
-    for (uint32_t i = 0; i < arity; ++i) {
-      MPFDB_RETURN_IF_ERROR(c->TakeI32(&row[i]));
-    }
-    double measure;
-    MPFDB_RETURN_IF_ERROR(c->TakeF64(&measure));
-    table->AppendRow(row, measure);
-  }
+  table->AppendRows(row_vars.data(), measures.data(), n_rows);
   *out = std::move(table);
   return Status::Ok();
 }
@@ -359,15 +383,32 @@ void EncodeQuery(const QueryRequestFrame& frame, std::vector<uint8_t>* out) {
 namespace {
 
 void PutTableBlock(const Table& table, std::vector<uint8_t>* out) {
+  const Schema& schema = table.schema();
+  const size_t rows = table.NumRows();
+  const size_t arity = schema.arity();
+  const size_t row_bytes = rows * (arity * 4 + 8);
+  // Two string lengths, arity and row count (u32 each), the two strings,
+  // then each variable name with its length, then the rows.
+  size_t block_bytes = 16 + table.name().size() +
+                       schema.measure_name().size() + row_bytes;
+  for (const auto& var : schema.variables()) block_bytes += 4 + var.size();
+  out->reserve(out->size() + block_bytes);
   PutString(table.name(), out);
-  PutString(table.schema().measure_name(), out);
-  PutU32(static_cast<uint32_t>(table.schema().arity()), out);
-  for (const auto& var : table.schema().variables()) PutString(var, out);
-  PutU32(static_cast<uint32_t>(table.NumRows()), out);
-  for (size_t r = 0; r < table.NumRows(); ++r) {
+  PutString(schema.measure_name(), out);
+  PutU32(static_cast<uint32_t>(arity), out);
+  for (const auto& var : schema.variables()) PutString(var, out);
+  PutU32(static_cast<uint32_t>(rows), out);
+  // The row block, written at fixed offsets.
+  const size_t at = out->size();
+  out->resize(at + row_bytes);
+  uint8_t* p = out->data() + at;
+  for (size_t r = 0; r < rows; ++r) {
     RowView row = table.Row(r);
-    for (size_t i = 0; i < row.arity; ++i) PutI32(row.var(i), out);
-    PutF64(row.measure, out);
+    for (size_t i = 0; i < arity; ++i, p += 4) {
+      StoreU32(p, static_cast<uint32_t>(row.vars[i]));
+    }
+    StoreU64(p, F64Bits(row.measure));
+    p += 8;
   }
 }
 

@@ -54,6 +54,15 @@ void Table::AppendRowRaw(const VarValue* vars, double measure) {
   measures_.push_back(measure);
 }
 
+void Table::AppendRows(const VarValue* vars, const double* measures,
+                       size_t n) {
+  if (n == 0) return;
+  EnsureFlat();
+  auto& vd = MutableVars();
+  vd.insert(vd.end(), vars, vars + n * schema_.arity());
+  measures_.insert(measures_.end(), measures, measures + n);
+}
+
 void Table::Reserve(size_t n) {
   MutableVars().reserve(n * schema_.arity());
   if (!chunked_) measures_.reserve(n);

@@ -74,6 +74,10 @@ class Table {
   // braced `{0}` argument would otherwise bind to this overload as a null
   // pointer constant.
   void AppendRowRaw(const VarValue* vars, double measure);
+  // Appends `n` rows in one step: `vars` holds n * schema().arity() values
+  // row-major, `measures` n values. The bulk form of AppendRowRaw for
+  // producers that build whole row blocks (kernels, the wire decoder).
+  void AppendRows(const VarValue* vars, const double* measures, size_t n);
 
   RowView Row(size_t i) const {
     return RowView{var_data_->data() + i * schema_.arity(), schema_.arity(),

@@ -15,12 +15,16 @@ std::atomic<FaultInjector*> g_injector{nullptr};
 // fast path (the production configuration) stays a lone atomic load.
 std::shared_mutex g_injector_mu;
 
-// splitmix64: tiny, deterministic, and good enough for Bernoulli draws.
-uint64_t NextRandom(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
+// The splitmix64 finalizer: a bijection that scatters nearby inputs.
+uint64_t Mix(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+// splitmix64: tiny, deterministic, and good enough for Bernoulli draws.
+uint64_t NextRandom(uint64_t* state) {
+  return Mix(*state += 0x9e3779b97f4a7c15ULL);
 }
 
 }  // namespace
@@ -28,7 +32,10 @@ uint64_t NextRandom(uint64_t* state) {
 void FaultInjector::Install(const Config& config) {
   auto* fi = new FaultInjector();
   fi->config_ = config;
-  fi->rng_state_ = config.seed * 0x9e3779b97f4a7c15ULL + 1;
+  // The seed goes through the finalizer: seeding the state with a linear
+  // function of it would make draw k under seed s a function of s + k
+  // alone, so nearby seeds would replay shifted copies of one schedule.
+  fi->rng_state_ = Mix(config.seed);
   std::unique_lock<std::shared_mutex> lock(g_injector_mu);
   delete g_injector.exchange(fi, std::memory_order_acq_rel);
 }
@@ -64,6 +71,7 @@ Status FaultInjector::MaybeFail(const char* site) {
     fail = u < fi->config_.probability;
   }
   if (!fail) return Status::Ok();
+  fi->faults_.fetch_add(1, std::memory_order_relaxed);
   return Status::Internal("injected fault #" + std::to_string(op) + " at " +
                           site);
 }
@@ -112,6 +120,12 @@ uint64_t FaultInjector::op_count() {
   std::shared_lock<std::shared_mutex> lock(g_injector_mu);
   FaultInjector* fi = g_injector.load(std::memory_order_acquire);
   return fi == nullptr ? 0 : fi->ops_.load(std::memory_order_relaxed);
+}
+
+uint64_t FaultInjector::fault_count() {
+  std::shared_lock<std::shared_mutex> lock(g_injector_mu);
+  FaultInjector* fi = g_injector.load(std::memory_order_acquire);
+  return fi == nullptr ? 0 : fi->faults_.load(std::memory_order_relaxed);
 }
 
 }  // namespace mpfdb

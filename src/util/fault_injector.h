@@ -75,6 +75,8 @@ class FaultInjector {
 
   // Total IOs observed since Install (failed or not).
   static uint64_t op_count();
+  // IO faults MaybeFail injected since Install.
+  static uint64_t fault_count();
 
  private:
   FaultInjector() = default;
@@ -85,6 +87,7 @@ class FaultInjector {
   // (The op numbering itself then depends on the thread schedule — tests
   // that replay exact sequences run single-threaded.)
   std::atomic<uint64_t> ops_{0};
+  std::atomic<uint64_t> faults_{0};
   std::mutex rng_mu_;
   uint64_t rng_state_ = 0;  // guarded by rng_mu_
 };

@@ -8,6 +8,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "exec/table_ops.h"
 #include "exec/thread_pool.h"
 #include "fr/algebra.h"
 
@@ -488,10 +489,10 @@ StatusOr<TablePtr> VeCache::Answer(const MpfQuerySpec& query,
                          source->CombineForVars(query.group_vars, ctx));
   MPFDB_ASSIGN_OR_RETURN(
       TablePtr answer,
-      fr::Marginalize(*combined, query.group_vars, semiring_, "answer"));
+      exec::MarginalizeTable(*combined, query.group_vars, semiring_, "answer"));
   MPFDB_RETURN_IF_ERROR(PollStep(ctx, combined->NumRows()));
   if (query.having.has_value()) {
-    return fr::FilterMeasure(*answer, *query.having, "answer");
+    return exec::FilterMeasureTable(*answer, *query.having, "answer");
   }
   return answer;
 }
@@ -573,25 +574,27 @@ StatusOr<TablePtr> VeCache::CombineForVars(
                             caches_[up]->schema().variables());
       TablePtr attachment = caches_[node];
       if (!separator.empty()) {
+        MPFDB_ASSIGN_OR_RETURN(TablePtr sep_marginal,
+                               exec::MarginalizeTable(*caches_[node], separator,
+                                                      semiring_, "sep"));
         MPFDB_ASSIGN_OR_RETURN(
-            TablePtr sep_marginal,
-            fr::Marginalize(*caches_[node], separator, semiring_, "sep"));
-        MPFDB_ASSIGN_OR_RETURN(attachment,
-                               fr::DivisionJoin(*caches_[node], *sep_marginal,
-                                                semiring_, "att"));
+            attachment, exec::JoinTables(*caches_[node], *sep_marginal,
+                                         semiring_, "att", /*divide=*/true));
         MPFDB_RETURN_IF_ERROR(PollStep(ctx, 2 * caches_[node]->NumRows()));
       }
-      MPFDB_ASSIGN_OR_RETURN(component_result,
-                             fr::ProductJoin(*component_result, *attachment,
-                                             semiring_, "combined"));
+      MPFDB_ASSIGN_OR_RETURN(
+          component_result,
+          exec::JoinTables(*component_result, *attachment, semiring_,
+                           "combined", /*divide=*/false));
       MPFDB_RETURN_IF_ERROR(PollStep(ctx, component_result->NumRows()));
     }
     if (result == nullptr) {
       result = component_result;
     } else {
       // Var-disjoint components: cross product.
-      MPFDB_ASSIGN_OR_RETURN(result, fr::ProductJoin(*result, *component_result,
-                                                     semiring_, "combined"));
+      MPFDB_ASSIGN_OR_RETURN(
+          result, exec::JoinTables(*result, *component_result, semiring_,
+                                   "combined", /*divide=*/false));
       MPFDB_RETURN_IF_ERROR(PollStep(ctx, result->NumRows()));
     }
   }

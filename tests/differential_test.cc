@@ -21,7 +21,8 @@
 //               with other selection values cached the plan's template; and
 //               on the database's own pool at 1, 2 and 8 threads),
 //               QueryWhatIf without a change, Session::Query, NetClient over
-//               NetServer and SqlSession: bit for bit.
+//               NetServer and SqlSession, all on the database's own pool of
+//               4 threads: bit for bit.
 //   approx      QueryApprox: the golden on an acyclic view; on a cyclic one
 //               its bounds bracket the oracle.
 //   cached      QueryCached answers from the VE-cache, which folds in its
@@ -226,10 +227,21 @@ class Fixture {
     return *sql_;
   }
 
+  // The pool every installed database serves on, so the serving, cached
+  // and concurrent routes run parallel by choice rather than by the
+  // library default (serial).
+  static exec::ExecOptions ServingOptions() {
+    exec::ExecOptions options;
+    options.num_threads = 4;
+    return options;
+  }
+
   // Installs `view` as `name`, with its indexes and (for semirings with
-  // division) its VE-cache, into `db`, on copies of its tables.
+  // division) its VE-cache, into `db`, on copies of its tables, and sets
+  // `db` to serve on ServingOptions().
   static void Install(Database& db, const DiffView& view,
                       const std::string& name) {
+    db.set_exec_options(ServingOptions());
     for (const auto& [var, domain] : view.vars) {
       EXPECT_TRUE(db.catalog().RegisterVariable(var, domain).ok());
     }
@@ -270,16 +282,9 @@ std::string Exact(double value) {
   return buf;
 }
 
-// The query as SQL, its HAVING threshold at full precision.
+// The query as SQL (ToString prints HAVING thresholds round-trip).
 std::string SqlOf(const MpfViewDef& def, const MpfQuerySpec& q) {
-  MpfQuerySpec plain = q;
-  plain.having.reset();
-  std::string sql = plain.ToString(def);
-  if (q.having) {
-    sql += std::string(" having f ") + CompareOpSymbol(q.having->op) + " " +
-           Exact(q.having->threshold);
-  }
-  return sql;
+  return q.ToString(def);
 }
 
 // `got` with its columns in the query's group-variable order. Each group is
@@ -460,7 +465,7 @@ class QueryRun {
         options.num_threads = route.threads;
         fx_.db().set_exec_options(options);
         got = table(fx_.db().Query(def.name, query_, spec));
-        fx_.db().set_exec_options(exec::ExecOptions{});
+        fx_.db().set_exec_options(Fixture::ServingOptions());
         break;
       }
       case Route::kWhatIf:
@@ -1139,7 +1144,14 @@ INSTANTIATE_TEST_SUITE_P(Mixes, MvccSoakTest, ::testing::Values(0.05, 0.5),
 struct BracketCase {
   uint64_t seed;
   SemiringKind kind;
+
+  std::string Name() const {
+    return Semiring(kind).name() + "_seed" + std::to_string(seed);
+  }
 };
+// The ctest id carries the printed parameter; gtest's default print would
+// dump the struct's bytes, padding included, which change between builds.
+void PrintTo(const BracketCase& c, std::ostream* os) { *os << c.Name(); }
 class ApproxBracketTest : public ::testing::TestWithParam<BracketCase> {};
 TEST_P(ApproxBracketTest, ApproxBoundsBracketExactOnCycle) {
   RunDifferential(CaseSeed(GetParam().seed), kApprox, ViewFamily::kCycle,
@@ -1159,7 +1171,10 @@ INSTANTIATE_TEST_SUITE_P(
                       BracketCase{1, SemiringKind::kBoolOrAnd},
                       BracketCase{2, SemiringKind::kBoolOrAnd},
                       BracketCase{1, SemiringKind::kLogSumProduct},
-                      BracketCase{2, SemiringKind::kLogSumProduct}));
+                      BracketCase{2, SemiringKind::kLogSumProduct}),
+    [](const ::testing::TestParamInfo<BracketCase>& info) {
+      return info.param.Name();
+    });
 
 }  // namespace
 }  // namespace mpfdb

@@ -6,6 +6,7 @@
 #include "server/net/wire.h"
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "fr/algebra.h"
 #include "storage/schema.h"
 #include "storage/table.h"
+#include "util/rng.h"
 
 namespace mpfdb {
 namespace {
@@ -116,6 +118,141 @@ TEST(NetWireTest, ResultRoundtripBitIdentical) {
   // Bit-identical: tolerance 0.0, including the signed zero.
   EXPECT_TRUE(fr::TablesEqual(*table, *out.table, 0.0));
   EXPECT_TRUE(std::signbit(out.table->measure(2)));
+}
+
+// The result frame's bytes, pinned: a two-row table as the per-value writer
+// laid it out (little-endian fixed-width fields, rows back to back).
+TEST(NetWireTest, ResultFrameGoldenBytes) {
+  auto table = std::make_shared<Table>("t", Schema({"x"}, "f"));
+  table->AppendRow({1}, 0.5);
+  table->AppendRow({-2}, -0.0);
+  ResultFrame res;
+  res.request_id = 42;
+  res.snapshot_epoch = 917;
+  res.plan_cache_hit = true;
+  res.table = table;
+  std::vector<uint8_t> bytes;
+  EncodeResult(res, &bytes);
+  const std::vector<uint8_t> golden = {
+      0x40, 0x00, 0x00, 0x00, 0x02,                    // length 64, kResult
+      0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // request id 42
+      0x95, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // epoch 917
+      0x01,                                            // plan_cache_hit
+      0x01, 0x00, 0x00, 0x00, 't',                     // table name
+      0x01, 0x00, 0x00, 0x00, 'f',                     // measure name
+      0x01, 0x00, 0x00, 0x00,                          // arity 1
+      0x01, 0x00, 0x00, 0x00, 'x',                     // variable
+      0x02, 0x00, 0x00, 0x00,                          // 2 rows
+      0x01, 0x00, 0x00, 0x00,                          // x = 1
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // 0.5
+      0xfe, 0xff, 0xff, 0xff,                          // x = -2
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+  };
+  EXPECT_EQ(bytes, golden);
+}
+
+// The per-value writer the row-block codec replaced, kept as the reference
+// layout: every field appended one byte at a time.
+void LegacyPut(uint64_t v, int width, std::vector<uint8_t>* out) {
+  for (int i = 0; i < width; ++i) {
+    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+}
+void LegacyPutString(const std::string& s, std::vector<uint8_t>* out) {
+  LegacyPut(s.size(), 4, out);
+  out->insert(out->end(), s.begin(), s.end());
+}
+void LegacyPutF64(double v, std::vector<uint8_t>* out) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  LegacyPut(bits, 8, out);
+}
+void LegacyPutTable(const Table& t, std::vector<uint8_t>* out) {
+  LegacyPutString(t.name(), out);
+  LegacyPutString(t.schema().measure_name(), out);
+  LegacyPut(t.schema().arity(), 4, out);
+  for (const auto& var : t.schema().variables()) LegacyPutString(var, out);
+  LegacyPut(t.NumRows(), 4, out);
+  for (size_t r = 0; r < t.NumRows(); ++r) {
+    RowView row = t.Row(r);
+    for (size_t i = 0; i < row.arity; ++i) {
+      LegacyPut(static_cast<uint32_t>(row.var(i)), 4, out);
+    }
+    LegacyPutF64(row.measure, out);
+  }
+}
+std::vector<uint8_t> LegacyEncodeResult(const ResultFrame& f) {
+  std::vector<uint8_t> out(4, 0);
+  out.push_back(static_cast<uint8_t>(FrameType::kResult));
+  LegacyPut(f.request_id, 8, &out);
+  LegacyPut(f.snapshot_epoch, 8, &out);
+  out.push_back(static_cast<uint8_t>(
+      (f.plan_cache_hit ? 1 : 0) | (f.epoch_inexact ? 2 : 0) |
+      (f.approximate ? 4 : 0) | (f.deadline_degraded ? 8 : 0)));
+  LegacyPutTable(*f.table, &out);
+  if (f.approximate) {
+    LegacyPut(f.samples, 8, &out);
+    LegacyPutF64(f.bound_gap, &out);
+    LegacyPutTable(*f.lower, &out);
+    LegacyPutTable(*f.upper, &out);
+  }
+  const uint64_t len = out.size() - 5;
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<uint8_t>(len >> (8 * i));
+  return out;
+}
+
+TablePtr RandomResultTable(const std::string& name, size_t arity, size_t rows,
+                           uint64_t seed) {
+  std::vector<std::string> vars;
+  for (size_t i = 0; i < arity; ++i) vars.push_back("v" + std::to_string(i));
+  auto t = std::make_shared<Table>(name, Schema(vars, "f"));
+  Rng rng(seed);
+  std::vector<VarValue> row(arity);
+  for (size_t r = 0; r < rows; ++r) {
+    for (auto& v : row) {
+      v = static_cast<VarValue>(rng.UniformInt(-2000000000, 2000000000));
+    }
+    t->AppendRow(row, rng.UniformDouble(-1e6, 1e6));
+  }
+  return t;
+}
+
+// The one-pass codec writes exactly the per-value writer's bytes, and reads
+// them back bit for bit: a 5,000-row one-variable answer, a wider table
+// held in sealed (chunked) measure storage, and an approximate result with
+// its bound tables.
+TEST(NetWireTest, RowBlockCodecMatchesPerValueWriter) {
+  ResultFrame plain;
+  plain.request_id = 7;
+  plain.snapshot_epoch = 3;
+  plain.table = RandomResultTable("answer", 1, 5000, 1);
+  ResultFrame sealed;
+  sealed.request_id = 8;
+  sealed.epoch_inexact = true;
+  sealed.table = RandomResultTable("wide", 3, 2500, 2);
+  sealed.table->SealChunked();
+  ResultFrame approx;
+  approx.request_id = 9;
+  approx.approximate = true;
+  approx.deadline_degraded = true;
+  approx.samples = 12345;
+  approx.bound_gap = 0.25;
+  approx.table = RandomResultTable("estimate", 2, 300, 3);
+  approx.lower = RandomResultTable("lower", 2, 300, 4);
+  approx.upper = RandomResultTable("upper", 2, 300, 5);
+  for (const ResultFrame* res : {&plain, &sealed, &approx}) {
+    std::vector<uint8_t> bytes;
+    EncodeResult(*res, &bytes);
+    EXPECT_EQ(bytes, LegacyEncodeResult(*res)) << res->request_id;
+    Frame frame = DecodeOne(bytes);
+    ASSERT_EQ(frame.type, FrameType::kResult);
+    EXPECT_TRUE(fr::TablesEqual(*res->table, *frame.result.table, 0.0));
+    EXPECT_EQ(frame.result.table->name(), res->table->name());
+    if (res->approximate) {
+      EXPECT_TRUE(fr::TablesEqual(*res->lower, *frame.result.lower, 0.0));
+      EXPECT_TRUE(fr::TablesEqual(*res->upper, *frame.result.upper, 0.0));
+    }
+  }
 }
 
 TEST(NetWireTest, ResultRoundtripEmptyTable) {

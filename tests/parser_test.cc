@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "fr/algebra.h"
 #include "parser/sql.h"
 #include "parser/tokenizer.h"
 
@@ -94,6 +95,37 @@ TEST_F(SqlSessionTest, ExplainProducesPlanText) {
   SqlResult result = Run("explain select x, SUM(f) from v group by x");
   EXPECT_EQ(result.table, nullptr);
   EXPECT_NE(result.message.find("GroupBy"), std::string::npos);
+}
+
+TEST_F(SqlSessionTest, HavingThresholdPrintsRoundTrip) {
+  auto view = db_.GetView("v");
+  ASSERT_TRUE(view.ok());
+  MpfQuerySpec a{{"x"}, {}};
+  a.having = HavingClause{CompareOp::kGt, 0.31415926};
+  MpfQuerySpec b = a;
+  b.having->threshold = 0.31415929;
+  const std::string sql_a = a.ToString(**view);
+  const std::string sql_b = b.ToString(**view);
+  EXPECT_NE(sql_a, sql_b);
+  EXPECT_NE(sql_a.find("having f > 0.31415926"), std::string::npos) << sql_a;
+  // A short threshold prints as it always did.
+  MpfQuerySpec half = a;
+  half.having->threshold = 0.5;
+  EXPECT_NE(half.ToString(**view).find("having f > 0.5"), std::string::npos);
+  // The printed SQL parses back to the same spec: EXPLAIN echoes the parsed
+  // query, and the answers agree bit for bit.
+  for (const MpfQuerySpec& spec : {a, b}) {
+    const std::string sql = spec.ToString(**view);
+    SqlResult explained = Run("explain " + sql);
+    EXPECT_NE(explained.message.find("-- query: " + sql + "\n"),
+              std::string::npos)
+        << explained.message;
+    SqlResult parsed = Run(sql);
+    auto direct = db_.Query("v", spec);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    ASSERT_NE(parsed.table, nullptr);
+    EXPECT_TRUE(fr::TablesEqual(*parsed.table, *direct->table, 0.0));
+  }
 }
 
 TEST_F(SqlSessionTest, CreateTableAsSelect) {

@@ -1,3 +1,4 @@
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -56,6 +57,31 @@ TEST(TableTest, AppendAndRead) {
   EXPECT_EQ(t.Row(0).measure, 0.5);
   EXPECT_EQ(t.Row(1).var(0), 3);
   EXPECT_EQ(t.Row(1).measure, 1.5);
+}
+
+// A bulk append lands like the same rows appended one by one, also on a
+// sealed clone, which must neither see the original change nor change it.
+TEST(TableTest, AppendRowsInBulk) {
+  Table t("t", Schema({"x", "y"}, "f"));
+  t.AppendRow({1, 2}, 0.5);
+  const VarValue vars[] = {3, 4, 5, 6};
+  const double measures[] = {1.5, -0.0};
+  t.AppendRows(vars, measures, 2);
+  ASSERT_EQ(t.NumRows(), 3u);
+  EXPECT_EQ(t.Row(1).var(0), 3);
+  EXPECT_EQ(t.Row(2).var(1), 6);
+  EXPECT_EQ(t.measure(1), 1.5);
+  EXPECT_TRUE(std::signbit(t.measure(2)));
+
+  t.SealChunked();
+  auto copy = t.Clone("copy");
+  copy->AppendRows(vars, measures, 1);
+  EXPECT_EQ(t.NumRows(), 3u);
+  ASSERT_EQ(copy->NumRows(), 4u);
+  EXPECT_EQ(copy->Row(3).var(0), 3);
+  EXPECT_EQ(copy->measure(0), 0.5);
+  t.AppendRows(vars, measures, 0);
+  EXPECT_EQ(t.NumRows(), 3u);
 }
 
 TEST(TableTest, ZeroArityTableHoldsScalar) {
