@@ -8,8 +8,10 @@
 //
 //   ./build/bench/ablate_vecache [scale] [--json <path>]   (default 0.05)
 //
-// --json writes, per workload query, the median in-process answer time
-// (vecache_answer/<query>), and the median encode and decode time of a
+// --json writes the median in-process VeCache::Build time over 15 builds
+// under each elimination heuristic (vecache_build/degree,
+// vecache_build/width), per workload query the median in-process answer
+// time (vecache_answer/<query>), and the median encode and decode time of a
 // 5,000-row, one-variable result frame (wire/result_codec_5000). The
 // default scale is e2ebench cache_rw's, whose seven read specs these are.
 
@@ -17,6 +19,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -103,16 +106,43 @@ int main(int argc, char** argv) {
 
   std::printf("# VE-cache ablation (scale %.3f)\n\n", scale);
 
-  auto build_start = Clock::now();
-  auto cache = workload::VeCache::Build(schema->view, db.catalog());
-  if (!cache.ok()) {
-    std::fprintf(stderr, "%s\n", cache.status().ToString().c_str());
-    return 1;
+  // Build time per elimination heuristic: the median of 15 builds. Each
+  // build's predecessor is released outside the timed call.
+  const Catalog& catalog = std::as_const(db).catalog();
+  StatusOr<workload::VeCache> cache = Status::Internal("not built");
+  double build_ms = 0;
+  for (bool width : {false, true}) {
+    workload::VeCacheOptions options;
+    options.use_width_heuristic = width;
+    StatusOr<workload::VeCache> built = Status::Internal("not built");
+    std::vector<double> samples;
+    for (int rep = 0; rep < 15; ++rep) {
+      const auto t0 = Clock::now();
+      StatusOr<workload::VeCache> next =
+          workload::VeCache::Build(schema->view, catalog, options);
+      samples.push_back(MsSince(t0));
+      built = std::move(next);
+    }
+    std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                     samples.end());
+    const double ms = samples[samples.size() / 2];
+    if (!built.ok()) {
+      std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
+      return 1;
+    }
+    const char* heuristic = width ? "width" : "degree";
+    std::printf("%s cache: %zu tables, %lld rows, built in %.2f ms\n",
+                heuristic, built->caches().size(),
+                static_cast<long long>(built->TotalCacheRows()), ms);
+    json.Add(std::string("vecache_build/") + heuristic,
+             {{"build_ms", ms},
+              {"cache_rows", static_cast<double>(built->TotalCacheRows())},
+              {"hardware_threads", hardware_threads}});
+    if (!width) {
+      build_ms = ms;
+      cache = std::move(built);
+    }
   }
-  double build_ms = MsSince(build_start);
-  std::printf("cache: %zu tables, %lld rows, built in %.2f ms\n",
-              cache->caches().size(),
-              static_cast<long long>(cache->TotalCacheRows()), build_ms);
 
   const std::vector<workload::WorkloadQuery> queries = {
       {{{"pid"}, {}}, 0.25}, {{{"sid"}, {}}, 0.15}, {{{"wid"}, {}}, 0.15},
@@ -152,21 +182,6 @@ int main(int argc, char** argv) {
               expected_scratch > expected_cache
                   ? build_ms / (expected_scratch - expected_cache)
                   : -1.0);
-
-  // Heuristic ablation: degree vs width elimination order for the cache.
-  workload::VeCacheOptions width_options;
-  width_options.use_width_heuristic = true;
-  auto t0 = Clock::now();
-  auto width_cache =
-      workload::VeCache::Build(schema->view, db.catalog(), width_options);
-  double width_build_ms = MsSince(t0);
-  if (width_cache.ok()) {
-    std::printf("\nheuristic ablation: degree cache %lld rows / %.2f ms vs "
-                "width cache %lld rows / %.2f ms\n",
-                static_cast<long long>(cache->TotalCacheRows()), build_ms,
-                static_cast<long long>(width_cache->TotalCacheRows()),
-                width_build_ms);
-  }
 
   ResultCodecSection(hardware_threads, &json);
   if (!json_path.empty() && !json.WriteTo(json_path)) return 1;

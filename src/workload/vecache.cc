@@ -6,7 +6,6 @@
 #include <functional>
 #include <limits>
 #include <set>
-#include <unordered_map>
 
 #include "exec/table_ops.h"
 #include "exec/thread_pool.h"
@@ -28,40 +27,6 @@ bool BitsEq(double a, double b) {
   std::memcpy(&x, &a, sizeof(x));
   std::memcpy(&y, &b, sizeof(y));
   return x == y;
-}
-
-std::vector<size_t> ColumnsOf(const Schema& schema,
-                              const std::vector<std::string>& vars) {
-  std::vector<size_t> cols;
-  cols.reserve(vars.size());
-  for (const auto& v : vars) cols.push_back(*schema.IndexOf(v));
-  return cols;
-}
-
-// Packs the projection of `row` onto `cols` into `out` (a hash-map key).
-void PackKey(const RowView& row, const std::vector<size_t>& cols,
-             std::string* out) {
-  out->resize(cols.size() * sizeof(VarValue));
-  char* p = out->data();
-  for (size_t c : cols) {
-    std::memcpy(p, row.vars + c, sizeof(VarValue));
-    p += sizeof(VarValue);
-  }
-}
-
-// Full-tuple row index of `t`: projection key -> row. Rows of a functional
-// relation are unique on their variable tuple, so the map is injective.
-std::unordered_map<std::string, uint32_t> RowIndexByTuple(const Table& t) {
-  std::unordered_map<std::string, uint32_t> index;
-  index.reserve(t.NumRows() * 2);
-  std::vector<size_t> all(t.schema().arity());
-  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
-  std::string key;
-  for (size_t i = 0; i < t.NumRows(); ++i) {
-    PackKey(t.Row(i), all, &key);
-    index.emplace(key, static_cast<uint32_t>(i));
-  }
-  return index;
 }
 
 // group_of (row -> group, kSkip entries dropped) -> group -> rows CSR with
@@ -106,10 +71,6 @@ StatusOr<double> DomainProduct(const Catalog& catalog,
   return product;
 }
 
-uint64_t RowVarsHash(const VarValue* vars, size_t n) {
-  return exec::swiss::HashBytes(vars, n * sizeof(VarValue));
-}
-
 }  // namespace
 
 StatusOr<VeCache> VeCache::Build(const MpfViewDef& view, const Catalog& catalog,
@@ -143,9 +104,10 @@ StatusOr<VeCache> VeCache::Build(const MpfViewDef& view, const Catalog& catalog,
   exec::ThreadPool* pool = ctx != nullptr ? ctx->thread_pool() : nullptr;
 
   // No-query-variable VE (Algorithm 3 line 1): every variable is eliminated.
+  // Alongside the tables, the kernels report the row-level dataflow the
+  // delta plan replays.
   std::vector<std::string> to_eliminate = all_vars;
-  // Factor composition of each clique (fold order), for the delta plan.
-  std::vector<std::vector<DeltaFactorSlot>> clique_slots;
+  auto plan = std::make_shared<DeltaPlan>();
   while (!to_eliminate.empty()) {
     // Heuristic choice: degree (post-elimination domain product) or width
     // (pre-elimination domain product).
@@ -193,15 +155,52 @@ StatusOr<VeCache> VeCache::Build(const MpfViewDef& view, const Catalog& catalog,
     const std::string var = to_eliminate[pick];
     cache.order_.push_back(var);
 
-    // Join the clique; the join result is cached (it precedes a GroupBy).
+    // Record which earlier caches feed this one (Algorithm 3 line 4), which
+    // base relations it absorbs, and the factor composition in fold order
+    // (for exact-replay incremental maintenance).
     const std::vector<size_t>& clique = cliques[pick];
+    const size_t cache_index = cache.caches_.size();
+    DeltaCliquePlan& cp = plan->cliques.emplace_back();
+    cp.alias = clique.size() == 1;
+    for (size_t f : clique) {
+      if (factors[f].cache_origin >= 0) {
+        cache.edges_.emplace_back(
+            static_cast<size_t>(factors[f].cache_origin), cache_index);
+      }
+      if (factors[f].base_index >= 0) {
+        cache.base_to_cache_[static_cast<size_t>(factors[f].base_index)] =
+            cache_index;
+      }
+      DeltaFactorSlot& slot = cp.slots.emplace_back();
+      slot.is_base = factors[f].base_index >= 0;
+      slot.index = static_cast<uint32_t>(
+          slot.is_base ? factors[f].base_index : factors[f].cache_origin);
+    }
+
+    // Join the clique; the join result is cached (it precedes a GroupBy).
+    // Each step's row maps extend every earlier factor's map to the new
+    // joined rows.
     TablePtr joined = factors[clique[0]].table;
     for (size_t k = 1; k < clique.size(); ++k) {
+      exec::JoinRows rows;
       MPFDB_ASSIGN_OR_RETURN(
-          joined, fr::ProductJoin(*joined, *factors[clique[k]].table,
-                                  view.semiring, "tmp"));
+          joined, exec::JoinTables(*joined, *factors[clique[k]].table,
+                                   view.semiring, "tmp", /*divide=*/false,
+                                   &rows));
+      if (k == 1) {
+        cp.slots[0].row_map = std::move(rows.left);
+      } else {
+        for (size_t m = 0; m < k; ++m) {
+          std::vector<uint32_t>& map = cp.slots[m].row_map;
+          std::vector<uint32_t> composed(rows.left.size());
+          for (size_t o = 0; o < composed.size(); ++o) {
+            composed[o] = map[rows.left[o]];
+          }
+          map = std::move(composed);
+        }
+      }
+      cp.slots[k].row_map = std::move(rows.right);
     }
-    const size_t cache_index = cache.caches_.size();
     if (ctx != nullptr) {
       MPFDB_RETURN_IF_ERROR(ctx->Poll(joined->NumRows()));
       MPFDB_RETURN_IF_ERROR(memory.Charge(
@@ -217,33 +216,15 @@ StatusOr<VeCache> VeCache::Build(const MpfViewDef& view, const Catalog& catalog,
     TablePtr cached(joined->Clone("cache" + std::to_string(cache_index)));
     cache.caches_.push_back(cached);
     cache.joined_.push_back(joined);
-    // Record which earlier caches fed this one (Algorithm 3 line 4), which
-    // base relations it absorbed, and the factor composition in fold order
-    // (for exact-replay incremental maintenance).
-    clique_slots.emplace_back();
-    for (size_t f : clique) {
-      if (factors[f].cache_origin >= 0) {
-        cache.edges_.emplace_back(
-            static_cast<size_t>(factors[f].cache_origin), cache_index);
-      }
-      if (factors[f].base_index >= 0) {
-        cache.base_to_cache_[static_cast<size_t>(factors[f].base_index)] =
-            cache_index;
-      }
-      DeltaFactorSlot slot;
-      slot.is_base = factors[f].base_index >= 0;
-      slot.index = slot.is_base ? static_cast<uint32_t>(factors[f].base_index)
-                                : static_cast<uint32_t>(factors[f].cache_origin);
-      clique_slots.back().push_back(std::move(slot));
-    }
 
     // Reduce: GroupBy on everything but `var`.
     std::vector<std::string> keep =
         varset::Difference(joined->schema().variables(), {var});
     MPFDB_ASSIGN_OR_RETURN(
         TablePtr reduced,
-        fr::Marginalize(*joined, keep, view.semiring,
-                        "msg" + std::to_string(cache_index)));
+        exec::MarginalizeTable(*joined, keep, view.semiring,
+                               "msg" + std::to_string(cache_index),
+                               &cp.msg_group_of));
     reduced->SealChunked();
     cache.msgs_.push_back(reduced);
 
@@ -260,32 +241,47 @@ StatusOr<VeCache> VeCache::Build(const MpfViewDef& view, const Catalog& catalog,
   }
 
   // Backward pass (Algorithm 3 lines 3-7): propagate later caches' reductions
-  // into the caches that fed them.
+  // into the caches that fed them. Edge (i, j) refreshes cache i exactly
+  // once, while it still equals its clique join t = joined_i.
+  plan->edges.resize(cache.edges_.size());
   for (size_t e = cache.edges_.size(); e-- > 0;) {
     const auto& [i, j] = cache.edges_[e];
     if (ctx != nullptr) {
       MPFDB_RETURN_IF_ERROR(ctx->Poll(cache.caches_[i]->NumRows()));
     }
+    exec::SemijoinRows rows;
     MPFDB_ASSIGN_OR_RETURN(
         cache.caches_[i],
-        fr::UpdateSemijoin(*cache.caches_[i], *cache.caches_[j], view.semiring,
-                           cache.caches_[i]->name()));
+        exec::UpdateSemijoinTable(*cache.caches_[i], *cache.caches_[j],
+                                  view.semiring, cache.caches_[i]->name(),
+                                  &rows));
+    DeltaEdgePlan& ep = plan->edges[e];
+    ep.t_clique = static_cast<uint32_t>(i);
+    ep.s_clique = static_cast<uint32_t>(j);
+    ep.t_group_of = std::move(rows.t_group_of);
+    ep.s_group_of = std::move(rows.s_group_of);
+    ep.final_to_t = std::move(rows.out_to_t);
+    ep.t_members = MakeCsr(rows.num_groups, ep.t_group_of);
+    ep.s_members =
+        MakeCsr(rows.num_groups, ep.s_group_of, DeltaEdgePlan::kNoGroup);
+    std::vector<uint32_t> final_group_of(ep.final_to_t.size());
+    for (size_t r = 0; r < final_group_of.size(); ++r) {
+      final_group_of[r] = ep.t_group_of[ep.final_to_t[r]];
+    }
+    ep.group_final = MakeCsr(rows.num_groups, final_group_of);
   }
   MPFDB_RETURN_IF_ERROR(cache.RefreshComponentTotals());
   // Seal every cache table: non-root caches are fresh UpdateSemijoin
   // results, root caches are the (already chunk-sharing) clique clones.
   // From here on all tables are immutable; updates mint new versions.
   for (TablePtr& t : cache.caches_) t->SealChunked();
-  MPFDB_RETURN_IF_ERROR(cache.BuildDeltaPlan(clique_slots));
-  cache.BuildBaseRowLocator();
+  MPFDB_RETURN_IF_ERROR(cache.FinishDeltaPlan(std::move(plan)));
+  cache.BuildBaseRowOrders();
   return cache;
 }
 
-Status VeCache::BuildDeltaPlan(
-    const std::vector<std::vector<DeltaFactorSlot>>& slots) {
-  auto plan = std::make_shared<DeltaPlan>();
+Status VeCache::FinishDeltaPlan(std::shared_ptr<DeltaPlan> plan) {
   const size_t num_cliques = caches_.size();
-  plan->cliques.resize(num_cliques);
   plan->base_absorbed.assign(base_tables_.size(), 0);
   plan->out_edge.assign(num_cliques, -1);
   for (size_t e = 0; e < edges_.size(); ++e) {
@@ -298,12 +294,7 @@ Status VeCache::BuildDeltaPlan(
     }
     plan->out_edge[i] = static_cast<int32_t>(e);
   }
-
-  for (size_t i = 0; i < num_cliques; ++i) {
-    DeltaCliquePlan& cp = plan->cliques[i];
-    cp.slots = slots[i];
-    cp.alias = cp.slots.size() == 1;
-    const Table& joined = *joined_[i];
+  for (DeltaCliquePlan& cp : plan->cliques) {
     for (DeltaFactorSlot& slot : cp.slots) {
       if (slot.is_base) {
         plan->base_absorbed[slot.index] = 1;
@@ -313,100 +304,18 @@ Status VeCache::BuildDeltaPlan(
       if (cp.alias) continue;  // joined aliases the factor: identity map
       const Table& factor =
           slot.is_base ? *base_tables_[slot.index] : *msgs_[slot.index];
-      auto index = RowIndexByTuple(factor);
-      const std::vector<size_t> cols =
-          ColumnsOf(joined.schema(), factor.schema().variables());
-      slot.row_map.resize(joined.NumRows());
-      std::string key;
-      for (size_t r = 0; r < joined.NumRows(); ++r) {
-        PackKey(joined.Row(r), cols, &key);
-        auto it = index.find(key);
-        if (it == index.end()) {
-          return Status::Internal("joined row of clique " + std::to_string(i) +
-                                  " has no source row in " + factor.name());
-        }
-        slot.row_map[r] = it->second;
-      }
       slot.rev = MakeCsr(factor.NumRows(), slot.row_map);
     }
   }
-  // Message fold maps, only for messages a later clique consumes.
+  // Message fold maps, kept only for messages a later clique consumes.
   for (size_t i = 0; i < num_cliques; ++i) {
     DeltaCliquePlan& cp = plan->cliques[i];
-    if (!cp.msg_consumed) continue;
-    const Table& joined = *joined_[i];
-    const Table& msg = *msgs_[i];
-    auto index = RowIndexByTuple(msg);
-    const std::vector<size_t> cols =
-        ColumnsOf(joined.schema(), msg.schema().variables());
-    cp.msg_group_of.resize(joined.NumRows());
-    std::string key;
-    for (size_t r = 0; r < joined.NumRows(); ++r) {
-      PackKey(joined.Row(r), cols, &key);
-      auto it = index.find(key);
-      if (it == index.end()) {
-        return Status::Internal("message row missing for clique " +
-                                std::to_string(i));
-      }
-      cp.msg_group_of[r] = it->second;
+    if (cp.msg_consumed) {
+      cp.msg_members = MakeCsr(msgs_[i]->NumRows(), cp.msg_group_of);
+    } else {
+      cp.msg_group_of = {};
     }
-    cp.msg_members = MakeCsr(msg.NumRows(), cp.msg_group_of);
   }
-
-  // Edge plans: separator groups of t = joined_i (first-encounter order),
-  // aligned s rows, and the surviving final-row mapping.
-  plan->edges.resize(edges_.size());
-  for (size_t e = 0; e < edges_.size(); ++e) {
-    const auto& [i, j] = edges_[e];
-    DeltaEdgePlan& ep = plan->edges[e];
-    ep.t_clique = static_cast<uint32_t>(i);
-    ep.s_clique = static_cast<uint32_t>(j);
-    const Table& t = *joined_[i];
-    const Table& s = *caches_[j];
-    const std::vector<std::string> sep = varset::Intersect(
-        t.schema().variables(), s.schema().variables());
-    const std::vector<size_t> t_cols = ColumnsOf(t.schema(), sep);
-    const std::vector<size_t> s_cols = ColumnsOf(s.schema(), sep);
-    std::unordered_map<std::string, uint32_t> group_ids;
-    group_ids.reserve(t.NumRows() * 2);
-    ep.t_group_of.resize(t.NumRows());
-    std::string key;
-    for (size_t r = 0; r < t.NumRows(); ++r) {
-      PackKey(t.Row(r), t_cols, &key);
-      ep.t_group_of[r] =
-          group_ids.emplace(key, static_cast<uint32_t>(group_ids.size()))
-              .first->second;
-    }
-    const size_t num_groups = group_ids.size();
-    ep.t_members = MakeCsr(num_groups, ep.t_group_of);
-    ep.s_group_of.resize(s.NumRows());
-    for (size_t r = 0; r < s.NumRows(); ++r) {
-      PackKey(s.Row(r), s_cols, &key);
-      auto it = group_ids.find(key);
-      ep.s_group_of[r] =
-          it == group_ids.end() ? DeltaEdgePlan::kNoGroup : it->second;
-    }
-    ep.s_members = MakeCsr(num_groups, ep.s_group_of, DeltaEdgePlan::kNoGroup);
-    // final_i rows are the t rows whose separator assignment s also has.
-    const Table& fin = *caches_[i];
-    auto t_index = RowIndexByTuple(t);
-    const std::vector<size_t> f_cols =
-        ColumnsOf(fin.schema(), t.schema().variables());
-    ep.final_to_t.resize(fin.NumRows());
-    std::vector<uint32_t> final_group_of(fin.NumRows());
-    for (size_t r = 0; r < fin.NumRows(); ++r) {
-      PackKey(fin.Row(r), f_cols, &key);
-      auto it = t_index.find(key);
-      if (it == t_index.end()) {
-        return Status::Internal("final cache row of clique " +
-                                std::to_string(i) + " not found in its join");
-      }
-      ep.final_to_t[r] = it->second;
-      final_group_of[r] = ep.t_group_of[it->second];
-    }
-    ep.group_final = MakeCsr(num_groups, final_group_of);
-  }
-
   for (size_t i = 0; i < num_cliques; ++i) {
     const size_t root = cache_component_[i];
     plan->component_rep.emplace(root, i);  // keeps the lowest i per root
@@ -415,20 +324,13 @@ Status VeCache::BuildDeltaPlan(
   return Status::Ok();
 }
 
-void VeCache::BuildBaseRowLocator() {
-  auto locator = std::make_shared<std::vector<exec::SwissTable<uint32_t>>>();
-  locator->reserve(base_tables_.size());
+void VeCache::BuildBaseRowOrders() {
+  auto orders = std::make_shared<std::vector<std::vector<uint32_t>>>();
+  orders->reserve(base_tables_.size());
   for (const TablePtr& base : base_tables_) {
-    exec::SwissTable<uint32_t>& rows = locator->emplace_back(base->NumRows());
-    for (size_t i = 0; i < base->NumRows(); ++i) {
-      RowView row = base->Row(i);
-      // On a hash tie the first row keeps the slot; LocateBaseRow's scan
-      // finds the others.
-      rows.FindOrInsert(RowVarsHash(row.vars, row.arity),
-                        static_cast<uint32_t>(i));
-    }
+    orders->push_back(exec::CanonicalRowOrder(*base));
   }
-  base_row_locator_ = std::move(locator);
+  base_row_orders_ = std::move(orders);
 }
 
 Status VeCache::RefreshComponentTotals(QueryContext* ctx) {
@@ -457,8 +359,9 @@ Status VeCache::RefreshComponentTotals(QueryContext* ctx) {
     size_t root = find(i);
     if (component_totals_.count(root)) continue;
     // Every calibrated cache carries its component's total mass.
-    MPFDB_ASSIGN_OR_RETURN(TablePtr scalar,
-                           fr::Marginalize(*caches_[i], {}, semiring_, "total"));
+    MPFDB_ASSIGN_OR_RETURN(
+        TablePtr scalar,
+        exec::MarginalizeTable(*caches_[i], {}, semiring_, "total"));
     MPFDB_RETURN_IF_ERROR(PollStep(ctx, caches_[i]->NumRows()));
     component_totals_[root] =
         scalar->Empty() ? std::nullopt
@@ -640,7 +543,7 @@ StatusOr<VeCache> VeCache::WithSelection(const std::string& var,
   updated.order_ = order_;
   updated.base_tables_ = base_tables_;
   updated.base_to_cache_ = base_to_cache_;
-  updated.base_row_locator_ = base_row_locator_;
+  updated.base_row_orders_ = base_row_orders_;
   // Cached tables are immutable (Select and the distribute pass below mint
   // new tables), so the restricted cache shares them rather than cloning.
   // The restriction changes cache structure, so it retains no delta plan:
@@ -709,21 +612,20 @@ StatusOr<size_t> VeCache::LocateBaseRow(
         "row must provide all " + std::to_string(base.schema().arity()) +
         " variable values of " + base.name());
   }
-  // Fast path: one locator probe plus a verifying row compare. A miss (an
-  // absent row, or one that lost a hash tie) falls through to the linear
-  // scan, which remains the semantic ground truth.
-  const uint32_t* pos = (*base_row_locator_)[base_index].Find(
-      RowVarsHash(row_vars.data(), row_vars.size()));
-  if (pos != nullptr) {
-    RowView row = base.Row(*pos);
+  // Binary search over the rows in canonical order; among equal rows the
+  // order keeps the lowest row index first.
+  const std::vector<uint32_t>& order = (*base_row_orders_)[base_index];
+  auto it = std::lower_bound(
+      order.begin(), order.end(), row_vars,
+      [&](uint32_t r, const std::vector<VarValue>& key) {
+        RowView row = base.Row(r);
+        return std::lexicographical_compare(row.vars, row.vars + row.arity,
+                                            key.begin(), key.end());
+      });
+  if (it != order.end()) {
+    RowView row = base.Row(*it);
     if (std::equal(row.vars, row.vars + row.arity, row_vars.begin())) {
-      return *pos;
-    }
-  }
-  for (size_t i = 0; i < base.NumRows(); ++i) {
-    RowView row = base.Row(i);
-    if (std::equal(row.vars, row.vars + row.arity, row_vars.begin())) {
-      return i;
+      return static_cast<size_t>(*it);
     }
   }
   return Status::NotFound("no row of " + base.name() +
@@ -974,7 +876,7 @@ StatusOr<VeCache> VeCache::WithMeasureDelta(
       if (changed_final[rep].empty()) continue;
       MPFDB_ASSIGN_OR_RETURN(
           TablePtr scalar,
-          fr::Marginalize(*new_final[rep], {}, semiring_, "total"));
+          exec::MarginalizeTable(*new_final[rep], {}, semiring_, "total"));
       new_totals[root] = scalar->Empty()
                              ? std::nullopt
                              : std::optional<double>(scalar->measure(0));

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/hash_table.h"
+#include "exec/table_ops.h"
 #include "plan/plan.h"
 #include "semiring/semiring.h"
 #include "storage/catalog.h"
@@ -44,14 +44,16 @@ struct VeCacheOptions {
 // Build() records, besides the cache tables themselves, the row-level
 // dataflow that produced them: which factor row fed which joined row, which
 // joined rows fold into which message row, and which separator group each
-// row belongs to on every tree edge. A measure update then *replays* exactly
-// the Build dataflow for the affected rows — same per-entry formulas, same
-// fold orders — so the incrementally refreshed cache is bit-identical to a
-// full rebuild against the updated base tables (all the fr:: operators'
-// structure is measure-independent, and IEEE +/* are bitwise commutative,
-// which covers the probe/build role swaps inside ProductJoin). Rows whose
-// recomputed value is bitwise unchanged are pruned, so propagation dies out
-// on untouched subtrees and per-update work scales with the changed rows.
+// row belongs to on every tree edge. The table kernels (exec/table_ops.h)
+// report these maps as they compute the tables. A measure update then
+// *replays* exactly the Build dataflow for the affected rows — same
+// per-entry formulas, same fold orders — so the incrementally refreshed
+// cache is bit-identical to a full rebuild against the updated base tables
+// (the kernels' row structure is measure-independent, and IEEE +/* are
+// bitwise commutative, which covers the operand order a product join picks
+// by input size). Rows whose recomputed value is bitwise unchanged are
+// pruned, so propagation dies out on untouched subtrees and per-update work
+// scales with the changed rows.
 
 // Compressed group->members adjacency (members stored back to back).
 struct DeltaCsr {
@@ -82,10 +84,11 @@ struct DeltaCliquePlan {
 
 // Per-edge replay maps for the backward update semijoin
 // final_i = PJ(cache0_i, DivisionJoin(Marg(final_j, sep), Marg(cache0_i, sep))).
-// Groups are the separator assignments of t = cache0_i (== joined_i), in
-// first-encounter order over t's rows.
+// Groups are the separator assignments of t = cache0_i (== joined_i),
+// numbered in ascending order: group g is row g of Marg(cache0_i, sep)
+// (exec::SemijoinRows).
 struct DeltaEdgePlan {
-  static constexpr uint32_t kNoGroup = 0xffffffffu;
+  static constexpr uint32_t kNoGroup = exec::SemijoinRows::kNoGroup;
   uint32_t t_clique = 0;  // i: the cache being refreshed
   uint32_t s_clique = 0;  // j: the neighbor whose marginal flows in
   std::vector<uint32_t> t_group_of;  // t row -> group
@@ -185,10 +188,10 @@ class VeCache {
 
   const std::vector<TablePtr>& base_tables() const { return base_tables_; }
   StatusOr<size_t> BaseIndexOf(const std::string& table_name) const;
-  // Row of base table `base_index` whose variable values equal `row_vars`:
-  // one locator probe plus a verifying row compare, falling back to a scan
-  // (the ground truth) when the probe misses. NotFound if absent;
-  // InvalidArgument for an out-of-range `base_index` or a wrong arity.
+  // Row of base table `base_index` whose variable values equal `row_vars`
+  // (the lowest such row): a binary search over the table's canonical row
+  // order. NotFound if absent; InvalidArgument for an out-of-range
+  // `base_index` or a wrong arity.
   StatusOr<size_t> LocateBaseRow(size_t base_index,
                                  const std::vector<VarValue>& row_vars) const;
 
@@ -200,15 +203,17 @@ class VeCache {
  private:
   VeCache(Semiring semiring) : semiring_(semiring) {}
 
-  // Computes the delta-plan row maps from the retained Build artifacts
-  // (joined_, msgs_, final caches). Called once at the end of Build.
-  Status BuildDeltaPlan(const std::vector<std::vector<DeltaFactorSlot>>& slots);
+  // Completes the delta plan whose row maps Build collected from the
+  // kernels (the reverse maps, edge directions, message consumers and
+  // component representatives) and adopts it. Called once at the end of
+  // Build.
+  Status FinishDeltaPlan(std::shared_ptr<DeltaPlan> plan);
 
   // Re-propagates updates outward from cache `start` along the tree, then
   // refreshes the component totals.
   Status DistributeFrom(size_t start, QueryContext* ctx);
-  // Builds base_row_locator_ over base_tables_.
-  void BuildBaseRowLocator();
+  // Builds base_row_orders_ over base_tables_.
+  void BuildBaseRowOrders();
   // Combines the calibrated caches of the minimal subtrees covering
   // `needed_vars` into one relation holding the joint's marginal over (at
   // least) those variables, including cross-component totals.
@@ -228,12 +233,11 @@ class VeCache {
   // Base tables of the view, in view order, and the cache that absorbed each.
   std::vector<TablePtr> base_tables_;
   std::vector<size_t> base_to_cache_;
-  // Per-base-table row locators: the hash of a row's variable values ->
-  // the first row with that hash. Built once at Build and shared by every
+  // Per-base-table canonical row orders (exec::CanonicalRowOrder), which
+  // LocateBaseRow binary-searches. Built once at Build and shared by every
   // version derived from it — measure updates never change row variables,
   // and a selection restricts the caches, not the base tables.
-  std::shared_ptr<const std::vector<exec::SwissTable<uint32_t>>>
-      base_row_locator_;
+  std::shared_ptr<const std::vector<std::vector<uint32_t>>> base_row_orders_;
   // Component id per cache and scalar total per component id; no total
   // when the component's join is empty, which empties every answer.
   std::vector<size_t> cache_component_;

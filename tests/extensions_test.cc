@@ -276,9 +276,10 @@ TEST_F(ExtensionsTest, VeCacheIncrementalMaintenance) {
 }
 
 TEST_F(ExtensionsTest, VeCacheBaseRowLocatorMatchesScan) {
-  // The base-row locator is a pure accelerator over the linear scan: every
-  // row it finds is the row the scan finds, and caches maintained through
-  // it equal a from-scratch build over the updated tables bit for bit.
+  // The base-row locator finds every row a linear scan finds, reports an
+  // absent row as NotFound wherever it falls among the stored rows, and
+  // caches maintained through it equal a from-scratch build over the
+  // updated tables bit for bit.
   auto built = workload::VeCache::Build(view_, db_.catalog());
   ASSERT_TRUE(built.ok()) << built.status();
   workload::VeCache cache = built->CloneDeep();
@@ -299,8 +300,12 @@ TEST_F(ExtensionsTest, VeCacheBaseRowLocatorMatchesScan) {
   }
   auto warehouses = cache.BaseIndexOf("warehouses");
   ASSERT_TRUE(warehouses.ok());
-  EXPECT_EQ(cache.LocateBaseRow(*warehouses, {9999, 9999}).status().code(),
-            StatusCode::kNotFound);
+  for (const std::vector<VarValue>& absent :
+       {std::vector<VarValue>{-1, -1}, std::vector<VarValue>{0, 9999},
+        std::vector<VarValue>{9999, 9999}}) {
+    EXPECT_EQ(cache.LocateBaseRow(*warehouses, absent).status().code(),
+              StatusCode::kNotFound);
+  }
   EXPECT_EQ(cache.LocateBaseRow(*warehouses, {0}).status().code(),
             StatusCode::kInvalidArgument);  // wrong arity
   EXPECT_EQ(cache.LocateBaseRow(bases.size(), {0, 0}).status().code(),

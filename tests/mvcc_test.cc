@@ -143,6 +143,43 @@ TEST_P(MvccDeltaDifferentialTest, DeltaMatchesRebuildBitwise) {
   }
 }
 
+// The same differential over views whose joins and folds take each path of
+// the table kernels Build runs on — direct-address (dense keys), binary
+// search (sparse keys) and the fr fallback (keys wider than 64 bits) — so
+// the delta plan built from the kernels' row maps is checked on each. Three
+// batches apply in sequence; the rebuild applies all of them at once.
+TEST_P(MvccDeltaDifferentialTest, KernelPathsDeltaMatchesRebuildBitwise) {
+  const uint64_t seed = CaseSeed(GetParam());
+  MPFDB_TRACE_SEED(seed);
+  for (KeyValues values :
+       {KeyValues::kDense, KeyValues::kSparse, KeyValues::kWide}) {
+    for (const Semiring& semiring :
+         {Semiring::SumProduct(), Semiring::MaxProduct()}) {
+      const std::string label = semiring.name() + " values " +
+                                std::to_string(static_cast<int>(values));
+      RandomView rv = MakeKeyedView(seed, values, /*extra_rels=*/0,
+                                    /*signed_zeros=*/false);
+      rv.view.semiring = semiring;
+      auto base = VeCache::Build(rv.view, rv.catalog);
+      ASSERT_TRUE(base.ok()) << label << ": " << base.status().message();
+      ASSERT_TRUE(base->SupportsDelta()) << label;
+      Rng rng(seed * 131 + static_cast<uint64_t>(values));
+      VeCache current = *base;
+      std::vector<VeCacheDeltaOp> all_ops;
+      for (int batch = 0; batch < 3; ++batch) {
+        std::vector<VeCacheDeltaOp> ops = RandomBatch(rv, rng);
+        auto next = current.WithMeasureDelta(ops);
+        ASSERT_TRUE(next.ok()) << label << ": " << next.status().message();
+        current = std::move(*next);
+        all_ops.insert(all_ops.end(), ops.begin(), ops.end());
+      }
+      auto rebuilt = RebuildWithBatch(rv, all_ops);
+      ASSERT_TRUE(rebuilt.ok()) << label << ": " << rebuilt.status().message();
+      ExpectCachesBitIdentical(current, *rebuilt, label);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MvccDeltaDifferentialTest,
                          ::testing::Range<uint64_t>(0, 6));
 

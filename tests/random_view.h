@@ -12,6 +12,7 @@
 #define MPFDB_TESTS_RANDOM_VIEW_H_
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <set>
@@ -93,6 +94,101 @@ inline RandomView MakeRandomView(uint64_t seed, int num_vars, int num_rels,
     if (table->Empty()) {
       // Guarantee at least one row so the view is non-degenerate.
       table->AppendRow(std::vector<VarValue>(vars.size(), 0), 1.0);
+    }
+    EXPECT_TRUE(rv.catalog.RegisterTable(table).ok());
+    rv.present_vars = varset::Union(rv.present_vars, vars);
+    rv.tables.push_back(table);
+    rv.view.relations.push_back(table->name());
+  }
+  return rv;
+}
+
+// How MakeKeyedView draws each variable's values: the key shapes on which
+// the table kernels (exec/table_ops.h) take different paths.
+enum class KeyValues {
+  kDense,   // 0, 1, ...: direct-address folds and probes
+  kSparse,  // spread over [-10^9, 10^9]: hashed folds, binary-search probes
+  kWide,    // INT32_MIN, INT32_MAX and others between: every key of two or
+            // more variables overflows 64 bits and falls back to fr
+};
+
+// A view over the scopes r0(v0, v1, v2), r1(v1, v0, v3), r2(v2, v3, v4),
+// plus `extra_rels` relations over random 1-3 variable scopes. Without
+// extra relations, the degree heuristic eliminates v4 first whatever the
+// domains, and every order after that joins two factors on two or more
+// variables. Each variable has 2-4 values drawn per `values`; each relation
+// holds a random 80 % of its scope's cross product (at least one row), in
+// shuffled row order. Measures lie in [0.25, 2), or with `signed_zeros` are also -0.0,
+// 0.0 or negative.
+inline RandomView MakeKeyedView(uint64_t seed, KeyValues values,
+                                int extra_rels, bool signed_zeros) {
+  Rng rng(seed * 0x2545f4914f6cdd1dull + 7);
+  RandomView rv;
+  std::vector<std::vector<VarValue>> domain;
+  for (int i = 0; i < 5; ++i) {
+    const std::string name = "v" + std::to_string(i);
+    const int64_t size = rng.UniformInt(2, 4);
+    std::set<VarValue> picked;
+    if (values == KeyValues::kWide) picked = {INT32_MIN, INT32_MAX};
+    while (static_cast<int64_t>(picked.size()) < size) {
+      switch (values) {
+        case KeyValues::kDense:
+          picked.insert(static_cast<VarValue>(picked.size()));
+          break;
+        case KeyValues::kSparse:
+          picked.insert(static_cast<VarValue>(
+              rng.UniformInt(-1000000000, 1000000000)));
+          break;
+        case KeyValues::kWide:
+          picked.insert(
+              static_cast<VarValue>(rng.UniformInt(INT32_MIN, INT32_MAX)));
+          break;
+      }
+    }
+    domain.emplace_back(picked.begin(), picked.end());
+    EXPECT_TRUE(rv.catalog.RegisterVariable(name, size).ok());
+    rv.vars.push_back(name);
+  }
+  std::vector<std::vector<size_t>> scopes = {{0, 1, 2}, {1, 0, 3}, {2, 3, 4}};
+  for (int r = 0; r < extra_rels; ++r) {
+    std::set<size_t> scope;
+    const int64_t width = rng.UniformInt(1, 3);
+    while (static_cast<int64_t>(scope.size()) < width) {
+      scope.insert(static_cast<size_t>(rng.UniformInt(0, 4)));
+    }
+    std::vector<size_t> ordered(scope.begin(), scope.end());
+    rng.Shuffle(ordered);
+    scopes.push_back(ordered);
+  }
+  rv.view.name = "view";
+  rv.view.semiring = Semiring::SumProduct();
+  for (size_t r = 0; r < scopes.size(); ++r) {
+    std::vector<std::string> vars;
+    for (size_t v : scopes[r]) vars.push_back(rv.vars[v]);
+    std::vector<std::vector<VarValue>> rows = {{}};
+    for (size_t v : scopes[r]) {
+      std::vector<std::vector<VarValue>> longer;
+      for (const auto& row : rows) {
+        for (VarValue value : domain[v]) {
+          longer.push_back(row);
+          longer.back().push_back(value);
+        }
+      }
+      rows = std::move(longer);
+    }
+    rng.Shuffle(rows);
+    auto table = std::make_shared<Table>("r" + std::to_string(r),
+                                         Schema(vars, "f"));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (i > 0 && !rng.Bernoulli(0.8)) continue;
+      double measure = rng.UniformDouble(0.25, 2.0);
+      if (signed_zeros) {
+        const int64_t pick = rng.UniformInt(0, 5);
+        if (pick == 0) measure = -0.0;
+        if (pick == 1) measure = 0.0;
+        if (pick == 2) measure = -measure;
+      }
+      table->AppendRow(rows[i], measure);
     }
     EXPECT_TRUE(rv.catalog.RegisterTable(table).ok());
     rv.present_vars = varset::Union(rv.present_vars, vars);

@@ -1,6 +1,11 @@
+#include <algorithm>
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "fr/algebra.h"
+#include "random_view.h"
 #include "workload/bp.h"
 #include "workload/generators.h"
 #include "workload/loopy_bp.h"
@@ -189,6 +194,156 @@ TEST(VeCacheEmptyComponentTest, EmptyComponentEmptiesEveryAnswer) {
                                     view.semiring, "truth");
   ASSERT_TRUE(truth.ok()) << truth.status();
   EXPECT_TRUE(fr::TablesEqual(**truth, **answer, 0.0)) << (*answer)->ToString();
+}
+
+// VeCache::Build spelled out over the fr:: reference operators: the same
+// elimination choices (degree or width score, the earliest candidate on a
+// tie), each clique's join folded left to right, its message, and the
+// backward update semijoins in reverse edge order.
+struct ReferenceCache {
+  std::vector<TablePtr> caches;
+  std::vector<std::pair<size_t, size_t>> edges;
+  std::vector<std::string> order;
+};
+
+ReferenceCache ReferenceBuild(const MpfViewDef& view, const Catalog& catalog,
+                              bool width) {
+  struct Factor {
+    TablePtr table;
+    int origin;  // producing cache, -1 for a base relation
+  };
+  std::vector<Factor> factors;
+  std::vector<std::string> to_eliminate;
+  for (const auto& rel : view.relations) {
+    TablePtr table = *catalog.GetTable(rel);
+    factors.push_back({table, -1});
+    to_eliminate = varset::Union(to_eliminate, table->schema().variables());
+  }
+  ReferenceCache ref;
+  const Semiring& semiring = view.semiring;
+  while (!to_eliminate.empty()) {
+    size_t pick = 0;
+    double best = std::numeric_limits<double>::infinity();
+    std::vector<size_t> clique;
+    for (size_t c = 0; c < to_eliminate.size(); ++c) {
+      std::vector<size_t> members;
+      std::vector<std::string> vars;
+      for (size_t f = 0; f < factors.size(); ++f) {
+        if (factors[f].table->schema().HasVariable(to_eliminate[c])) {
+          members.push_back(f);
+          vars = varset::Union(vars, factors[f].table->schema().variables());
+        }
+      }
+      if (members.empty()) continue;
+      if (!width) vars = varset::Difference(vars, {to_eliminate[c]});
+      double score = 1.0;
+      for (const auto& v : vars) {
+        score *= static_cast<double>(*catalog.DomainSize(v));
+      }
+      if (score < best) {
+        best = score;
+        pick = c;
+        clique = members;
+      }
+    }
+    if (clique.empty()) {
+      to_eliminate.erase(to_eliminate.begin() + pick);
+      continue;
+    }
+    const std::string var = to_eliminate[pick];
+    ref.order.push_back(var);
+    TablePtr joined = factors[clique[0]].table;
+    for (size_t k = 1; k < clique.size(); ++k) {
+      joined = *fr::ProductJoin(*joined, *factors[clique[k]].table, semiring,
+                                "tmp");
+    }
+    const size_t index = ref.caches.size();
+    ref.caches.push_back(joined->Clone("cache" + std::to_string(index)));
+    for (size_t f : clique) {
+      if (factors[f].origin >= 0) {
+        ref.edges.emplace_back(static_cast<size_t>(factors[f].origin), index);
+      }
+    }
+    TablePtr message = *fr::Marginalize(
+        *joined, varset::Difference(joined->schema().variables(), {var}),
+        semiring, "msg" + std::to_string(index));
+    std::vector<Factor> next;
+    for (size_t f = 0; f < factors.size(); ++f) {
+      if (std::find(clique.begin(), clique.end(), f) == clique.end()) {
+        next.push_back(factors[f]);
+      }
+    }
+    next.push_back({message, static_cast<int>(index)});
+    factors = std::move(next);
+    to_eliminate.erase(to_eliminate.begin() + pick);
+  }
+  for (size_t e = ref.edges.size(); e-- > 0;) {
+    const auto [i, j] = ref.edges[e];
+    ref.caches[i] = *fr::UpdateSemijoin(*ref.caches[i], *ref.caches[j],
+                                        semiring, ref.caches[i]->name());
+  }
+  return ref;
+}
+
+// Bitwise table equality (NaN payloads and signed zeros included).
+::testing::AssertionResult SameBits(const Table& want, const Table& got) {
+  if (want.name() != got.name() ||
+      want.schema().variables() != got.schema().variables() ||
+      want.NumRows() != got.NumRows()) {
+    return ::testing::AssertionFailure()
+           << got.name() << got.schema().ToString() << " " << got.NumRows()
+           << " rows vs " << want.name() << want.schema().ToString() << " "
+           << want.NumRows() << " rows";
+  }
+  for (size_t r = 0; r < want.NumRows(); ++r) {
+    const RowView w = want.Row(r), g = got.Row(r);
+    const double wm = w.measure, gm = g.measure;
+    if (!std::equal(w.vars, w.vars + w.arity, g.vars) ||
+        std::memcmp(&wm, &gm, sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << want.name() << " row " << r << ": " << gm << " vs " << wm;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Build on the packed table kernels equals the fr:: reference build bit for
+// bit — every cache, the elimination order and the tree edges — on every
+// semiring with division, under both heuristics, over dense, sparse and
+// wider-than-64-bit keys, shuffled base rows and signed-zero measures.
+TEST(VeCacheBuildTest, MatchesFrReferenceBitForBit) {
+  for (SemiringKind kind :
+       {SemiringKind::kSumProduct, SemiringKind::kMinSum, SemiringKind::kMaxSum,
+        SemiringKind::kMaxProduct, SemiringKind::kLogSumProduct}) {
+    for (KeyValues values :
+         {KeyValues::kDense, KeyValues::kSparse, KeyValues::kWide}) {
+      for (uint64_t seed = 0; seed < 4; ++seed) {
+        RandomView rv = MakeKeyedView(seed, values,
+                                      /*extra_rels=*/static_cast<int>(seed % 3),
+                                      /*signed_zeros=*/true);
+        rv.view.semiring = Semiring(kind);
+        for (bool width : {false, true}) {
+          const std::string label =
+              rv.view.semiring.name() + " values " +
+              std::to_string(static_cast<int>(values)) + " seed " +
+              std::to_string(seed) + (width ? " width" : " degree");
+          VeCacheOptions options;
+          options.use_width_heuristic = width;
+          auto cache = VeCache::Build(rv.view, rv.catalog, options);
+          ASSERT_TRUE(cache.ok()) << label << ": " << cache.status();
+          const ReferenceCache want =
+              ReferenceBuild(rv.view, rv.catalog, width);
+          EXPECT_EQ(cache->elimination_order(), want.order) << label;
+          EXPECT_EQ(cache->edges(), want.edges) << label;
+          ASSERT_EQ(cache->caches().size(), want.caches.size()) << label;
+          for (size_t i = 0; i < want.caches.size(); ++i) {
+            EXPECT_TRUE(SameBits(*want.caches[i], *cache->caches()[i]))
+                << label << " cache " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(LoopyBpTest, ExactOnTreeFactorGraphs) {
