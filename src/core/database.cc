@@ -145,7 +145,7 @@ exec::ThreadPool* Database::thread_pool() {
 
 Status Database::CreateTable(TablePtr table) {
   std::unique_lock<std::shared_mutex> lock(state_mu_);
-  if (table != nullptr && options_.seal_tables_chunked) table->SealChunked();
+  if (table != nullptr) table->SealChunked();
   std::string name = table == nullptr ? std::string() : table->name();
   MPFDB_RETURN_IF_ERROR(catalog_.RegisterTable(std::move(table)));
   BumpStructuralLocked();

@@ -131,10 +131,6 @@ struct DatabaseOptions {
   // committing a non-full batch. 0 commits immediately (lowest latency);
   // small values trade update latency for coalescing under bursts.
   uint64_t commit_linger_us = 0;
-  // Convert tables to chunked measure storage on CreateTable so the very
-  // first measure commit already shares every untouched chunk with the
-  // version snapshots pinned by readers.
-  bool seal_tables_chunked = true;
   // Refresh VE-caches through the exact-replay delta path
   // (VeCache::WithMeasureDelta). When false every measure commit rebuilds
   // affected caches from scratch — the pre-MVCC behavior, kept as an
@@ -238,9 +234,10 @@ class Database {
     return structural_epoch_.load(std::memory_order_acquire);
   }
 
-  // Registers a base table (its variables must be registered first). When
-  // DatabaseOptions::seal_tables_chunked is set the table is converted to
-  // chunked measure storage so later versions share unchanged chunks.
+  // Registers a base table (its variables must be registered first). The
+  // table is converted to chunked measure storage, so the first measure
+  // commit already shares every untouched chunk with the versions that
+  // readers' snapshots pin.
   Status CreateTable(TablePtr table);
   // Drops a table; refuses while any view references it.
   Status DropTable(const std::string& name);

@@ -231,7 +231,7 @@ void ExplainAnalyzeRec(const PhysicalPlanNode& phys,
       break;
     case PlanNodeKind::kMeasureFilter:
       os << "MeasureFilter(f " << CompareOpSymbol(node.having.op) << " "
-         << node.having.threshold << ")";
+         << FormatThreshold(node.having.threshold) << ")";
       break;
   }
   os << "  [est=" << node.est_card;

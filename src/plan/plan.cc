@@ -5,7 +5,6 @@
 #include <charconv>
 #include <cmath>
 #include <sstream>
-#include <string_view>
 
 #include "cost/agm.h"
 #include "util/strings.h"
@@ -28,6 +27,12 @@ const char* CompareOpSymbol(CompareOp op) {
       return "<>";
   }
   return "?";
+}
+
+std::string FormatThreshold(double threshold) {
+  char buf[32];
+  const auto printed = std::to_chars(buf, buf + sizeof(buf), threshold);
+  return std::string(buf, printed.ptr);
 }
 
 bool EvalCompare(CompareOp op, double lhs, double rhs) {
@@ -71,13 +76,8 @@ std::string MpfQuerySpec::ToString(const MpfViewDef& view) const {
   }
   os << " group by " << Join(group_vars, ", ");
   if (having.has_value()) {
-    // Shortest round-trip form, so the printed SQL parses back to the
-    // same threshold bits.
-    char buf[32];
-    const auto printed =
-        std::to_chars(buf, buf + sizeof(buf), having->threshold);
     os << " having f " << CompareOpSymbol(having->op) << " "
-       << std::string_view(buf, static_cast<size_t>(printed.ptr - buf));
+       << FormatThreshold(having->threshold);
   }
   return os.str();
 }
@@ -372,7 +372,7 @@ std::string PlanNodeLabel(const PlanNode& node) {
       break;
     case PlanNodeKind::kMeasureFilter:
       os << "MeasureFilter(f " << CompareOpSymbol(node.having.op) << " "
-         << node.having.threshold << ")";
+         << FormatThreshold(node.having.threshold) << ")";
       break;
   }
   return os.str();
@@ -430,7 +430,7 @@ void SignatureRec(const PlanNode& node, std::ostringstream& os) {
       return;
     case PlanNodeKind::kMeasureFilter:
       os << "MeasureFilter{" << CompareOpSymbol(node.having.op)
-         << node.having.threshold << "}(";
+         << FormatThreshold(node.having.threshold) << "}(";
       SignatureRec(*node.left, os);
       os << ")";
       return;

@@ -36,6 +36,10 @@ struct QuerySelection {
 enum class CompareOp { kLt, kLe, kGt, kGe, kEq, kNe };
 
 const char* CompareOpSymbol(CompareOp op);
+// A HAVING threshold in its shortest round-trip form, so SQL text, EXPLAIN
+// labels and plan signatures tell apart thresholds that differ in any bit,
+// and printed SQL parses back to the same threshold.
+std::string FormatThreshold(double threshold);
 bool EvalCompare(CompareOp op, double lhs, double rhs);
 
 struct HavingClause {

@@ -1,138 +1,121 @@
 #include "workload/bp.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
 
-#include "fr/algebra.h"
-#include "storage/catalog.h"
+#include "workload/vecache.h"
 
 namespace mpfdb::workload {
 namespace {
 
-// DFS postorder of the join tree rooted at node 0; fills parent[].
-void Postorder(const graph::JoinTree& tree, std::vector<size_t>* order,
-               std::vector<int>* parent) {
+bool SharesVariables(const Table& a, const Table& b) {
+  return !varset::Intersect(a.schema().variables(), b.schema().variables())
+              .empty();
+}
+
+// The join tree's edges rooted at node 0, children before parents: the
+// edges in DFS preorder of their child, reversed (a child pops after its
+// parent, so reversing puts it first).
+TreeEdges RootedEdges(const graph::JoinTree& tree) {
   const size_t n = tree.node_vars.size();
-  parent->assign(n, -1);
-  order->clear();
-  if (n == 0) return;
   std::vector<std::vector<size_t>> adj(n);
   for (const auto& [a, b] : tree.edges) {
     adj[a].push_back(b);
     adj[b].push_back(a);
   }
-  std::vector<size_t> stack = {0};
-  std::vector<size_t> preorder;
+  TreeEdges edges;
+  std::vector<size_t> parent(n, 0);
   std::vector<bool> seen(n, false);
+  std::vector<size_t> stack = {0};
   seen[0] = true;
-  (*parent)[0] = 0;
   while (!stack.empty()) {
-    size_t v = stack.back();
+    const size_t v = stack.back();
     stack.pop_back();
-    preorder.push_back(v);
+    if (v != 0) edges.emplace_back(v, parent[v]);
     for (size_t nbr : adj[v]) {
-      if (!seen[nbr]) {
-        seen[nbr] = true;
-        (*parent)[nbr] = static_cast<int>(v);
-        stack.push_back(nbr);
-      }
+      if (seen[nbr]) continue;
+      seen[nbr] = true;
+      parent[nbr] = v;
+      stack.push_back(nbr);
     }
   }
-  // Reverse preorder is a valid postorder for message passing (children
-  // before parents is not strictly guaranteed by reversing a DFS preorder,
-  // but every child does appear after its parent in preorder, so the
-  // reverse puts children first).
-  *order = std::vector<size_t>(preorder.rbegin(), preorder.rend());
-}
-
-// Runs the two BP passes over `tables` along the edges of `tree` (whose
-// node i corresponds to tables[i]). Message separators are computed from the
-// actual table schemas; edges whose tables share no variables carry no
-// message.
-StatusOr<std::vector<TablePtr>> BpOnTree(const std::vector<TablePtr>& tables,
-                                         const graph::JoinTree& tree,
-                                         const Semiring& semiring) {
-  std::vector<TablePtr> updated;
-  updated.reserve(tables.size());
-  for (const TablePtr& t : tables) {
-    updated.push_back(TablePtr(t->Clone(t->name())));
-  }
-  std::vector<size_t> order;
-  std::vector<int> parent;
-  Postorder(tree, &order, &parent);
-
-  auto tables_share_vars = [&](size_t a, size_t b) {
-    return !varset::Intersect(updated[a]->schema().variables(),
-                              updated[b]->schema().variables())
-                .empty();
-  };
-
-  // Forward (collect) pass: parents absorb their children, children first.
-  for (size_t v : order) {
-    size_t p = static_cast<size_t>(parent[v]);
-    if (p == v) continue;  // root
-    if (!tables_share_vars(p, v)) continue;
-    MPFDB_ASSIGN_OR_RETURN(
-        updated[p], fr::ProductSemijoin(*updated[p], *updated[v], semiring,
-                                        updated[p]->name()));
-  }
-  // Backward (distribute) pass: parents update their children, parents first.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    size_t v = *it;
-    size_t p = static_cast<size_t>(parent[v]);
-    if (p == v) continue;
-    if (!tables_share_vars(p, v)) continue;
-    MPFDB_ASSIGN_OR_RETURN(
-        updated[v], fr::UpdateSemijoin(*updated[v], *updated[p], semiring,
-                                       updated[v]->name()));
-  }
-
-  // Messages only flow where variables are shared, so a var-disjoint
-  // component never absorbs another component's total mass — but the full
-  // joint is the cross product of components, and Definition 5's invariant
-  // is about the full joint. Scale every table by the product of the *other*
-  // components' scalar totals.
-  const size_t n = updated.size();
-  std::vector<size_t> component(n);
-  for (size_t i = 0; i < n; ++i) component[i] = i;
-  // Union-find over edges that actually carry messages.
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (component[x] != x) {
-      component[x] = component[component[x]];
-      x = component[x];
-    }
-    return x;
-  };
-  for (const auto& [a, b] : tree.edges) {
-    if (tables_share_vars(a, b)) component[find(a)] = find(b);
-  }
-  std::map<size_t, double> totals;  // component root -> scalar total
-  for (size_t i = 0; i < n; ++i) {
-    size_t root = find(i);
-    if (totals.count(root)) continue;
-    // Every table in a calibrated component carries the component's total.
-    MPFDB_ASSIGN_OR_RETURN(
-        TablePtr scalar, fr::Marginalize(*updated[i], {}, semiring, "total"));
-    totals[root] = scalar->NumRows() > 0 ? scalar->measure(0)
-                                         : semiring.AddIdentity();
-  }
-  if (totals.size() > 1) {
-    for (size_t i = 0; i < n; ++i) {
-      double factor = semiring.MultiplyIdentity();
-      for (const auto& [root, total] : totals) {
-        if (root != find(i)) factor = semiring.Multiply(factor, total);
-      }
-      for (size_t r = 0; r < updated[i]->NumRows(); ++r) {
-        updated[i]->set_measure(
-            r, semiring.Multiply(updated[i]->measure(r), factor));
-      }
-    }
-  }
-  return updated;
+  std::reverse(edges.begin(), edges.end());
+  return edges;
 }
 
 }  // namespace
+
+Status DistributePass(std::vector<TablePtr>* tables, const TreeEdges& edges,
+                      const Semiring& semiring, QueryContext* ctx,
+                      std::vector<exec::SemijoinRows>* rows) {
+  std::vector<TablePtr>& t = *tables;
+  if (rows != nullptr) rows->assign(edges.size(), exec::SemijoinRows{});
+  for (size_t e = edges.size(); e-- > 0;) {
+    const auto [child, parent] = edges[e];
+    if (!SharesVariables(*t[child], *t[parent])) continue;
+    if (ctx != nullptr) MPFDB_RETURN_IF_ERROR(ctx->Poll(t[child]->NumRows()));
+    MPFDB_ASSIGN_OR_RETURN(
+        t[child],
+        exec::UpdateSemijoinTable(*t[child], *t[parent], semiring,
+                                  t[child]->name(),
+                                  rows != nullptr ? &(*rows)[e] : nullptr));
+  }
+  return Status::Ok();
+}
+
+std::optional<double> ComponentTotals::OthersProduct(
+    const std::set<size_t>& covered, const Semiring& semiring) const {
+  double product = semiring.MultiplyIdentity();
+  for (const auto& [id, total] : totals) {
+    if (covered.count(id) != 0) continue;
+    if (!total) return std::nullopt;
+    product = semiring.Multiply(product, *total);
+  }
+  return product;
+}
+
+StatusOr<ComponentTotals> TotalComponents(const std::vector<TablePtr>& tables,
+                                          const TreeEdges& edges,
+                                          const Semiring& semiring,
+                                          QueryContext* ctx) {
+  ComponentTotals out;
+  std::vector<size_t>& root = out.component;
+  root.resize(tables.size());
+  for (size_t i = 0; i < root.size(); ++i) root[i] = i;
+  auto find = [&](size_t x) {
+    while (root[x] != x) {
+      root[x] = root[root[x]];
+      x = root[x];
+    }
+    return x;
+  };
+  for (const auto& [a, b] : edges) {
+    if (SharesVariables(*tables[a], *tables[b])) root[find(a)] = find(b);
+  }
+  for (size_t i = 0; i < tables.size(); ++i) {
+    const size_t id = find(i);
+    if (out.totals.count(id) != 0) continue;
+    MPFDB_ASSIGN_OR_RETURN(
+        TablePtr scalar,
+        exec::MarginalizeTable(*tables[i], {}, semiring, "total"));
+    if (ctx != nullptr) MPFDB_RETURN_IF_ERROR(ctx->Poll(tables[i]->NumRows()));
+    out.totals[id] = scalar->Empty()
+                         ? std::nullopt
+                         : std::optional<double>(scalar->measure(0));
+  }
+  for (size_t i = 0; i < root.size(); ++i) root[i] = find(i);
+  return out;
+}
+
+TablePtr ScaleTable(const TablePtr& t, std::optional<double> factor,
+                    const Semiring& semiring) {
+  if (!factor) return std::make_shared<Table>(t->name(), t->schema());
+  if (*factor == semiring.MultiplyIdentity()) return t;
+  TablePtr scaled(t->Clone(t->name()));
+  for (size_t r = 0; r < scaled->NumRows(); ++r) {
+    scaled->set_measure(r, semiring.Multiply(scaled->measure(r), *factor));
+  }
+  return scaled;
+}
 
 StatusOr<std::vector<TablePtr>> BeliefPropagation(
     const std::vector<TablePtr>& tables, const Semiring& semiring) {
@@ -159,126 +142,51 @@ StatusOr<std::vector<TablePtr>> BeliefPropagation(
   if (!SatisfiesRunningIntersection(tree)) {
     return Status::Internal("acyclic schema without RIP join tree");
   }
-  return BpOnTree(tables, tree, semiring);
+  const TreeEdges edges = RootedEdges(tree);
+  std::vector<TablePtr> updated = tables;
+  // Collect pass: each parent absorbs its child's marginal (the product
+  // semijoin), children first.
+  for (const auto& [child, parent] : edges) {
+    const std::vector<std::string> shared =
+        varset::Intersect(updated[parent]->schema().variables(),
+                          updated[child]->schema().variables());
+    if (shared.empty()) continue;
+    MPFDB_ASSIGN_OR_RETURN(
+        TablePtr marginal,
+        exec::MarginalizeTable(*updated[child], shared, semiring, "tmp_marg"));
+    MPFDB_ASSIGN_OR_RETURN(
+        updated[parent],
+        exec::JoinTables(*updated[parent], *marginal, semiring,
+                         updated[parent]->name(), /*divide=*/false));
+  }
+  MPFDB_RETURN_IF_ERROR(DistributePass(&updated, edges, semiring));
+  MPFDB_ASSIGN_OR_RETURN(ComponentTotals components,
+                         TotalComponents(updated, edges, semiring));
+  for (size_t i = 0; i < updated.size(); ++i) {
+    const std::optional<double> others =
+        components.OthersProduct({components.component[i]}, semiring);
+    updated[i] = ScaleTable(updated[i], others, semiring);
+    // A table no step rewrote is still the caller's; return a copy.
+    if (updated[i] == tables[i]) {
+      updated[i] = TablePtr(tables[i]->Clone(tables[i]->name()));
+    }
+  }
+  return updated;
 }
 
-StatusOr<JunctionTreeBpResult> JunctionTreeBp(
-    const std::vector<TablePtr>& tables, const Semiring& semiring,
-    const Catalog& catalog) {
-  if (tables.empty()) return Status::InvalidArgument("no tables");
-  std::vector<std::vector<std::string>> relation_vars;
-  for (const TablePtr& t : tables) {
-    relation_vars.push_back(t->schema().variables());
-  }
+StatusOr<JunctionTreeBpResult> JunctionTreeBp(const MpfViewDef& view,
+                                              const Catalog& catalog) {
+  MPFDB_ASSIGN_OR_RETURN(VeCache cache, VeCache::Build(view, catalog));
+  const ComponentTotals& components = cache.components();
   JunctionTreeBpResult result;
-  MPFDB_ASSIGN_OR_RETURN(result.junction_tree,
-                         graph::BuildJunctionTree(relation_vars));
-  const graph::JoinTree& tree = result.junction_tree.tree;
-
-  // Materialize one table per clique: the product join of all assigned
-  // relations, or a unit-measure complete relation when nothing is assigned
-  // (needed to carry messages through connector cliques).
-  const size_t num_cliques = tree.node_vars.size();
-  std::vector<TablePtr> clique_tables(num_cliques);
-  for (size_t r = 0; r < tables.size(); ++r) {
-    size_t c = result.junction_tree.assignment[r];
-    if (clique_tables[c] == nullptr) {
-      clique_tables[c] = TablePtr(
-          tables[r]->Clone("clique" + std::to_string(c)));
-    } else {
-      MPFDB_ASSIGN_OR_RETURN(
-          clique_tables[c],
-          fr::ProductJoin(*clique_tables[c], *tables[r], semiring,
-                          "clique" + std::to_string(c)));
-    }
+  result.tree.edges = cache.edges();
+  for (size_t i = 0; i < cache.caches().size(); ++i) {
+    const TablePtr& t = cache.caches()[i];
+    result.tree.node_vars.push_back(t->schema().variables());
+    const std::optional<double> others =
+        components.OthersProduct({components.component[i]}, view.semiring);
+    result.clique_tables.push_back(ScaleTable(t, others, view.semiring));
   }
-  for (size_t c = 0; c < num_cliques; ++c) {
-    if (clique_tables[c] != nullptr) continue;
-    // Unit potential over the clique's variables.
-    const std::vector<std::string>& vars = tree.node_vars[c];
-    double domain_product = 1.0;
-    for (const auto& v : vars) {
-      MPFDB_ASSIGN_OR_RETURN(int64_t size, catalog.DomainSize(v));
-      domain_product *= static_cast<double>(size);
-    }
-    if (domain_product > 1e7) {
-      return Status::FailedPrecondition(
-          "unit clique potential over " + std::to_string(vars.size()) +
-          " variables would need " + std::to_string(domain_product) +
-          " rows; choose a better elimination order");
-    }
-    auto unit = std::make_shared<Table>("clique" + std::to_string(c),
-                                        Schema(vars, "f"));
-    std::vector<VarValue> row(vars.size(), 0);
-    std::vector<int64_t> domains;
-    for (const auto& v : vars) domains.push_back(*catalog.DomainSize(v));
-    while (true) {
-      unit->AppendRow(row, semiring.MultiplyIdentity());
-      size_t pos = 0;
-      while (pos < row.size()) {
-        if (++row[pos] < domains[pos]) break;
-        row[pos] = 0;
-        ++pos;
-      }
-      if (row.empty() || pos == row.size()) break;
-    }
-    clique_tables[c] = std::move(unit);
-  }
-  if (!semiring.HasDivision()) {
-    return Status::FailedPrecondition(
-        "Belief Propagation requires a semiring with division");
-  }
-  // A clique table built from assigned relations may span fewer variables
-  // than its clique label; if an incident separator variable is missing,
-  // messages over that variable cannot pass through. Unit-extend each table
-  // to cover all separators of its incident tree edges (the HUGIN
-  // construction): adding an unconstrained column with identity measure
-  // leaves the factorized joint unchanged.
-  std::vector<std::vector<std::string>> needed(num_cliques);
-  for (size_t c = 0; c < num_cliques; ++c) {
-    needed[c] = clique_tables[c]->schema().variables();
-  }
-  for (const auto& [a, b] : tree.edges) {
-    std::vector<std::string> separator =
-        varset::Intersect(tree.node_vars[a], tree.node_vars[b]);
-    needed[a] = varset::Union(needed[a], separator);
-    needed[b] = varset::Union(needed[b], separator);
-  }
-  for (size_t c = 0; c < num_cliques; ++c) {
-    std::vector<std::string> missing = varset::Difference(
-        needed[c], clique_tables[c]->schema().variables());
-    if (missing.empty()) continue;
-    double extension = 1.0;
-    std::vector<int64_t> domains;
-    for (const auto& v : missing) {
-      MPFDB_ASSIGN_OR_RETURN(int64_t size, catalog.DomainSize(v));
-      domains.push_back(size);
-      extension *= static_cast<double>(size);
-    }
-    if (extension * static_cast<double>(clique_tables[c]->NumRows()) > 5e6) {
-      return Status::FailedPrecondition(
-          "separator extension of clique " + std::to_string(c) +
-          " is too large; choose a better elimination order");
-    }
-    auto unit = std::make_shared<Table>("sep_ext", Schema(missing, "f"));
-    std::vector<VarValue> row(missing.size(), 0);
-    while (true) {
-      unit->AppendRow(row, semiring.MultiplyIdentity());
-      size_t pos = 0;
-      while (pos < row.size()) {
-        if (++row[pos] < domains[pos]) break;
-        row[pos] = 0;
-        ++pos;
-      }
-      if (pos == row.size()) break;
-    }
-    MPFDB_ASSIGN_OR_RETURN(
-        clique_tables[c],
-        fr::ProductJoin(*clique_tables[c], *unit, semiring,
-                        clique_tables[c]->name()));
-  }
-  MPFDB_ASSIGN_OR_RETURN(result.clique_tables,
-                         BpOnTree(clique_tables, tree, semiring));
   return result;
 }
 

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <set>
 
 #include "exec/table_ops.h"
-#include "exec/thread_pool.h"
 #include "fr/algebra.h"
 
 namespace mpfdb::workload {
@@ -98,11 +96,6 @@ StatusOr<VeCache> VeCache::Build(const MpfViewDef& view, const Catalog& catalog,
   }
   cache.base_to_cache_.assign(cache.base_tables_.size(), 0);
 
-  // Scoring candidates only reads the catalog and the current factor set, so
-  // a context-supplied pool can fan it out; the argmin below stays serial,
-  // keeping the chosen elimination order identical to the serial build.
-  exec::ThreadPool* pool = ctx != nullptr ? ctx->thread_pool() : nullptr;
-
   // No-query-variable VE (Algorithm 3 line 1): every variable is eliminated.
   // Alongside the tables, the kernels report the row-level dataflow the
   // delta plan replays.
@@ -110,11 +103,11 @@ StatusOr<VeCache> VeCache::Build(const MpfViewDef& view, const Catalog& catalog,
   auto plan = std::make_shared<DeltaPlan>();
   while (!to_eliminate.empty()) {
     // Heuristic choice: degree (post-elimination domain product) or width
-    // (pre-elimination domain product).
+    // (pre-elimination domain product); the earliest candidate wins a tie.
     std::vector<std::vector<size_t>> cliques(to_eliminate.size());
-    std::vector<double> scores(to_eliminate.size(),
-                               std::numeric_limits<double>::infinity());
-    auto score_candidate = [&](size_t c) -> Status {
+    size_t pick = 0;
+    double best_score = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < to_eliminate.size(); ++c) {
       std::vector<std::string> clique_vars;
       for (size_t f = 0; f < factors.size(); ++f) {
         if (factors[f].table->schema().HasVariable(to_eliminate[c])) {
@@ -123,27 +116,14 @@ StatusOr<VeCache> VeCache::Build(const MpfViewDef& view, const Catalog& catalog,
                                       factors[f].table->schema().variables());
         }
       }
-      if (cliques[c].empty()) return Status::Ok();
+      if (cliques[c].empty()) continue;
       std::vector<std::string> scored_vars =
           options.use_width_heuristic
               ? clique_vars
               : varset::Difference(clique_vars, {to_eliminate[c]});
-      MPFDB_ASSIGN_OR_RETURN(scores[c], DomainProduct(catalog, scored_vars));
-      return Status::Ok();
-    };
-    if (pool != nullptr && pool->num_threads() > 1 && to_eliminate.size() > 1) {
-      MPFDB_RETURN_IF_ERROR(
-          pool->ParallelFor(to_eliminate.size(), score_candidate));
-    } else {
-      for (size_t c = 0; c < to_eliminate.size(); ++c) {
-        MPFDB_RETURN_IF_ERROR(score_candidate(c));
-      }
-    }
-    size_t pick = 0;
-    double best_score = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < to_eliminate.size(); ++c) {
-      if (!cliques[c].empty() && scores[c] < best_score) {
-        best_score = scores[c];
+      MPFDB_ASSIGN_OR_RETURN(double score, DomainProduct(catalog, scored_vars));
+      if (score < best_score) {
+        best_score = score;
         pick = c;
       }
     }
@@ -240,21 +220,18 @@ StatusOr<VeCache> VeCache::Build(const MpfViewDef& view, const Catalog& catalog,
     to_eliminate.erase(to_eliminate.begin() + pick);
   }
 
-  // Backward pass (Algorithm 3 lines 3-7): propagate later caches' reductions
-  // into the caches that fed them. Edge (i, j) refreshes cache i exactly
-  // once, while it still equals its clique join t = joined_i.
+  // Backward pass (Algorithm 3 lines 3-7), BP's distribute pass: propagate
+  // later caches' reductions into the caches that fed them. Edge (i, j)
+  // refreshes cache i exactly once, while it still equals its clique join
+  // t = joined_i. Every edge carries a message: cache i's message holds the
+  // variable cache j eliminates.
+  std::vector<exec::SemijoinRows> edge_rows;
+  MPFDB_RETURN_IF_ERROR(DistributePass(&cache.caches_, cache.edges_,
+                                       view.semiring, ctx, &edge_rows));
   plan->edges.resize(cache.edges_.size());
-  for (size_t e = cache.edges_.size(); e-- > 0;) {
+  for (size_t e = 0; e < cache.edges_.size(); ++e) {
     const auto& [i, j] = cache.edges_[e];
-    if (ctx != nullptr) {
-      MPFDB_RETURN_IF_ERROR(ctx->Poll(cache.caches_[i]->NumRows()));
-    }
-    exec::SemijoinRows rows;
-    MPFDB_ASSIGN_OR_RETURN(
-        cache.caches_[i],
-        exec::UpdateSemijoinTable(*cache.caches_[i], *cache.caches_[j],
-                                  view.semiring, cache.caches_[i]->name(),
-                                  &rows));
+    exec::SemijoinRows& rows = edge_rows[e];
     DeltaEdgePlan& ep = plan->edges[e];
     ep.t_clique = static_cast<uint32_t>(i);
     ep.s_clique = static_cast<uint32_t>(j);
@@ -270,7 +247,9 @@ StatusOr<VeCache> VeCache::Build(const MpfViewDef& view, const Catalog& catalog,
     }
     ep.group_final = MakeCsr(rows.num_groups, final_group_of);
   }
-  MPFDB_RETURN_IF_ERROR(cache.RefreshComponentTotals());
+  MPFDB_ASSIGN_OR_RETURN(
+      cache.components_,
+      TotalComponents(cache.caches_, cache.edges_, view.semiring));
   // Seal every cache table: non-root caches are fresh UpdateSemijoin
   // results, root caches are the (already chunk-sharing) clique clones.
   // From here on all tables are immutable; updates mint new versions.
@@ -317,8 +296,8 @@ Status VeCache::FinishDeltaPlan(std::shared_ptr<DeltaPlan> plan) {
     }
   }
   for (size_t i = 0; i < num_cliques; ++i) {
-    const size_t root = cache_component_[i];
-    plan->component_rep.emplace(root, i);  // keeps the lowest i per root
+    // emplace keeps the lowest i per component.
+    plan->component_rep.emplace(components_.component[i], i);
   }
   delta_plan_ = std::move(plan);
   return Status::Ok();
@@ -331,44 +310,6 @@ void VeCache::BuildBaseRowOrders() {
     orders->push_back(exec::CanonicalRowOrder(*base));
   }
   base_row_orders_ = std::move(orders);
-}
-
-Status VeCache::RefreshComponentTotals(QueryContext* ctx) {
-  const size_t n = caches_.size();
-  cache_component_.resize(n);
-  for (size_t i = 0; i < n; ++i) cache_component_[i] = i;
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (cache_component_[x] != x) {
-      cache_component_[x] = cache_component_[cache_component_[x]];
-      x = cache_component_[x];
-    }
-    return x;
-  };
-  for (const auto& [i, j] : edges_) {
-    // A scalar message creates an edge between var-disjoint caches; such an
-    // edge carries no marginal information, so it does not merge components
-    // (an empty separator splits the tree into independent parts).
-    if (!varset::Intersect(caches_[i]->schema().variables(),
-                           caches_[j]->schema().variables())
-             .empty()) {
-      cache_component_[find(i)] = find(j);
-    }
-  }
-  component_totals_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    size_t root = find(i);
-    if (component_totals_.count(root)) continue;
-    // Every calibrated cache carries its component's total mass.
-    MPFDB_ASSIGN_OR_RETURN(
-        TablePtr scalar,
-        exec::MarginalizeTable(*caches_[i], {}, semiring_, "total"));
-    MPFDB_RETURN_IF_ERROR(PollStep(ctx, caches_[i]->NumRows()));
-    component_totals_[root] =
-        scalar->Empty() ? std::nullopt
-                        : std::optional<double>(scalar->measure(0));
-  }
-  for (size_t i = 0; i < n; ++i) cache_component_[i] = find(i);
-  return Status::Ok();
 }
 
 StatusOr<TablePtr> VeCache::Answer(const MpfQuerySpec& query,
@@ -440,12 +381,12 @@ StatusOr<TablePtr> VeCache::CombineForVars(
     // Anchors in the same component as `a`.
     std::vector<size_t> same_component;
     for (size_t b : anchors) {
-      if (cache_component_[b] == cache_component_[a]) {
+      if (components_.component[b] == components_.component[a]) {
         same_component.push_back(b);
         anchor_done[b] = true;
       }
     }
-    covered_components.insert(cache_component_[a]);
+    covered_components.insert(components_.component[a]);
     // BFS from `a`; keep parent pointers to extract paths.
     std::vector<int> parent(caches_.size(), -1);
     parent[a] = static_cast<int>(a);
@@ -506,22 +447,9 @@ StatusOr<TablePtr> VeCache::CombineForVars(
   }
   // Totals of components not represented at all; an empty one empties the
   // answer.
-  double factor = semiring_.MultiplyIdentity();
-  for (const auto& [root, total] : component_totals_) {
-    if (covered_components.count(root) != 0) continue;
-    if (!total) {
-      return std::make_shared<Table>(result->name(), result->schema());
-    }
-    factor = semiring_.Multiply(factor, *total);
-  }
-  if (factor != semiring_.MultiplyIdentity()) {
-    TablePtr scaled(result->Clone(result->name()));
-    for (size_t r = 0; r < scaled->NumRows(); ++r) {
-      scaled->set_measure(r, semiring_.Multiply(scaled->measure(r), factor));
-    }
-    result = scaled;
-  }
-  return result;
+  return ScaleTable(
+      result, components_.OthersProduct(covered_components, semiring_),
+      semiring_);
 }
 
 StatusOr<VeCache> VeCache::WithSelection(const std::string& var,
@@ -588,7 +516,9 @@ Status VeCache::DistributeFrom(size_t start, QueryContext* ctx) {
       queue.push_back(w);
     }
   }
-  return RefreshComponentTotals(ctx);
+  MPFDB_ASSIGN_OR_RETURN(components_,
+                         TotalComponents(caches_, edges_, semiring_, ctx));
+  return Status::Ok();
 }
 
 StatusOr<size_t> VeCache::BaseIndexOf(const std::string& table_name) const {
@@ -870,8 +800,9 @@ StatusOr<VeCache> VeCache::WithMeasureDelta(
   // answer covers the component), so skip the refold entirely; otherwise
   // refold exactly the components whose representative cache changed, with
   // the same Marginalize call Build uses.
-  std::map<size_t, std::optional<double>> new_totals = component_totals_;
-  if (component_totals_.size() > 1) {
+  ComponentTotals new_components = components_;
+  std::map<size_t, std::optional<double>>& new_totals = new_components.totals;
+  if (new_totals.size() > 1) {
     for (const auto& [root, rep] : plan.component_rep) {
       if (changed_final[rep].empty()) continue;
       MPFDB_ASSIGN_OR_RETURN(
@@ -888,15 +819,8 @@ StatusOr<VeCache> VeCache::WithMeasureDelta(
   next.caches_ = std::move(new_final);
   next.joined_ = std::move(new_joined);
   next.msgs_ = std::move(new_msgs);
-  next.component_totals_ = std::move(new_totals);
+  next.components_ = std::move(new_components);
   return next;
-}
-
-VeCache VeCache::CloneDeep() const {
-  // Tables are immutable between versions (updates mint new versions via
-  // WithMeasureDelta), so a structure-sharing copy has the same isolation
-  // the old deep clone provided, at pointer-copy cost.
-  return *this;
 }
 
 int64_t VeCache::TotalCacheRows() const {

@@ -15,6 +15,7 @@
 #include "storage/table.h"
 #include "util/query_context.h"
 #include "util/status.h"
+#include "workload/bp.h"
 
 namespace mpfdb::workload {
 
@@ -104,8 +105,8 @@ struct DeltaPlan {
   std::vector<DeltaEdgePlan> edges;    // parallel to VeCache::edges()
   std::vector<int32_t> out_edge;       // clique -> edge index, -1 for roots
   std::vector<uint8_t> base_absorbed;  // per base table: feeds some clique
-  // Lowest cache index per component root (the cache whose scalar marginal
-  // RefreshComponentTotals publishes as the component total).
+  // Lowest cache index per component id (the cache whose scalar marginal
+  // TotalComponents publishes as the component total).
   std::map<size_t, size_t> component_rep;
 };
 
@@ -123,9 +124,11 @@ struct VeCacheDeltaOp {
 // materializing every pre-GroupBy join result; the cached tables are exactly
 // the cliques of the triangulation induced by the elimination order
 // (Theorem 10), so they form an acyclic schema. The backward update-semijoin
-// pass then establishes the workload correctness invariant of Definition 5:
-// any MPF query on a variable of cache t answered from t equals the query
-// answered from the full view.
+// pass (DistributePass in workload/bp.h, BP's distribute pass) then
+// establishes the workload correctness invariant of Definition 5 within each
+// var-disjoint component: any MPF query on a variable of cache t answered
+// from t, times the other components' totals, equals the query answered from
+// the full view.
 class VeCache {
  public:
   static StatusOr<VeCache> Build(const MpfViewDef& view, const Catalog& catalog,
@@ -152,9 +155,12 @@ class VeCache {
 
   const std::vector<TablePtr>& caches() const { return caches_; }
   // Dependency tree edges (i, j), i < j: GroupBy(cache i) participated in
-  // the join that created cache j.
-  const std::vector<std::pair<size_t, size_t>>& edges() const { return edges_; }
+  // the join that created cache j. Children come before their parents, as
+  // in workload::TreeEdges.
+  const TreeEdges& edges() const { return edges_; }
   const std::vector<std::string>& elimination_order() const { return order_; }
+  // The caches' var-disjoint components and their totals.
+  const ComponentTotals& components() const { return components_; }
 
   // Total rows across all cached tables — the C(S) materialization size the
   // workload objective charges.
@@ -195,11 +201,6 @@ class VeCache {
   StatusOr<size_t> LocateBaseRow(size_t base_index,
                                  const std::vector<VarValue>& row_vars) const;
 
-  // Copy for copy-on-write serving. Tables are immutable between versions
-  // (updates produce new versions via WithMeasureDelta), so this is a cheap
-  // structure-sharing copy, kept under its historical name.
-  VeCache CloneDeep() const;
-
  private:
   VeCache(Semiring semiring) : semiring_(semiring) {}
 
@@ -210,7 +211,7 @@ class VeCache {
   Status FinishDeltaPlan(std::shared_ptr<DeltaPlan> plan);
 
   // Re-propagates updates outward from cache `start` along the tree, then
-  // refreshes the component totals.
+  // recomputes the component totals.
   Status DistributeFrom(size_t start, QueryContext* ctx);
   // Builds base_row_orders_ over base_tables_.
   void BuildBaseRowOrders();
@@ -219,16 +220,9 @@ class VeCache {
   // least) those variables, including cross-component totals.
   StatusOr<TablePtr> CombineForVars(const std::vector<std::string>& needed_vars,
                                     QueryContext* ctx) const;
-  // Labels caches with their connected component (over the message edges)
-  // and records each component's scalar total. A var-disjoint component
-  // never receives another's mass through messages, so Answer multiplies the
-  // other components' totals in explicitly (the full joint is the cross
-  // product of components).
-  Status RefreshComponentTotals(QueryContext* ctx = nullptr);
-
   Semiring semiring_;
   std::vector<TablePtr> caches_;
-  std::vector<std::pair<size_t, size_t>> edges_;
+  TreeEdges edges_;
   std::vector<std::string> order_;
   // Base tables of the view, in view order, and the cache that absorbed each.
   std::vector<TablePtr> base_tables_;
@@ -238,10 +232,9 @@ class VeCache {
   // version derived from it — measure updates never change row variables,
   // and a selection restricts the caches, not the base tables.
   std::shared_ptr<const std::vector<std::vector<uint32_t>>> base_row_orders_;
-  // Component id per cache and scalar total per component id; no total
-  // when the component's join is empty, which empties every answer.
-  std::vector<size_t> cache_component_;
-  std::map<size_t, std::optional<double>> component_totals_;
+  // Component per cache and total per component. Answer multiplies the
+  // totals of the components a query does not cover into its result.
+  ComponentTotals components_;
   // Retained Build artifacts for exact-replay maintenance: the pre-GroupBy
   // clique join (joined_[i]; == the pre-backward cache0_i values; aliases
   // the factor table for single-factor cliques) and the outgoing message

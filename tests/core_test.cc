@@ -57,6 +57,36 @@ TEST_F(DatabaseTest, ExplainRendersPlan) {
   EXPECT_NE(text->find("group by tid"), std::string::npos);
 }
 
+// HAVING thresholds print in their shortest round-trip form on the header,
+// the logical line and the physical line, so two thresholds that agree to
+// six significant digits still render apart.
+TEST_F(DatabaseTest, ExplainRendersHavingThresholdsExactly) {
+  const std::vector<std::pair<double, std::string>> thresholds = {
+      {0.31415926, "0.31415926"}, {0.31415929, "0.31415929"}};
+  for (const auto& [threshold, printed] : thresholds) {
+    MpfQuerySpec query{{"tid"}, {}};
+    query.having = HavingClause{CompareOp::kLt, threshold};
+    auto text = db_.Explain("invest", query, "ve(deg)");
+    ASSERT_TRUE(text.ok()) << text.status();
+    EXPECT_NE(text->find("having f < " + printed), std::string::npos) << *text;
+    const std::string label = "MeasureFilter(f < " + printed + ")";
+    const size_t logical = text->find(label);
+    ASSERT_NE(logical, std::string::npos) << *text;
+    EXPECT_GT(text->find("-- physical plan:"), logical) << *text;
+    EXPECT_NE(text->find(label, text->find("-- physical plan:")),
+              std::string::npos)
+        << *text;
+    auto analyzed = db_.ExplainAnalyze("invest", query, "ve(deg)");
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+    EXPECT_NE(analyzed->find(label), std::string::npos) << *analyzed;
+    auto plan = db_.Query("invest", query, "ve(deg)");
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_NE(
+        PlanSignature(*plan->plan).find("MeasureFilter{<" + printed + "}"),
+        std::string::npos);
+  }
+}
+
 TEST_F(DatabaseTest, ExplainAnalyzeReportsAccurateCounts) {
   auto text = db_.ExplainAnalyze("invest", MpfQuerySpec{{"tid"}, {}}, "cs+");
   ASSERT_TRUE(text.ok()) << text.status();

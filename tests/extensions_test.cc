@@ -282,7 +282,7 @@ TEST_F(ExtensionsTest, VeCacheBaseRowLocatorMatchesScan) {
   // updated tables bit for bit.
   auto built = workload::VeCache::Build(view_, db_.catalog());
   ASSERT_TRUE(built.ok()) << built.status();
-  workload::VeCache cache = built->CloneDeep();
+  workload::VeCache cache = *built;
   const std::vector<TablePtr>& bases = cache.base_tables();
   for (size_t b = 0; b < bases.size(); ++b) {
     const Table& base = *bases[b];

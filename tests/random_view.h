@@ -112,16 +112,19 @@ enum class KeyValues {
             // more variables overflows 64 bits and falls back to fr
 };
 
-// A view over the scopes r0(v0, v1, v2), r1(v1, v0, v3), r2(v2, v3, v4),
-// plus `extra_rels` relations over random 1-3 variable scopes. Without
+// A view over `scopes` (indices of v0..v4, in column order; by default
+// r0(v0, v1, v2), r1(v1, v0, v3), r2(v2, v3, v4)), plus `extra_rels`
+// relations over random 1-3 variable scopes. On the default scopes without
 // extra relations, the degree heuristic eliminates v4 first whatever the
 // domains, and every order after that joins two factors on two or more
 // variables. Each variable has 2-4 values drawn per `values`; each relation
 // holds a random 80 % of its scope's cross product (at least one row), in
-// shuffled row order. Measures lie in [0.25, 2), or with `signed_zeros` are also -0.0,
-// 0.0 or negative.
+// shuffled row order. Measures lie in [0.25, 2), or with `signed_zeros` are
+// also -0.0, 0.0 or negative.
 inline RandomView MakeKeyedView(uint64_t seed, KeyValues values,
-                                int extra_rels, bool signed_zeros) {
+                                int extra_rels, bool signed_zeros,
+                                std::vector<std::vector<size_t>> scopes = {
+                                    {0, 1, 2}, {1, 0, 3}, {2, 3, 4}}) {
   Rng rng(seed * 0x2545f4914f6cdd1dull + 7);
   RandomView rv;
   std::vector<std::vector<VarValue>> domain;
@@ -149,7 +152,6 @@ inline RandomView MakeKeyedView(uint64_t seed, KeyValues values,
     EXPECT_TRUE(rv.catalog.RegisterVariable(name, size).ok());
     rv.vars.push_back(name);
   }
-  std::vector<std::vector<size_t>> scopes = {{0, 1, 2}, {1, 0, 3}, {2, 3, 4}};
   for (int r = 0; r < extra_rels; ++r) {
     std::set<size_t> scope;
     const int64_t width = rng.UniformInt(1, 3);

@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "fr/algebra.h"
+#include "graph/junction_tree.h"
 #include "random_view.h"
 #include "workload/bp.h"
 #include "workload/generators.h"
-#include "workload/loopy_bp.h"
 #include "workload/vecache.h"
 
 namespace mpfdb::workload {
@@ -89,8 +89,10 @@ TEST_F(WorkloadTest, JunctionTreeBpHandlesCyclicSchema) {
   std::vector<TablePtr> cyclic = tables_;
   cyclic.push_back(*catalog_.GetTable("stdeals"));
 
-  auto result = JunctionTreeBp(cyclic, schema_.view.semiring, catalog_);
+  auto result = JunctionTreeBp(*view, catalog_);
   ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(graph::SatisfiesRunningIntersection(result->tree));
+  ASSERT_EQ(result->tree.node_vars.size(), result->clique_tables.size());
 
   // Ground truth over the extended view.
   auto truth = [&](const std::string& var) {
@@ -346,87 +348,135 @@ TEST(VeCacheBuildTest, MatchesFrReferenceBitForBit) {
   }
 }
 
-TEST(LoopyBpTest, ExactOnTreeFactorGraphs) {
-  // On an acyclic schema, loopy BP converges to the exact marginals.
-  Catalog catalog;
-  ASSERT_TRUE(catalog.RegisterVariable("a", 3).ok());
-  ASSERT_TRUE(catalog.RegisterVariable("b", 3).ok());
-  ASSERT_TRUE(catalog.RegisterVariable("c", 2).ok());
-  Rng rng(4);
-  auto t1 = std::make_shared<Table>("t1", Schema({"a", "b"}, "f"));
-  auto t2 = std::make_shared<Table>("t2", Schema({"b", "c"}, "f"));
-  for (VarValue a = 0; a < 3; ++a)
-    for (VarValue b = 0; b < 3; ++b)
-      t1->AppendRow({a, b}, rng.UniformDouble(0.1, 2.0));
-  for (VarValue b = 0; b < 3; ++b)
-    for (VarValue c = 0; c < 2; ++c)
-      t2->AppendRow({b, c}, rng.UniformDouble(0.1, 2.0));
-
-  auto result = LoopyBeliefPropagation({t1, t2}, catalog);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->converged);
-  for (const auto& var : {"a", "b", "c"}) {
-    auto truth = fr::EvaluateNaiveMpf({t1, t2}, {var}, {},
-                                      Semiring::SumProduct(), "truth");
-    ASSERT_TRUE(truth.ok());
-    ASSERT_TRUE(fr::NormalizeMeasure(**truth, Semiring::SumProduct()).ok());
-    EXPECT_TRUE(
-        fr::TablesEqual(**truth, *result->marginals.at(var), 1e-6))
-        << var;
+// BeliefPropagation's program written with fr:: operators: the join tree
+// rooted at table 0 with its edges in reversed DFS preorder, a collect pass
+// of product semijoins, a distribute pass of update semijoins, and, when
+// the view has two var-disjoint components, each table scaled by the other
+// component's total.
+std::vector<TablePtr> ReferenceBp(const std::vector<TablePtr>& tables,
+                                  const Semiring& semiring) {
+  std::vector<std::vector<std::string>> relation_vars;
+  for (const TablePtr& t : tables) {
+    relation_vars.push_back(t->schema().variables());
   }
-}
-
-TEST(LoopyBpTest, ApproximatesCyclicSchemas) {
-  // Triangle a-b, b-c, c-a: cyclic, so loopy BP is approximate; estimates
-  // must still be close to exact for mild potentials.
-  Catalog catalog;
-  for (const auto& v : {"a", "b", "c"}) {
-    ASSERT_TRUE(catalog.RegisterVariable(v, 2).ok());
+  const graph::JoinTree tree = graph::MaxSpanningJoinTree(relation_vars);
+  const size_t n = tables.size();
+  std::vector<std::vector<size_t>> adj(n);
+  for (const auto& [a, b] : tree.edges) {
+    adj[a].push_back(b);
+    adj[b].push_back(a);
   }
-  Rng rng(15);
-  auto make = [&](const std::string& name, const std::string& x,
-                  const std::string& y) {
-    auto t = std::make_shared<Table>(name, Schema({x, y}, "f"));
-    for (VarValue i = 0; i < 2; ++i)
-      for (VarValue j = 0; j < 2; ++j)
-        t->AppendRow({i, j}, rng.UniformDouble(0.6, 1.4));
-    return t;
-  };
-  std::vector<TablePtr> tables = {make("t1", "a", "b"), make("t2", "b", "c"),
-                                  make("t3", "c", "a")};
-  LoopyBpOptions options;
-  options.damping = 0.3;
-  auto result = LoopyBeliefPropagation(tables, catalog, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->converged);
-  for (const auto& var : {"a", "b", "c"}) {
-    auto truth = fr::EvaluateNaiveMpf(tables, {var}, {},
-                                      Semiring::SumProduct(), "truth");
-    ASSERT_TRUE(truth.ok());
-    ASSERT_TRUE(fr::NormalizeMeasure(**truth, Semiring::SumProduct()).ok());
-    for (size_t i = 0; i < 2; ++i) {
-      EXPECT_NEAR((*truth)->measure(i), result->marginals.at(var)->measure(i),
-                  0.05)
-          << var;
+  std::vector<std::pair<size_t, size_t>> edges;  // (child, parent)
+  std::vector<size_t> parent(n, 0), stack = {0};
+  std::vector<bool> seen(n, false);
+  seen[0] = true;
+  while (!stack.empty()) {
+    const size_t v = stack.back();
+    stack.pop_back();
+    if (v != 0) edges.emplace_back(v, parent[v]);
+    for (size_t w : adj[v]) {
+      if (!seen[w]) {
+        seen[w] = true;
+        parent[w] = v;
+        stack.push_back(w);
+      }
     }
   }
+  std::reverse(edges.begin(), edges.end());
+  auto shared = [&](size_t a, size_t b) {
+    return !varset::Intersect(relation_vars[a], relation_vars[b]).empty();
+  };
+  std::vector<TablePtr> t = tables;
+  for (const auto& [c, p] : edges) {
+    if (shared(c, p)) {
+      t[p] = *fr::ProductSemijoin(*t[p], *t[c], semiring, t[p]->name());
+    }
+  }
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+    const auto [c, p] = *it;
+    if (shared(c, p)) {
+      t[c] = *fr::UpdateSemijoin(*t[c], *t[p], semiring, t[c]->name());
+    }
+  }
+  // Components: flood fill over the message-carrying edges.
+  std::vector<int> component(n, -1);
+  int count = 0;
+  for (size_t s = 0; s < n; ++s) {
+    if (component[s] >= 0) continue;
+    std::vector<size_t> todo = {s};
+    component[s] = count;
+    while (!todo.empty()) {
+      const size_t v = todo.back();
+      todo.pop_back();
+      for (size_t w : adj[v]) {
+        if (component[w] < 0 && shared(v, w)) {
+          component[w] = count;
+          todo.push_back(w);
+        }
+      }
+    }
+    ++count;
+  }
+  EXPECT_LE(count, 2) << "the scaling below assumes at most two components";
+  if (count == 2) {
+    std::vector<TablePtr> totals(2);  // no row when the join is empty
+    for (int c = 0; c < 2; ++c) {
+      const size_t first = static_cast<size_t>(
+          std::find(component.begin(), component.end(), c) -
+          component.begin());
+      totals[c] = *fr::Marginalize(*t[first], {}, semiring, "total");
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const Table& other = *totals[1 - component[i]];
+      if (other.Empty()) {
+        t[i] = std::make_shared<Table>(t[i]->name(), t[i]->schema());
+        continue;
+      }
+      const double factor =
+          semiring.Multiply(semiring.MultiplyIdentity(), other.measure(0));
+      if (factor == semiring.MultiplyIdentity()) continue;
+      TablePtr scaled(t[i]->Clone(t[i]->name()));
+      for (size_t r = 0; r < scaled->NumRows(); ++r) {
+        scaled->set_measure(r, semiring.Multiply(scaled->measure(r), factor));
+      }
+      t[i] = scaled;
+    }
+  }
+  return t;
 }
 
-TEST(LoopyBpTest, RejectsBadOptions) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.RegisterVariable("a", 2).ok());
-  auto t = std::make_shared<Table>("t", Schema({"a"}, "f"));
-  t->AppendRow({0}, 1.0);
-  t->AppendRow({1}, 2.0);
-  LoopyBpOptions bad;
-  bad.damping = 1.0;
-  EXPECT_FALSE(LoopyBeliefPropagation({t}, catalog, bad).ok());
-  EXPECT_FALSE(LoopyBeliefPropagation({}, catalog).ok());
-  // Single-factor graph: belief equals the normalized factor.
-  auto result = LoopyBeliefPropagation({t}, catalog);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->marginals.at("a")->measure(0), 1.0 / 3, 1e-12);
-  EXPECT_NEAR(result->marginals.at("a")->measure(1), 2.0 / 3, 1e-12);
+// BP on the table kernels equals its fr:: composition bit for bit, on every
+// semiring with division, over dense and wider-than-64-bit keys, shuffled
+// base rows and signed-zero measures, on one connected acyclic schema and
+// one with two var-disjoint components.
+TEST(BeliefPropagationTest, MatchesFrReferenceBitForBit) {
+  const std::vector<std::vector<std::vector<size_t>>> shapes = {
+      {{0, 1, 2}, {1, 0, 3}, {2, 4}}, {{0, 1}, {2, 1}, {4, 3}}};
+  for (SemiringKind kind :
+       {SemiringKind::kSumProduct, SemiringKind::kMinSum, SemiringKind::kMaxSum,
+        SemiringKind::kMaxProduct, SemiringKind::kLogSumProduct}) {
+    for (KeyValues values : {KeyValues::kDense, KeyValues::kWide}) {
+      for (uint64_t seed = 0; seed < 4; ++seed) {
+        for (size_t shape = 0; shape < shapes.size(); ++shape) {
+          RandomView rv = MakeKeyedView(seed, values, /*extra_rels=*/0,
+                                        /*signed_zeros=*/true, shapes[shape]);
+          const Semiring semiring(kind);
+          const std::string label =
+              semiring.name() + " values " +
+              std::to_string(static_cast<int>(values)) + " seed " +
+              std::to_string(seed) + " shape " + std::to_string(shape);
+          auto got = BeliefPropagation(rv.tables, semiring);
+          ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+          const std::vector<TablePtr> want = ReferenceBp(rv.tables, semiring);
+          ASSERT_EQ(got->size(), want.size()) << label;
+          for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_TRUE(SameBits(*want[i], *(*got)[i]))
+                << label << " table " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GeneratorTest, SupplyChainCardinalitiesMatchTable1Ratios) {
