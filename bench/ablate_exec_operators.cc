@@ -16,19 +16,13 @@
 //  3. google-benchmark microbenches of the hash join and the hash
 //     marginalize (pass any --benchmark* flag to run these instead).
 //
-//   ./build/bench/ablate_exec_operators [--json BENCH_exec.json] [--threads N]
+//   ./build/bench/ablate_exec_operators [--json BENCH_exec.json]
 //   ./build/bench/ablate_exec_operators --benchmark_filter=...
-//
-// --threads N restricts the parallel-scaling sweep to a single worker count;
-// by default the headline pipeline is swept at 1/2/4/8 threads and the
-// per-count timings land in BENCH_exec.json under pipeline_scaling/*.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -43,7 +37,6 @@
 #include "server/server.h"
 #include "exec/hash_table.h"
 #include "exec/operator.h"
-#include "exec/thread_pool.h"
 #include "fr/algebra.h"
 #include "opt/faq.h"
 #include "plan/physical.h"
@@ -183,8 +176,7 @@ void AblateModes(const std::string& label, int64_t input_rows,
   }
 }
 
-int RunModeAblation(const std::string& json_path,
-                    const std::vector<size_t>& thread_counts) {
+int RunModeAblation(const std::string& json_path) {
   bench::BenchJsonWriter json;
   Semiring semiring = Semiring::SumProduct();
 
@@ -314,7 +306,9 @@ int RunModeAblation(const std::string& json_path,
          best_of([&] {
            SwissTable<double> m;
            m.Reserve(groups);
-           for (uint64_t k : keys) *m.FindOrInsert(k % groups, 0.0).first += 1.0;
+           for (uint64_t k : keys) {
+             *m.FindOrInsert(k % groups, 0.0).first += 1.0;
+           }
            benchmark::DoNotOptimize(m.size());
          })},
     };
@@ -372,73 +366,6 @@ int RunModeAblation(const std::string& json_path,
                 {"ungoverned_seconds", plain.seconds},
                 {"governed_seconds", governed.seconds},
                 {"overhead_frac", overhead}});
-    }
-  }
-
-  // Thread scaling: the headline pipeline in batch+packed mode driven with a
-  // worker pool of each requested size. One thread reproduces the serial
-  // engine; before timing, each count's materialized result is checked
-  // bit-identical against the single-thread output (tolerance 0.0).
-  {
-    const int64_t rows = 1000000;
-    auto [a, b] = MakeJoinInputs(rows);
-    Catalog catalog;
-    Check(catalog.RegisterVariable("x", rows));
-    Check(catalog.RegisterVariable("y", std::max<int64_t>(4, rows / 16)));
-    Check(catalog.RegisterVariable("z", rows));
-    std::printf("pipeline_scaling (input %lld rows, batch_packed_swiss)\n",
-                static_cast<long long>(2 * rows));
-    double one_thread_secs = 0;
-    TablePtr golden;
-    for (size_t threads : thread_counts) {
-      ThreadPool pool(threads);
-      // Parity check for this worker count.
-      {
-        OperatorPtr root = MakePipeline(a, b, semiring, &catalog);
-        QueryContext ctx;
-        ctx.set_thread_pool(&pool);
-        root->BindContext(&ctx);
-        auto result = Run(*root, "out", &ctx);
-        Check(result.status());
-        std::vector<size_t> all((*result)->schema().arity());
-        std::iota(all.begin(), all.end(), 0);
-        (*result)->SortByVariables(all);
-        if (golden == nullptr) {
-          golden = *result;
-        } else if (!fr::TablesEqual(*golden, **result, /*tolerance=*/0.0)) {
-          std::fprintf(stderr,
-                       "pipeline_scaling: %zu-thread result differs from the "
-                       "baseline\n",
-                       threads);
-          std::abort();
-        }
-      }
-      ModeResult best;
-      for (int rep = 0; rep < 3; ++rep) {
-        OperatorPtr root = MakePipeline(a, b, semiring, &catalog);
-        QueryContext ctx;
-        ctx.set_thread_pool(&pool);
-        root->BindContext(&ctx);
-        auto start = bench::Clock::now();
-        size_t out = Drain(*root);
-        double secs = bench::MsSince(start) / 1e3;
-        if (rep == 0 || secs < best.seconds) best = {secs, out};
-      }
-      if (threads == 1) one_thread_secs = best.seconds;
-      double speedup =
-          one_thread_secs > 0 ? one_thread_secs / best.seconds : 1.0;
-      std::printf("  threads=%-4zu %8.1f ms   %5.2fx vs 1 thread  (%zu out)\n",
-                  threads, best.seconds * 1e3, speedup, best.out_rows);
-      // hardware_threads keys the interpretation: counts beyond the
-      // machine's cores only measure oversubscription.
-      json.Add("pipeline_scaling/threads_" + std::to_string(threads),
-               {{"input_rows", double(2 * rows)},
-                {"threads", double(threads)},
-                {"hardware_threads",
-                 double(std::thread::hardware_concurrency())},
-                {"seconds", best.seconds},
-                {"speedup_vs_1thread", speedup},
-                {"output_rows", double(best.out_rows)}});
     }
   }
 
@@ -881,22 +808,13 @@ BENCHMARK(BM_HashMarginalize)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 int main(int argc, char** argv) {
   bool micro = false;
-  std::vector<size_t> thread_counts = {1, 2, 4, 8};
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]).rfind("--benchmark", 0) == 0) micro = true;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      size_t n = static_cast<size_t>(std::strtoull(argv[i + 1], nullptr, 10));
-      if (n == 0) {
-        std::fprintf(stderr, "--threads wants a positive integer\n");
-        return 1;
-      }
-      thread_counts = {n};
-    }
   }
   if (micro) {
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;
   }
-  return RunModeAblation(bench::JsonPathFromArgs(argc, argv), thread_counts);
+  return RunModeAblation(bench::JsonPathFromArgs(argc, argv));
 }

@@ -58,7 +58,8 @@ Status BayesNet::AddNode(const std::string& name, int64_t domain_size,
                                      "' does not exist (add parents first)");
     }
     if (parent == name) {
-      return Status::InvalidArgument("node '" + name + "' cannot parent itself");
+      return Status::InvalidArgument("node '" + name +
+                                     "' cannot parent itself");
     }
   }
   BnNode node{name, domain_size, parents, std::move(cpt)};
@@ -126,7 +127,8 @@ Status BayesNet::Validate() const {
     }
     double expected_groups = 1;
     for (const auto& parent : node.parents) {
-      expected_groups *= static_cast<double>(FindNode(parent).value()->domain_size);
+      expected_groups *=
+          static_cast<double>(FindNode(parent).value()->domain_size);
     }
     if (static_cast<double>(groups.size()) != expected_groups) {
       return Status::FailedPrecondition(
@@ -206,7 +208,8 @@ StatusOr<MpfViewDef> BayesNet::ToMpfView(Catalog& catalog,
   view.name = prefix + "joint";
   view.semiring = Semiring::SumProduct();
   for (const BnNode& node : nodes_) {
-    MPFDB_RETURN_IF_ERROR(catalog.RegisterVariable(node.name, node.domain_size));
+    MPFDB_RETURN_IF_ERROR(
+        catalog.RegisterVariable(node.name, node.domain_size));
   }
   for (const BnNode& node : nodes_) {
     std::string table_name = prefix + "cpt_" + node.name;
@@ -307,7 +310,9 @@ StatusOr<BayesNet> TreeBayesNet(int num_vars, int64_t domain_size, Rng& rng) {
 StatusOr<BayesNet> RandomBayesNet(int num_vars, int max_parents,
                                   int64_t domain_size, Rng& rng) {
   if (num_vars < 1) return Status::InvalidArgument("need at least one node");
-  if (max_parents < 0) return Status::InvalidArgument("max_parents must be >= 0");
+  if (max_parents < 0) {
+    return Status::InvalidArgument("max_parents must be >= 0");
+  }
   BayesNet bn;
   for (int i = 0; i < num_vars; ++i) {
     std::vector<int> candidates(i);

@@ -36,7 +36,8 @@ class BayesNet {
   // (parents..., name; p) up to variable order; pass nullptr to leave the
   // CPT unset (fill later via EstimateCpts or SetUniformCpts).
   Status AddNode(const std::string& name, int64_t domain_size,
-                 const std::vector<std::string>& parents, TablePtr cpt = nullptr);
+                 const std::vector<std::string>& parents,
+                 TablePtr cpt = nullptr);
 
   // Checks every CPT: present, complete, FD-satisfying, rows normalized per
   // parent configuration.
@@ -69,8 +70,9 @@ class BayesNet {
     std::string var;
     VarValue value;
   };
-  StatusOr<TablePtr> EnumerateMarginal(const std::vector<std::string>& query_vars,
-                                       const std::vector<Evidence>& evidence) const;
+  StatusOr<TablePtr> EnumerateMarginal(
+      const std::vector<std::string>& query_vars,
+      const std::vector<Evidence>& evidence) const;
 
  private:
   // Nodes in insertion order (a topological order by construction, since

@@ -28,10 +28,10 @@ std::vector<QuerySelection> ToSelections(
 
 }  // namespace
 
-StatusOr<TablePtr> InferMarginal(const BayesNet& bn,
-                                 const std::string& query_var,
-                                 const std::vector<BayesNet::Evidence>& evidence,
-                                 const std::string& optimizer) {
+StatusOr<TablePtr> InferMarginal(
+    const BayesNet& bn, const std::string& query_var,
+    const std::vector<BayesNet::Evidence>& evidence,
+    const std::string& optimizer) {
   MpfViewDef view;
   Database db;
   MPFDB_RETURN_IF_ERROR(MakeScratch(bn, Semiring::SumProduct(), db, &view));

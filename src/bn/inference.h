@@ -16,10 +16,10 @@ namespace mpfdb::bn {
 // corresponding MPF query with the given optimizer (Section 4 end to end).
 
 // Posterior marginal P(query_var | evidence), normalized.
-StatusOr<TablePtr> InferMarginal(const BayesNet& bn,
-                                 const std::string& query_var,
-                                 const std::vector<BayesNet::Evidence>& evidence,
-                                 const std::string& optimizer = "ve(deg) ext.");
+StatusOr<TablePtr> InferMarginal(
+    const BayesNet& bn, const std::string& query_var,
+    const std::vector<BayesNet::Evidence>& evidence,
+    const std::string& optimizer = "ve(deg) ext.");
 
 // The probability of the single most likely complete assignment consistent
 // with the evidence: an MPF query over the max-product semiring with empty

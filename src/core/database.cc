@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "exec/gibbs.h"
@@ -129,20 +128,6 @@ void Database::set_exec_options(exec::ExecOptions options) {
   exec_options_ = options;
 }
 
-exec::ThreadPool* Database::thread_pool() {
-  size_t threads = exec_options_.num_threads;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  if (threads <= 1) return nullptr;
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (pool_ == nullptr || pool_->num_threads() != threads) {
-    pool_ = std::make_unique<exec::ThreadPool>(threads);
-  }
-  return pool_.get();
-}
-
 Status Database::CreateTable(TablePtr table) {
   std::unique_lock<std::shared_mutex> lock(state_mu_);
   if (table != nullptr) table->SealChunked();
@@ -230,7 +215,7 @@ StatusOr<BoundPlan> Database::Plan(const Snapshot& snap,
   // catalogs hold tables no other query sees. The key is everything that
   // picks the plan — view, selected variables, query, optimizer, but no
   // selection value; the physical pass makes no choices, so every context
-  // (budget, deadline, pool) shares one entry. Entries are keyed on the
+  // (budget, deadline) shares one entry. Entries are keyed on the
   // structural epoch: measure commits don't invalidate plans.
   const bool cacheable = &catalog == &snap.catalog;
   if (cache_hit != nullptr) *cache_hit = false;
@@ -278,18 +263,9 @@ StatusOr<TablePtr> Database::Execute(
     const PlanNode& plan, const Catalog& catalog, const Semiring& semiring,
     const std::string& result_name, QueryContext* ctx,
     std::map<const PlanNode*, OperatorStats>* stats) {
-  // A caller-provided pool wins; a caller that passed no context at all gets
-  // a local one just to carry the pool.
-  QueryContext local_ctx;
-  QueryContext* qctx = ctx != nullptr ? ctx : &local_ctx;
-  exec::ThreadPool* pool = thread_pool();
-  const bool borrow_pool = pool != nullptr && qctx->thread_pool() == nullptr;
-  if (borrow_pool) qctx->set_thread_pool(pool);
   exec::Executor executor(catalog, semiring, exec_options_);
-  auto table = executor.ExecutePhysical(*PlanPhysicalTree(plan, catalog),
-                                        result_name, qctx, stats);
-  if (borrow_pool) qctx->set_thread_pool(nullptr);
-  return table;
+  return executor.ExecutePhysical(*PlanPhysicalTree(plan, catalog),
+                                  result_name, ctx, stats);
 }
 
 StatusOr<QueryResult> Database::PlanAndExecute(

@@ -15,7 +15,6 @@
 
 #include "cost/cost_model.h"
 #include "exec/executor.h"
-#include "exec/thread_pool.h"
 #include "opt/optimizer.h"
 #include "plan/plan.h"
 #include "server/plan_cache.h"
@@ -172,8 +171,8 @@ struct MvccStats {
 //    against it, so an in-flight query never observes a torn catalog no
 //    matter how updates interleave. Every reader but QueryCached resolves its
 //    view in the snapshot, then plans and executes through one private
-//    pipeline (Plan, Execute): one plan cache, one worker pool. Any number
-//    may run concurrently. A pinned snapshot keeps
+//    pipeline (Plan, Execute): one plan cache, each query on its calling
+//    thread. Any number may run concurrently. A pinned snapshot keeps
 //    every table version it references alive; versions a commit supersedes
 //    are retired into per-table version chains and garbage-collected as the
 //    snapshots pinning them are released.
@@ -273,7 +272,6 @@ class Database {
   // accepts the MakeOptimizer names; the default is the strongest
   // single-query optimizer. A non-null `ctx` runs the execution governed:
   // memory budget (with spill-based degradation), cancellation, deadline.
-  // Execution runs on the database's worker pool unless `ctx` carries one.
   // Runs against the current snapshot; physical plans are memoized in the
   // shared plan cache keyed on (view, canonical query, optimizer, exec
   // fingerprint) at the snapshot's *structural* epoch — measure commits do
@@ -324,10 +322,9 @@ class Database {
                                 const std::string& optimizer_spec =
                                     "cs+nonlinear");
 
-  // Plans and executes exactly as Query does (plan cache, worker pool) with
-  // per-operator instrumentation, and renders the physical plan with
-  // estimated vs actual row counts (EXPLAIN ANALYZE). Instrumented operators
-  // run on the calling thread; the stats are private to this execution.
+  // Plans and executes exactly as Query does (plan cache) with per-operator
+  // instrumentation, and renders the physical plan with estimated vs actual
+  // row counts (EXPLAIN ANALYZE). The stats are private to this execution.
   StatusOr<std::string> ExplainAnalyze(const std::string& view_name,
                                        const MpfQuerySpec& query,
                                        const std::string& optimizer_spec =
@@ -421,7 +418,7 @@ class Database {
   //
   // Plan optimizes `query` over `view` with the MakeOptimizer spec against
   // `catalog`. No query context takes part:
-  // every budget, deadline and pool runs the same plan. The shared plan
+  // every budget and deadline runs the same plan. The shared plan
   // cache is consulted and filled exactly when `catalog` is the snapshot's
   // own: a scratch catalog (what-if clones, dissociated bounds) always plans
   // fresh. A cacheable plan, hit or miss, is inflated from its template with
@@ -431,11 +428,9 @@ class Database {
                            const Catalog& catalog, const MpfQuerySpec& query,
                            const std::string& optimizer_spec,
                            bool* cache_hit = nullptr);
-  // Maps `plan` to its physical tree and executes it against `catalog`.
-  // The only place the worker pool is
-  // connected to a QueryContext: a context without a pool borrows it for
-  // the call, and a null `ctx` gets a local one. A non-null `stats` attaches
-  // the per-operator stats spine (Executor::ExecutePhysical).
+  // Maps `plan` to its physical tree and executes it against `catalog` on
+  // the calling thread; a null `ctx` runs ungoverned. A non-null `stats`
+  // attaches the per-operator stats spine (Executor::ExecutePhysical).
   StatusOr<TablePtr> Execute(
       const PlanNode& plan, const Catalog& catalog, const Semiring& semiring,
       const std::string& result_name, QueryContext* ctx,
@@ -448,14 +443,6 @@ class Database {
                                        const std::string& optimizer_spec,
                                        const std::string& result_name,
                                        QueryContext* ctx);
-
-  // The database-owned worker pool for intra-query parallelism, created
-  // lazily from ExecOptions::num_threads (default 1, serial; 0 =
-  // hardware_concurrency). Returns null when the resolved thread count is
-  // 1 — queries then run on the calling thread exactly as the serial engine
-  // does. The pool is shared by every concurrently admitted query
-  // (ThreadPool supports concurrent ParallelFor posts).
-  exec::ThreadPool* thread_pool();
 
   DatabaseOptions options_;
 
@@ -487,8 +474,6 @@ class Database {
 
   const CostModel cost_model_{};
   exec::ExecOptions exec_options_;
-  std::mutex pool_mu_;
-  std::unique_ptr<exec::ThreadPool> pool_;  // guarded by pool_mu_
 };
 
 }  // namespace mpfdb

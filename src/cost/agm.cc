@@ -13,7 +13,8 @@ constexpr double kEps = 1e-9;
 // so the slack basis is feasible) with a dense tableau simplex. Bland's rule
 // for both the entering and leaving choice makes the pivot sequence — and
 // thus the floating-point result — deterministic and cycle-free.
-double SolvePackingLp(size_t num_vars, const std::vector<std::vector<double>>& a,
+double SolvePackingLp(size_t num_vars,
+                      const std::vector<std::vector<double>>& a,
                       const std::vector<double>& b) {
   const size_t m = b.size();
   const size_t n = num_vars;
@@ -113,7 +114,9 @@ double AgmBound(const std::vector<std::string>& vars,
   if (vars.empty()) return 1.0;
   std::vector<double> weights;
   weights.reserve(edges.size());
-  for (const Edge& e : edges) weights.push_back(std::log(std::max(1.0, e.card)));
+  for (const Edge& e : edges) {
+    weights.push_back(std::log(std::max(1.0, e.card)));
+  }
   // LP duality: the packing optimum equals the fractional-cover optimum
   // min Σ x_R ln|R|, whose exponential is the AGM bound.
   return std::exp(CoverLpValue(vars, edges, weights));

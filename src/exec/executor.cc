@@ -16,9 +16,7 @@ namespace {
 // wall time spent inside the child's Open/NextBatch (inclusive of the
 // child's whole subtree). The wrapped operator additionally routes its
 // MemoryGuard peaks and spill partition counts into the same record via
-// set_stats. Deliberately does not forward SupportsMorselStreams: analyzed
-// runs stay serial at decorated boundaries so the single-threaded stats
-// spine needs no synchronization (results are bit-identical either way).
+// set_stats.
 class StatsOperator : public PhysicalOperator {
  public:
   StatsOperator(OperatorPtr child, OperatorStats* record)
@@ -85,7 +83,8 @@ StatusOr<OperatorPtr> Executor::BuildNode(
   OperatorPtr op;
   switch (phys.kind) {
     case PlanNodeKind::kScan: {
-      MPFDB_ASSIGN_OR_RETURN(TablePtr table, catalog_.GetTable(plan.table_name));
+      MPFDB_ASSIGN_OR_RETURN(TablePtr table,
+                             catalog_.GetTable(plan.table_name));
       op = std::make_unique<SeqScan>(std::move(table));
       break;
     }
@@ -171,8 +170,8 @@ StatusOr<TablePtr> Executor::ExecutePhysical(
     QueryContext* ctx, std::map<const PlanNode*, OperatorStats>* stats) const {
   MPFDB_ASSIGN_OR_RETURN(OperatorPtr root, BuildNode(plan, stats));
   // Without a caller context, bind a local ungoverned one so the operators'
-  // MemoryGuard charges flow (stats record peak_bytes). It imposes no budget,
-  // deadline or pool, so execution semantics are unchanged.
+  // MemoryGuard charges flow (stats record peak_bytes). It imposes no budget
+  // or deadline, so execution semantics are unchanged.
   QueryContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
   root->BindContext(ctx);

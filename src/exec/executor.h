@@ -15,12 +15,9 @@
 namespace mpfdb::exec {
 
 struct ExecOptions {
-  // Worker threads for intra-query morsel parallelism. The default 1 runs
-  // serial, on the calling thread: the pool is opt-in, because on the
-  // measured workloads it loses to one thread. 0 resolves to
-  // std::thread::hardware_concurrency(). The Executor itself only reads the
-  // pool off the QueryContext — Database owns the pool and wires it up from
-  // this knob. Results are bit-identical for every thread count.
+  // Ignored: every query runs on the calling thread. Kept only for the
+  // end-to-end benchmark (e2ebench/), which still sets it; ROADMAP.md item 2
+  // deletes it with exec::ThreadPool.
   size_t num_threads = 1;
   // Default seed of the approximate-inference sampling backend (the Gibbs
   // chain behind Database::QueryApprox) when the per-query ApproxOptions
@@ -36,16 +33,15 @@ struct ExecOptions {
 // can run many plans.
 class Executor {
  public:
-  // ExecOptions configure the Database around the executor (pool size,
-  // sampling seed); the executor itself reads none of them, because the
-  // pool arrives through the QueryContext.
+  // ExecOptions configure the Database around the executor (the sampling
+  // seed); the executor itself reads none of them.
   Executor(const Catalog& catalog, Semiring semiring,
            const ExecOptions& /*options*/ = {})
       : catalog_(catalog), semiring_(semiring) {}
 
   // Runs the logical->physical pass (PlanPhysicalTree over this executor's
-  // catalog). `ctx` no longer affects the plan: every budget, deadline and
-  // pool runs the same physical tree, so callers may pass any context.
+  // catalog). `ctx` no longer affects the plan: every budget and deadline
+  // runs the same physical tree, so callers may pass any context.
   StatusOr<std::unique_ptr<PhysicalPlanNode>> PlanPhysical(
       const PlanNode& plan, QueryContext* ctx = nullptr) const;
 
@@ -53,8 +49,8 @@ class Executor {
   // canonically on its variable columns. When `ctx` is non-null the whole
   // operator tree runs governed: memory charges against its budget,
   // cooperative cancellation/deadline polls, and spill-based degradation. A
-  // null `ctx` runs under a local context with no budget, deadline or pool:
-  // pure accounting, so results are the same either way.
+  // null `ctx` runs under a local context with no budget or deadline: pure
+  // accounting, so results are the same either way.
   StatusOr<TablePtr> Execute(const PlanNode& plan,
                              const std::string& result_name,
                              QueryContext* ctx = nullptr) const;
@@ -68,7 +64,6 @@ class Executor {
   // rows/batches, wall nanos (inclusive of the subtree), peak bytes charged
   // and spill partitions, keyed by the *logical* node each physical operator
   // implements (a fused IndexScan is keyed by the Select node it absorbed).
-  // Instrumented operators run on the calling thread.
   StatusOr<TablePtr> ExecutePhysical(
       const PhysicalPlanNode& plan, const std::string& result_name,
       QueryContext* ctx = nullptr,

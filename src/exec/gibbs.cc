@@ -46,8 +46,8 @@ StatusOr<std::unique_ptr<GibbsEstimator>> GibbsEstimator::Create(
                                      "' not in view");
     }
     if (sel.value < 0 || sel.value >= g->domains_[it->second]) {
-      return Status::InvalidArgument("gibbs: selection value out of domain for '" +
-                                     sel.var + "'");
+      return Status::InvalidArgument(
+          "gibbs: selection value out of domain for '" + sel.var + "'");
     }
     g->fixed_[it->second] = true;
     g->state_[it->second] = sel.value;

@@ -110,8 +110,9 @@ class GibbsEstimator {
   bool StateScore(double* score) const;
   void RecordState();
   std::map<std::vector<VarValue>, double> ComputeEstimate() const;
-  TablePtr RenderTable(const std::string& name,
-                       const std::map<std::vector<VarValue>, double>& groups) const;
+  TablePtr RenderTable(
+      const std::string& name,
+      const std::map<std::vector<VarValue>, double>& groups) const;
 
   Semiring semiring_;
   GibbsOptions options_;

@@ -14,8 +14,7 @@
 // scan 16-byte control groups with SSE2 (_mm_cmpeq_epi8 for H2 candidates;
 // empties fall out of _mm_movemask_epi8 directly because 0x80 is the only
 // control value with the sign bit set), with a portable scalar fallback
-// selected at compile time on non-SSE2 targets and at runtime via
-// SetForceScalarHashProbes (sanitizer/bench A-B runs). The control array
+// selected at compile time on non-SSE2 targets. The control array
 // carries a 16-byte mirror of its head so group loads never wrap.
 //
 // Displacement is Robin Hood: an insert walking the probe chain swaps with
@@ -39,12 +38,6 @@
 #endif
 
 namespace mpfdb::exec {
-
-// Runtime kill switch for the SSE2 probe loop (scalar fallback is always
-// compiled). Reads MPFDB_SCALAR_HASH=1 from the environment once at startup;
-// tests flip it explicitly to cover both paths on one binary.
-bool ScalarHashProbesForced();
-void SetForceScalarHashProbes(bool force);
 
 namespace swiss {
 
@@ -94,19 +87,17 @@ inline GroupMask ScanGroupScalar(const uint8_t* ctrl, uint8_t h2) {
 
 inline GroupMask ScanGroup(const uint8_t* ctrl, uint8_t h2) {
 #if defined(__SSE2__)
-  if (!ScalarHashProbesForced()) {
-    __m128i group =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ctrl));
-    __m128i match = _mm_cmpeq_epi8(group, _mm_set1_epi8(static_cast<char>(h2)));
-    GroupMask m;
-    m.match = static_cast<uint32_t>(_mm_movemask_epi8(match));
-    // kEmpty (0x80) is the only control value with the sign bit set, so the
-    // group's own movemask is exactly the empty mask.
-    m.empty = static_cast<uint32_t>(_mm_movemask_epi8(group));
-    return m;
-  }
-#endif
+  __m128i group = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ctrl));
+  __m128i match = _mm_cmpeq_epi8(group, _mm_set1_epi8(static_cast<char>(h2)));
+  GroupMask m;
+  m.match = static_cast<uint32_t>(_mm_movemask_epi8(match));
+  // kEmpty (0x80) is the only control value with the sign bit set, so the
+  // group's own movemask is exactly the empty mask.
+  m.empty = static_cast<uint32_t>(_mm_movemask_epi8(group));
+  return m;
+#else
   return ScanGroupScalar(ctrl, h2);
+#endif
 }
 
 inline int CountTrailingZeros(uint32_t x) { return __builtin_ctz(x); }
@@ -316,7 +307,9 @@ class SwissTable {
 template <typename V>
 class SwissBytesTable {
  public:
-  explicit SwissBytesTable(size_t expected = 16) { Init(SlotCountFor(expected)); }
+  explicit SwissBytesTable(size_t expected = 16) {
+    Init(SlotCountFor(expected));
+  }
 
   std::pair<V*, bool> FindOrInsert(const void* key, size_t len, const V& init) {
     MaybeCompact();

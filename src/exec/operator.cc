@@ -1,12 +1,9 @@
 #include "exec/operator.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
-#include <deque>
 
 #include "exec/spill.h"
-#include "exec/thread_pool.h"
 
 namespace mpfdb::exec {
 namespace {
@@ -135,7 +132,8 @@ StatusOr<std::vector<std::unique_ptr<SpillFile>>> MakeSpillPartitions(
     QueryContext* ctx, size_t arity) {
   std::vector<std::unique_ptr<SpillFile>> parts(kSpillPartitions);
   for (auto& part : parts) {
-    MPFDB_ASSIGN_OR_RETURN(part, SpillFile::Create(ctx->NextSpillPath(), arity));
+    MPFDB_ASSIGN_OR_RETURN(part,
+                           SpillFile::Create(ctx->NextSpillPath(), arity));
   }
   return parts;
 }
@@ -145,9 +143,10 @@ StatusOr<std::vector<std::unique_ptr<SpillFile>>> MakeSpillPartitions(
 // records appear in the file in arrival order with the pre-spill partial
 // aggregate first, so the semiring Adds replay in exactly the order the
 // in-memory table would have applied them — results stay bit-identical.
-Status DrainAggSpill(std::vector<std::unique_ptr<SpillFile>>& parts,
-                     const Semiring& semiring, size_t nkeys, QueryContext* ctx,
-                     std::vector<std::pair<std::vector<VarValue>, double>>* entries) {
+Status DrainAggSpill(
+    std::vector<std::unique_ptr<SpillFile>>& parts, const Semiring& semiring,
+    size_t nkeys, QueryContext* ctx,
+    std::vector<std::pair<std::vector<VarValue>, double>>* entries) {
   std::vector<VarValue> key(nkeys);
   double measure = 0;
   for (auto& part : parts) {
@@ -231,215 +230,6 @@ void CompactBatch(RowBatch* batch, const std::vector<uint32_t>& sel) {
   batch->set_num_rows(sel.size());
 }
 
-// --- Morsel parallelism helpers --------------------------------------------
-
-// The pool driving a parallel batch pipeline, or null when execution stays
-// on the calling thread.
-ThreadPool* PoolOf(QueryContext* ctx) {
-  if (ctx == nullptr) return nullptr;
-  ThreadPool* pool = ctx->thread_pool();
-  return (pool != nullptr && pool->num_threads() > 1) ? pool : nullptr;
-}
-
-// Morsels per pipeline: aim for ~16K source rows each so claims amortize the
-// per-stream setup, but never fewer than one per worker (otherwise cores sit
-// idle) and never more than 8 per worker (clone state is not free). The
-// count only shapes scheduling; results are identical for every choice.
-size_t MorselCount(size_t source_rows, size_t num_threads) {
-  constexpr size_t kMorselRows = 16 * 1024;
-  const size_t by_rows =
-      source_rows == 0 ? 1 : (source_rows + kMorselRows - 1) / kMorselRows;
-  return std::clamp(by_rows, num_threads, 8 * num_threads);
-}
-
-// Splits [0, total) into exactly `n` contiguous ranges in order (some may be
-// empty). Deterministic: stream i always covers the same rows, so outputs
-// concatenated by stream index reproduce the serial row order.
-std::vector<std::pair<size_t, size_t>> SplitRanges(size_t total, size_t n) {
-  std::vector<std::pair<size_t, size_t>> ranges;
-  ranges.reserve(n);
-  const size_t chunk = total / n;
-  const size_t extra = total % n;
-  size_t begin = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t len = chunk + (i < extra ? 1 : 0);
-    ranges.emplace_back(begin, begin + len);
-    begin += len;
-  }
-  return ranges;
-}
-
-// Key-hash partitions for parallel aggregation. Uses bits 56..59 so the
-// choice is independent of both the low bits the Swiss tables mask on and the
-// top-4 bits SpillPartOf uses — a spill triggered mid-parallel run must not
-// see all of a partition's keys collide into one spill file.
-constexpr size_t kAggPartitions = 16;
-size_t AggPartOf(size_t hash) {
-  static_assert((kAggPartitions & (kAggPartitions - 1)) == 0,
-                "partition count must be a power of two");
-  return (hash >> 56) & (kAggPartitions - 1);
-}
-
-// Range-restricted scan over an in-memory table: one morsel of a SeqScan.
-class SeqScanRangeStream : public PhysicalOperator {
- public:
-  SeqScanRangeStream(TablePtr table, size_t begin, size_t end)
-      : table_(std::move(table)), begin_(begin), end_(end) {}
-
-  Status Open() override {
-    next_row_ = begin_;
-    return Status::Ok();
-  }
-  StatusOr<bool> NextBatch(RowBatch* batch) override {
-    batch->Prepare(table_->schema().arity());
-    if (next_row_ >= end_) return false;
-    const size_t n = std::min(kBatchSize, end_ - next_row_);
-    MPFDB_RETURN_IF_ERROR(PollContext(n));
-    table_->ReadRangeColumnar(next_row_, n, kBatchSize, batch->col(0),
-                              batch->measures());
-    batch->set_num_rows(n);
-    next_row_ += n;
-    return true;
-  }
-  void Close() override {}
-  const Schema& output_schema() const override { return table_->schema(); }
-  std::string name() const override {
-    return "SeqScanRange(" + table_->name() + ")";
-  }
-
- private:
-  TablePtr table_;
-  size_t begin_, end_;
-  size_t next_row_ = 0;
-};
-
-// Batch reader over a row-major materialized result owned by a blocking
-// operator (HashMarginalize's sorted groups). The owner must outlive the
-// stream.
-class MaterializedRangeStream : public PhysicalOperator {
- public:
-  MaterializedRangeStream(Schema schema, const VarValue* vars,
-                          const double* measures, size_t begin, size_t end)
-      : schema_(std::move(schema)),
-        vars_(vars),
-        measures_(measures),
-        begin_(begin),
-        end_(end) {}
-
-  Status Open() override {
-    next_row_ = begin_;
-    return Status::Ok();
-  }
-  StatusOr<bool> NextBatch(RowBatch* batch) override {
-    const size_t arity = schema_.arity();
-    batch->Prepare(arity);
-    if (next_row_ >= end_) return false;
-    const size_t n = std::min(kBatchSize, end_ - next_row_);
-    MPFDB_RETURN_IF_ERROR(PollContext(n));
-    for (size_t c = 0; c < arity; ++c) {
-      VarValue* out = batch->col(c);
-      const VarValue* in = vars_ + next_row_ * arity + c;
-      for (size_t r = 0; r < n; ++r) out[r] = in[r * arity];
-    }
-    std::copy(measures_ + next_row_, measures_ + next_row_ + n,
-              batch->measures());
-    batch->set_num_rows(n);
-    next_row_ += n;
-    return true;
-  }
-  void Close() override {}
-  const Schema& output_schema() const override { return schema_; }
-  std::string name() const override { return "MaterializedRange"; }
-
- private:
-  Schema schema_;
-  const VarValue* vars_;
-  const double* measures_;
-  size_t begin_, end_;
-  size_t next_row_ = 0;
-};
-
-// Wraps each of the child's morsel streams in a fresh copy of a streaming
-// unary operator built by `wrap`. Shared by Filter/MeasureFilter/
-// StreamProject, whose per-stream state is rebuilt by their own Open.
-template <class Wrap>
-StatusOr<std::vector<OperatorPtr>> WrapChildStreams(PhysicalOperator& child,
-                                                    size_t n, Wrap&& wrap) {
-  MPFDB_ASSIGN_OR_RETURN(std::vector<OperatorPtr> streams,
-                         child.MakeMorselStreams(n));
-  std::vector<OperatorPtr> wrapped;
-  wrapped.reserve(streams.size());
-  for (auto& stream : streams) wrapped.push_back(wrap(std::move(stream)));
-  return wrapped;
-}
-
-// Drains `op` through morsel streams, one pool task per stream, buffering
-// each stream's rows separately and appending the buffers to `table` in
-// stream-index order — exactly the serial row order. Returns false when the
-// operator cannot split (no pool, unsupported shape, spill mode); the
-// caller then drains serially.
-StatusOr<bool> TryRunParallel(PhysicalOperator& op, Table* table,
-                                   QueryContext* ctx) {
-  ThreadPool* pool = PoolOf(ctx);
-  if (pool == nullptr || !op.SupportsMorselStreams()) return false;
-  auto streams_or = op.MakeMorselStreams(
-      MorselCount(op.MorselSourceRows(), pool->num_threads()));
-  if (!streams_or.ok()) return streams_or.status();
-  std::vector<OperatorPtr> streams = std::move(*streams_or);
-  if (streams.empty()) return false;
-
-  const size_t arity = op.output_schema().arity();
-  struct Chunk {
-    std::vector<VarValue> vars;  // row-major
-    std::vector<double> measures;
-  };
-  std::vector<Chunk> chunks(streams.size());
-  Status run = pool->ParallelFor(streams.size(), [&](size_t i) -> Status {
-    PhysicalOperator& stream = *streams[i];
-    stream.BindContext(ctx);
-    Status opened = stream.Open();
-    if (!opened.ok()) {
-      stream.Close();
-      return opened;
-    }
-    Chunk& chunk = chunks[i];
-    RowBatch batch;
-    Status result = Status::Ok();
-    while (true) {
-      auto has = stream.NextBatch(&batch);
-      if (!has.ok()) {
-        result = has.status();
-        break;
-      }
-      if (!*has) break;
-      const size_t n = batch.num_rows();
-      Status live = ctx->Poll(n);
-      if (!live.ok()) {
-        result = live;
-        break;
-      }
-      const size_t base = chunk.measures.size();
-      chunk.vars.resize((base + n) * arity);
-      for (size_t c = 0; c < arity; ++c) {
-        const VarValue* col = batch.col(c);
-        VarValue* out = chunk.vars.data() + base * arity + c;
-        for (size_t r = 0; r < n; ++r) out[r * arity] = col[r];
-      }
-      chunk.measures.insert(chunk.measures.end(), batch.measures(),
-                            batch.measures() + n);
-    }
-    stream.Close();
-    return result;
-  });
-  MPFDB_RETURN_IF_ERROR(run);
-  for (const Chunk& chunk : chunks) {
-    for (size_t r = 0; r < chunk.measures.size(); ++r) {
-      table->AppendRowRaw(chunk.vars.data() + r * arity, chunk.measures[r]);
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 StatusOr<TablePtr> Run(PhysicalOperator& op, const std::string& result_name,
@@ -450,15 +240,6 @@ StatusOr<TablePtr> Run(PhysicalOperator& op, const std::string& result_name,
     return opened;
   }
   auto table = std::make_shared<Table>(result_name, op.output_schema());
-  auto parallel = TryRunParallel(op, table.get(), ctx);
-  if (!parallel.ok()) {
-    op.Close();
-    return parallel.status();
-  }
-  if (*parallel) {
-    op.Close();
-    return table;
-  }
   const size_t arity = op.output_schema().arity();
   RowBatch batch;
   std::vector<VarValue> row(arity);
@@ -508,15 +289,6 @@ StatusOr<bool> SeqScan::NextBatch(RowBatch* batch) {
 }
 
 void SeqScan::Close() {}
-
-StatusOr<std::vector<OperatorPtr>> SeqScan::MakeMorselStreams(size_t n) {
-  std::vector<OperatorPtr> streams;
-  streams.reserve(n);
-  for (auto [begin, end] : SplitRanges(table_->NumRows(), n)) {
-    streams.push_back(std::make_unique<SeqScanRangeStream>(table_, begin, end));
-  }
-  return streams;
-}
 
 // --- IndexScan ---------------------------------------------------------------
 
@@ -586,12 +358,6 @@ StatusOr<bool> Filter::NextBatch(RowBatch* batch) {
 
 void Filter::Close() { child_->Close(); }
 
-StatusOr<std::vector<OperatorPtr>> Filter::MakeMorselStreams(size_t n) {
-  return WrapChildStreams(*child_, n, [this](OperatorPtr stream) {
-    return std::make_unique<Filter>(std::move(stream), var_, value_);
-  });
-}
-
 // --- MeasureFilter -----------------------------------------------------------
 
 StatusOr<bool> MeasureFilter::NextBatch(RowBatch* batch) {
@@ -612,12 +378,6 @@ StatusOr<bool> MeasureFilter::NextBatch(RowBatch* batch) {
       return true;
     }
   }
-}
-
-StatusOr<std::vector<OperatorPtr>> MeasureFilter::MakeMorselStreams(size_t n) {
-  return WrapChildStreams(*child_, n, [this](OperatorPtr stream) {
-    return std::make_unique<MeasureFilter>(std::move(stream), having_);
-  });
 }
 
 // --- StreamProject -----------------------------------------------------------
@@ -656,12 +416,6 @@ StatusOr<bool> StreamProject::NextBatch(RowBatch* batch) {
 
 void StreamProject::Close() { child_->Close(); }
 
-StatusOr<std::vector<OperatorPtr>> StreamProject::MakeMorselStreams(size_t n) {
-  return WrapChildStreams(*child_, n, [this](OperatorPtr stream) {
-    return std::make_unique<StreamProject>(std::move(stream), keep_vars_);
-  });
-}
-
 // --- HashMarginalize -------------------------------------------------------
 
 HashMarginalize::HashMarginalize(OperatorPtr child,
@@ -691,17 +445,6 @@ Status HashMarginalize::Open() {
 }
 
 Status HashMarginalize::DrainBatches() {
-  auto parallel = TryDrainBatchesParallel();
-  if (parallel.ok() && *parallel) return Status::Ok();
-  if (!parallel.ok()) {
-    // A budget breach during the parallel attempt falls back to the serial
-    // drain below, which degrades to a Grace-style spill; anything else
-    // (cancellation, deadline, input error) is fatal.
-    if (parallel.status().code() != StatusCode::kResourceExhausted ||
-        ctx_ == nullptr || !ctx_->spill_enabled()) {
-      return parallel.status();
-    }
-  }
   const size_t nkeys = key_indices_.size();
   std::optional<PackedKeyCodec> codec = MakeCodecFor(catalog_, group_vars_);
   // Without catalog statistics a short key still fits a uint64 at 32 bits
@@ -742,7 +485,9 @@ Status HashMarginalize::DrainBatches() {
       auto has = child_->NextBatch(&batch);
       if (!has.ok()) return Annotate(has.status(), "HashMarginalize: input");
       if (!*has) break;
-      for (size_t k = 0; k < nkeys; ++k) key_cols[k] = batch.col(key_indices_[k]);
+      for (size_t k = 0; k < nkeys; ++k) {
+        key_cols[k] = batch.col(key_indices_[k]);
+      }
       const double* measures = batch.measures();
       const size_t n = batch.num_rows();
       if (!parts.empty()) {
@@ -754,8 +499,7 @@ Status HashMarginalize::DrainBatches() {
       }
       // The accumulate loop is specialized on the semiring's Add; each fast
       // path performs exactly the operation Semiring::Add performs, keeping
-      // results bit-identical to the vector-key path (and to the parallel
-      // drain, which folds through the same dispatch).
+      // results bit-identical to the vector-key path.
       DispatchAdd(semiring_, [&](auto add) {
         for (size_t r = 0; r < n; ++r) {
           auto [slot, inserted] = agg.FindOrInsert(keys[r], measures[r]);
@@ -824,7 +568,9 @@ Status HashMarginalize::DrainBatches() {
       auto has = child_->NextBatch(&batch);
       if (!has.ok()) return Annotate(has.status(), "HashMarginalize: input");
       if (!*has) break;
-      for (size_t k = 0; k < nkeys; ++k) key_cols[k] = batch.col(key_indices_[k]);
+      for (size_t k = 0; k < nkeys; ++k) {
+        key_cols[k] = batch.col(key_indices_[k]);
+      }
       const double* measures = batch.measures();
       const size_t n = batch.num_rows();
       if (!parts.empty()) {
@@ -888,258 +634,6 @@ Status HashMarginalize::DrainBatches() {
   return Status::Ok();
 }
 
-StatusOr<bool> HashMarginalize::TryDrainBatchesParallel() {
-  ThreadPool* pool = PoolOf(ctx_);
-  if (pool == nullptr || !child_->SupportsMorselStreams()) return false;
-  // Thread-local buffering regroups updates for different keys relative to
-  // the serial schedule; only a commutative Add licenses that. (Per-key
-  // order is preserved regardless — see the partition fold below.)
-  if (!semiring_.AddIsCommutative()) return false;
-  const size_t nkeys = key_indices_.size();
-  std::optional<PackedKeyCodec> codec = MakeCodecFor(catalog_, group_vars_);
-  MPFDB_ASSIGN_OR_RETURN(
-      std::vector<OperatorPtr> streams,
-      child_->MakeMorselStreams(
-          MorselCount(child_->MorselSourceRows(), pool->num_threads())));
-  if (streams.empty()) return false;
-  const size_t num_morsels = streams.size();
-
-  // Phase 1: every morsel stream drains into per-(morsel, partition)
-  // buffers of raw (key, measure) pairs, routed by high key-hash bits so
-  // each key lands in exactly one partition. Raw pairs — not per-worker
-  // partial aggregates — because folding a key's updates in any order other
-  // than the serial one would re-associate floating-point Adds.
-  //
-  // Phase 2: each partition folds its buffers in morsel-index order.
-  // Morsels are contiguous input ranges in index order, so every key's
-  // updates replay in exactly the serial input order: results are
-  // bit-identical to the single-threaded drain for any thread count.
-  std::deque<MemoryGuard> guards;
-  for (size_t i = 0; i < num_morsels; ++i) guards.emplace_back(ctx_);
-
-  if (codec) {
-    struct Buf {
-      std::vector<uint64_t> keys;
-      std::vector<double> measures;
-    };
-    std::vector<std::array<Buf, kAggPartitions>> bufs(num_morsels);
-    Status phase1 = pool->ParallelFor(num_morsels, [&](size_t i) -> Status {
-      PhysicalOperator& stream = *streams[i];
-      stream.BindContext(ctx_);
-      Status opened = stream.Open();
-      if (!opened.ok()) {
-        stream.Close();
-        return Annotate(opened, "HashMarginalize: input");
-      }
-      RowBatch batch;
-      std::vector<uint64_t> keys(kBatchSize);
-      std::vector<const VarValue*> key_cols(nkeys);
-      Status result = Status::Ok();
-      while (true) {
-        auto has = stream.NextBatch(&batch);
-        if (!has.ok()) {
-          result = Annotate(has.status(), "HashMarginalize: input");
-          break;
-        }
-        if (!*has) break;
-        const size_t n = batch.num_rows();
-        for (size_t k = 0; k < nkeys; ++k) {
-          key_cols[k] = batch.col(key_indices_[k]);
-        }
-        if (!codec->EncodeColumnar(key_cols.data(), n, keys.data())) {
-          result = PackedDomainViolation("HashMarginalize");
-          break;
-        }
-        result = guards[i].Charge(n * (sizeof(uint64_t) + sizeof(double)),
-                                  "HashMarginalize");
-        if (!result.ok()) break;
-        const double* measures = batch.measures();
-        for (size_t r = 0; r < n; ++r) {
-          Buf& buf = bufs[i][AggPartOf(swiss::MixU64(keys[r]))];
-          buf.keys.push_back(keys[r]);
-          buf.measures.push_back(measures[r]);
-        }
-      }
-      stream.Close();
-      return result;
-    });
-    MPFDB_RETURN_IF_ERROR(phase1);
-
-    std::deque<MemoryGuard> fold_guards;
-    for (size_t p = 0; p < kAggPartitions; ++p) fold_guards.emplace_back(ctx_);
-    std::array<std::vector<std::pair<uint64_t, double>>, kAggPartitions>
-        part_entries;
-    Status phase2 = pool->ParallelFor(kAggPartitions, [&](size_t p) -> Status {
-      SwissTable<double> agg(1024);
-      size_t charged_entries = 0;
-      Status fold = Status::Ok();
-      DispatchAdd(semiring_, [&](auto add) {
-        for (size_t i = 0; i < num_morsels && fold.ok(); ++i) {
-          const Buf& buf = bufs[i][p];
-          const size_t n = buf.measures.size();
-          for (size_t r = 0; r < n; ++r) {
-            auto [slot, inserted] =
-                agg.FindOrInsert(buf.keys[r], buf.measures[r]);
-            if (!inserted) *slot = add(*slot, buf.measures[r]);
-          }
-          if (agg.size() > charged_entries) {
-            fold = fold_guards[p].Charge(
-                (agg.size() - charged_entries) * kPackedAggEntryBytes,
-                "HashMarginalize");
-            charged_entries = agg.size();
-          }
-          if (fold.ok() && ctx_ != nullptr && n > 0) fold = ctx_->Poll(n);
-        }
-      });
-      MPFDB_RETURN_IF_ERROR(fold);
-      auto& entries = part_entries[p];
-      entries.reserve(agg.size());
-      agg.ForEach([&](uint64_t key, const double& measure) {
-        entries.emplace_back(key, measure);
-      });
-      return Status::Ok();
-    });
-    MPFDB_RETURN_IF_ERROR(phase2);
-
-    // Merge is concatenation — the partitions' key sets are disjoint — and
-    // the same packed-key integer sort the serial drain performs.
-    std::vector<std::pair<uint64_t, double>> entries;
-    size_t total = 0;
-    for (const auto& pe : part_entries) total += pe.size();
-    entries.reserve(total);
-    for (const auto& pe : part_entries) {
-      entries.insert(entries.end(), pe.begin(), pe.end());
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    out_vars_.resize(entries.size() * nkeys);
-    out_measures_.resize(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      codec->Decode(entries[i].first, out_vars_.data() + i * nkeys);
-      out_measures_[i] = entries[i].second;
-    }
-  } else {
-    struct Buf {
-      std::vector<VarValue> keys;  // nkeys values per row
-      std::vector<double> measures;
-    };
-    std::vector<std::array<Buf, kAggPartitions>> bufs(num_morsels);
-    Status phase1 = pool->ParallelFor(num_morsels, [&](size_t i) -> Status {
-      PhysicalOperator& stream = *streams[i];
-      stream.BindContext(ctx_);
-      Status opened = stream.Open();
-      if (!opened.ok()) {
-        stream.Close();
-        return Annotate(opened, "HashMarginalize: input");
-      }
-      RowBatch batch;
-      std::vector<VarValue> key_vals(nkeys);
-      std::vector<const VarValue*> key_cols(nkeys);
-      Status result = Status::Ok();
-      while (true) {
-        auto has = stream.NextBatch(&batch);
-        if (!has.ok()) {
-          result = Annotate(has.status(), "HashMarginalize: input");
-          break;
-        }
-        if (!*has) break;
-        const size_t n = batch.num_rows();
-        for (size_t k = 0; k < nkeys; ++k) {
-          key_cols[k] = batch.col(key_indices_[k]);
-        }
-        result = guards[i].Charge(n * RowFootprint(nkeys), "HashMarginalize");
-        if (!result.ok()) break;
-        const double* measures = batch.measures();
-        for (size_t r = 0; r < n; ++r) {
-          for (size_t k = 0; k < nkeys; ++k) key_vals[k] = key_cols[k][r];
-          Buf& buf = bufs[i][AggPartOf(KeyHash()(key_vals))];
-          buf.keys.insert(buf.keys.end(), key_vals.begin(), key_vals.end());
-          buf.measures.push_back(measures[r]);
-        }
-      }
-      stream.Close();
-      return result;
-    });
-    MPFDB_RETURN_IF_ERROR(phase1);
-
-    const size_t entry_bytes = kHashEntryOverhead + RowFootprint(nkeys);
-    std::deque<MemoryGuard> fold_guards;
-    for (size_t p = 0; p < kAggPartitions; ++p) fold_guards.emplace_back(ctx_);
-    std::array<std::vector<std::pair<std::vector<VarValue>, double>>,
-               kAggPartitions>
-        part_entries;
-    Status phase2 = pool->ParallelFor(kAggPartitions, [&](size_t p) -> Status {
-      VecKeyMap<double> table;
-      std::vector<VarValue> key_vals(nkeys);
-      for (size_t i = 0; i < num_morsels; ++i) {
-        const Buf& buf = bufs[i][p];
-        const size_t n = buf.measures.size();
-        for (size_t r = 0; r < n; ++r) {
-          key_vals.assign(buf.keys.begin() + static_cast<ptrdiff_t>(r * nkeys),
-                          buf.keys.begin() +
-                              static_cast<ptrdiff_t>((r + 1) * nkeys));
-          auto [slot, inserted] = table.FindOrInsert(key_vals, buf.measures[r]);
-          if (inserted) {
-            MPFDB_RETURN_IF_ERROR(
-                fold_guards[p].Charge(entry_bytes, "HashMarginalize"));
-          } else {
-            *slot = semiring_.Add(*slot, buf.measures[r]);
-          }
-        }
-        if (ctx_ != nullptr && n > 0) MPFDB_RETURN_IF_ERROR(ctx_->Poll(n));
-      }
-      auto& entries = part_entries[p];
-      entries.reserve(table.size());
-      table.ForEach([&](const std::vector<VarValue>& k, const double& m) {
-        entries.emplace_back(k, m);
-      });
-      return Status::Ok();
-    });
-    MPFDB_RETURN_IF_ERROR(phase2);
-
-    std::vector<std::pair<std::vector<VarValue>, double>> entries;
-    size_t total = 0;
-    for (const auto& pe : part_entries) total += pe.size();
-    entries.reserve(total);
-    for (auto& pe : part_entries) {
-      for (auto& e : pe) entries.push_back(std::move(e));
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    out_vars_.resize(entries.size() * nkeys);
-    out_measures_.resize(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      std::copy(entries[i].first.begin(), entries[i].first.end(),
-                out_vars_.begin() + static_cast<ptrdiff_t>(i * nkeys));
-      out_measures_[i] = entries[i].second;
-    }
-  }
-
-  memory_.ChargeUnchecked(out_vars_.size() * sizeof(VarValue) +
-                          out_measures_.size() * sizeof(double));
-  return true;
-}
-
-StatusOr<std::vector<OperatorPtr>> HashMarginalize::MakeMorselStreams(
-    size_t n) {
-  // Vending streams forces the blocking drain, exactly as the first
-  // NextBatch pull would; the streams then read disjoint ranges of the
-  // sorted groups this operator owns.
-  if (!drained_) {
-    Status drained = DrainBatches();
-    child_->Close();
-    MPFDB_RETURN_IF_ERROR(drained);
-    drained_ = true;
-  }
-  std::vector<OperatorPtr> streams;
-  streams.reserve(n);
-  for (auto [begin, end] : SplitRanges(out_measures_.size(), n)) {
-    streams.push_back(std::make_unique<MaterializedRangeStream>(
-        schema_, out_vars_.data(), out_measures_.data(), begin, end));
-  }
-  return streams;
-}
-
 StatusOr<bool> HashMarginalize::NextBatch(RowBatch* batch) {
   if (!drained_) {
     Status drained = DrainBatches();
@@ -1176,10 +670,8 @@ void HashMarginalize::Close() {
 
 namespace {
 
-// Per-consumer probe state for the batch hash join: the current left batch,
-// its packed keys, and the match run being emitted. The serial operator owns
-// one cursor; every parallel probe stream owns its own, all reading the same
-// immutable build-side arena.
+// Probe state of the batch hash join: the current left batch, its packed
+// keys, and the match run being emitted.
 struct ProbeCursor {
   RowBatch left_batch;
   size_t left_pos = 0;   // next unconsumed row of left_batch
@@ -1195,8 +687,7 @@ struct ProbeCursor {
 
 // Emits (a slice of) the current left row's contiguous match run: constant
 // fills for left-side outputs, contiguous column copies for right-side
-// outputs, one vectorizable multiply for the measures. Shared between the
-// serial in-memory probe loop and the parallel probe streams. ImplT is
+// outputs, one vectorizable multiply for the measures. ImplT is
 // HashProductJoin::Impl, deduced because the type is private; only
 // build-side state is read through it.
 template <class ImplT>
@@ -1236,9 +727,7 @@ void EmitJoinRunSlice(ImplT& st, ProbeCursor& pc, const Semiring& semiring,
 }
 
 // The in-memory probe loop: pulls left batches from `left`, looks match runs
-// up in the (frozen) build-side head maps, and emits run slices. The build
-// state reached through `st` is only read, so any number of cursors can
-// probe it concurrently.
+// up in the (frozen) build-side head maps, and emits run slices.
 template <class ImplT>
 StatusOr<bool> JoinProbeNextBatch(ImplT& st, ProbeCursor& pc,
                                   PhysicalOperator& left,
@@ -1310,35 +799,6 @@ StatusOr<bool> JoinProbeNextBatch(ImplT& st, ProbeCursor& pc,
   return !out->empty();
 }
 
-// One parallel probe stream: a morsel stream of the join's left child joined
-// against the shared in-memory build side through a private ProbeCursor.
-// ImplT is HashProductJoin::Impl; the referenced build state must outlive
-// the stream (the parent operator stays open until its streams are done).
-template <class ImplT>
-class HashJoinProbeStream : public PhysicalOperator {
- public:
-  HashJoinProbeStream(ImplT& st, OperatorPtr left, Semiring semiring)
-      : st_(st), left_(std::move(left)), semiring_(semiring) {}
-
-  void BindContext(QueryContext* ctx) override {
-    ctx_ = ctx;
-    left_->BindContext(ctx);
-  }
-  Status Open() override { return left_->Open(); }
-  StatusOr<bool> NextBatch(RowBatch* out) override {
-    return JoinProbeNextBatch(st_, probe_, *left_, semiring_, ctx_, out);
-  }
-  void Close() override { left_->Close(); }
-  const Schema& output_schema() const override { return st_.layout.schema; }
-  std::string name() const override { return "HashJoinProbeStream"; }
-
- private:
-  ImplT& st_;
-  OperatorPtr left_;
-  Semiring semiring_;
-  ProbeCursor probe_;
-};
-
 }  // namespace
 
 // A spilled build partition being joined: its rows chained per key in
@@ -1379,9 +839,10 @@ struct HashProductJoin::Impl {
   // with no hashing at all.
   bool dense = false;
   std::vector<std::pair<uint32_t, uint32_t>> dense_heads;
-  std::vector<std::pair<size_t, size_t>> out_left_cols;   // (out col, left col)
-  std::vector<std::pair<size_t, size_t>> out_right_cols;  // (out col, right col)
-  ProbeCursor probe;  // the serial consumer's probe state
+  // (output column, left column) and (output column, right column).
+  std::vector<std::pair<size_t, size_t>> out_left_cols;
+  std::vector<std::pair<size_t, size_t>> out_right_cols;
+  ProbeCursor probe;
   std::vector<VarValue> key_vals;
   std::vector<const VarValue*> key_cols;
 
@@ -1417,12 +878,14 @@ HashProductJoin::HashProductJoin(OperatorPtr left, OperatorPtr right,
       right_(std::move(right)),
       semiring_(semiring),
       catalog_(catalog) {
-  schema_ = MakeJoinLayout(left_->output_schema(), right_->output_schema()).schema;
+  schema_ =
+      MakeJoinLayout(left_->output_schema(), right_->output_schema()).schema;
 }
 
 Status HashProductJoin::Open() {
   impl_ = std::make_unique<Impl>();
-  impl_->layout = MakeJoinLayout(left_->output_schema(), right_->output_schema());
+  impl_->layout =
+      MakeJoinLayout(left_->output_schema(), right_->output_schema());
   impl_->memory.Bind(ctx_);
   impl_->memory.set_stats(stats_);
   impl_->part_memory.Bind(ctx_);
@@ -1458,7 +921,7 @@ Status HashProductJoin::BuildBatches() {
   std::vector<uint32_t> next_row;     // insertion chains (vector keys only)
   // Children that can report their source cardinality (scans and filters)
   // let the staging vectors skip the doubling reallocations.
-  if (const size_t hint = right_->MorselSourceRows(); hint > 0) {
+  if (const size_t hint = right_->SourceRowsHint(); hint > 0) {
     for (auto& col : staging_cols) col.reserve(hint);
     staging_measures.reserve(hint);
     if (st.codec) staged_keys.reserve(hint);
@@ -1513,7 +976,12 @@ Status HashProductJoin::BuildBatches() {
     st.spilling = true;
     return Status::Ok();
   };
-  auto process_batch = [&](const RowBatch& batch) -> Status {
+  while (true) {
+    auto has = right_->NextBatch(&batch);
+    if (!has.ok()) {
+      return Annotate(has.status(), "HashProductJoin: build side");
+    }
+    if (!*has) break;
     const size_t n = batch.num_rows();
     MPFDB_RETURN_IF_ERROR(PollContext(n));
     for (size_t k = 0; k < nkeys; ++k) {
@@ -1530,7 +998,7 @@ Status HashProductJoin::BuildBatches() {
             st.right_parts[SpillPartOf(KeyHash()(st.key_vals))]->Append(
                 st.spill_row.data(), measures[r]));
       }
-      return Status::Ok();
+      continue;
     }
     const size_t base = staging_measures.size();
     for (size_t c = 0; c < st.right_arity; ++c) {
@@ -1580,88 +1048,6 @@ Status HashProductJoin::BuildBatches() {
       } else {
         charged_bytes = total_bytes;
       }
-    }
-    return Status::Ok();
-  };
-  // Parallel pre-drain of the build side when a pool is available: morsel
-  // streams of the right child buffer their batches per stream, and the
-  // buffered batches replay through process_batch in stream order — exactly
-  // the serial staging order, so chaining and compaction stay byte-for-byte
-  // deterministic. Only the (usually dominant) production of build rows runs
-  // in parallel; hash-table insertion stays single-threaded.
-  bool drained_parallel = false;
-  if (ThreadPool* pool = PoolOf(ctx_);
-      pool != nullptr && right_->SupportsMorselStreams()) {
-    auto streams_or = right_->MakeMorselStreams(
-        MorselCount(right_->MorselSourceRows(), pool->num_threads()));
-    if (!streams_or.ok()) {
-      // A budget breach while materializing a blocking child falls back to
-      // the serial drain (which degrades to spill); real errors propagate.
-      if (streams_or.status().code() != StatusCode::kResourceExhausted ||
-          ctx_ == nullptr || !ctx_->spill_enabled()) {
-        return streams_or.status();
-      }
-    } else if (!streams_or->empty()) {
-      std::vector<OperatorPtr>& streams = *streams_or;
-      const size_t num_morsels = streams.size();
-      std::vector<std::vector<RowBatch>> buffered(num_morsels);
-      std::deque<MemoryGuard> guards;
-      for (size_t i = 0; i < num_morsels; ++i) guards.emplace_back(ctx_);
-      const size_t batch_row_bytes =
-          st.right_arity * sizeof(VarValue) + sizeof(double);
-      Status drain = pool->ParallelFor(num_morsels, [&](size_t i) -> Status {
-        PhysicalOperator& stream = *streams[i];
-        stream.BindContext(ctx_);
-        Status opened = stream.Open();
-        if (!opened.ok()) {
-          stream.Close();
-          return Annotate(opened, "HashProductJoin: build side");
-        }
-        RowBatch b;
-        Status result = Status::Ok();
-        while (true) {
-          auto has = stream.NextBatch(&b);
-          if (!has.ok()) {
-            result = Annotate(has.status(), "HashProductJoin: build side");
-            break;
-          }
-          if (!*has) break;
-          const size_t n = b.num_rows();
-          if (ctx_ != nullptr) {
-            result = ctx_->Poll(n);
-            if (!result.ok()) break;
-          }
-          result = guards[i].Charge(n * batch_row_bytes,
-                                    "HashProductJoin: build side");
-          if (!result.ok()) break;
-          buffered[i].push_back(std::move(b));
-          b = RowBatch();
-        }
-        stream.Close();
-        return result;
-      });
-      if (drain.ok()) {
-        for (auto& chunk : buffered) {
-          for (RowBatch& b : chunk) MPFDB_RETURN_IF_ERROR(process_batch(b));
-        }
-        drained_parallel = true;
-      } else if (drain.code() != StatusCode::kResourceExhausted ||
-                 ctx_ == nullptr || !ctx_->spill_enabled()) {
-        return drain;
-      }
-      // On kResourceExhausted the buffered batches and their reservations
-      // are dropped here and the untouched right_ child drains serially,
-      // degrading to a Grace-style spill as usual.
-    }
-  }
-  if (!drained_parallel) {
-    while (true) {
-      auto has = right_->NextBatch(&batch);
-      if (!has.ok()) {
-        return Annotate(has.status(), "HashProductJoin: build side");
-      }
-      if (!*has) break;
-      MPFDB_RETURN_IF_ERROR(process_batch(batch));
     }
   }
   right_->Close();
@@ -1998,32 +1384,6 @@ StatusOr<bool> HashProductJoin::NextBatchSpill(RowBatch* out) {
   }
   MPFDB_RETURN_IF_ERROR(PollContext(out->num_rows()));
   return !out->empty();
-}
-
-StatusOr<std::vector<OperatorPtr>> HashProductJoin::MakeMorselStreams(
-    size_t n) {
-  Impl& st = *impl_;
-  // Vending streams forces the blocking build, exactly as the first
-  // NextBatch pull would. Afterwards the head maps and arena are frozen:
-  // each stream probes them through a private cursor over a disjoint range
-  // of the left child, so concatenating stream outputs in index order
-  // reproduces the serial probe output.
-  if (!st.built) {
-    MPFDB_RETURN_IF_ERROR(BuildBatches());
-    st.built = true;
-  }
-  // The spill path rebuilds per-partition state as it probes; that is
-  // inherently sequential, so a degraded join drains serially.
-  if (st.spilling) return std::vector<OperatorPtr>{};
-  MPFDB_ASSIGN_OR_RETURN(std::vector<OperatorPtr> left_streams,
-                         left_->MakeMorselStreams(n));
-  std::vector<OperatorPtr> streams;
-  streams.reserve(left_streams.size());
-  for (auto& ls : left_streams) {
-    streams.push_back(std::make_unique<HashJoinProbeStream<Impl>>(
-        st, std::move(ls), semiring_));
-  }
-  return streams;
 }
 
 void HashProductJoin::Close() {

@@ -38,29 +38,10 @@ class PhysicalOperator {
   // tree. A null context — the default — disables all governance.
   virtual void BindContext(QueryContext* ctx) { ctx_ = ctx; }
 
-  // --- Morsel-driven parallel protocol -------------------------------------
-  // A parallel-capable operator can split its batch output into `n` disjoint
-  // single-threaded streams: the streams' outputs, concatenated in stream
-  // index order, reproduce exactly the rows AND row order of driving this
-  // operator serially through NextBatch — that ordering contract is what
-  // makes parallel results bit-identical to serial. Splitting may first
-  // complete a blocking phase on the calling thread (a hash join builds its
-  // table before vending probe streams). Streams share immutable state with
-  // this operator, which must stay open — and must not be pulled — until
-  // every stream is Closed and destroyed. Streams are returned unbound and
-  // un-Opened; the driver calls BindContext and Open on each, normally from
-  // its worker task. An empty vector means the split is unavailable right
-  // now (e.g. the operator degraded to spill mode); callers fall back to
-  // pulling this operator serially.
-  virtual bool SupportsMorselStreams() const { return false; }
-  virtual StatusOr<std::vector<std::unique_ptr<PhysicalOperator>>>
-  MakeMorselStreams(size_t n) {
-    (void)n;
-    return std::vector<std::unique_ptr<PhysicalOperator>>{};
-  }
   // Approximate number of source rows feeding this operator's stream, used
-  // only to pick a morsel count; 0 when unknown.
-  virtual size_t MorselSourceRows() const { return 0; }
+  // to presize a consumer's buffers (HashProductJoin's build staging); 0
+  // when unknown.
+  virtual size_t SourceRowsHint() const { return 0; }
 
   virtual const Schema& output_schema() const = 0;
   virtual std::string name() const = 0;
@@ -99,10 +80,8 @@ class PhysicalOperator {
 
 using OperatorPtr = std::unique_ptr<PhysicalOperator>;
 
-// Runs `op` to completion and materializes its output. When `ctx` carries a
-// thread pool and `op` supports morsel streams, the streams drain in
-// parallel and their outputs concatenate in stream order (the serial row
-// order). When `ctx` is supplied the drive loop also polls it as a backstop
+// Runs `op` to completion on the calling thread and materializes its
+// output. When `ctx` is supplied the drive loop also polls it as a backstop
 // for operators that emit many rows per leaf pull, and the operator is
 // Closed on error so partial state is torn down before the Status
 // propagates.
@@ -119,11 +98,11 @@ class SeqScan : public PhysicalOperator {
   Status Open() override;
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
-  bool SupportsMorselStreams() const override { return true; }
-  StatusOr<std::vector<OperatorPtr>> MakeMorselStreams(size_t n) override;
-  size_t MorselSourceRows() const override { return table_->NumRows(); }
+  size_t SourceRowsHint() const override { return table_->NumRows(); }
   const Schema& output_schema() const override { return table_->schema(); }
-  std::string name() const override { return "SeqScan(" + table_->name() + ")"; }
+  std::string name() const override {
+    return "SeqScan(" + table_->name() + ")";
+  }
 
  private:
   TablePtr table_;
@@ -168,13 +147,7 @@ class Filter : public PhysicalOperator {
     ctx_ = ctx;
     child_->BindContext(ctx);
   }
-  bool SupportsMorselStreams() const override {
-    return child_->SupportsMorselStreams();
-  }
-  StatusOr<std::vector<OperatorPtr>> MakeMorselStreams(size_t n) override;
-  size_t MorselSourceRows() const override {
-    return child_->MorselSourceRows();
-  }
+  size_t SourceRowsHint() const override { return child_->SourceRowsHint(); }
   const Schema& output_schema() const override {
     return child_->output_schema();
   }
@@ -204,13 +177,7 @@ class MeasureFilter : public PhysicalOperator {
     ctx_ = ctx;
     child_->BindContext(ctx);
   }
-  bool SupportsMorselStreams() const override {
-    return child_->SupportsMorselStreams();
-  }
-  StatusOr<std::vector<OperatorPtr>> MakeMorselStreams(size_t n) override;
-  size_t MorselSourceRows() const override {
-    return child_->MorselSourceRows();
-  }
+  size_t SourceRowsHint() const override { return child_->SourceRowsHint(); }
   const Schema& output_schema() const override {
     return child_->output_schema();
   }
@@ -236,13 +203,7 @@ class StreamProject : public PhysicalOperator {
     ctx_ = ctx;
     child_->BindContext(ctx);
   }
-  bool SupportsMorselStreams() const override {
-    return child_->SupportsMorselStreams();
-  }
-  StatusOr<std::vector<OperatorPtr>> MakeMorselStreams(size_t n) override;
-  size_t MorselSourceRows() const override {
-    return child_->MorselSourceRows();
-  }
+  size_t SourceRowsHint() const override { return child_->SourceRowsHint(); }
   const Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "StreamProject"; }
 
@@ -276,25 +237,12 @@ class HashMarginalize : public PhysicalOperator {
     ctx_ = ctx;
     child_->BindContext(ctx);
   }
-  // A marginalize always materializes its (small) result, so after the
-  // blocking drain it can vend range streams over the sorted groups; the
-  // drain itself runs in parallel when the child supports morsel streams.
-  bool SupportsMorselStreams() const override { return true; }
-  StatusOr<std::vector<OperatorPtr>> MakeMorselStreams(size_t n) override;
-  size_t MorselSourceRows() const override {
-    return drained_ ? out_measures_.size() : child_->MorselSourceRows();
-  }
+  size_t SourceRowsHint() const override { return child_->SourceRowsHint(); }
   const Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "HashMarginalize"; }
 
  private:
   Status DrainBatches();
-  // Morsel-parallel drain: partitions (key, measure) pairs by key hash so
-  // every key is folded on exactly one partition in global input order.
-  // Returns false when parallel execution is unavailable (no pool, child
-  // cannot split); kResourceExhausted means the caller should fall back to
-  // the serial drain, which handles the budget by spilling.
-  StatusOr<bool> TryDrainBatchesParallel();
 
   OperatorPtr child_;
   std::vector<std::string> group_vars_;
@@ -341,17 +289,7 @@ class HashProductJoin : public PhysicalOperator {
     left_->BindContext(ctx);
     right_->BindContext(ctx);
   }
-  // Probe-side parallelism: once the build side is materialized (shared,
-  // read-only), every morsel stream of the probe side is wrapped in its own
-  // probe cursor over the shared table. Unavailable once the join degraded
-  // to spill partitions.
-  bool SupportsMorselStreams() const override {
-    return left_->SupportsMorselStreams();
-  }
-  StatusOr<std::vector<OperatorPtr>> MakeMorselStreams(size_t n) override;
-  size_t MorselSourceRows() const override {
-    return left_->MorselSourceRows();
-  }
+  size_t SourceRowsHint() const override { return left_->SourceRowsHint(); }
   const Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "HashProductJoin"; }
 

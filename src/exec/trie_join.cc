@@ -150,17 +150,6 @@ TrieJoin::TrieJoin(std::vector<OperatorPtr> children,
                               ? std::string("f")
                               : children_[0]->output_schema().measure_name()) {}
 
-TrieJoin::TrieJoin(const TrieJoin* owner, VarValue lo, VarValue hi)
-    : var_order_(owner->var_order_),
-      semiring_(owner->semiring_),
-      schema_(owner->schema_),
-      staged_(true),
-      stage_view_(&owner->stages_),
-      active_(owner->active_),
-      owner_(owner),
-      v0_lo_(lo),
-      v0_hi_(hi) {}
-
 TrieJoin::~TrieJoin() = default;
 
 void TrieJoin::BindContext(QueryContext* ctx) {
@@ -170,21 +159,19 @@ void TrieJoin::BindContext(QueryContext* ctx) {
 }
 
 Status TrieJoin::Open() {
-  if (owner_ == nullptr) {
-    if (children_.size() < 2) {
-      return Status::Internal("TrieJoin requires at least two children");
-    }
-    std::vector<std::string> covered;
-    for (const auto& child : children_) {
-      covered = varset::Union(covered, child->output_schema().variables());
-    }
-    if (!varset::SetEquals(covered, var_order_)) {
-      return Status::Internal(
-          "TrieJoin variable order does not cover its children");
-    }
-    memory_.set_stats(stats_);
-    MPFDB_RETURN_IF_ERROR(EnsureStaged());
+  if (children_.size() < 2) {
+    return Status::Internal("TrieJoin requires at least two children");
   }
+  std::vector<std::string> covered;
+  for (const auto& child : children_) {
+    covered = varset::Union(covered, child->output_schema().variables());
+  }
+  if (!varset::SetEquals(covered, var_order_)) {
+    return Status::Internal(
+        "TrieJoin variable order does not cover its children");
+  }
+  memory_.set_stats(stats_);
+  MPFDB_RETURN_IF_ERROR(EnsureStaged());
   if (degraded_) return Status::Ok();
   return InitMachine();
 }
@@ -408,12 +395,11 @@ Status TrieJoin::BuildDegradedPipeline() {
 // --- LFTJ machine -----------------------------------------------------------
 
 Status TrieJoin::InitMachine() {
-  const std::vector<ChildStage>& stages = *stage_view_;
   const size_t num_levels = var_order_.size();
   active_.assign(num_levels, {});
   for (size_t k = 0; k < num_levels; ++k) {
-    for (size_t c = 0; c < stages.size(); ++c) {
-      if (varset::Contains(stages[c].vars, var_order_[k])) {
+    for (size_t c = 0; c < stages_.size(); ++c) {
+      if (varset::Contains(stages_[c].vars, var_order_[k])) {
         active_[k].push_back(c);
       }
     }
@@ -422,13 +408,13 @@ Status TrieJoin::InitMachine() {
     }
   }
   iters_.clear();
-  iters_.reserve(stages.size());
-  for (const ChildStage& stage : stages) {
+  iters_.reserve(stages_.size());
+  for (const ChildStage& stage : stages_) {
     iters_.push_back(std::make_unique<TrieIterator>(
         stage.rows.data(), stage.measures.size(), stage.arity));
   }
   bound_.assign(num_levels, 0);
-  odo_.assign(stages.size(), 0);
+  odo_.assign(stages_.size(), 0);
   started_ = false;
   done_ = false;
   have_match_ = false;
@@ -436,13 +422,7 @@ Status TrieJoin::InitMachine() {
 }
 
 void TrieJoin::OpenLevel(size_t k) {
-  for (size_t c : active_[k]) {
-    iters_[c]->Open();
-    if (k == 0 && v0_lo_ > std::numeric_limits<VarValue>::min() &&
-        !iters_[c]->AtEnd() && iters_[c]->Key() < v0_lo_) {
-      iters_[c]->Seek(v0_lo_);
-    }
-  }
+  for (size_t c : active_[k]) iters_[c]->Open();
 }
 
 void TrieJoin::CloseLevel(size_t k) {
@@ -462,9 +442,6 @@ StatusOr<bool> TrieJoin::SearchLevel(size_t k) {
       if (key != max_key) all_equal = false;
       if (key > max_key) max_key = key;
     }
-    // A morsel stream stops at its outermost-variable fence: any common key
-    // from here on would be >= max_key.
-    if (k == 0 && max_key > v0_hi_) return false;
     if (all_equal) {
       bound_[k] = max_key;
       return true;
@@ -527,7 +504,6 @@ StatusOr<bool> TrieJoin::FindNextMatch() {
 StatusOr<bool> TrieJoin::NextBatch(RowBatch* batch) {
   if (degraded_) return degraded_root_->NextBatch(batch);
   const size_t arity = var_order_.size();
-  const std::vector<ChildStage>& stages = *stage_view_;
   batch->Prepare(arity);
   while (!batch->full()) {
     if (!have_match_) {
@@ -541,9 +517,9 @@ StatusOr<bool> TrieJoin::NextBatch(RowBatch* batch) {
     while (!batch->full()) {
       const size_t r = batch->num_rows();
       for (size_t k = 0; k < arity; ++k) batch->col(k)[r] = bound_[k];
-      double measure = stages[0].measures[odo_[0]];
-      for (size_t c = 1; c < stages.size(); ++c) {
-        measure = semiring_.Multiply(measure, stages[c].measures[odo_[c]]);
+      double measure = stages_[0].measures[odo_[0]];
+      for (size_t c = 1; c < stages_.size(); ++c) {
+        measure = semiring_.Multiply(measure, stages_[c].measures[odo_[c]]);
       }
       batch->measures()[r] = measure;
       batch->set_num_rows(r + 1);
@@ -564,12 +540,11 @@ StatusOr<bool> TrieJoin::NextBatch(RowBatch* batch) {
 
 void TrieJoin::CollectIteratorStats() {
   if (stats_ == nullptr || iters_.empty()) return;
-  const std::vector<ChildStage>& stages = *stage_view_;
   for (const auto& var : var_order_) {
     TrieVarStats entry;
     entry.var = var;
-    for (size_t c = 0; c < stages.size(); ++c) {
-      const ChildStage& stage = stages[c];
+    for (size_t c = 0; c < stages_.size(); ++c) {
+      const ChildStage& stage = stages_[c];
       for (size_t d = 0; d < stage.arity; ++d) {
         if (stage.vars[d] != var) continue;
         entry.seeks += iters_[c]->level_stats()[d].seeks;
@@ -603,66 +578,23 @@ void TrieJoin::Close() {
     degraded_root_->Close();
     degraded_root_.reset();
   }
-  if (owner_ == nullptr) {
-    stages_.clear();
-    staged_ = false;
-    degraded_ = false;
-    memory_.ReleaseAll();
-  }
+  stages_.clear();
+  staged_ = false;
+  degraded_ = false;
+  memory_.ReleaseAll();
 }
 
-size_t TrieJoin::MorselSourceRows() const {
+size_t TrieJoin::SourceRowsHint() const {
   if (staged_ && !degraded_) {
     size_t total = 0;
-    for (const ChildStage& stage : *stage_view_) {
+    for (const ChildStage& stage : stages_) {
       total += stage.measures.size();
     }
     return total;
   }
   size_t total = 0;
-  for (const auto& child : children_) total += child->MorselSourceRows();
+  for (const auto& child : children_) total += child->SourceRowsHint();
   return total;
-}
-
-StatusOr<std::vector<OperatorPtr>> TrieJoin::MakeMorselStreams(size_t n) {
-  // Streams do not split further, and spill mode has no shareable arenas.
-  if (owner_ != nullptr || n <= 1) return std::vector<OperatorPtr>{};
-  MPFDB_RETURN_IF_ERROR(EnsureStaged());
-  if (degraded_) return std::vector<OperatorPtr>{};
-
-  // Candidate outermost values: the distinct first-column keys of the first
-  // child containing the outermost variable (the intersection is a subset).
-  // Contiguous value ranges keep each stream's output a contiguous slice of
-  // the serial lexicographic emission.
-  if (active_.empty()) {
-    // Open has not run yet (parallel drivers open first, but be safe).
-    MPFDB_RETURN_IF_ERROR(InitMachine());
-    TearDownMachine();
-  }
-  const ChildStage& first = (*stage_view_)[active_[0][0]];
-  std::vector<VarValue> keys;
-  const size_t rows = first.measures.size();
-  for (size_t r = 0; r < rows;) {
-    VarValue v = first.rows[r * first.arity];
-    keys.push_back(v);
-    while (r < rows && first.rows[r * first.arity] == v) ++r;
-  }
-  if (keys.size() < 2) return std::vector<OperatorPtr>{};
-
-  const size_t m = std::min(n, keys.size());
-  std::vector<OperatorPtr> streams;
-  streams.reserve(m);
-  for (size_t i = 0; i < m; ++i) {
-    const size_t begin = i * keys.size() / m;
-    const size_t end = (i + 1) * keys.size() / m;
-    const VarValue lo = keys[begin];
-    const VarValue hi = end < keys.size()
-                            ? keys[end] - 1
-                            : std::numeric_limits<VarValue>::max();
-    streams.push_back(
-        std::unique_ptr<PhysicalOperator>(new TrieJoin(this, lo, hi)));
-  }
-  return streams;
 }
 
 }  // namespace mpfdb::exec

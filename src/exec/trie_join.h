@@ -2,7 +2,6 @@
 #define MPFDB_EXEC_TRIE_JOIN_H_
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,12 +108,6 @@ class TrieIterator {
 // identity guarantees of auto-selected plans are unaffected because the FAQ
 // planner only emits multiway nodes for cyclic cores. Cancellation and
 // deadlines are polled throughout staging and search.
-//
-// Morsel parallelism: streams partition the outermost variable's candidate
-// values into contiguous ranges; stream outputs concatenated in index order
-// reproduce the serial lexicographic emission exactly (each output row's
-// measure is a pure product — no fold happens inside the join — so parallel
-// results are bit-identical).
 class TrieJoin : public PhysicalOperator {
  public:
   // `var_order` must equal the union of the children's variables; children
@@ -127,9 +120,7 @@ class TrieJoin : public PhysicalOperator {
   StatusOr<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   void BindContext(QueryContext* ctx) override;
-  bool SupportsMorselStreams() const override { return true; }
-  StatusOr<std::vector<OperatorPtr>> MakeMorselStreams(size_t n) override;
-  size_t MorselSourceRows() const override;
+  size_t SourceRowsHint() const override;
   const Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "TrieJoin"; }
 
@@ -143,10 +134,6 @@ class TrieJoin : public PhysicalOperator {
     std::vector<double> measures;
     std::unique_ptr<SpillFile> spill;  // degraded mode only
   };
-
-  // Morsel-stream constructor: shares the owner's staged arenas and
-  // restricts the outermost variable to [lo, hi] (inclusive).
-  TrieJoin(const TrieJoin* owner, VarValue lo, VarValue hi);
 
   Status EnsureStaged();
   Status StageChildren();
@@ -175,21 +162,14 @@ class TrieJoin : public PhysicalOperator {
   Schema schema_;
   MemoryGuard memory_;
 
-  // Staging state. Streams read the owner's stages through stage_view_.
+  // Staging state.
   bool staged_ = false;
   bool degraded_ = false;
   std::vector<ChildStage> stages_;
-  const std::vector<ChildStage>* stage_view_ = &stages_;
   OperatorPtr degraded_root_;
 
   // Children participating at each global level (indices into stages).
   std::vector<std::vector<size_t>> active_;
-
-  // Morsel-stream identity: non-null owner means this instance shares the
-  // owner's arenas and restricts level 0 to [v0_lo_, v0_hi_].
-  const TrieJoin* owner_ = nullptr;
-  VarValue v0_lo_ = std::numeric_limits<VarValue>::min();
-  VarValue v0_hi_ = std::numeric_limits<VarValue>::max();
 
   // LFTJ machine.
   std::vector<std::unique_ptr<TrieIterator>> iters_;  // one per child

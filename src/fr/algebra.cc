@@ -58,8 +58,10 @@ StatusOr<TablePtr> JoinImpl(const Table& a, const Table& b,
   }
   const Schema& sa = a.schema();
   const Schema& sb = b.schema();
-  std::vector<std::string> shared = varset::Intersect(sa.variables(), sb.variables());
-  std::vector<std::string> out_vars = varset::Union(sa.variables(), sb.variables());
+  std::vector<std::string> shared =
+      varset::Intersect(sa.variables(), sb.variables());
+  std::vector<std::string> out_vars =
+      varset::Union(sa.variables(), sb.variables());
   Schema out_schema(out_vars, sa.measure_name());
   auto result = std::make_shared<Table>(result_name, out_schema);
 
@@ -78,7 +80,9 @@ StatusOr<TablePtr> JoinImpl(const Table& a, const Table& b,
   Key key(shared.size());
   for (size_t i = 0; i < build.NumRows(); ++i) {
     RowView row = build.Row(i);
-    for (size_t k = 0; k < build_key.size(); ++k) key[k] = row.var(build_key[k]);
+    for (size_t k = 0; k < build_key.size(); ++k) {
+      key[k] = row.var(build_key[k]);
+    }
     build_rows[key].push_back(i);
   }
 
@@ -102,7 +106,9 @@ StatusOr<TablePtr> JoinImpl(const Table& a, const Table& b,
   std::vector<VarValue> out_row(out_vars.size());
   for (size_t i = 0; i < probe.NumRows(); ++i) {
     RowView prow = probe.Row(i);
-    for (size_t k = 0; k < probe_key.size(); ++k) key[k] = prow.var(probe_key[k]);
+    for (size_t k = 0; k < probe_key.size(); ++k) {
+      key[k] = prow.var(probe_key[k]);
+    }
     auto matches = build_rows.find(key);
     if (matches == build_rows.end()) continue;
     for (size_t j : matches->second) {

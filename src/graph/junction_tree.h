@@ -14,7 +14,8 @@ namespace mpfdb::graph {
 // another; the schema is acyclic iff everything reduces away. This is the
 // property Theorems 7/8 of the paper characterize via join trees and chordal
 // variable graphs.
-bool IsAcyclicSchema(const std::vector<std::vector<std::string>>& relation_vars);
+bool IsAcyclicSchema(
+    const std::vector<std::vector<std::string>>& relation_vars);
 
 // A tree over var-set nodes. For acyclic schemas the nodes are the relations
 // themselves (a join tree); for the Junction Tree algorithm the nodes are the

@@ -14,7 +14,8 @@ StatusOr<PlanPtr> CsOptimizer::Optimize(const MpfViewDef& view,
   opts.bushy = false;
   opts.groupby_pushdown = false;
   opts.charge_root_groupby = true;
-  MPFDB_ASSIGN_OR_RETURN(PlanPtr plan, BestJoinPlan(ctx, LeafFactors(ctx), opts));
+  MPFDB_ASSIGN_OR_RETURN(PlanPtr plan,
+                         BestJoinPlan(ctx, LeafFactors(ctx), opts));
   MPFDB_ASSIGN_OR_RETURN(plan, FinalizePlan(ctx, std::move(plan)));
   last_order_ = EliminationOrderFromPlan(*plan);
   return plan;
@@ -30,7 +31,8 @@ StatusOr<PlanPtr> CsPlusOptimizer::Optimize(const MpfViewDef& view,
   opts.bushy = nonlinear_;
   opts.groupby_pushdown = true;
   opts.charge_root_groupby = true;
-  MPFDB_ASSIGN_OR_RETURN(PlanPtr plan, BestJoinPlan(ctx, LeafFactors(ctx), opts));
+  MPFDB_ASSIGN_OR_RETURN(PlanPtr plan,
+                         BestJoinPlan(ctx, LeafFactors(ctx), opts));
   MPFDB_ASSIGN_OR_RETURN(plan, FinalizePlan(ctx, std::move(plan)));
   last_order_ = EliminationOrderFromPlan(*plan);
   return plan;

@@ -155,10 +155,9 @@ StatusOr<DissociatedQuery> DissociateView(
   return out;
 }
 
-StatusOr<MpfQuerySpec> ConditionQuery(const MpfViewDef& view,
-                                      const MpfQuerySpec& query,
-                                      const Catalog& catalog,
-                                      const std::vector<std::string>& split_vars) {
+StatusOr<MpfQuerySpec> ConditionQuery(
+    const MpfViewDef& view, const MpfQuerySpec& query, const Catalog& catalog,
+    const std::vector<std::string>& split_vars) {
   const Semiring& sr = view.semiring;
   MpfQuerySpec out = query;
   std::set<std::string> already;

@@ -60,11 +60,10 @@ struct DissociatedQuery {
 // variables must not be split (kInvalidArgument). Fails with
 // kFailedPrecondition when the semiring's bound orientation requires
 // non-negative measures (sum_product) and a factor violates it.
-StatusOr<DissociatedQuery> DissociateView(const MpfViewDef& view,
-                                          const MpfQuerySpec& query,
-                                          const Catalog& catalog,
-                                          const std::vector<std::string>& split_vars,
-                                          const std::string& suffix = "__dissoc");
+StatusOr<DissociatedQuery> DissociateView(
+    const MpfViewDef& view, const MpfQuerySpec& query, const Catalog& catalog,
+    const std::vector<std::string>& split_vars,
+    const std::string& suffix = "__dissoc");
 
 // The conditioned companion query: `query` plus one selection per split
 // variable pinning it to a heuristically chosen value — the value whose
@@ -72,10 +71,9 @@ StatusOr<DissociatedQuery> DissociateView(const MpfViewDef& view,
 // variable, score best (argmax under superset-monotone semirings for a tight
 // lower bound; argmin under kMinSum for a tight upper bound; ties to the
 // lowest value). Runs against the *original* catalog and view.
-StatusOr<MpfQuerySpec> ConditionQuery(const MpfViewDef& view,
-                                      const MpfQuerySpec& query,
-                                      const Catalog& catalog,
-                                      const std::vector<std::string>& split_vars);
+StatusOr<MpfQuerySpec> ConditionQuery(
+    const MpfViewDef& view, const MpfQuerySpec& query, const Catalog& catalog,
+    const std::vector<std::string>& split_vars);
 
 }  // namespace mpfdb::opt
 

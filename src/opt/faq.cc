@@ -12,8 +12,7 @@ namespace {
 
 // Greedy minimum-domain order over `vars`; ties go to the earliest index via
 // the shared deterministic rule. Used for the retained prefix of the
-// multiway variable order, where the first variable also becomes the morsel
-// partitioning key.
+// multiway variable order.
 std::vector<std::string> OrderByDomain(const QueryContext& ctx,
                                        std::vector<std::string> vars) {
   std::vector<std::string> out;

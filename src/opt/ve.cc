@@ -310,8 +310,8 @@ StatusOr<PlanPtr> VeOptimizer::RunVe(const MpfViewDef& view,
   // project; otherwise aggregate.
   const VarSet extra = ctx.SetOf(plan->output_vars) - ctx.query_set;
   if (!extra.empty() && extra.IsSubsetOf(projection_only)) {
-    MPFDB_ASSIGN_OR_RETURN(plan,
-                           ctx.builder.Project(std::move(plan), ctx.query_vars));
+    MPFDB_ASSIGN_OR_RETURN(
+        plan, ctx.builder.Project(std::move(plan), ctx.query_vars));
     return ApplyHaving(ctx, std::move(plan));
   }
   return FinalizePlan(ctx, std::move(plan));

@@ -120,7 +120,8 @@ StatusOr<SqlResult> CreateMpfView(TokenCursor& cursor, Database& db) {
     view.relations.push_back(std::move(rel));
   } while (cursor.TrySymbol(","));
   if (cursor.TryKeyword("using")) {
-    MPFDB_ASSIGN_OR_RETURN(std::string semiring_name, cursor.ExpectIdentifier());
+    MPFDB_ASSIGN_OR_RETURN(std::string semiring_name,
+                           cursor.ExpectIdentifier());
     MPFDB_ASSIGN_OR_RETURN(view.semiring, Semiring::FromName(semiring_name));
   }
   MPFDB_RETURN_IF_ERROR(db.CreateMpfView(std::move(view)));

@@ -30,8 +30,8 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& statement) {
     if (IsIdentifierStart(c)) {
       size_t start = i;
       while (i < n && IsIdentifierChar(statement[i])) ++i;
-      tokens.push_back(
-          Token{TokenKind::kIdentifier, statement.substr(start, i - start), start});
+      tokens.push_back(Token{TokenKind::kIdentifier,
+                             statement.substr(start, i - start), start});
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c)) ||
@@ -42,8 +42,10 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& statement) {
       while (i < n && (std::isdigit(static_cast<unsigned char>(statement[i])) ||
                        statement[i] == '.' || statement[i] == 'e' ||
                        statement[i] == 'E' ||
-                       ((statement[i] == '-' || statement[i] == '+') && i > start &&
-                        (statement[i - 1] == 'e' || statement[i - 1] == 'E')))) {
+                       ((statement[i] == '-' || statement[i] == '+') &&
+                        i > start &&
+                        (statement[i - 1] == 'e' ||
+                         statement[i - 1] == 'E')))) {
         ++i;
       }
       tokens.push_back(
@@ -56,8 +58,9 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& statement) {
       ++i;
       continue;
     }
-    return Status::InvalidArgument("unexpected character '" + std::string(1, c) +
-                                   "' at offset " + std::to_string(i));
+    return Status::InvalidArgument("unexpected character '" +
+                                   std::string(1, c) + "' at offset " +
+                                   std::to_string(i));
   }
   tokens.push_back(Token{TokenKind::kEnd, "", n});
   return tokens;

@@ -29,7 +29,8 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& statement);
 // parser needs. Keyword matching is ASCII case-insensitive.
 class TokenCursor {
  public:
-  explicit TokenCursor(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit TokenCursor(std::vector<Token> tokens)
+      : tokens_(std::move(tokens)) {}
 
   const Token& Peek() const;
   Token Next();

@@ -322,7 +322,8 @@ std::string FormatVarList(const std::vector<std::string>& vars) {
     if (name.empty()) return true;
     for (char c : name) {
       if (c == ',' || c == '(' || c == ')' || c == '{' || c == '}' ||
-          c == '"' || c == '\\' || std::isspace(static_cast<unsigned char>(c))) {
+          c == '"' || c == '\\' ||
+          std::isspace(static_cast<unsigned char>(c))) {
         return true;
       }
     }

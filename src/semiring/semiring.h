@@ -66,14 +66,6 @@ class Semiring {
   // Identity of Multiply: the implicit measure of a plain relation.
   double MultiplyIdentity() const;
 
-  // True if Add is commutative (a ⊕ b == b ⊕ a as abstract values). Every
-  // built-in kind is; the predicate exists so the parallel executor can
-  // assert the property it relies on — thread-local pre-aggregation
-  // regroups updates for *different* keys relative to the serial schedule,
-  // which is only meaning-preserving in a commutative monoid. Per-key
-  // combine order is still kept identical to serial for bit-exact floats.
-  bool AddIsCommutative() const { return true; }
-
   // True if folding Add over a *superset* of terms can only move the result
   // up (or keep it): max/or are selection over more candidates, sum and
   // log-sum-exp accumulate more mass. False only for kMinSum, where min over

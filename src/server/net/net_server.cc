@@ -142,7 +142,8 @@ struct NetServer::Impl {
   void HandleReadable(IoLoop* loop, Connection* c);
   void DrainFrames(IoLoop* loop, Connection* c);
   void HandleFrame(IoLoop* loop, Connection* c, Frame&& frame);
-  void QueueWrite(IoLoop* loop, Connection* c, const std::vector<uint8_t>& bytes);
+  void QueueWrite(IoLoop* loop, Connection* c,
+                  const std::vector<uint8_t>& bytes);
   void FlushWrites(IoLoop* loop, Connection* c);
   void SendErrorNow(IoLoop* loop, Connection* c, const ErrorFrame& err);
 

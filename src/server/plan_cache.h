@@ -89,9 +89,10 @@ class PlanCache {
     uint64_t misses = 0;
     uint64_t inserts = 0;
     uint64_t invalidations = 0;  // entries dropped by epoch bumps/staleness
-    uint64_t evictions = 0;      // entries dropped by the LRU capacity bound
+    // Entries dropped by the LRU capacity bound.
+    uint64_t evictions = 0;
     size_t entries = 0;
-    size_t bytes = 0;            // resident template bytes (PlanTemplate::Bytes)
+    size_t bytes = 0;  // resident template bytes (PlanTemplate::Bytes)
     double hit_rate() const {
       uint64_t total = hits + misses;
       return total == 0 ? 0.0 : static_cast<double>(hits) / total;
@@ -122,7 +123,8 @@ class PlanCache {
   // from epoch sweeps, so lookups stay cache-friendly at any fill.
   exec::SwissBytesTable<Entry> entries_;  // guarded by mu_
   std::list<std::string> lru_;            // guarded by mu_; front = most recent
-  Stats stats_;                           // guarded by mu_ (entries_ filled on read)
+  // Guarded by mu_ (entries_ filled on read).
+  Stats stats_;
   std::map<std::string, VocabularyEntry> vocabularies_;  // guarded by mu_
 };
 

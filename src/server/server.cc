@@ -277,7 +277,8 @@ void MpfServer::MaybeRecordSlowQuery(const Session& session,
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.slow_queries;
   slow_log_.push_back(std::move(entry));
-  while (slow_log_.size() > std::max<size_t>(1, options_.slow_query_log_capacity)) {
+  while (slow_log_.size() >
+         std::max<size_t>(1, options_.slow_query_log_capacity)) {
     slow_log_.pop_front();
   }
 }

@@ -12,8 +12,8 @@ Status Catalog::RegisterVariable(const std::string& name, int64_t domain_size) {
   auto it = variable_domains_.find(name);
   if (it != variable_domains_.end()) {
     if (it->second != domain_size) {
-      return Status::AlreadyExists("variable '" + name +
-                                   "' already registered with different domain");
+      return Status::AlreadyExists(
+          "variable '" + name + "' already registered with different domain");
     }
     return Status::Ok();
   }
@@ -45,7 +45,8 @@ Status Catalog::RegisterTable(TablePtr table) {
     }
   }
   if (tables_.count(table->name()) > 0) {
-    return Status::AlreadyExists("table '" + table->name() + "' already exists");
+    return Status::AlreadyExists("table '" + table->name() +
+                                 "' already exists");
   }
   tables_[table->name()] = std::move(table);
   return Status::Ok();

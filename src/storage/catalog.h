@@ -51,7 +51,8 @@ class Catalog {
   // variable `var` (σ̂_X in the linearity test, Eq. 1). Error if no listed
   // table contains the variable.
   StatusOr<int64_t> SmallestRelationWith(
-      const std::string& var, const std::vector<std::string>& table_names) const;
+      const std::string& var,
+      const std::vector<std::string>& table_names) const;
 
   // Fraction of the cross product of variable domains that is populated:
   // |T| / Π σ_X. Complete functional relations have density 1.

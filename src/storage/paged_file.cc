@@ -4,7 +4,8 @@
 
 namespace mpfdb {
 
-StatusOr<std::unique_ptr<PagedFile>> PagedFile::Create(const std::string& path) {
+StatusOr<std::unique_ptr<PagedFile>> PagedFile::Create(
+    const std::string& path) {
   std::fstream stream(path, std::ios::binary | std::ios::in | std::ios::out |
                                 std::ios::trunc);
   if (!stream) {

@@ -23,7 +23,8 @@ class Schema {
  public:
   Schema() = default;
   Schema(std::vector<std::string> variables, std::string measure_name)
-      : variables_(std::move(variables)), measure_name_(std::move(measure_name)) {}
+      : variables_(std::move(variables)),
+        measure_name_(std::move(measure_name)) {}
 
   const std::vector<std::string>& variables() const { return variables_; }
   const std::string& measure_name() const { return measure_name_; }
@@ -39,7 +40,8 @@ class Schema {
   std::string ToString() const;
 
   bool operator==(const Schema& other) const {
-    return variables_ == other.variables_ && measure_name_ == other.measure_name_;
+    return variables_ == other.variables_ &&
+           measure_name_ == other.measure_name_;
   }
 
  private:

@@ -82,7 +82,7 @@ class FaultInjector {
   FaultInjector() = default;
 
   Config config_;
-  // IOs from parallel workers interleave; the count is atomic and the RNG
+  // IOs from concurrent queries interleave; the count is atomic and the RNG
   // state is mutex-guarded so every draw consumes exactly one state step.
   // (The op numbering itself then depends on the thread schedule — tests
   // that replay exact sequences run single-threaded.)

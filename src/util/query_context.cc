@@ -24,7 +24,7 @@ QueryContext::QueryContext()
 }
 
 Status QueryContext::Charge(size_t bytes, const char* who) {
-  // Compare-exchange against the limit so concurrent workers can never
+  // Compare-exchange against the limit so concurrent callers can never
   // jointly overshoot the budget: each reservation either fits at the
   // moment it lands or fails without charging anything.
   size_t in_use = bytes_in_use_.load(std::memory_order_relaxed);
@@ -89,7 +89,7 @@ void QueryContext::RecordSpill(uint64_t rows, uint64_t bytes) {
 
 Status QueryContext::SetSticky(Status s) {
   std::lock_guard<std::mutex> lock(sticky_mu_);
-  // First failure wins; a racing worker returns the already-latched status
+  // First failure wins; a racing caller returns the already-latched status
   // so the whole tree unwinds with one coherent error.
   if (sticky_.ok()) {
     sticky_ = std::move(s);

@@ -21,8 +21,7 @@ class ThreadPool;
 // Cooperative cancellation flag for one query. The token is shared so an
 // external owner (a serving thread, a test) can request cancellation while
 // the executor polls it from operator loops. RequestCancel is safe to call
-// from another thread, and the flag is observed by every worker of a
-// parallel query.
+// from another thread.
 class CancelToken {
  public:
   void RequestCancel() { cancelled_.store(true, std::memory_order_relaxed); }
@@ -39,8 +38,7 @@ class CancelToken {
 //  * a wall-clock deadline plus a cooperative cancellation token, both
 //    observed through Poll() from every operator loop;
 //  * the spill configuration operators use to degrade gracefully when the
-//    budget is hit (Grace-style partitioned spills through paged_file);
-//  * an optional exec::ThreadPool enabling intra-query morsel parallelism.
+//    budget is hit (Grace-style partitioned spills through SpillFile).
 //
 // The protocol: operators call Charge(bytes) before growing state. An OK
 // means the reservation is recorded; kResourceExhausted means the budget
@@ -54,15 +52,14 @@ class CancelToken {
 // an operator tree unwinds fast once the query is doomed.
 //
 // Thread safety: the runtime protocol (Poll/Charge/ChargeUnchecked/Release/
-// NextSpillPath/RecordSpill/stats) is safe to call from any number of worker
+// NextSpillPath/RecordSpill/stats) is safe to call from any number of
 // threads concurrently — charges resolve through compare-exchange against
 // the budget, counters are atomic, and the sticky status is guarded by a
 // mutex behind an atomic doomed flag. Configuration setters remain
 // single-threaded: bind them before the query starts.
 //
-// A default-constructed context has no limit, no deadline, no cancel
-// request, and no thread pool — binding one to a query is then pure
-// accounting.
+// A default-constructed context has no limit, no deadline and no cancel
+// request — binding one to a query is then pure accounting.
 class QueryContext {
  public:
   // Clock checks in Poll happen once per this many accumulated row-units.
@@ -93,11 +90,10 @@ class QueryContext {
   void set_spill_dir(std::string dir) { spill_dir_ = std::move(dir); }
   const std::string& spill_dir() const { return spill_dir_; }
 
-  // Worker pool for intra-query parallelism; null (the default) keeps every
-  // operator on the calling thread. The pool must outlive the query. Owned
-  // by the caller (normally Database).
-  void set_thread_pool(exec::ThreadPool* pool) { thread_pool_ = pool; }
-  exec::ThreadPool* thread_pool() const { return thread_pool_; }
+  // Inert: stores nothing, because every query runs on the calling thread.
+  // Kept only for the end-to-end benchmark (e2ebench/), which still calls
+  // it; ROADMAP.md item 2 deletes it with exec::ThreadPool.
+  void set_thread_pool(exec::ThreadPool* /*pool*/) {}
 
   // Absolute wall-clock deadline; queries fail with kDeadlineExceeded once
   // it passes.
@@ -158,7 +154,7 @@ class QueryContext {
     uint64_t spill_bytes = 0;
   };
   // Snapshot by value: individual fields are consistent; the struct as a
-  // whole is a best-effort view while workers are running.
+  // whole is a best-effort view while the query is running.
   Stats stats() const {
     Stats s;
     s.bytes_in_use = bytes_in_use_.load(std::memory_order_relaxed);
@@ -183,7 +179,6 @@ class QueryContext {
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_;
   std::shared_ptr<CancelToken> cancel_;
-  exec::ThreadPool* thread_pool_ = nullptr;
 
   // First failure, latched for every later Poll. The atomic flag keeps the
   // common not-doomed fast path lock-free.
@@ -217,9 +212,7 @@ struct TrieVarStats {
 // Open/Next/NextBatch latency at this operator's boundary); the operator's
 // own MemoryGuards maintain peak_bytes; the spill degrade paths record
 // spill_partitions; the trie join fills trie_vars on Close. Not thread-safe:
-// all writers run on the operator's driving thread (parallel phases use
-// per-task guards that are not bound to stats and only TransferTo the
-// owner's guard at the join point).
+// all writers run on the query's thread.
 struct OperatorStats {
   uint64_t output_rows = 0;
   uint64_t batches = 0;
@@ -234,8 +227,7 @@ struct OperatorStats {
 // destroyed or ReleaseAll() is called (operator Close/re-Open), so error
 // paths cannot strand accounting. A guard bound to a null context is a
 // no-op, which keeps ungoverned execution zero-cost. Each guard instance is
-// single-threaded; parallel tasks use one guard per task and fold the
-// reservation into their owner with TransferTo.
+// single-threaded.
 class MemoryGuard {
  public:
   MemoryGuard() = default;
@@ -267,15 +259,6 @@ class MemoryGuard {
   void ReleaseAll() {
     if (ctx_ != nullptr && charged_ > 0) ctx_->Release(charged_);
     charged_ = 0;
-  }
-
-  // Moves this guard's reservation into `dst` (same context) without
-  // touching the context's counters. Used when a per-task guard hands its
-  // charges to the owning operator's guard after a parallel phase joins.
-  void TransferTo(MemoryGuard& dst) {
-    dst.charged_ += charged_;
-    charged_ = 0;
-    dst.UpdatePeak();
   }
 
   // Routes this guard's high-water mark into an operator's stats record

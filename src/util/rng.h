@@ -51,7 +51,8 @@ class Rng {
   template <typename T>
   void Shuffle(std::vector<T>& items) {
     for (size_t i = items.size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i) - 1));
+      size_t j =
+          static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i) - 1));
       std::swap(items[i - 1], items[j]);
     }
   }

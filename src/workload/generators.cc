@@ -12,7 +12,8 @@ namespace {
 void FillPairTable(Table& table, int64_t a_domain, int64_t b_domain,
                    int64_t count, double measure_lo, double measure_hi,
                    Rng& rng) {
-  const double cross = static_cast<double>(a_domain) * static_cast<double>(b_domain);
+  const double cross =
+      static_cast<double>(a_domain) * static_cast<double>(b_domain);
   count = std::min<int64_t>(count, static_cast<int64_t>(cross));
   table.Reserve(static_cast<size_t>(count));
   if (static_cast<double>(count) > 0.5 * cross) {
@@ -58,12 +59,14 @@ StatusOr<SupplyChainSchema> GenerateSupplyChain(const SupplyChainParams& params,
   MPFDB_RETURN_IF_ERROR(catalog.RegisterVariable(pid, params.num_parts()));
   MPFDB_RETURN_IF_ERROR(catalog.RegisterVariable(sid, params.num_suppliers()));
   MPFDB_RETURN_IF_ERROR(catalog.RegisterVariable(wid, params.num_warehouses()));
-  MPFDB_RETURN_IF_ERROR(catalog.RegisterVariable(cid, params.num_contractors()));
-  MPFDB_RETURN_IF_ERROR(catalog.RegisterVariable(tid, params.num_transporters()));
+  MPFDB_RETURN_IF_ERROR(
+      catalog.RegisterVariable(cid, params.num_contractors()));
+  MPFDB_RETURN_IF_ERROR(
+      catalog.RegisterVariable(tid, params.num_transporters()));
 
   // contracts(pid, sid; price): terms for a part's purchase from a supplier.
-  auto contracts =
-      std::make_shared<Table>(prefix + "contracts", Schema({pid, sid}, "price"));
+  auto contracts = std::make_shared<Table>(prefix + "contracts",
+                                           Schema({pid, sid}, "price"));
   FillPairTable(*contracts, params.num_parts(), params.num_suppliers(),
                 params.contracts_rows(), 1.0, 100.0, rng);
   MPFDB_RETURN_IF_ERROR(contracts->SetKeyVars({pid, sid}));
@@ -71,11 +74,12 @@ StatusOr<SupplyChainSchema> GenerateSupplyChain(const SupplyChainParams& params,
 
   // warehouses(wid, cid; w_overhead): each warehouse is operated by exactly
   // one contractor, so wid is the key.
-  auto warehouses =
-      std::make_shared<Table>(prefix + "warehouses", Schema({wid, cid}, "w_overhead"));
+  auto warehouses = std::make_shared<Table>(prefix + "warehouses",
+                                            Schema({wid, cid}, "w_overhead"));
   warehouses->Reserve(static_cast<size_t>(params.warehouses_rows()));
   for (int64_t w = 0; w < params.warehouses_rows(); ++w) {
-    VarValue c = static_cast<VarValue>(rng.UniformInt(0, params.num_contractors() - 1));
+    VarValue c = static_cast<VarValue>(
+        rng.UniformInt(0, params.num_contractors() - 1));
     warehouses->AppendRow({static_cast<VarValue>(w), c},
                           rng.UniformDouble(1.0, 2.0));
   }
@@ -83,8 +87,8 @@ StatusOr<SupplyChainSchema> GenerateSupplyChain(const SupplyChainParams& params,
   MPFDB_RETURN_IF_ERROR(catalog.RegisterTable(warehouses));
 
   // transporters(tid; t_overhead).
-  auto transporters =
-      std::make_shared<Table>(prefix + "transporters", Schema({tid}, "t_overhead"));
+  auto transporters = std::make_shared<Table>(prefix + "transporters",
+                                              Schema({tid}, "t_overhead"));
   transporters->Reserve(static_cast<size_t>(params.transporters_rows()));
   for (int64_t t = 0; t < params.transporters_rows(); ++t) {
     transporters->AppendRow({static_cast<VarValue>(t)},
@@ -94,8 +98,8 @@ StatusOr<SupplyChainSchema> GenerateSupplyChain(const SupplyChainParams& params,
   MPFDB_RETURN_IF_ERROR(catalog.RegisterTable(transporters));
 
   // location(pid, wid; quantity): quantity of each part sent to a warehouse.
-  auto location =
-      std::make_shared<Table>(prefix + "location", Schema({pid, wid}, "quantity"));
+  auto location = std::make_shared<Table>(prefix + "location",
+                                          Schema({pid, wid}, "quantity"));
   FillPairTable(*location, params.num_parts(), params.num_warehouses(),
                 params.location_rows(), 1.0, 50.0, rng);
   MPFDB_RETURN_IF_ERROR(location->SetKeyVars({pid, wid}));
@@ -103,8 +107,8 @@ StatusOr<SupplyChainSchema> GenerateSupplyChain(const SupplyChainParams& params,
 
   // ctdeals(cid, tid; ct_discount): contractor-transporter deals; density is
   // the Figure 7 knob.
-  auto ctdeals =
-      std::make_shared<Table>(prefix + "ctdeals", Schema({cid, tid}, "ct_discount"));
+  auto ctdeals = std::make_shared<Table>(prefix + "ctdeals",
+                                         Schema({cid, tid}, "ct_discount"));
   FillPairTable(*ctdeals, params.num_contractors(), params.num_transporters(),
                 params.ctdeals_rows(), 0.5, 1.0, rng);
   MPFDB_RETURN_IF_ERROR(ctdeals->SetKeyVars({cid, tid}));
@@ -126,8 +130,8 @@ StatusOr<MpfViewDef> AddStdeals(const SupplyChainSchema& schema,
   Rng rng(schema.params.seed + 1);
   const std::string sid = prefix + "sid";
   const std::string tid = prefix + "tid";
-  auto stdeals =
-      std::make_shared<Table>(prefix + "stdeals", Schema({sid, tid}, "st_discount"));
+  auto stdeals = std::make_shared<Table>(prefix + "stdeals",
+                                         Schema({sid, tid}, "st_discount"));
   int64_t rows = static_cast<int64_t>(
       density * static_cast<double>(schema.params.num_suppliers()) *
       static_cast<double>(schema.params.num_transporters()));
@@ -264,8 +268,9 @@ StatusOr<CycleSchema> GenerateCycle(const CycleParams& params, Catalog& catalog,
       std::unordered_set<uint64_t> seen;
       seen.reserve(static_cast<size_t>(per_edge) * 2);
       auto add = [&](VarValue va, VarValue vb) {
-        uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(va)) << 32) |
-                       static_cast<uint32_t>(vb);
+        uint64_t key =
+            (static_cast<uint64_t>(static_cast<uint32_t>(va)) << 32) |
+            static_cast<uint32_t>(vb);
         if (!seen.insert(key).second) return;
         table->AppendRow({va, vb}, rng.UniformDouble(0.5, 1.5));
       };

@@ -562,23 +562,6 @@ StatusOr<size_t> VeCache::LocateBaseRow(
                           " matches the given variable values");
 }
 
-Status VeCache::ApplyBaseMeasureUpdate(const std::string& table_name,
-                                       const std::vector<VarValue>& row_vars,
-                                       double new_measure) {
-  MPFDB_ASSIGN_OR_RETURN(size_t base_index, BaseIndexOf(table_name));
-  MPFDB_ASSIGN_OR_RETURN(size_t row_index,
-                         LocateBaseRow(base_index, row_vars));
-  if (base_tables_[base_index]->measure(row_index) == new_measure) {
-    return Status::Ok();
-  }
-  VeCacheDeltaOp op;
-  op.table = table_name;
-  op.rows.emplace_back(row_index, new_measure);
-  MPFDB_ASSIGN_OR_RETURN(VeCache next, WithMeasureDelta({op}));
-  *this = std::move(next);
-  return Status::Ok();
-}
-
 StatusOr<VeCache> VeCache::WithMeasureDelta(
     const std::vector<VeCacheDeltaOp>& ops) const {
   if (delta_plan_ == nullptr) {

@@ -62,7 +62,9 @@ struct DeltaCsr {
   std::vector<uint32_t> members;
 
   const uint32_t* begin(size_t g) const { return members.data() + offsets[g]; }
-  const uint32_t* end(size_t g) const { return members.data() + offsets[g + 1]; }
+  const uint32_t* end(size_t g) const {
+    return members.data() + offsets[g + 1];
+  }
 };
 
 // One factor of a clique's join, in fold (clique) order.
@@ -79,12 +81,14 @@ struct DeltaCliquePlan {
   bool alias = false;
   std::vector<DeltaFactorSlot> slots;
   std::vector<uint32_t> msg_group_of;  // joined row -> message row
-  DeltaCsr msg_members;                // message row -> joined rows (fold order)
-  bool msg_consumed = false;           // message feeds a later clique
+  // Message row -> joined rows, in fold order.
+  DeltaCsr msg_members;
+  bool msg_consumed = false;  // message feeds a later clique
 };
 
 // Per-edge replay maps for the backward update semijoin
-// final_i = PJ(cache0_i, DivisionJoin(Marg(final_j, sep), Marg(cache0_i, sep))).
+//   final_i = PJ(cache0_i,
+//                DivisionJoin(Marg(final_j, sep), Marg(cache0_i, sep))).
 // Groups are the separator assignments of t = cache0_i (== joined_i),
 // numbered in ascending order: group g is row g of Marg(cache0_i, sep)
 // (exec::SemijoinRows).
@@ -167,25 +171,16 @@ class VeCache {
   int64_t TotalCacheRows() const;
 
   // Incremental maintenance (the paper's "option 1": keep materialized views
-  // consistent as base relations are updated). Changes the measure of the
-  // base-relation row identified by `row_vars` (all variable values, in that
-  // table's schema order) to `new_measure` by replaying the Build dataflow
-  // for the affected rows (WithMeasureDelta) and adopting the result. Far
-  // cheaper than rebuilding — per-update work scales with the rows the
-  // change actually reaches — and bit-identical to a rebuild.
-  Status ApplyBaseMeasureUpdate(const std::string& table_name,
-                                const std::vector<VarValue>& row_vars,
-                                double new_measure);
-
-  // Functional incremental maintenance: a new VeCache version with the given
-  // base-measure batch applied, leaving this version untouched (readers keep
-  // answering from it). New cache/message tables share every measure chunk
-  // their rows did not change, and the replay walks only cliques on the path
-  // from the changed factors, pruning rows whose recomputed value is bitwise
-  // unchanged. Fails with kFailedPrecondition when exact replay cannot
-  // proceed (no delta plan — e.g. a selection-restricted cache; an absorbing
-  // zero in a product semiring; a base table no clique absorbed): the caller
-  // falls back to a full Build against the updated catalog.
+  // consistent as base relations are updated): a new VeCache version with
+  // the given base-measure batch applied, leaving this version untouched
+  // (readers keep answering from it). Bit-identical to a rebuild. New
+  // cache/message tables share every measure chunk their rows did not
+  // change, and the replay walks only cliques on the path from the changed
+  // factors, pruning rows whose recomputed value is bitwise unchanged.
+  // Fails with kFailedPrecondition when exact replay cannot proceed (no
+  // delta plan — e.g. a selection-restricted cache; an absorbing zero in a
+  // product semiring; a base table no clique absorbed): the caller falls
+  // back to a full Build against the updated catalog.
   StatusOr<VeCache> WithMeasureDelta(
       const std::vector<VeCacheDeltaOp>& ops) const;
 

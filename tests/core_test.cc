@@ -100,8 +100,9 @@ TEST_F(DatabaseTest, ExplainAnalyzeReportsAccurateCounts) {
 
 TEST_F(DatabaseTest, CacheLifecycle) {
   EXPECT_FALSE(db_.HasCache("invest"));
-  EXPECT_EQ(db_.QueryCached("invest", MpfQuerySpec{{"cid"}, {}}).status().code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      db_.QueryCached("invest", MpfQuerySpec{{"cid"}, {}}).status().code(),
+      StatusCode::kFailedPrecondition);
   ASSERT_TRUE(db_.BuildCache("invest").ok());
   EXPECT_TRUE(db_.HasCache("invest"));
   auto cached = db_.QueryCached("invest", MpfQuerySpec{{"cid"}, {}});

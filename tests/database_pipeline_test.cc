@@ -3,8 +3,8 @@
 // and EXPLAIN ANALYZE share Query's plan cache (a scratch catalog never
 // touches it) — also with a memory-governed server, whose budget no longer
 // changes the plan — and HAVING thresholds key the cache exactly. (That
-// Query, QueryWhatIf and QueryApprox match the fr naive evaluator on the
-// worker pool is the differential driver's, tests/differential_test.cc.)
+// Query, QueryWhatIf and QueryApprox match the fr naive evaluator is the
+// differential driver's, tests/differential_test.cc.)
 
 #include <algorithm>
 #include <cmath>
@@ -26,8 +26,7 @@ namespace {
 class DatabasePipelineTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   // A random view whose measures are powers of two in [1/4, 4], so every
-  // fold order gives the same bits and tolerance 0.0 is meaningful. Loaded
-  // into a database whose executor runs on a 4-thread pool.
+  // fold order gives the same bits and tolerance 0.0 is meaningful.
   void Load(uint64_t seed, bool force_acyclic) {
     rv_ = MakeRandomView(seed, 6, 5, force_acyclic);
     Rng rng(seed + 500);
@@ -37,9 +36,6 @@ class DatabasePipelineTest : public ::testing::TestWithParam<uint64_t> {
             r, std::ldexp(1.0, static_cast<int>(rng.UniformInt(-2, 2))));
       }
     }
-    exec::ExecOptions options;
-    options.num_threads = 4;
-    db_.set_exec_options(options);
     for (const auto& var : rv_.vars) {
       ASSERT_TRUE(
           db_.catalog().RegisterVariable(var, *rv_.catalog.DomainSize(var))

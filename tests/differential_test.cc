@@ -11,18 +11,15 @@
 //               else at 1e-9 relative.
 //   engine      one spec per query, in rotation over the seeds, runs its
 //               plan on packed keys, keys past the dense join heads (2^25
-//               domains) or vector keys (2^62 domains); without a pool or on
-//               a pool of 2, 4 or 8 threads (in rotation); without a budget
-//               or under 2 KiB, which forces spills. Each run reproduces the
+//               domains) or vector keys (2^62 domains); without a budget or
+//               under 2 KiB, which forces spills. Each run reproduces the
 //               golden bit for bit, unwinds every charge and leaves no spill
 //               file; on the chain family every budgeted run must spill.
 //   serving     the same plans through Database::Query (a caller context
-//               with its own pool and a spill budget, after a sibling query
-//               with other selection values cached the plan's template; and
-//               on the database's own pool at 1, 2 and 8 threads),
-//               QueryWhatIf without a change, Session::Query, NetClient over
-//               NetServer and SqlSession, all on the database's own pool of
-//               4 threads: bit for bit.
+//               with a spill budget, after a sibling query with other
+//               selection values cached the plan's template), QueryWhatIf
+//               without a change, Session::Query, NetClient over NetServer
+//               and SqlSession: bit for bit.
 //   approx      QueryApprox: the golden on an acyclic view; on a cyclic one
 //               its bounds bracket the oracle.
 //   cached      QueryCached answers from the VE-cache, which folds in its
@@ -62,7 +59,6 @@
 
 #include "core/database.h"
 #include "exec/executor.h"
-#include "exec/thread_pool.h"
 #include "fr/algebra.h"
 #include "parser/sql.h"
 #include "random_view.h"
@@ -89,7 +85,6 @@ struct Route {
   enum Kind {
     kExecutor,
     kDatabase,
-    kDatabasePool,
     kWhatIf,
     kSession,
     kWire,
@@ -100,24 +95,25 @@ struct Route {
   };
   Kind kind = kExecutor;
   Keys keys = Keys::kPacked;
-  size_t threads = 1;
   bool spill = false;
 
   bool golden() const {
-    return kind == kExecutor && keys == Keys::kPacked && threads == 1 &&
-           !spill;
+    return kind == kExecutor && keys == Keys::kPacked && !spill;
   }
   std::string Name() const {
-    static const char* const kNames[] = {
-        "executor",   "Database::Query", "Database::Query/threads=",
-        "QueryWhatIf", "Session::Query", "NetClient",
-        "SqlSession",  "QueryApprox",    "QueryCached",
-        "QueryCached after an update"};
+    static const char* const kNames[] = {"executor",
+                                         "Database::Query",
+                                         "QueryWhatIf",
+                                         "Session::Query",
+                                         "NetClient",
+                                         "SqlSession",
+                                         "QueryApprox",
+                                         "QueryCached",
+                                         "QueryCached after an update"};
     static const char* const kKeys[] = {"packed", "mid", "wide"};
-    if (kind == kDatabasePool) return kNames[kind] + std::to_string(threads);
     if (kind != kExecutor) return kNames[kind];
-    return std::string("executor/") + kKeys[static_cast<int>(keys)] + "/" +
-           std::to_string(threads) + (spill ? "/spill" : "/mem");
+    return std::string("executor/") + kKeys[static_cast<int>(keys)] +
+           (spill ? "/spill" : "/mem");
   }
 };
 
@@ -131,25 +127,19 @@ enum Axis : unsigned {
   kAllAxes = 31,
 };
 
-// The routes that run one spec's plan on `axes`, the golden first; the
-// engine's parallel runs use a pool of `threads`.
-std::vector<Route> PlanRoutes(unsigned axes, size_t threads) {
+// The routes that run one spec's plan on `axes`, the golden first.
+std::vector<Route> PlanRoutes(unsigned axes) {
   std::vector<Route> routes = {Route{}};
   for (Keys keys : {Keys::kPacked, Keys::kMid, Keys::kWide}) {
-    for (size_t n : {size_t{1}, threads}) {
-      for (bool spill : {false, true}) {
-        Route r{Route::kExecutor, keys, n, spill};
-        if ((axes & kEngine) && !r.golden()) routes.push_back(r);
-      }
+    for (bool spill : {false, true}) {
+      Route r{Route::kExecutor, keys, spill};
+      if ((axes & kEngine) && !r.golden()) routes.push_back(r);
     }
   }
   if (axes & kServing) {
     for (Route::Kind kind : {Route::kDatabase, Route::kWhatIf,
                              Route::kSession, Route::kWire, Route::kSql}) {
       routes.push_back(Route{kind});
-    }
-    for (size_t n : {1u, 2u, 8u}) {
-      routes.push_back(Route{Route::kDatabasePool, Keys::kPacked, n});
     }
   }
   if (axes & kApprox) routes.push_back(Route{Route::kApprox});
@@ -177,11 +167,6 @@ class Fixture {
       slot = std::make_unique<Catalog>(
           CatalogOf(view_, int64_t{1} << (keys == Keys::kMid ? 25 : 62)));
     }
-    return *slot;
-  }
-  exec::ThreadPool& pool(size_t threads) {
-    auto& slot = pools_[threads];
-    if (!slot) slot = std::make_unique<exec::ThreadPool>(threads);
     return *slot;
   }
   // This fixture's own spill directory, so a file left behind is its own.
@@ -227,21 +212,10 @@ class Fixture {
     return *sql_;
   }
 
-  // The pool every installed database serves on, so the serving, cached
-  // and concurrent routes run parallel by choice rather than by the
-  // library default (serial).
-  static exec::ExecOptions ServingOptions() {
-    exec::ExecOptions options;
-    options.num_threads = 4;
-    return options;
-  }
-
   // Installs `view` as `name`, with its indexes and (for semirings with
-  // division) its VE-cache, into `db`, on copies of its tables, and sets
-  // `db` to serve on ServingOptions().
+  // division) its VE-cache, into `db`, on copies of its tables.
   static void Install(Database& db, const DiffView& view,
                       const std::string& name) {
-    db.set_exec_options(ServingOptions());
     for (const auto& [var, domain] : view.vars) {
       EXPECT_TRUE(db.catalog().RegisterVariable(var, domain).ok());
     }
@@ -265,7 +239,6 @@ class Fixture {
   MpfViewDef def_;
   Catalog packed_;
   std::unique_ptr<Catalog> mid_, wide_;
-  std::map<size_t, std::unique_ptr<exec::ThreadPool>> pools_;
   std::string spill_dir_;
   std::unique_ptr<Database> db_;
   std::unique_ptr<server::MpfServer> server_;
@@ -421,10 +394,6 @@ class QueryRun {
       ctx.set_memory_limit(2 * 1024);
       ctx.set_spill_dir(fx_.spill_dir());
     }
-    if (route.kind == Route::kDatabase) ctx.set_thread_pool(&fx_.pool(4));
-    if (route.kind == Route::kExecutor && route.threads > 1) {
-      ctx.set_thread_pool(&fx_.pool(route.threads));
-    }
     auto table = [](auto result) -> StatusOr<TablePtr> {
       if (!result.ok()) return result.status();
       return result->table;
@@ -455,17 +424,6 @@ class QueryRun {
         for (auto& s : sibling.selections) s.value = 0;
         (void)fx_.db().Query(def.name, sibling, spec);
         got = table(fx_.db().Query(def.name, query_, spec, &ctx));
-        if (got.ok() && ctx.thread_pool() != &fx_.pool(4)) {
-          return Status::Internal("Query replaced the caller's pool");
-        }
-        break;
-      }
-      case Route::kDatabasePool: {
-        exec::ExecOptions options;
-        options.num_threads = route.threads;
-        fx_.db().set_exec_options(options);
-        got = table(fx_.db().Query(def.name, query_, spec));
-        fx_.db().set_exec_options(Fixture::ServingOptions());
         break;
       }
       case Route::kWhatIf:
@@ -730,8 +688,7 @@ void RunDifferential(uint64_t seed, unsigned axes,
   const std::vector<std::string>& specs = AllSpecs();
   int failures = 0;
   for (int q = 0; q < 2 && failures < 3; ++q) {
-    const std::vector<Route> routes =
-        PlanRoutes(axes, size_t{2} << ((seed + q) % 3));
+    const std::vector<Route> routes = PlanRoutes(axes);
     DiffCase c{view, DrawQuery(view, rng)};
     if (rng.Bernoulli(0.3)) {
       const TablePtr answer = Oracle(view, c.query);

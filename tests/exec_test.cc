@@ -7,14 +7,12 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
-#include <atomic>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "exec/executor.h"
 #include "exec/operator.h"
-#include "exec/thread_pool.h"
 #include "fr/algebra.h"
 #include "storage/index.h"
 #include "util/query_context.h"
@@ -651,63 +649,6 @@ TEST(ExecutorTest, MissingTableFails) {
   Catalog empty;
   Executor executor(empty, Semiring::SumProduct());
   EXPECT_FALSE(executor.Execute(**scan, "out").ok());
-}
-
-// --- ThreadPool ------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr size_t kTasks = 257;
-  std::vector<std::atomic<int>> runs(kTasks);
-  for (auto& r : runs) r.store(0);
-  Status s = pool.ParallelFor(kTasks, [&](size_t i) {
-    runs[i].fetch_add(1);
-    return Status::Ok();
-  });
-  ASSERT_TRUE(s.ok()) << s;
-  for (size_t i = 0; i < kTasks; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
-}
-
-TEST(ThreadPoolTest, ReportsLowestIndexedFailure) {
-  ThreadPool pool(4);
-  for (int rep = 0; rep < 20; ++rep) {
-    Status s = pool.ParallelFor(64, [&](size_t i) {
-      if (i == 7 || i == 50) {
-        return Status::Internal("task " + std::to_string(i));
-      }
-      return Status::Ok();
-    });
-    ASSERT_FALSE(s.ok());
-    // Task 50 may have been abandoned after 7 failed, but whenever both ran,
-    // the lowest index wins; 7 always runs before abandonment can skip it.
-    EXPECT_EQ(s.message(), "task 7") << rep;
-  }
-}
-
-TEST(ThreadPoolTest, NestedParallelForRunsInline) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  Status s = pool.ParallelFor(8, [&](size_t) {
-    return pool.ParallelFor(8, [&](size_t) {
-      total.fetch_add(1);
-      return Status::Ok();
-    });
-  });
-  ASSERT_TRUE(s.ok()) << s;
-  EXPECT_EQ(total.load(), 64);
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolRunsInlineAndSequentially) {
-  ThreadPool pool(1);
-  std::vector<size_t> order;
-  Status s = pool.ParallelFor(16, [&](size_t i) {
-    order.push_back(i);  // safe: everything runs on this thread
-    return Status::Ok();
-  });
-  ASSERT_TRUE(s.ok()) << s;
-  std::vector<size_t> expected(16);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
 }
 
 }  // namespace

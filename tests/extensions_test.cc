@@ -188,8 +188,10 @@ TEST_F(ExtensionsTest, WhatIfDomainUpdateTransfersDeal) {
     }
   }
   WhatIf what_if;
-  what_if.domain_updates.push_back(
-      {"ctdeals", {{"cid", row.var(0)}, {"tid", row.var(1)}}, "tid", other_tid});
+  what_if.domain_updates.push_back({"ctdeals",
+                                    {{"cid", row.var(0)}, {"tid", row.var(1)}},
+                                    "tid",
+                                    other_tid});
   auto hypothetical =
       db_.QueryWhatIf("invest", MpfQuerySpec{{"tid"}, {}}, what_if);
   if (exists) {
@@ -226,6 +228,21 @@ TEST_F(ExtensionsTest, WhatIfErrors) {
             StatusCode::kInvalidArgument);
 }
 
+// Sets the measure of the base row of `table` whose variable values are
+// `row_vars` the way Database commits: locate the row, then adopt the delta
+// version of the cache.
+Status UpdateBaseMeasure(workload::VeCache& cache, const std::string& table,
+                         const std::vector<VarValue>& row_vars,
+                         double measure) {
+  MPFDB_ASSIGN_OR_RETURN(size_t base, cache.BaseIndexOf(table));
+  MPFDB_ASSIGN_OR_RETURN(size_t row, cache.LocateBaseRow(base, row_vars));
+  workload::VeCacheDeltaOp op;
+  op.table = table;
+  op.rows.emplace_back(row, measure);
+  MPFDB_ASSIGN_OR_RETURN(cache, cache.WithMeasureDelta({op}));
+  return Status::Ok();
+}
+
 TEST_F(ExtensionsTest, VeCacheIncrementalMaintenance) {
   auto cache = workload::VeCache::Build(view_, db_.catalog());
   ASSERT_TRUE(cache.ok()) << cache.status();
@@ -237,7 +254,7 @@ TEST_F(ExtensionsTest, VeCacheIncrementalMaintenance) {
   double old_measure = row.measure;
   double new_measure = row.measure * 2.5;
   ASSERT_TRUE(
-      cache->ApplyBaseMeasureUpdate("warehouses", key, new_measure).ok());
+      UpdateBaseMeasure(*cache, "warehouses", key, new_measure).ok());
   // Multi-version maintenance: the cache adopted a new version of the base
   // table; the catalog's version is untouched (readers keep their snapshot).
   EXPECT_DOUBLE_EQ(warehouses->measure(3), old_measure);
@@ -260,9 +277,8 @@ TEST_F(ExtensionsTest, VeCacheIncrementalMaintenance) {
   // A second update on a different table keeps the invariant.
   TablePtr transporters = *db_.catalog().GetTable("transporters");
   RowView trow = transporters->Row(0);
-  ASSERT_TRUE(cache
-                  ->ApplyBaseMeasureUpdate("transporters", {trow.var(0)},
-                                           trow.measure + 0.75)
+  ASSERT_TRUE(UpdateBaseMeasure(*cache, "transporters", {trow.var(0)},
+                                trow.measure + 0.75)
                   .ok());
   const std::vector<TablePtr>& tables2 = cache->base_tables();
   for (const auto& var : {"tid", "pid"}) {
@@ -316,10 +332,9 @@ TEST_F(ExtensionsTest, VeCacheBaseRowLocatorMatchesScan) {
     ASSERT_TRUE(b.ok());
     RowView row = cache.base_tables()[*b]->Row(1);
     std::vector<VarValue> key(row.vars, row.vars + row.arity);
-    ASSERT_TRUE(cache
-                    .ApplyBaseMeasureUpdate(table_name, key,
-                                            row.measure * 1.5 + 0.25)
-                    .ok());
+    ASSERT_TRUE(
+        UpdateBaseMeasure(cache, table_name, key, row.measure * 1.5 + 0.25)
+            .ok());
   }
   Catalog updated = db_.catalog();
   for (const TablePtr& base : cache.base_tables()) {
@@ -338,13 +353,12 @@ TEST_F(ExtensionsTest, VeCacheBaseRowLocatorMatchesScan) {
 TEST_F(ExtensionsTest, VeCacheMaintenanceErrors) {
   auto cache = workload::VeCache::Build(view_, db_.catalog());
   ASSERT_TRUE(cache.ok());
-  EXPECT_EQ(cache->ApplyBaseMeasureUpdate("nope", {0}, 1.0).code(),
+  EXPECT_EQ(UpdateBaseMeasure(*cache, "nope", {0}, 1.0).code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(cache->ApplyBaseMeasureUpdate("warehouses", {0}, 1.0).code(),
+  EXPECT_EQ(UpdateBaseMeasure(*cache, "warehouses", {0}, 1.0).code(),
             StatusCode::kInvalidArgument);  // wrong arity
-  EXPECT_EQ(
-      cache->ApplyBaseMeasureUpdate("warehouses", {9999, 9999}, 1.0).code(),
-      StatusCode::kNotFound);  // no such row
+  EXPECT_EQ(UpdateBaseMeasure(*cache, "warehouses", {9999, 9999}, 1.0).code(),
+            StatusCode::kNotFound);  // no such row
 }
 
 TEST_F(ExtensionsTest, VeCacheZeroMeasureUpdateRejected) {
@@ -355,9 +369,8 @@ TEST_F(ExtensionsTest, VeCacheZeroMeasureUpdateRejected) {
   auto cache = workload::VeCache::Build(view_, db_.catalog());
   ASSERT_TRUE(cache.ok());
   RowView row = warehouses->Row(0);
-  EXPECT_EQ(cache
-                ->ApplyBaseMeasureUpdate("warehouses",
-                                         {row.var(0), row.var(1)}, 5.0)
+  EXPECT_EQ(UpdateBaseMeasure(*cache, "warehouses", {row.var(0), row.var(1)},
+                              5.0)
                 .code(),
             StatusCode::kFailedPrecondition);
 }

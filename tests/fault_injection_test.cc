@@ -27,7 +27,6 @@
 #include "core/persistence.h"
 #include "exec/executor.h"
 #include "exec/operator.h"
-#include "exec/thread_pool.h"
 #include "fr/algebra.h"
 #include "storage/binary_table.h"
 #include "util/fault_injector.h"
@@ -330,7 +329,7 @@ TEST(FaultInjectionPropertyTest, SpillIoFaultsUnwindCleanly) {
   EXPECT_EQ(injected_failures, 8u);
 }
 
-// --- parallel-query stress --------------------------------------------------
+// --- governed-query stress --------------------------------------------------
 
 // A private spill directory per run, so "no leaked spill files" is checked
 // against an initially empty directory instead of the shared system temp.
@@ -361,10 +360,10 @@ class ScopedTempDir {
   std::string dir_;
 };
 
-// Cancellation requested from a separate thread in the middle of a parallel
-// query: every worker observes the flag, the query either completes with the
-// correct answer (the cancel raced past the finish) or unwinds with a clean
-// kCancelled — and either way all memory charges and spill files are gone.
+// Cancellation requested from a separate thread in the middle of a query:
+// the query observes the flag and either completes with the correct answer
+// (the cancel raced past the finish) or unwinds with a clean kCancelled —
+// and either way all memory charges and spill files are gone.
 TEST(ParallelStressTest, MidQueryCancellationFromAnotherThread) {
   Rng rng(42);
   RandomPlan plan = RandomPlan::Make(rng);
@@ -373,7 +372,6 @@ TEST(ParallelStressTest, MidQueryCancellationFromAnotherThread) {
   ASSERT_TRUE(golden.ok()) << golden.status();
   SortCanonically(**golden);
 
-  ThreadPool pool(4);
   size_t cancelled = 0;
   const auto delays = {std::chrono::microseconds(0),
                        std::chrono::microseconds(50),
@@ -384,7 +382,6 @@ TEST(ParallelStressTest, MidQueryCancellationFromAnotherThread) {
     for (int rep = 0; rep < 4; ++rep) {
       ScopedTempDir spill_dir("cancel");
       QueryContext ctx;
-      ctx.set_thread_pool(&pool);
       ctx.set_memory_limit(8 * 1024);
       ctx.set_spill_enabled(true);
       ctx.set_spill_dir(spill_dir.path());
@@ -415,19 +412,17 @@ TEST(ParallelStressTest, MidQueryCancellationFromAnotherThread) {
   EXPECT_GT(cancelled, 0u);
 }
 
-// Deadlines on parallel queries: an expired deadline always surfaces as
+// Deadlines on spilling queries: an expired deadline always surfaces as
 // kDeadlineExceeded; a mid-flight deadline either beats the query or stops
 // it cleanly. Charges and spill files unwind in every outcome.
 TEST(ParallelStressTest, DeadlineObservedByParallelWorkers) {
   Rng rng(43);
   RandomPlan plan = RandomPlan::Make(rng);
-  ThreadPool pool(4);
 
   // Already-expired deadline: must fail, never crash or hang.
   {
     ScopedTempDir spill_dir("deadline");
     QueryContext ctx;
-    ctx.set_thread_pool(&pool);
     ctx.set_spill_dir(spill_dir.path());
     ctx.set_deadline_after(std::chrono::nanoseconds(0));
     auto root = plan.Build();
@@ -447,7 +442,6 @@ TEST(ParallelStressTest, DeadlineObservedByParallelWorkers) {
                       std::chrono::microseconds(5000)}) {
     ScopedTempDir spill_dir("deadline");
     QueryContext ctx;
-    ctx.set_thread_pool(&pool);
     ctx.set_memory_limit(8 * 1024);
     ctx.set_spill_enabled(true);
     ctx.set_spill_dir(spill_dir.path());
@@ -464,18 +458,15 @@ TEST(ParallelStressTest, DeadlineObservedByParallelWorkers) {
   }
 }
 
-// Injected IO faults under parallel spilling execution, seeds 1-8 at two
-// fault rates: every run either completes bit-identical to the fault-free
-// golden or fails with a clean expected Status, no run leaves bytes charged
-// or a spill file behind from any worker, and each rate injects at least
-// one fault. The fault schedule depends on the thread schedule, which is
-// exactly the point: many interleavings, one invariant.
+// Injected IO faults under spilling execution, seeds 1-8 at two fault
+// rates: every run either completes bit-identical to the fault-free golden
+// or fails with a clean expected Status, no run leaves bytes charged or a
+// spill file behind, and each rate injects at least one fault.
 TEST(ParallelStressTest, FaultSeedsUnderParallelSpillLeaveNoSpillFiles) {
   const uint64_t env_seed = EnvSeed();
   const std::set<StatusCode> allowed = {
       StatusCode::kCancelled, StatusCode::kDeadlineExceeded,
       StatusCode::kResourceExhausted, StatusCode::kInternal};
-  ThreadPool pool(4);
   std::map<double, uint64_t> faults;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed * 7919 + env_seed * 104729);
@@ -494,7 +485,6 @@ TEST(ParallelStressTest, FaultSeedsUnderParallelSpillLeaveNoSpillFiles) {
       ScopedFaultInjection scoped(fault);
 
       QueryContext ctx;
-      ctx.set_thread_pool(&pool);
       ctx.set_memory_limit(4 * 1024);
       ctx.set_spill_enabled(true);
       ctx.set_spill_dir(spill_dir.path());

@@ -19,7 +19,8 @@ TablePtr MakeTable(const std::string& name, std::vector<std::string> vars,
 }
 
 TEST(ProductJoinTest, JoinsOnSharedVariable) {
-  auto a = MakeTable("a", {"x", "y"}, {{{0, 0}, 2.0}, {{0, 1}, 3.0}, {{1, 0}, 5.0}});
+  auto a = MakeTable("a", {"x", "y"},
+                     {{{0, 0}, 2.0}, {{0, 1}, 3.0}, {{1, 0}, 5.0}});
   auto b = MakeTable("b", {"y", "z"}, {{{0, 7}, 10.0}, {{1, 7}, 100.0}});
   auto joined = ProductJoin(*a, *b, Semiring::SumProduct(), "j");
   ASSERT_TRUE(joined.ok());
@@ -57,9 +58,11 @@ TEST(ProductJoinTest, MinSumAddsMeasures) {
 
 TEST(ProductJoinTest, ResultIsFunctionalRelation) {
   auto a = MakeTable("a", {"x", "y"},
-                     {{{0, 0}, 1.0}, {{0, 1}, 2.0}, {{1, 0}, 3.0}, {{1, 1}, 4.0}});
+                     {{{0, 0}, 1.0}, {{0, 1}, 2.0}, {{1, 0}, 3.0},
+                      {{1, 1}, 4.0}});
   auto b = MakeTable("b", {"y", "z"},
-                     {{{0, 0}, 1.0}, {{0, 1}, 2.0}, {{1, 0}, 3.0}, {{1, 1}, 4.0}});
+                     {{{0, 0}, 1.0}, {{0, 1}, 2.0}, {{1, 0}, 3.0},
+                      {{1, 1}, 4.0}});
   auto joined = ProductJoin(*a, *b, Semiring::SumProduct(), "j");
   ASSERT_TRUE(joined.ok());
   EXPECT_TRUE(CheckFunctionalDependency(**joined).ok());
@@ -67,7 +70,8 @@ TEST(ProductJoinTest, ResultIsFunctionalRelation) {
 
 TEST(MarginalizeTest, GroupsAndSums) {
   auto t = MakeTable("t", {"x", "y"},
-                     {{{0, 0}, 1.0}, {{0, 1}, 2.0}, {{1, 0}, 4.0}, {{1, 1}, 8.0}});
+                     {{{0, 0}, 1.0}, {{0, 1}, 2.0}, {{1, 0}, 4.0},
+                      {{1, 1}, 8.0}});
   auto result = Marginalize(*t, {"x"}, Semiring::SumProduct(), "m");
   ASSERT_TRUE(result.ok());
   const Table& m = **result;
@@ -97,8 +101,9 @@ TEST(MarginalizeTest, EmptyGroupVarsYieldsScalar) {
 
 TEST(MarginalizeTest, UnknownVariableIsError) {
   auto t = MakeTable("t", {"x"}, {{{0}, 1.0}});
-  EXPECT_EQ(Marginalize(*t, {"zz"}, Semiring::SumProduct(), "m").status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      Marginalize(*t, {"zz"}, Semiring::SumProduct(), "m").status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(MarginalizeTest, ReordersOutputVariables) {
@@ -162,8 +167,9 @@ TEST(ProductSemijoinTest, ReducesByMarginal) {
 TEST(ProductSemijoinTest, NoSharedVariablesIsError) {
   auto t = MakeTable("t", {"x"}, {{{0}, 1.0}});
   auto s = MakeTable("s", {"y"}, {{{0}, 1.0}});
-  EXPECT_EQ(ProductSemijoin(*t, *s, Semiring::SumProduct(), "r").status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      ProductSemijoin(*t, *s, Semiring::SumProduct(), "r").status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(UpdateSemijoinTest, DoesNotDoubleCount) {
@@ -209,7 +215,8 @@ TEST(IsCompleteTest, DetectsCompleteness) {
   ASSERT_TRUE(catalog.RegisterVariable("x", 2).ok());
   ASSERT_TRUE(catalog.RegisterVariable("y", 2).ok());
   auto full = MakeTable("full", {"x", "y"},
-                        {{{0, 0}, 1.0}, {{0, 1}, 1.0}, {{1, 0}, 1.0}, {{1, 1}, 1.0}});
+                        {{{0, 0}, 1.0}, {{0, 1}, 1.0}, {{1, 0}, 1.0},
+                         {{1, 1}, 1.0}});
   auto partial = MakeTable("p", {"x", "y"}, {{{0, 0}, 1.0}});
   EXPECT_TRUE(*IsComplete(*full, catalog));
   EXPECT_FALSE(*IsComplete(*partial, catalog));
@@ -235,10 +242,13 @@ TEST(TablesEqualTest, ComparesWithTolerance) {
 TEST(EvaluateNaiveMpfTest, ChainQuery) {
   // joint(x,y,z) = a(x,y) * b(y,z); query marginal over z.
   auto a = MakeTable("a", {"x", "y"},
-                     {{{0, 0}, 1.0}, {{0, 1}, 2.0}, {{1, 0}, 3.0}, {{1, 1}, 4.0}});
+                     {{{0, 0}, 1.0}, {{0, 1}, 2.0}, {{1, 0}, 3.0},
+                      {{1, 1}, 4.0}});
   auto b = MakeTable("b", {"y", "z"},
-                     {{{0, 0}, 5.0}, {{0, 1}, 6.0}, {{1, 0}, 7.0}, {{1, 1}, 8.0}});
-  auto result = EvaluateNaiveMpf({a, b}, {"z"}, {}, Semiring::SumProduct(), "q");
+                     {{{0, 0}, 5.0}, {{0, 1}, 6.0}, {{1, 0}, 7.0},
+                      {{1, 1}, 8.0}});
+  auto result =
+      EvaluateNaiveMpf({a, b}, {"z"}, {}, Semiring::SumProduct(), "q");
   ASSERT_TRUE(result.ok());
   const Table& q = **result;
   ASSERT_EQ(q.NumRows(), 2u);
@@ -249,9 +259,11 @@ TEST(EvaluateNaiveMpfTest, ChainQuery) {
 
 TEST(EvaluateNaiveMpfTest, WithSelection) {
   auto a = MakeTable("a", {"x", "y"},
-                     {{{0, 0}, 1.0}, {{0, 1}, 2.0}, {{1, 0}, 3.0}, {{1, 1}, 4.0}});
+                     {{{0, 0}, 1.0}, {{0, 1}, 2.0}, {{1, 0}, 3.0},
+                      {{1, 1}, 4.0}});
   auto b = MakeTable("b", {"y", "z"},
-                     {{{0, 0}, 5.0}, {{0, 1}, 6.0}, {{1, 0}, 7.0}, {{1, 1}, 8.0}});
+                     {{{0, 0}, 5.0}, {{0, 1}, 6.0}, {{1, 0}, 7.0},
+                      {{1, 1}, 8.0}});
   auto result = EvaluateNaiveMpf({a, b}, {"z"}, {{"y", 1}},
                                  Semiring::SumProduct(), "q");
   ASSERT_TRUE(result.ok());

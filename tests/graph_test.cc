@@ -10,7 +10,11 @@ namespace {
 // The paper's supply-chain schema (Figure 1): contracts(pid,sid),
 // warehouses(wid,cid), transporters(tid), location(pid,wid), ctdeals(cid,tid).
 std::vector<std::vector<std::string>> SupplyChainVars() {
-  return {{"pid", "sid"}, {"wid", "cid"}, {"tid"}, {"pid", "wid"}, {"cid", "tid"}};
+  return {{"pid", "sid"},
+          {"wid", "cid"},
+          {"tid"},
+          {"pid", "wid"},
+          {"cid", "tid"}};
 }
 
 // The cyclic extension with stdeals(sid, tid) (appendix, Figure 12).

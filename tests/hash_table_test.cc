@@ -1,8 +1,9 @@
 // Unit + randomized differential tests for the Swiss-table hash layer
 // (src/exec/hash_table.h), checked against std::unordered_map. Every
 // randomized case derives its seed through CaseSeed so MPFDB_TEST_SEED
-// sweeps reach the DIB/backward-shift machinery, and the whole suite runs
-// twice — SIMD and forced-scalar — to keep both probe loops honest.
+// sweeps reach the DIB/backward-shift machinery. The scalar group scan, the
+// compile-time fallback on targets without SSE2, is held to the SSE2 scan
+// by HashTableDispatchTest.
 
 #include "exec/hash_table.h"
 
@@ -20,19 +21,16 @@
 namespace mpfdb::exec {
 namespace {
 
-// Value-parameterized over the probe implementation: false = SSE2 (when
-// compiled in), true = forced scalar fallback.
-class HashTableTest : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override {
-    saved_ = ScalarHashProbesForced();
-    SetForceScalarHashProbes(GetParam());
-  }
-  void TearDown() override { SetForceScalarHashProbes(saved_); }
+// Whether this build probes with the scalar group scan (no SSE2).
+#if defined(__SSE2__)
+constexpr bool kScalarProbes = false;
+#else
+constexpr bool kScalarProbes = true;
+#endif
 
- private:
-  bool saved_ = false;
-};
+// One instance, parameterized and named by the probe loop this build
+// compiled in.
+class HashTableTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(HashTableTest, InsertProbeErase) {
   SwissTable<int> table;
@@ -263,7 +261,8 @@ TEST_P(HashTableTest, BytesTableRandomizedDifferential) {
   EXPECT_EQ(drained, ref);
 }
 
-INSTANTIATE_TEST_SUITE_P(ProbeImpl, HashTableTest, ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(ProbeImpl, HashTableTest,
+                         ::testing::Values(kScalarProbes),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Scalar" : "Simd";
                          });

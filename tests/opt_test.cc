@@ -57,8 +57,10 @@ TEST_F(SmallSupplyChainTest, CsPlusNoWorseThanCs) {
     CsPlusOptimizer cs_plus_linear(false);
     CsPlusOptimizer cs_plus_nonlinear(true);
     auto p0 = cs.Optimize(schema_.view, query, catalog_, cost_model_);
-    auto p1 = cs_plus_linear.Optimize(schema_.view, query, catalog_, cost_model_);
-    auto p2 = cs_plus_nonlinear.Optimize(schema_.view, query, catalog_, cost_model_);
+    auto p1 =
+        cs_plus_linear.Optimize(schema_.view, query, catalog_, cost_model_);
+    auto p2 =
+        cs_plus_nonlinear.Optimize(schema_.view, query, catalog_, cost_model_);
     ASSERT_TRUE(p0.ok() && p1.ok() && p2.ok());
     // The greedy-conservative guarantee: CS+ is no worse than the single
     // root-GroupBy plan, and the nonlinear space contains the linear one.
@@ -208,9 +210,10 @@ TEST(QueryContextTest, RejectsBadQueries) {
   EXPECT_FALSE(QueryContext::Make(view, MpfQuerySpec{{"a"}, {{"zz", 0}}},
                                   catalog, cost_model)
                    .ok());
-  EXPECT_FALSE(QueryContext::Make(MpfViewDef{"v", {"missing"}, Semiring::SumProduct()},
-                                  MpfQuerySpec{{"a"}, {}}, catalog, cost_model)
-                   .ok());
+  EXPECT_FALSE(
+      QueryContext::Make(MpfViewDef{"v", {"missing"}, Semiring::SumProduct()},
+                         MpfQuerySpec{{"a"}, {}}, catalog, cost_model)
+          .ok());
 }
 
 // Domain products are exact below 2^53, whatever the order; past it the

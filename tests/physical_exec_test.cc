@@ -1,8 +1,8 @@
 // The EXPLAIN ANALYZE stats spine of the physical planning layer: analyzed
 // runs return the plain answer, record per-operator actuals, and report
-// spill partitions under a budget. (Answers under the worker pool and spill
-// budgets are the differential driver's, tests/differential_test.cc.) Seeds
-// shift with MPFDB_TEST_SEED like every property test.
+// spill partitions under a budget. (Answers under spill budgets are the
+// differential driver's, tests/differential_test.cc.) Seeds shift with
+// MPFDB_TEST_SEED like every property test.
 
 #include <algorithm>
 #include <cstdint>

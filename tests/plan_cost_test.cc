@@ -195,7 +195,8 @@ TEST(MpfQuerySpecTest, ToStringFormats) {
   MpfQuerySpec query{{"a", "b"}, {{"c", 3}}};
   query.having = HavingClause{CompareOp::kLt, 7.5};
   EXPECT_EQ(query.ToString(view),
-            "select a, b, MIN(f) from v where c=3 group by a, b having f < 7.5");
+            "select a, b, MIN(f) from v where c=3 group by a, b having f < "
+            "7.5");
 }
 
 }  // namespace

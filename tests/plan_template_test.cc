@@ -47,9 +47,6 @@ void ExpectSameEstimateBits(const PlanNode& got, const PlanNode& want) {
 // from a template and match a fresh optimize exactly.
 TEST(PlanTemplateTest, BayesNet40HitsMatchFreshOptimize) {
   Database db;
-  exec::ExecOptions options;
-  options.num_threads = 1;
-  db.set_exec_options(options);
   Rng rng(33);
   auto net = bn::RandomBayesNet(40, 2, 3, rng);
   ASSERT_TRUE(net.ok()) << net.status();
@@ -91,9 +88,10 @@ TEST(PlanTemplateTest, BayesNet40HitsMatchFreshOptimize) {
 
         auto text = db.Explain(view->name, query, spec);
         ASSERT_TRUE(text.ok()) << text.status();
-        EXPECT_NE(text->find("-- variable order: (" +
-                             FormatVarList((*optimizer)->last_variable_order()) +
-                             ")\n" + ExplainPlan(**fresh)),
+        const std::string order =
+            FormatVarList((*optimizer)->last_variable_order());
+        EXPECT_NE(text->find("-- variable order: (" + order + ")\n" +
+                             ExplainPlan(**fresh)),
                   std::string::npos);
 
         exec::Executor executor(catalog, view->semiring);

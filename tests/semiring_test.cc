@@ -122,11 +122,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(SemiringTest, FromName) {
-  EXPECT_EQ(Semiring::FromName("sum_product")->kind(), SemiringKind::kSumProduct);
+  EXPECT_EQ(Semiring::FromName("sum_product")->kind(),
+            SemiringKind::kSumProduct);
   EXPECT_EQ(Semiring::FromName("SUM")->kind(), SemiringKind::kSumProduct);
   EXPECT_EQ(Semiring::FromName("min_sum")->kind(), SemiringKind::kMinSum);
   EXPECT_EQ(Semiring::FromName("max_sum")->kind(), SemiringKind::kMaxSum);
-  EXPECT_EQ(Semiring::FromName("max_product")->kind(), SemiringKind::kMaxProduct);
+  EXPECT_EQ(Semiring::FromName("max_product")->kind(),
+            SemiringKind::kMaxProduct);
   EXPECT_EQ(Semiring::FromName("or")->kind(), SemiringKind::kBoolOrAnd);
   EXPECT_FALSE(Semiring::FromName("bogus").ok());
 }

@@ -163,8 +163,10 @@ TEST_F(CatalogTest, TableRegistration) {
   EXPECT_EQ(catalog_.RegisterTable(t).code(), StatusCode::kAlreadyExists);
 
   auto bad = std::make_shared<Table>("bad", Schema({"nope"}, "f"));
-  EXPECT_EQ(catalog_.RegisterTable(bad).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(catalog_.RegisterTable(nullptr).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(catalog_.RegisterTable(bad).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(catalog_.RegisterTable(nullptr).code(),
+            StatusCode::kInvalidArgument);
 
   EXPECT_TRUE(catalog_.DropTable("t").ok());
   EXPECT_FALSE(catalog_.HasTable("t"));

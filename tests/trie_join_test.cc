@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/operator.h"
-#include "exec/thread_pool.h"
 #include "exec/trie_join.h"
 #include "fr/algebra.h"
 #include "random_view.h"
@@ -184,7 +183,8 @@ class TrieJoinTest : public ::testing::Test {
 };
 
 TEST_F(TrieJoinTest, TriangleMatchesHashCascade) {
-  auto golden_op = HashCascade({r_, s_, t_}, var_order_, Semiring::SumProduct());
+  auto golden_op =
+      HashCascade({r_, s_, t_}, var_order_, Semiring::SumProduct());
   auto golden = mpfdb::exec::Run(*golden_op, "golden");
   ASSERT_TRUE(golden.ok()) << golden.status();
 
@@ -219,24 +219,6 @@ TEST_F(TrieJoinTest, DuplicateKeysEmitFullCrossProduct) {
     EXPECT_EQ((*result)->Row(i).vars[0], 7);
     EXPECT_EQ((*result)->measure(i), want[i]);
   }
-}
-
-TEST_F(TrieJoinTest, MorselStreamsReproduceSerialOrder) {
-  auto serial_op = MakeTriangle();
-  auto serial = mpfdb::exec::Run(*serial_op, "serial");
-  ASSERT_TRUE(serial.ok()) << serial.status();
-
-  ThreadPool pool(4);
-  QueryContext ctx;
-  ctx.set_thread_pool(&pool);
-  auto parallel_op = MakeTriangle();
-  parallel_op->BindContext(&ctx);
-  auto parallel = mpfdb::exec::Run(*parallel_op, "parallel", &ctx);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  // Concatenated stream outputs must equal the serial emission bit for bit,
-  // row order included.
-  EXPECT_TRUE(fr::TablesEqual(**serial, **parallel, 0.0));
-  EXPECT_EQ(ctx.stats().bytes_in_use, 0u);
 }
 
 TEST_F(TrieJoinTest, SpillDegradationKeepsTheSameMultiset) {
